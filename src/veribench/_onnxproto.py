@@ -174,8 +174,10 @@ def _parse(msg_name: str, buf: bytes, pos: int, end: int) -> dict:
         values, pos = _read_scalar(msg_name, name, kind, buf, pos, end, wire)
         if repeated:
             out.setdefault(name, []).extend(values)
-        else:
+        elif values:
             out[name] = values[-1]
+        else:
+            raise WireDecodeError(f"{msg_name}.{name}: empty packed block")
     return out
 
 
@@ -187,6 +189,8 @@ def _read_scalar(msg_name, name, kind, buf, pos, end, wire):
         if wire == _WIRE_LEN:  # packed
             length, pos = _read_varint(buf, pos, end)
             stop = pos + length
+            if stop > end:
+                raise WireDecodeError(f"{msg_name}.{name}: packed block overruns")
             vals = []
             while pos < stop:
                 v, pos = _read_varint(buf, pos, stop)
@@ -220,7 +224,10 @@ def _read_scalar(msg_name, name, kind, buf, pos, end, wire):
             if pos + length > end:
                 raise WireDecodeError(f"{msg_name}.{name} overruns message")
             raw = bytes(buf[pos : pos + length])
-            return [raw.decode("utf-8") if kind == "string" else raw], pos + length
+            try:
+                return [raw.decode("utf-8") if kind == "string" else raw], pos + length
+            except UnicodeDecodeError as exc:
+                raise WireDecodeError(f"{msg_name}.{name}: invalid UTF-8") from exc
     raise WireDecodeError(f"{msg_name}.{name}: wire type {wire} does not fit {kind}")
 
 

@@ -4,6 +4,10 @@ Both methods take an input box and return guaranteed bounds on every
 network output.  The affine relaxation carries, per neuron, a lower and an
 upper affine function of the network inputs; its concretization is always
 intersected with the interval result, so it is never looser.
+
+Arrays inside, ``Box`` at the edge: the input ``Box`` is validated once by
+its caller, every layer's concrete bounds travel as plain ``lo, hi`` float
+arrays, and only the returned ``output_box`` is built as a ``Box`` again.
 """
 
 from __future__ import annotations
@@ -74,14 +78,21 @@ class AffineBounds:
     upper_const: np.ndarray
     output_box: Box  # concretization, already intersected with intervals
 
-    def lower_at(self, x) -> np.ndarray:
-        return self.lower_weight @ np.asarray(x, dtype=np.float64) + self.lower_const
 
-    def upper_at(self, x) -> np.ndarray:
-        return self.upper_weight @ np.asarray(x, dtype=np.float64) + self.upper_const
-
-    def concretize(self) -> Box:
-        return self.output_box
+def _meet(lo, hi, other_lo, other_hi) -> tuple[np.ndarray, np.ndarray]:
+    """Intersection of two enclosures of the same values, as lo, hi arrays."""
+    lo = np.maximum(lo, other_lo)
+    hi = np.minimum(hi, other_hi)
+    # both operands are sound enclosures of the same values, so a crossing
+    # can only be rounding noise; collapse it instead of failing
+    bad = lo > hi
+    if np.any(bad):
+        mid = 0.5 * (lo + hi)
+        lo = np.where(bad, mid, lo)
+        hi = np.where(bad, mid, hi)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ArithmeticError("bound propagation produced non-finite values")
+    return lo, hi
 
 
 def _form_min(weight, const, box: Box) -> np.ndarray:
@@ -110,7 +121,7 @@ def affine_bounds(net: Network, box: Box) -> AffineBounds:
     c_lo = np.zeros(n)
     a_hi = np.eye(n)
     c_hi = np.zeros(n)
-    conc = box  # concrete bounds of the current representation
+    lo, hi = box.lower, box.upper  # concrete bounds of the current layer
 
     for layer in net.layers:
         if isinstance(layer, AffineLayer):
@@ -122,16 +133,15 @@ def affine_bounds(net: Network, box: Box) -> AffineBounds:
                 c_lo, c_hi = wp @ c_lo + wn @ c_hi + b, wp @ c_hi + wn @ c_lo + b
             if not (np.all(np.isfinite(a_lo)) and np.all(np.isfinite(a_hi))):
                 raise ArithmeticError("bound propagation produced non-finite values")
-            ilo, ihi = _interval_affine(w, b, conc.lower, conc.upper)
-            conc = Box(ilo, ihi).intersect(
-                Box(_form_min(a_lo, c_lo, box), _form_max(a_hi, c_hi, box))
+            ilo, ihi = _interval_affine(w, b, lo, hi)
+            lo, hi = _meet(
+                ilo, ihi, _form_min(a_lo, c_lo, box), _form_max(a_hi, c_hi, box)
             )
         elif isinstance(layer, ActivationLayer):
             if layer.kind != "relu":
                 raise UnsupportedActivationError(
                     f"affine relaxation does not support {layer.kind}"
                 )
-            lo, hi = conc.lower, conc.upper
             inactive = hi <= 0.0
             unstable = (lo < 0.0) & ~inactive
             # upper: chord through (l, 0) and (u, u) applied to the upper form
@@ -146,12 +156,15 @@ def affine_bounds(net: Network, box: Box) -> AffineBounds:
             c_lo = np.where(inactive | drop, 0.0, c_lo)
             a_hi = np.where(inactive[:, None], 0.0, a_hi)
             c_hi = np.where(inactive, 0.0, c_hi)
-            conc = Box(np.maximum(lo, 0.0), np.maximum(hi, 0.0)).intersect(
-                Box(_form_min(a_lo, c_lo, box), _form_max(a_hi, c_hi, box))
+            lo, hi = _meet(
+                np.maximum(lo, 0.0),
+                np.maximum(hi, 0.0),
+                _form_min(a_lo, c_lo, box),
+                _form_max(a_hi, c_hi, box),
             )
         # Reshape layers change nothing
 
-    return AffineBounds(box, a_lo, c_lo, a_hi, c_hi, conc)
+    return AffineBounds(box, a_lo, c_lo, a_hi, c_hi, Box(lo, hi))
 
 
 def constraint_lower_bound(
@@ -178,3 +191,15 @@ def constraint_lower_bound(
     y_lb = float(ap @ out_box.lower + an @ out_box.upper)
     x_lb = float(_form_min(b_x[None, :], np.zeros(1), box)[0])
     return max(form_lb, y_lb + x_lb)
+
+
+def infeasible(ab: AffineBounds, a_y, b_x, rhs, out_box: Box) -> bool:
+    """True when some row's lower bound over ab.box exceeds its rhs.
+
+    Rows are constraints a_y . f(x) + b_x . x <= rhs; one row that cannot be
+    met means no point of the box meets them all, so the box is pruned.
+    """
+    return any(
+        constraint_lower_bound(ab, a, b, out_box) > r
+        for a, b, r in zip(a_y, b_x, rhs)
+    )

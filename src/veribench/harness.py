@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bounds import affine_bounds, constraint_lower_bound
+from .bounds import affine_bounds, infeasible
 from .network import Box, NetworkError, gen_trivial_network, load_network, forward, save_network
 from .scoring import RunRecord, ScoreLedger, write_results_csv
 from .scoring import (
@@ -594,7 +594,7 @@ def make_robustness_oracles(
     The property: some non-maximal output overtakes the center's argmax
     class inside the L-infinity ball.  The attack is the module's own
     falsifier; the certifier prunes every competing class with forward
-    affine bounds.
+    affine bounds, by the same test that prunes branch-and-bound nodes.
     """
     net = req.network
     if net.n_outputs < 2:
@@ -602,15 +602,10 @@ def make_robustness_oracles(
     if budget is None:
         budget = dataclasses.replace(EASY_VIOLATED_BUDGET, wall_seconds=5.0)
     top = int(np.argmax(forward(net, req.center)))
-    rows = []
-    for j in range(net.n_outputs):
-        if j == top:
-            continue
-        a_y = np.zeros(net.n_outputs)
-        a_y[top] = 1.0
-        a_y[j] = -1.0
-        rows.append(a_y)
+    eye = np.eye(net.n_outputs)
+    rows = eye[top] - np.delete(eye, top, axis=0)  # y_top - y_j, one row per j
     b_x = tuple(0.0 for _ in range(net.n_inputs))
+    zero_x, zero_rhs = np.zeros((1, net.n_inputs)), np.zeros(1)
 
     def spec_at(eps):
         lower = req.center - eps
@@ -633,13 +628,11 @@ def make_robustness_oracles(
     def certify(eps):
         if eps <= 0:
             return True
-        box = Box(req.center - eps, req.center + eps)
-        ab = affine_bounds(net, box)
-        for row in rows:
-            lb = constraint_lower_bound(ab, row, np.asarray(b_x), ab.output_box)
-            if not lb > 0.0:
-                return False
-        return True
+        ab = affine_bounds(net, Box(req.center - eps, req.center + eps))
+        # each competing class is its own disjunct with a single row
+        return all(
+            infeasible(ab, row[None], zero_x, zero_rhs, ab.output_box) for row in rows
+        )
 
     return attack, certify
 

@@ -73,18 +73,6 @@ class Box:
         right_lo[dim] = mid
         return Box(self.lower, left_hi), Box(right_lo, self.upper)
 
-    def intersect(self, other: "Box") -> "Box":
-        lo = np.maximum(self.lower, other.lower)
-        hi = np.minimum(self.upper, other.upper)
-        # both operands are sound enclosures of the same values, so a crossing
-        # can only be rounding noise; collapse it instead of failing
-        bad = lo > hi
-        if np.any(bad):
-            mid = 0.5 * (lo + hi)
-            lo = np.where(bad, mid, lo)
-            hi = np.where(bad, mid, hi)
-        return Box(lo, hi)
-
 
 @dataclass(frozen=True, eq=False)
 class AffineLayer:
@@ -232,6 +220,8 @@ def _tensor_to_array(t: dict) -> tuple[np.ndarray, int]:
     dims = t.get("dims", [])
     dt = t.get("data_type", 0)
     raw = t.get("raw_data", b"")
+    if len(raw) % {wire.FLOAT32: 4, wire.DOUBLE: 8, wire.INT64: 8}.get(dt, 1):
+        raise NetworkError(f"tensor '{name}' raw data ends mid-element")
     if dt == wire.FLOAT32:
         arr = (
             np.frombuffer(raw, dtype="<f4")

@@ -132,12 +132,6 @@ class Conjunct:
     input_upper: tuple[float, ...]
     constraints: tuple[MixedConstraint, ...]
 
-    def lower_array(self):
-        return np.asarray(self.input_lower, dtype=np.float64)
-
-    def upper_array(self):
-        return np.asarray(self.input_upper, dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class NormalizedSpec:
@@ -599,13 +593,3 @@ def conjunct_satisfied(conj: Conjunct, x, y, tol: float = 0.0) -> bool:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     return _conjunct_satisfied(conj, x, y, tol, False, 0.0)
-
-
-def satisfied_conjunct(spec: NormalizedSpec, x, y, tol: float = 0.0) -> int | None:
-    """Index of the first satisfied conjunct, or None."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    for k, c in enumerate(spec.disjuncts):
-        if _conjunct_satisfied(c, x, y, tol, False, 0.0):
-            return k
-    return None

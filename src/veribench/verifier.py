@@ -18,8 +18,9 @@ import numpy as np
 
 from .bounds import (
     UnsupportedActivationError,
+    _meet,
     affine_bounds,
-    constraint_lower_bound,
+    infeasible,
 )
 from .network import (
     ActivationLayer,
@@ -82,14 +83,6 @@ class Budget:
 EASY_VIOLATED_BUDGET = Budget(wall_seconds=10.0)
 
 
-def describe_budget(budget: Budget) -> str:
-    return (
-        f"{budget.falsifier_samples} samples + {budget.pgd_restarts}x"
-        f"{budget.pgd_steps} gradient steps (step {budget.pgd_step_scale}*width)"
-        f" within {budget.wall_seconds:g} s"
-    )
-
-
 @dataclass
 class Stats:
     subproblems: int = 0
@@ -113,10 +106,6 @@ class _BudgetExhausted(Exception):
 
 class _Unresolvable(Exception):
     pass
-
-
-def _conjunct_box(conj: Conjunct) -> Box:
-    return Box(conj.lower_array(), conj.upper_array())
 
 
 def _make_witness(net: Network, x: np.ndarray) -> Witness:
@@ -199,7 +188,7 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
     deadline = time.monotonic() + budget.wall_seconds
 
     for conj in spec.disjuncts:
-        box = _conjunct_box(conj)
+        box = Box(conj.input_lower, conj.input_upper)
 
         best_x = None
         best_slack = -np.inf
@@ -259,13 +248,13 @@ def _probe(net, spec, conj, points) -> Witness | None:
     return None
 
 
-def _constraint_corners(ab, conj, box: Box) -> list[np.ndarray]:
-    """Per constraint, the box corner minimizing its affine substitution."""
+def _constraint_corners(ab, a_y, b_x, box: Box) -> list[np.ndarray]:
+    """Per constraint row, the box corner minimizing its affine substitution."""
     corners = []
-    for m in conj.constraints[:8]:
-        ap = np.maximum(m.a_y, 0.0)
-        an = np.minimum(m.a_y, 0.0)
-        row = ap @ ab.lower_weight + an @ ab.upper_weight + np.asarray(m.b_x)
+    for a, b in zip(a_y[:8], b_x[:8]):
+        ap = np.maximum(a, 0.0)
+        an = np.minimum(a, 0.0)
+        row = ap @ ab.lower_weight + an @ ab.upper_weight + b
         corners.append(np.where(row > 0, box.lower, box.upper))
     return corners
 
@@ -274,15 +263,23 @@ def refine_output_box(net: Network, box: Box, inherited: Box | None = None):
     """Affine bounds for a search node, intersected with the parent's bounds.
 
     The intersection makes node bounds monotone under splitting: a child's
-    output box is always contained in its parent's.
+    output box is always contained in its parent's.  It is the array meet
+    that ``affine_bounds`` applies per layer, made a ``Box`` once per node.
     """
     ab = affine_bounds(net, box)
-    out_box = ab.output_box if inherited is None else ab.output_box.intersect(inherited)
-    return ab, out_box
+    out = ab.output_box
+    if inherited is not None:
+        out = Box(*_meet(out.lower, out.upper, inherited.lower, inherited.upper))
+    return ab, out
 
 
 def _search_conjunct(net, spec, conj, budget, deadline, stats) -> Witness | None:
-    root = _conjunct_box(conj)
+    # the conjunct's constraints as float arrays, built once for every node
+    cs, k = conj.constraints, len(conj.constraints)
+    a_y = np.array([m.a_y for m in cs], dtype=np.float64).reshape(k, spec.n_outputs)
+    b_x = np.array([m.b_x for m in cs], dtype=np.float64).reshape(k, spec.n_inputs)
+    rhs = np.array([m.rhs for m in cs], dtype=np.float64)
+    root = Box(conj.input_lower, conj.input_upper)
     stack: list[tuple[Box, Box | None]] = [(root, None)]
     while stack:
         if time.monotonic() > deadline or stats.subproblems >= budget.max_subproblems:
@@ -295,16 +292,10 @@ def _search_conjunct(net, spec, conj, budget, deadline, stats) -> Witness | None
             return w
 
         ab, out_box = refine_output_box(net, box, inherited)
-
-        infeasible = False
-        for m in conj.constraints:
-            if constraint_lower_bound(ab, m.a_y, m.b_x, out_box) > m.rhs:
-                infeasible = True
-                break
-        if infeasible:
+        if infeasible(ab, a_y, b_x, rhs, out_box):
             continue
 
-        w = _probe(net, spec, conj, _constraint_corners(ab, conj, box))
+        w = _probe(net, spec, conj, _constraint_corners(ab, a_y, b_x, box))
         if w is not None:
             return w
 

@@ -75,7 +75,7 @@ def test_chord_on_symmetric_preactivation():
     ab = affine_bounds(_identity_relu(), Box([-1.0], [1.0]))
     assert ab.upper_weight[0, 0] == pytest.approx(0.5)
     assert ab.upper_const[0] == pytest.approx(0.5)
-    assert ab.upper_at([1.0])[0] == pytest.approx(1.0)
+    assert (ab.upper_weight @ [1.0] + ab.upper_const)[0] == pytest.approx(1.0)
     # |l| >= u picks the zero lower relaxation
     assert ab.lower_weight[0, 0] == 0.0
     assert ab.lower_const[0] == 0.0
@@ -100,7 +100,8 @@ def test_purely_affine_network_is_exact():
     np.testing.assert_allclose(ab.lower_const, ab.upper_const)
     np.testing.assert_allclose(ab.lower_weight, w2 @ w1)
     for x in box.sample(rng, 50):
-        np.testing.assert_allclose(ab.lower_at(x), forward(net, x), rtol=1e-12)
+        lower_at = ab.lower_weight @ x + ab.lower_const
+        np.testing.assert_allclose(lower_at, forward(net, x), rtol=1e-12)
 
 
 def test_affine_bounds_sound_and_nested():
@@ -112,15 +113,15 @@ def test_affine_bounds_sound_and_nested():
         box = Box(lo, lo + rng.uniform(0.1, 2, n_in))
         ab = affine_bounds(net, box)
         ib = interval_bounds(net, box)[-1]
-        conc = ab.concretize()
+        conc = ab.output_box
         # nested inside the interval result
         assert np.all(conc.lower >= ib.lower - 1e-12)
         assert np.all(conc.upper <= ib.upper + 1e-12)
         # sound for sampled points, both symbolically and concretely
         for x in box.sample(rng, 100):
             y = forward(net, x)
-            assert np.all(ab.lower_at(x) <= y + 1e-9)
-            assert np.all(ab.upper_at(x) >= y - 1e-9)
+            assert np.all(ab.lower_weight @ x + ab.lower_const <= y + 1e-9)
+            assert np.all(ab.upper_weight @ x + ab.upper_const >= y - 1e-9)
             assert np.all(y >= conc.lower - 1e-9)
             assert np.all(y <= conc.upper + 1e-9)
 
@@ -137,7 +138,7 @@ def test_degenerate_preactivation_range():
         1,
     )
     ab = affine_bounds(net, Box([-1.0], [1.0]))
-    conc = ab.concretize()
+    conc = ab.output_box
     assert conc.lower[0] == pytest.approx(0.0, abs=1e-11)
     assert conc.upper[0] == pytest.approx(0.0, abs=1e-11)
 

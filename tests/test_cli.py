@@ -82,6 +82,12 @@ class TestEval:
     def test_wrong_arity_is_data_error(self, identity_net, capsys):
         assert main(["eval", str(identity_net), "--input", "1, 2, 3"]) == 2
 
+    def test_corrupt_network_is_data_error(self, identity_net, capsys):
+        # a trailing packed block that claims 5 bytes past the end of the file
+        identity_net.write_bytes(identity_net.read_bytes() + b"\x0a\x05")
+        assert main(["eval", str(identity_net), "--input", "0.25"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestVerifyFalsify:
     def test_verify_unsat_spec_holds(self, identity_net, unsat_spec, capsys):

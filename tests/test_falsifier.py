@@ -14,7 +14,6 @@ from veribench.speclang import (
 from veribench.verifier import (
     Budget,
     EASY_VIOLATED_BUDGET,
-    describe_budget,
     falsify,
     output_combination_gradient,
     validate_witness,
@@ -165,8 +164,6 @@ def test_default_budget_shape():
     assert EASY_VIOLATED_BUDGET.pgd_steps == 50
     assert EASY_VIOLATED_BUDGET.pgd_step_scale == 0.1
     assert EASY_VIOLATED_BUDGET.wall_seconds == 10.0
-    text = describe_budget(EASY_VIOLATED_BUDGET)
-    assert "100 samples" in text and "3x50" in text and "10 s" in text
 
 
 # ---------------------------------------------------------------------------

@@ -587,6 +587,18 @@ class TestRunBatch:
         assert all(r.status is Status.ERROR for r in by_tool["flaky"])
         assert all(r.status is Status.HOLDS for r in by_tool["echo"])
 
+    def test_corrupt_network_never_aborts_batch(self, tmp_path):
+        manifest = self.make_manifest(tmp_path)
+        model = wire.decode_model(network_to_onnx_bytes(gen_trivial_network(1)))
+        model["producer_name"] = b"\xff"  # not UTF-8
+        (manifest.parent / "bad.onnx").write_bytes(wire.encode_model(model))
+        with manifest.open("a") as fh:
+            fh.write("bad.onnx,prop_0.vnnlib,20\n")
+        by_tool = run_batch(load_manifest(manifest), [], tmp_path / "out", n_trivial=0)
+        statuses = {r.instance_id: r.status for r in by_tool["randgen"]}
+        assert statuses["bad-prop_0"] is Status.ERROR
+        assert statuses["net-prop_0"] is Status.VIOLATED
+
     def test_end_to_end_determinism(self, runner, tmp_path):
         manifest = self.make_manifest(tmp_path)
         instances = load_manifest(manifest)

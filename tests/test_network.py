@@ -242,6 +242,43 @@ def test_nonfloat_weight_rejected():
         load_network(wire.encode_model(model))
 
 
+def _invalid_utf8_name(model):
+    model["producer_name"] = b"\xff"
+
+
+def _ragged_raw_data(model):
+    w = model["graph"]["initializer"][0]
+    w["raw_data"] = w["raw_data"][:-1]
+
+
+@pytest.mark.parametrize("corrupt", [_invalid_utf8_name, _ragged_raw_data])
+def test_malformed_field_is_network_error(corrupt):
+    model = wire.decode_model(_golden_gemm_model())
+    corrupt(model)
+    with pytest.raises(NetworkError):
+        load_network(wire.encode_model(model))
+
+
+@pytest.mark.parametrize("tail", [b"\x0a\x05", b"\x0a\x00"], ids=["overrun", "empty"])
+def test_bad_packed_scalar_is_network_error(tail):
+    # ir_version as a packed block: 5 bytes claimed where none follow, or empty
+    with pytest.raises(NetworkError, match="packed block"):
+        load_network(_golden_gemm_model() + tail)
+
+
+def test_mutated_bytes_raise_only_network_error(net_factory):
+    rng = np.random.default_rng(2021)
+    data = network_to_onnx_bytes(net_factory(rng, 3, [4], 2))
+    for _ in range(3000):
+        buf = bytearray(data)
+        for _ in range(int(rng.integers(1, 5))):
+            buf[int(rng.integers(len(buf)))] = int(rng.integers(256))
+        try:
+            load_network(bytes(buf))
+        except NetworkError:
+            pass  # any other exception type escaping fails the test
+
+
 def test_flatten_and_batch_dim_squeeze():
     # input declared [1, 2, 2] flattened before a Gemm over width 4
     w = np.eye(4)

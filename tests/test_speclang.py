@@ -11,7 +11,6 @@ from veribench.speclang import (
     UNBOUNDED_MAGNITUDE,
     eval_spec,
     parse_vnnlib,
-    satisfied_conjunct,
     to_dnf,
 )
 
@@ -256,11 +255,6 @@ def test_eval_dimension_mismatch(box_spec):
         eval_spec(box_spec, [0.5, 0.5], [2.0])
     with pytest.raises(ValueError, match="expected 1 outputs"):
         eval_spec(box_spec, [0.5], [2.0, 2.0])
-
-
-def test_satisfied_conjunct_picks_first(box_spec):
-    assert satisfied_conjunct(box_spec, [0.5], [2.5]) == 0
-    assert satisfied_conjunct(box_spec, [0.5], [1.0]) is None
 
 
 def test_eval_relative_mode_scales_slack():
