@@ -82,16 +82,29 @@ def _load_spec(path, max_disjuncts=None, allow_unbounded=False):
     return to_dnf(ast, **kwargs)
 
 
+def _positive(kind):
+    """An argparse type: a number of the given kind that is greater than 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError("must be positive, got %r" % text)
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _budget_from_args(args) -> Budget:
-    base = EASY_VIOLATED_BUDGET
     return Budget(
-        wall_seconds=getattr(args, "timeout", None) or base.wall_seconds,
-        max_subproblems=getattr(args, "max_subproblems", None)
-        or Budget().max_subproblems,
-        falsifier_samples=getattr(args, "samples", None) or base.falsifier_samples,
-        pgd_restarts=getattr(args, "restarts", None) or base.pgd_restarts,
-        pgd_steps=getattr(args, "steps", None) or base.pgd_steps,
-        seed=getattr(args, "seed", 0),
+        wall_seconds=args.timeout,
+        max_subproblems=getattr(
+            args, "max_subproblems", EASY_VIOLATED_BUDGET.max_subproblems
+        ),
+        falsifier_samples=args.samples,
+        pgd_restarts=args.restarts,
+        pgd_steps=args.steps,
+        seed=args.seed,
     )
 
 
@@ -275,13 +288,19 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help="%s an instance" % name)
         p.add_argument("network")
         p.add_argument("spec")
-        p.add_argument("--timeout", type=float, default=None, help="wall seconds")
+        base = EASY_VIOLATED_BUDGET
+        p.add_argument(
+            "--timeout", type=_positive(float), default=base.wall_seconds,
+            help="wall seconds",
+        )
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--restarts", type=int, default=None)
-        p.add_argument("--steps", type=int, default=None)
+        p.add_argument("--samples", type=_positive(int), default=base.falsifier_samples)
+        p.add_argument("--restarts", type=_positive(int), default=base.pgd_restarts)
+        p.add_argument("--steps", type=_positive(int), default=base.pgd_steps)
         if name == "verify":
-            p.add_argument("--max-subproblems", type=int, default=None)
+            p.add_argument(
+                "--max-subproblems", type=_positive(int), default=base.max_subproblems
+            )
         p.add_argument("--witness-out", default=None)
         p.set_defaults(func=func)
 

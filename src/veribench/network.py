@@ -58,9 +58,6 @@ class Box:
             np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol)
         )
 
-    def clip(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=np.float64).ravel(), self.lower, self.upper)
-
     def sample(self, rng, count: int) -> np.ndarray:
         u = rng.random((count, self.dim))
         return self.lower + u * self.width
@@ -182,22 +179,43 @@ def apply_activation(kind: str, v: np.ndarray) -> np.ndarray:
     return np.tanh(v)
 
 
-def forward(net: Network, x) -> np.ndarray:
-    """Evaluate layer by layer in float64 with a fixed summation order."""
-    v = np.asarray(x, dtype=np.float64).ravel()
-    if v.size != net.n_inputs:
-        raise ValueError(f"expected {net.n_inputs} inputs, got {v.size}")
+def layer_outputs(net: Network, x) -> list[np.ndarray]:
+    """The input followed by every layer's output, in float64.
+
+    ``x`` is one point of shape ``(n,)`` or a batch of shape ``(N, n)``, one
+    point per row; an affine layer computes ``v @ W.T + b``.  Every layer's
+    output is checked for finiteness, and the first non-finite one raises
+    ``ArithmeticError``.  The outputs are what reverse accumulation needs,
+    so a gradient can reuse the pass that computed the network's value.
+    """
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim != 2:
+        v = v.ravel()
+    if v.shape[-1] != net.n_inputs:
+        raise ValueError(f"expected {net.n_inputs} inputs, got {v.shape[-1]}")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite input")
-    for idx, layer in enumerate(net.layers):
-        with np.errstate(over="ignore", invalid="ignore"):
+    outs = [v]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, layer in enumerate(net.layers):
             if isinstance(layer, AffineLayer):
-                v = layer.weight @ v + layer.bias
+                v = v @ layer.weight.T + layer.bias
             elif isinstance(layer, ActivationLayer):
                 v = apply_activation(layer.kind, v)
-        if not np.all(np.isfinite(v)):
-            raise ArithmeticError(f"non-finite intermediate after layer {idx}")
-    return v
+            if not np.isfinite(v).all():
+                raise ArithmeticError(f"non-finite intermediate after layer {idx}")
+            outs.append(v)
+    return outs
+
+
+def forward(net: Network, x) -> np.ndarray:
+    """Evaluate one point ``(n,)`` or a batch ``(N, n)`` in float64.
+
+    Returns ``(m,)`` or ``(N, m)``; see ``layer_outputs`` for the arithmetic
+    and the errors.  A batch row may differ from the same point evaluated
+    alone in the last bits, as matrix and vector products sum differently.
+    """
+    return layer_outputs(net, x)[-1]
 
 
 def gen_trivial_network(n_inputs: int) -> Network:

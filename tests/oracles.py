@@ -13,12 +13,23 @@ evaluation plus a Lipschitz argument:
 
 This module deliberately avoids the package's bound-propagation and search
 code; it only reads network weights and evaluates layers directly.
+
+``reference_falsify`` is the falsifier as it was before it was batched: one
+point per forward pass, PGD restarts one after another.  The batched
+``verifier.falsify`` must find a witness exactly when it does, at the same x.
 """
 
 import numpy as np
 
 from veribench.network import ActivationLayer, AffineLayer, Network
-from veribench.speclang import Conjunct, MixedConstraint, NormalizedSpec
+from veribench.speclang import (
+    Conjunct,
+    MixedConstraint,
+    NormalizedSpec,
+    Witness,
+    conjunct_satisfied,
+)
+from veribench.verifier import WITNESS_TOL, validate_witness
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -140,3 +151,87 @@ def make_decidable_instance(rng, max_tries: int = 50):
         if verdict != UNDECIDED:
             return net, spec, verdict
     raise RuntimeError("could not build a decidable instance")
+
+
+# ---------------------------------------------------------------------------
+# Sequential reference falsifier
+
+
+def _point_outputs(net: Network, x: np.ndarray) -> list:
+    """Every layer's value at one point, W @ v + b per affine layer."""
+    outs = [x]
+    for layer in net.layers:
+        if isinstance(layer, AffineLayer):
+            outs.append(layer.weight @ outs[-1] + layer.bias)
+        elif isinstance(layer, ActivationLayer):
+            assert layer.kind == "relu", "oracle only covers relu"
+            outs.append(np.maximum(outs[-1], 0.0))
+        else:
+            outs.append(outs[-1])
+    return outs
+
+
+def _point_gradient(net: Network, x: np.ndarray, a_y) -> np.ndarray:
+    outs = _point_outputs(net, x)
+    g = np.asarray(a_y, dtype=np.float64)
+    for layer, out in zip(reversed(net.layers), reversed(outs[1:])):
+        if isinstance(layer, AffineLayer):
+            g = layer.weight.T @ g
+        elif isinstance(layer, ActivationLayer):
+            g = g * (out > 0.0)
+    return g
+
+
+def reference_falsify(net: Network, spec: NormalizedSpec, budget):
+    """Sampling then sign-gradient PGD, one point and one restart at a time.
+
+    Same random stream, order and acceptance rule as ``verifier.falsify``;
+    the wall clock is ignored.  ReLU networks only.
+    """
+    rng = np.random.default_rng(budget.seed)
+    for conj in spec.disjuncts:
+        lo = np.asarray(conj.input_lower, dtype=np.float64)
+        hi = np.asarray(conj.input_upper, dtype=np.float64)
+
+        def sample(count):
+            return lo + rng.random((count, lo.size)) * (hi - lo)
+
+        def slacks(x, y):
+            return np.array(
+                [m.rhs - (np.dot(m.a_y, y) + np.dot(m.b_x, x)) for m in conj.constraints]
+            )
+
+        def accepted(x):
+            y = _point_outputs(net, x)[-1]
+            if not conjunct_satisfied(conj, x, y):
+                return None
+            w = Witness(tuple(float(v) for v in x), tuple(float(v) for v in y))
+            return w if validate_witness(net, spec, w, WITNESS_TOL) else None
+
+        best_x, best_slack = None, -np.inf
+        for x in sample(budget.falsifier_samples):
+            w = accepted(x)
+            if w is not None:
+                return w
+            if conj.constraints:
+                s = float(np.min(slacks(x, _point_outputs(net, x)[-1])))
+                if s > best_slack:
+                    best_slack, best_x = s, x
+        if not conj.constraints:
+            continue
+
+        step = budget.pgd_step_scale * (hi - lo)
+        for restart in range(budget.pgd_restarts):
+            x = best_x.copy() if restart == 0 else sample(1)[0]
+            for _ in range(budget.pgd_steps):
+                s = slacks(x, _point_outputs(net, x)[-1])
+                j = int(np.argmin(s))
+                if s[j] >= 0.0:
+                    break
+                m = conj.constraints[j]
+                g = _point_gradient(net, x, m.a_y) + np.asarray(m.b_x)
+                x = np.clip(x - step * np.sign(g), lo, hi)
+            w = accepted(x)
+            if w is not None:
+                return w
+    return None

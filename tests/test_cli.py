@@ -122,6 +122,28 @@ class TestVerifyFalsify:
         text = witness.read_text()
         assert "X_0" in text and "Y_0" in text
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("falsify", "--samples", "0"),
+            ("falsify", "--restarts", "0"),
+            ("falsify", "--steps", "0"),
+            ("falsify", "--timeout", "0"),
+            ("verify", "--max-subproblems", "0"),
+            ("verify", "--samples", "-3"),
+            ("verify", "--timeout", "nan"),
+        ],
+    )
+    def test_nonpositive_budget_is_usage_error(
+        self, identity_net, sat_spec, capsys, command, flag, value
+    ):
+        code = main([command, str(identity_net), str(sat_spec), flag, value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be positive" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_falsify_unsat_spec_unknown(self, identity_net, unsat_spec, capsys):
         code = main(
             ["falsify", str(identity_net), str(unsat_spec), "--samples", "20"]

@@ -14,12 +14,16 @@ from veribench.speclang import (
 from veribench.verifier import (
     Budget,
     EASY_VIOLATED_BUDGET,
+    Status,
+    _SAMPLE_BLOCK,
     falsify,
     output_combination_gradient,
     validate_witness,
+    verify,
 )
 
 from conftest import make_random_network
+from oracles import batch_forward, reference_falsify
 
 
 def _spec(text: str) -> NormalizedSpec:
@@ -158,6 +162,107 @@ def test_multiple_disjuncts_scanned_in_order():
     assert forward(IDENTITY, np.array(w.x))[0] >= 0.25
 
 
+def _random_falsify_instance(rng, n_disjuncts=1, quantiles=(0.0005, 0.01, 0.2, -1.0)):
+    """A ReLU net and a spec whose satisfying set is empty, a sliver or wide."""
+    n_in = int(rng.integers(2, 6))
+    n_out = int(rng.integers(1, 4))
+    net = make_random_network(rng, n_in, [8, 8], n_out, weight_scale=1.5)
+    disjuncts = []
+    for _ in range(n_disjuncts):
+        lo = rng.uniform(-1.0, 0.0, n_in)
+        hi = lo + rng.uniform(0.2, 1.5, n_in)
+        xs = lo + rng.random((512, n_in)) * (hi - lo)
+        ys = batch_forward(net, xs)
+        constraints = []
+        for _ in range(int(rng.integers(1, 4))):
+            a_y = rng.uniform(-1.0, 1.0, n_out)
+            b_x = rng.uniform(-0.3, 0.3, n_in) if rng.random() < 0.3 else np.zeros(n_in)
+            vals = ys @ a_y + xs @ b_x
+            q = float(rng.choice(quantiles))
+            rhs = np.min(vals) - 0.5 if q < 0 else np.quantile(vals, q)
+            constraints.append(MixedConstraint(tuple(a_y), tuple(b_x), float(rhs)))
+        disjuncts.append(Conjunct(tuple(lo), tuple(hi), tuple(constraints)))
+    return net, NormalizedSpec(n_in, n_out, tuple(disjuncts))
+
+
+def _same_answer(net, spec, budget):
+    got = falsify(net, spec, budget)
+    want = reference_falsify(net, spec, budget)
+    assert (got is None) == (want is None)
+    if got is not None:
+        np.testing.assert_allclose(got.x, want.x, rtol=0, atol=1e-9)
+    return got
+
+
+def test_batched_falsify_matches_sequential_reference():
+    rng = np.random.default_rng(47)
+    found = 0
+    for case in range(30):
+        net, spec = _random_falsify_instance(rng, n_disjuncts=int(rng.integers(1, 3)))
+        budget = Budget(
+            falsifier_samples=int(rng.choice([1, 5, 20, 100])),
+            pgd_restarts=int(rng.integers(1, 5)),
+            pgd_steps=int(rng.integers(1, 40)),
+            seed=case,
+        )
+        found += _same_answer(net, spec, budget) is not None
+    assert 5 <= found <= 25  # both outcomes are exercised
+
+
+def test_batched_falsify_matches_reference_across_sample_blocks():
+    # two whole sample blocks and a partial one, with specs built from the
+    # falsifier's own draws: the best draw, which one short PGD step turns
+    # into a witness, and the first satisfying draw may lie past block one
+    n = 2 * _SAMPLE_BLOCK + 3
+    rng = np.random.default_rng(53)
+    net = make_random_network(rng, 3, [8, 8], 2, weight_scale=1.5)
+    lo, hi = np.full(3, -1.0), np.full(3, 1.0)
+    a_y, b_x = (1.0, -1.0), (2.0, 2.0, 2.0)
+
+    def spec_below(rhs):
+        constraint = MixedConstraint(a_y, b_x, float(rhs))
+        return NormalizedSpec(3, 2, (Conjunct(tuple(lo), tuple(hi), (constraint,)),))
+
+    late = [0, 0]  # best draw, first hit: how often past the first block
+    for seed in range(4):
+        budget = Budget(
+            falsifier_samples=n, pgd_restarts=3, pgd_steps=1, pgd_step_scale=0.001,
+            seed=seed,
+        )
+        draws = lo + np.random.default_rng(seed).random((n, 3)) * (hi - lo)
+        vals = batch_forward(net, draws) @ np.array(a_y) + draws @ np.array(b_x)
+        assert _same_answer(net, spec_below(vals.min() - 0.001), budget) is not None
+        late[0] += int(np.argmin(vals)) >= _SAMPLE_BLOCK
+        first, rest = vals[:_SAMPLE_BLOCK].min(), vals[_SAMPLE_BLOCK:].min()
+        if rest < first:
+            w = _same_answer(net, spec_below(0.5 * (first + rest)), budget)
+            assert np.flatnonzero((draws == w.x).all(axis=1))[0] >= _SAMPLE_BLOCK
+            late[1] += 1
+    assert all(late)
+
+
+OVERFLOW_LAYERS = (
+    AffineLayer(np.array([[1e308]]), np.zeros(1)),
+    AffineLayer(np.array([[1e308]]), np.zeros(1)),
+)
+OVERFLOW_SPEC = (
+    "(declare-const X_0 Real)(declare-const Y_0 Real)"
+    "(assert (>= X_0 1.0))(assert (<= X_0 2.0))(assert (>= Y_0 0.0))"
+)
+
+
+def test_falsify_nonfinite_raises():
+    net = Network(OVERFLOW_LAYERS, 1, 1)
+    with pytest.raises(ArithmeticError, match="non-finite intermediate"):
+        falsify(net, _spec(OVERFLOW_SPEC), Budget())
+
+
+def test_verify_nonfinite_falsifier_only_path_is_error():
+    # a sigmoid makes verify skip branch-and-bound and only falsify
+    net = Network(OVERFLOW_LAYERS + (ActivationLayer("sigmoid"),), 1, 1)
+    assert verify(net, _spec(OVERFLOW_SPEC), Budget()).status is Status.ERROR
+
+
 def test_default_budget_shape():
     assert EASY_VIOLATED_BUDGET.falsifier_samples == 100
     assert EASY_VIOLATED_BUDGET.pgd_restarts == 3
@@ -213,4 +318,14 @@ def test_gradient_matches_central_differences(activation):
         g_num = _numeric_gradient(net, x, a_y)
         scale = max(1.0, float(np.max(np.abs(g_num))))
         assert np.max(np.abs(g - g_num)) / scale < 1e-4
+        # batched: row i pairs x[i] with a_y[i] and matches the single call
+        more = np.random.default_rng(checked)
+        xs = np.vstack([x, more.uniform(-1, 1, (4, n_in))])
+        a_ys = np.vstack([a_y, more.uniform(-1, 1, (4, n_out))])
+        gs = output_combination_gradient(net, xs, a_ys)
+        assert gs.shape == xs.shape
+        for xi, ai, gi in zip(xs, a_ys, gs):
+            np.testing.assert_allclose(
+                gi, output_combination_gradient(net, xi, ai), rtol=1e-12, atol=1e-300
+            )
         checked += 1

@@ -419,22 +419,41 @@ def test_forward_is_bit_deterministic(net_factory):
     assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh"])
+def test_forward_batch_rows_match_points(net_factory, activation):
+    rng = np.random.default_rng(5)
+    net = net_factory(rng, 4, [16, 16], 3, activation=activation)
+    xs = rng.uniform(-2, 2, (9, 4))
+    ys = forward(net, xs)
+    assert ys.shape == (9, 3)
+    for x, y in zip(xs, ys):
+        np.testing.assert_allclose(y, forward(net, x), rtol=1e-12, atol=1e-300)
+    assert forward(net, xs[:0]).shape == (0, 3)
+
+
 def test_forward_dimension_mismatch():
     net = gen_trivial_network(2)
     with pytest.raises(ValueError, match="expected 2 inputs"):
         forward(net, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="expected 2 inputs"):
+        forward(net, np.zeros((4, 3)))
 
 
 def test_forward_rejects_nonfinite_input():
     net = gen_trivial_network(1)
     with pytest.raises(ValueError, match="non-finite input"):
         forward(net, [np.nan])
+    with pytest.raises(ValueError, match="non-finite input"):
+        forward(net, [[0.0], [np.inf]])
 
 
 def test_forward_reports_nonfinite_intermediate():
     net = Network((AffineLayer(np.array([[1e308]]), np.zeros(1)),), 1, 1)
     with pytest.raises(ArithmeticError, match="non-finite intermediate after layer 0"):
         forward(net, [100.0])
+    # one overflowing row fails the whole batch
+    with pytest.raises(ArithmeticError, match="non-finite intermediate after layer 0"):
+        forward(net, [[1.0], [100.0]])
 
 
 def test_trivial_network_identity():
