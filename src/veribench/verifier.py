@@ -1,8 +1,9 @@
 """Baseline verifier, falsifier and witness validation.
 
 verify() runs branch-and-bound over input splits with the affine relaxation
-as the pruning bound, probing each unpruned node's midpoint and constraint
-corners in one batched forward pass.  falsify() is the cheap counterexample
+as the pruning bound; each node's midpoint is probed before its bounds are
+computed, and an unpruned node's constraint corners in one batched forward
+pass.  falsify() is the cheap counterexample
 search (uniform sampling, then sign-gradient ascent on constraint slack)
 that also defines the competition's "answerable by random testing"
 baseline; it scores its samples in fixed-size batches and runs its
@@ -208,8 +209,10 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
     clipped to the box; a restart stops once no slack is negative.  The
     lowest-index restart whose final point re-validates is returned.  The
     wall clock is checked between blocks and between steps.  Deterministic
-    for a fixed budget.seed; the random stream and the answer do not depend
-    on the block size.
+    for a fixed budget.seed, and the random stream does not depend on the
+    block size.  A batch fails as a whole: a non-finite value in any row of
+    a sample block, or in any restart, raises ``ArithmeticError`` even when
+    an earlier row or a lower restart is a witness.
     """
     if spec.n_inputs != net.n_inputs or spec.n_outputs != net.n_outputs:
         raise ValueError("spec dimensions do not match network")
@@ -298,12 +301,17 @@ def _search_conjunct(net, spec, conj, budget, deadline, stats) -> Witness | None
         box, inherited = stack.pop()
         stats.subproblems += 1
 
+        # the midpoint goes first: it needs no bounds, so neither a bound
+        # that overflows nor an unsound prune can hide a witness there
+        w = _probe(net, spec, conj, cons, box.midpoint()[None, :])
+        if w is not None:
+            return w
+
         ab, out_box = refine_output_box(net, box, inherited)
         if infeasible(ab, a_y, b_x, rhs, out_box):
             continue
 
-        corners = _constraint_corners(ab, a_y, b_x, box)
-        w = _probe(net, spec, conj, cons, np.vstack([box.midpoint(), corners]))
+        w = _probe(net, spec, conj, cons, _constraint_corners(ab, a_y, b_x, box))
         if w is not None:
             return w
 

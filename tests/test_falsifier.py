@@ -257,6 +257,29 @@ def test_falsify_nonfinite_raises():
         falsify(net, _spec(OVERFLOW_SPEC), Budget())
 
 
+def test_falsify_overflow_in_a_sample_block_raises_despite_earlier_witness():
+    # y = 1e400 * relu(x): 0, a witness, for x <= 0 and an overflow for x > 0
+    net = Network(
+        (
+            AffineLayer(np.array([[1e200]]), np.zeros(1)),
+            ActivationLayer("relu"),
+            AffineLayer(np.array([[1e200]]), np.zeros(1)),
+        ),
+        1,
+        1,
+    )
+    spec = _spec(
+        "(declare-const X_0 Real)(declare-const Y_0 Real)"
+        "(assert (>= X_0 -1.0))(assert (<= X_0 1.0))(assert (<= Y_0 0.0))"
+    )
+    budget = Budget(seed=2)
+    draws = np.random.default_rng(budget.seed).random(budget.falsifier_samples)
+    assert draws[0] < 0.5 and (draws > 0.5).any()  # x = 2u - 1
+    # the block is scored as a whole, so the later overflow wins
+    with pytest.raises(ArithmeticError, match="non-finite intermediate"):
+        falsify(net, spec, budget)
+
+
 def test_verify_nonfinite_falsifier_only_path_is_error():
     # a sigmoid makes verify skip branch-and-bound and only falsify
     net = Network(OVERFLOW_LAYERS + (ActivationLayer("sigmoid"),), 1, 1)

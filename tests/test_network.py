@@ -417,18 +417,15 @@ def test_forward_is_bit_deterministic(net_factory):
     a = forward(net, x)
     b = forward(net, x)
     assert a.tobytes() == b.tobytes()
-
-
-@pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh"])
-def test_forward_batch_rows_match_points(net_factory, activation):
-    rng = np.random.default_rng(5)
-    net = net_factory(rng, 4, [16, 16], 3, activation=activation)
-    xs = rng.uniform(-2, 2, (9, 4))
-    ys = forward(net, xs)
-    assert ys.shape == (9, 3)
-    for x, y in zip(xs, ys):
-        np.testing.assert_allclose(y, forward(net, x), rtol=1e-12, atol=1e-300)
-    assert forward(net, xs[:0]).shape == (0, 3)
+    # rows of a batch match single points, for every activation
+    for activation in ("relu", "sigmoid", "tanh"):
+        net = net_factory(rng, 4, [16, 16], 3, activation=activation)
+        xs = rng.uniform(-2, 2, (9, 4))
+        ys = forward(net, xs)
+        assert ys.shape == (9, 3)
+        for x, y in zip(xs, ys):
+            np.testing.assert_allclose(y, forward(net, x), rtol=1e-12, atol=1e-300)
+        assert forward(net, xs[:0]).shape == (0, 3)
 
 
 def test_forward_dimension_mismatch():

@@ -171,6 +171,27 @@ def test_verify_nonfinite_is_error():
     assert out.status is Status.ERROR
 
 
+def test_verify_midpoint_witness_beats_overflowing_bounds():
+    # the bounds on y = 1e400 * relu(x) overflow, but the midpoint x = 0
+    # gives y = 0, a witness, and it is probed before any bound
+    net = Network(
+        (
+            AffineLayer(np.array([[1e200]]), np.zeros(1)),
+            ActivationLayer("relu"),
+            AffineLayer(np.array([[1e200]]), np.zeros(1)),
+        ),
+        1,
+        1,
+    )
+    spec = _spec(
+        "(declare-const X_0 Real)(declare-const Y_0 Real)"
+        "(assert (>= X_0 -1.0))(assert (<= X_0 1.0))(assert (<= Y_0 0.0))"
+    )
+    out = verify(net, spec, Budget())
+    assert out.status is Status.VIOLATED
+    assert out.witness.x == (0.0,)
+
+
 def test_verify_empty_disjunction_holds():
     # both branches have empty boxes, so nothing can satisfy the spec
     spec = _spec(
