@@ -5,9 +5,13 @@ network output.  The affine relaxation carries, per neuron, a lower and an
 upper affine function of the network inputs; its concretization is always
 intersected with the interval result, so it is never looser.
 
-Arrays inside, ``Box`` at the edge: the input ``Box`` is validated once by
-its caller, every layer's concrete bounds travel as plain ``lo, hi`` float
-arrays, and only the returned ``output_box`` is built as a ``Box`` again.
+One batched core, ``_affine_forms``, bounds K boxes at once: the boxes are
+rows of ``lo, hi`` arrays (K, n), the affine forms are stacked as (K, m, n)
+and every layer's concrete bounds travel as (K, width) arrays.  Each box
+gets exactly the arithmetic it gets alone, and a non-finite value in any
+row fails the whole batch with ``ArithmeticError``.  Branch-and-bound calls
+the core directly; ``affine_bounds``, ``constraint_lower_bound`` and
+``infeasible`` are its one-box wrappers, with a ``Box`` at the edge.
 """
 
 from __future__ import annotations
@@ -32,14 +36,17 @@ class UnsupportedActivationError(ValueError):
     """Affine relaxation only covers ReLU activations."""
 
 
-def _interval_affine(weight, bias, lo, hi):
-    wp = np.maximum(weight, 0.0)
-    wn = np.minimum(weight, 0.0)
+def _check_finite(*arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ArithmeticError("bound propagation produced non-finite values")
+
+
+def _interval_affine(wp, wn, bias, lo, hi):
+    """Interval image of W x + b, given W's positive and negative parts."""
     with np.errstate(over="ignore", invalid="ignore"):
         new_lo = wp @ lo + wn @ hi + bias
         new_hi = wp @ hi + wn @ lo + bias
-    if not (np.all(np.isfinite(new_lo)) and np.all(np.isfinite(new_hi))):
-        raise ArithmeticError("bound propagation produced non-finite values")
+    _check_finite(new_lo, new_hi)
     return new_lo, new_hi
 
 
@@ -51,7 +58,10 @@ def interval_bounds(net: Network, box: Box) -> list[Box]:
     out = [box]
     for layer in net.layers:
         if isinstance(layer, AffineLayer):
-            lo, hi = _interval_affine(layer.weight, layer.bias, lo, hi)
+            w = layer.weight
+            lo, hi = _interval_affine(
+                np.maximum(w, 0.0), np.minimum(w, 0.0), layer.bias, lo, hi
+            )
         elif isinstance(layer, ActivationLayer):
             if layer.kind == "relu":
                 lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
@@ -86,25 +96,79 @@ def _meet(lo, hi, other_lo, other_hi) -> tuple[np.ndarray, np.ndarray]:
     # both operands are sound enclosures of the same values, so a crossing
     # can only be rounding noise; collapse it instead of failing
     bad = lo > hi
-    if np.any(bad):
+    if bad.any():
         mid = 0.5 * (lo + hi)
         lo = np.where(bad, mid, lo)
         hi = np.where(bad, mid, hi)
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ArithmeticError("bound propagation produced non-finite values")
+    _check_finite(lo, hi)
     return lo, hi
 
 
-def _form_min(weight, const, box: Box) -> np.ndarray:
-    wp = np.maximum(weight, 0.0)
-    wn = np.minimum(weight, 0.0)
-    return wp @ box.lower + wn @ box.upper + const
+def _form_min(weight, const, lo, hi) -> np.ndarray:
+    """Least value of each affine form over its box; swap lo, hi for the most.
+
+    Vectors are columns, so a stack of forms (..., w, n) meets a stack of
+    boxes (..., n, 1) as one matrix-vector product per box.
+    """
+    return np.maximum(weight, 0.0) @ lo + np.minimum(weight, 0.0) @ hi + const
 
 
-def _form_max(weight, const, box: Box) -> np.ndarray:
-    wp = np.maximum(weight, 0.0)
-    wn = np.minimum(weight, 0.0)
-    return wp @ box.upper + wn @ box.lower + const
+def _affine_forms(net: Network, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """The batched bound core: affine bounds of K boxes, rows of lo, hi (K, n).
+
+    Returns the lower weights and constants, the upper weights and constants
+    and the output bounds: weights of shape (K, m, n), the rest (K, m).
+    Inside, every vector is a (K, w, 1) stack of columns, so each box gets
+    exactly the products, and the bounds, of a batch of one.  A non-finite
+    value in any row raises ``ArithmeticError`` for the whole batch.
+    """
+    k, n = lo.shape
+    lo, hi = lo[..., None], hi[..., None]
+    a_lo = a_hi = np.broadcast_to(np.eye(n), (k, n, n))
+    c_lo = c_hi = np.zeros((k, n, 1))
+    y_lo, y_hi = lo, hi  # concrete bounds of the current layer
+
+    for layer in net.layers:
+        if isinstance(layer, AffineLayer):
+            w, b = layer.weight, layer.bias[:, None]
+            wp = np.maximum(w, 0.0)
+            wn = np.minimum(w, 0.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                a_lo, a_hi = wp @ a_lo + wn @ a_hi, wp @ a_hi + wn @ a_lo
+                c_lo, c_hi = wp @ c_lo + wn @ c_hi + b, wp @ c_hi + wn @ c_lo + b
+            _check_finite(a_lo, a_hi)
+            i_lo, i_hi = _interval_affine(wp, wn, b, y_lo, y_hi)
+            y_lo, y_hi = _meet(
+                i_lo, i_hi, _form_min(a_lo, c_lo, lo, hi), _form_min(a_hi, c_hi, hi, lo)
+            )
+        elif isinstance(layer, ActivationLayer):
+            if layer.kind != "relu":
+                raise UnsupportedActivationError(
+                    f"affine relaxation does not support {layer.kind}"
+                )
+            inactive = y_hi <= 0.0
+            unstable = (y_lo < 0.0) & ~inactive
+            # upper: chord through (l, 0) and (u, u) applied to the upper form
+            width = y_hi - y_lo
+            width = np.where(width < DEGENERATE_WIDTH, width + DEGENERATE_WIDTH, width)
+            slope = np.where(unstable, y_hi / width, 1.0)
+            a_hi = np.where(unstable, slope * a_hi, a_hi)
+            c_hi = np.where(unstable, slope * (c_hi - y_lo), c_hi)
+            # lower: zero when the negative side dominates, else identity
+            zero_lo = inactive | (unstable & (-y_lo >= y_hi))
+            a_lo = np.where(zero_lo, 0.0, a_lo)
+            c_lo = np.where(zero_lo, 0.0, c_lo)
+            a_hi = np.where(inactive, 0.0, a_hi)
+            c_hi = np.where(inactive, 0.0, c_hi)
+            y_lo, y_hi = _meet(
+                np.maximum(y_lo, 0.0),
+                np.maximum(y_hi, 0.0),
+                _form_min(a_lo, c_lo, lo, hi),
+                _form_min(a_hi, c_hi, hi, lo),
+            )
+        # Reshape layers change nothing
+
+    return a_lo, c_lo[..., 0], a_hi, c_hi[..., 0], y_lo[..., 0], y_hi[..., 0]
 
 
 def affine_bounds(net: Network, box: Box) -> AffineBounds:
@@ -113,58 +177,57 @@ def affine_bounds(net: Network, box: Box) -> AffineBounds:
     Unstable ReLU neurons get the chord upper relaxation
     u(z) = u * (z - l) / (u - l) and a lower relaxation of either zero
     (when |l| >= u) or the identity; stable neurons pass through exactly.
+    This is the batched core run on a batch of one box.
     """
     if box.dim != net.n_inputs:
         raise ValueError(f"box dimension {box.dim} != network inputs {net.n_inputs}")
-    n = net.n_inputs
-    a_lo = np.eye(n)
-    c_lo = np.zeros(n)
-    a_hi = np.eye(n)
-    c_hi = np.zeros(n)
-    lo, hi = box.lower, box.upper  # concrete bounds of the current layer
+    rows = _affine_forms(net, box.lower[None], box.upper[None])
+    *forms, lo, hi = (r[0] for r in rows)
+    return AffineBounds(box, *forms, Box(lo, hi))
 
-    for layer in net.layers:
-        if isinstance(layer, AffineLayer):
-            w, b = layer.weight, layer.bias
-            wp = np.maximum(w, 0.0)
-            wn = np.minimum(w, 0.0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                a_lo, a_hi = wp @ a_lo + wn @ a_hi, wp @ a_hi + wn @ a_lo
-                c_lo, c_hi = wp @ c_lo + wn @ c_hi + b, wp @ c_hi + wn @ c_lo + b
-            if not (np.all(np.isfinite(a_lo)) and np.all(np.isfinite(a_hi))):
-                raise ArithmeticError("bound propagation produced non-finite values")
-            ilo, ihi = _interval_affine(w, b, lo, hi)
-            lo, hi = _meet(
-                ilo, ihi, _form_min(a_lo, c_lo, box), _form_max(a_hi, c_hi, box)
-            )
-        elif isinstance(layer, ActivationLayer):
-            if layer.kind != "relu":
-                raise UnsupportedActivationError(
-                    f"affine relaxation does not support {layer.kind}"
-                )
-            inactive = hi <= 0.0
-            unstable = (lo < 0.0) & ~inactive
-            # upper: chord through (l, 0) and (u, u) applied to the upper form
-            width = hi - lo
-            width = np.where(width < DEGENERATE_WIDTH, width + DEGENERATE_WIDTH, width)
-            slope = np.where(unstable, hi / width, 1.0)
-            a_hi = np.where(unstable[:, None], slope[:, None] * a_hi, a_hi)
-            c_hi = np.where(unstable, slope * (c_hi - lo), c_hi)
-            # lower: zero when the negative side dominates, else identity
-            drop = unstable & (-lo >= hi)
-            a_lo = np.where((inactive | drop)[:, None], 0.0, a_lo)
-            c_lo = np.where(inactive | drop, 0.0, c_lo)
-            a_hi = np.where(inactive[:, None], 0.0, a_hi)
-            c_hi = np.where(inactive, 0.0, c_hi)
-            lo, hi = _meet(
-                np.maximum(lo, 0.0),
-                np.maximum(hi, 0.0),
-                _form_min(a_lo, c_lo, box),
-                _form_max(a_hi, c_hi, box),
-            )
-        # Reshape layers change nothing
 
-    return AffineBounds(box, a_lo, c_lo, a_hi, c_hi, Box(lo, hi))
+def _constraint_rows(lo, hi, forms, y_lo, y_hi, a_y, b_x):
+    """Lower bounds of every constraint row over each of K boxes.
+
+    Rows are a_y . f(x) + b_x . x with a_y (c, m) and b_x (c, n); ``forms``
+    are the first four arrays of ``_affine_forms`` for the boxes lo, hi
+    (K, n), and y_lo, y_hi (K, m) enclose the outputs.  Returns the (K, c)
+    lower bounds, each the tighter of the affine-form bound and the interval
+    bound through y_lo, y_hi, and the (K, c, n) input coefficients of each
+    row's lower affine form.  Boxes and rows are both batch axes, so each
+    bound is computed as for one row over one box.
+    """
+    a_lo, c_lo, a_hi, c_hi = forms
+
+    def col(v):  # (K, d) -> (K, 1, d, 1): one column per box, shared by rows
+        return v[:, None, :, None]
+
+    lo, hi = col(lo), col(hi)
+    ap = np.maximum(a_y, 0.0)[:, None]  # (c, 1, m)
+    an = np.minimum(a_y, 0.0)[:, None]
+    b = b_x[:, None]
+    # substitute affine forms for the output part, fold in the input part
+    rows = ap @ a_lo[:, None] + an @ a_hi[:, None] + b
+    form_lb = _form_min(rows, ap @ col(c_lo) + an @ col(c_hi), lo, hi)
+    y_lb = ap @ col(y_lo) + an @ col(y_hi)
+    lb = np.maximum(form_lb, y_lb + _form_min(b, 0.0, lo, hi))
+    return lb[..., 0, 0], rows[:, :, 0]
+
+
+def _lower_bounds(ab: AffineBounds, a_y, b_x, out_box: Box) -> np.ndarray:
+    """The constraint rows' lower bounds over ab.box, as a batch of one box."""
+    m, n = ab.lower_weight.shape
+    forms = (ab.lower_weight, ab.lower_const, ab.upper_weight, ab.upper_const)
+    lb, _ = _constraint_rows(
+        ab.box.lower[None],
+        ab.box.upper[None],
+        tuple(f[None] for f in forms),
+        out_box.lower[None],
+        out_box.upper[None],
+        np.asarray(a_y, dtype=np.float64).reshape(-1, m),
+        np.asarray(b_x, dtype=np.float64).reshape(-1, n),
+    )
+    return lb[0]
 
 
 def constraint_lower_bound(
@@ -175,22 +238,9 @@ def constraint_lower_bound(
     Combines the affine-form bound with the interval bound through out_box
     (defaulting to the bounds' own concretization) and keeps the tighter.
     """
-    a_y = np.asarray(a_y, dtype=np.float64)
-    b_x = np.asarray(b_x, dtype=np.float64)
-    box = ab.box
     if out_box is None:
         out_box = ab.output_box
-
-    ap = np.maximum(a_y, 0.0)
-    an = np.minimum(a_y, 0.0)
-    # substitute affine forms for the output part, fold in the input part
-    row = ap @ ab.lower_weight + an @ ab.upper_weight + b_x
-    const = float(ap @ ab.lower_const + an @ ab.upper_const)
-    form_lb = float(_form_min(row[None, :], np.array([const]), box)[0])
-
-    y_lb = float(ap @ out_box.lower + an @ out_box.upper)
-    x_lb = float(_form_min(b_x[None, :], np.zeros(1), box)[0])
-    return max(form_lb, y_lb + x_lb)
+    return float(_lower_bounds(ab, a_y, b_x, out_box)[0])
 
 
 def infeasible(ab: AffineBounds, a_y, b_x, rhs, out_box: Box) -> bool:
@@ -199,7 +249,4 @@ def infeasible(ab: AffineBounds, a_y, b_x, rhs, out_box: Box) -> bool:
     Rows are constraints a_y . f(x) + b_x . x <= rhs; one row that cannot be
     met means no point of the box meets them all, so the box is pruned.
     """
-    return any(
-        constraint_lower_bound(ab, a, b, out_box) > r
-        for a, b, r in zip(a_y, b_x, rhs)
-    )
+    return bool((_lower_bounds(ab, a_y, b_x, out_box) > rhs).any())

@@ -341,9 +341,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("calibrate-eps", help="binary-search a robustness radius")
     p.add_argument("network")
     p.add_argument("--center", default=None, help="comma separated floats")
-    p.add_argument("--eps-max", type=float, default=16.0 / 255.0)
-    p.add_argument("--eps-tol", type=float, default=0.005)
-    p.add_argument("--oracle-seconds", type=float, default=5.0)
+    p.add_argument("--eps-max", type=_positive(float), default=16.0 / 255.0)
+    p.add_argument("--eps-tol", type=_positive(float), default=0.005)
+    p.add_argument("--oracle-seconds", type=_positive(float), default=5.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_calibrate_eps)
 

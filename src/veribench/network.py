@@ -32,9 +32,9 @@ class Box:
         hi = np.array(self.upper, dtype=np.float64).ravel()
         if lo.shape != hi.shape:
             raise ValueError(f"bound shapes differ: {lo.shape} vs {hi.shape}")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("box bounds must be finite")
-        if np.any(lo > hi):
+        if (lo > hi).any():
             raise ValueError("box has lower > upper")
         lo.setflags(write=False)
         hi.setflags(write=False)
@@ -49,26 +49,13 @@ class Box:
     def width(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=np.float64).ravel()
-        return bool(
-            np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol)
-        )
+        return bool((x >= self.lower - tol).all() and (x <= self.upper + tol).all())
 
     def sample(self, rng, count: int) -> np.ndarray:
         u = rng.random((count, self.dim))
         return self.lower + u * self.width
-
-    def split(self, dim: int) -> tuple["Box", "Box"]:
-        mid = 0.5 * (self.lower[dim] + self.upper[dim])
-        left_hi = self.upper.copy()
-        left_hi[dim] = mid
-        right_lo = self.lower.copy()
-        right_lo[dim] = mid
-        return Box(self.lower, left_hi), Box(right_lo, self.upper)
 
 
 @dataclass(frozen=True, eq=False)

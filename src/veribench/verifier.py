@@ -1,9 +1,14 @@
 """Baseline verifier, falsifier and witness validation.
 
 verify() runs branch-and-bound over input splits with the affine relaxation
-as the pruning bound; each node's midpoint is probed before its bounds are
-computed, and an unpruned node's constraint corners in one batched forward
-pass.  falsify() is the cheap counterexample
+as the pruning bound.  It works on a frontier of up to 32 boxes per step,
+held as stacked arrays and taken depth first: all their midpoints are
+probed in one forward pass before any bound is computed, all of them are
+bounded in one batched call, the survivors' constraint corners are probed
+in one forward pass, and each survivor is split on its widest dimension.
+A batch fails as a whole: a bound that overflows in any of its rows is an
+error once the batch's midpoints are probed.  Uncapped, the status does not
+depend on this order.  falsify() is the cheap counterexample
 search (uniform sampling, then sign-gradient ascent on constraint slack)
 that also defines the competition's "answerable by random testing"
 baseline; it scores its samples in fixed-size batches and runs its
@@ -23,9 +28,9 @@ import numpy as np
 
 from .bounds import (
     UnsupportedActivationError,
+    _affine_forms,
+    _constraint_rows,
     _meet,
-    affine_bounds,
-    infeasible,
 )
 from .network import (
     ActivationLayer,
@@ -269,59 +274,76 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
 # Branch-and-bound verification
 
 
-def _constraint_corners(ab, a_y, b_x, box: Box) -> np.ndarray:
-    """Per constraint row (the first 8), the box corner minimizing its affine form."""
-    a = a_y[:8]
-    rows = np.maximum(a, 0.0) @ ab.lower_weight + np.minimum(a, 0.0) @ ab.upper_weight
-    return np.where(rows + b_x[:8] > 0, box.lower, box.upper)
-
-
-def refine_output_box(net: Network, box: Box, inherited: Box | None = None):
-    """Affine bounds for a search node, intersected with the parent's bounds.
-
-    The intersection makes node bounds monotone under splitting: a child's
-    output box is always contained in its parent's.  It is the array meet
-    that ``affine_bounds`` applies per layer, made a ``Box`` once per node.
-    """
-    ab = affine_bounds(net, box)
-    out = ab.output_box
-    if inherited is not None:
-        out = Box(*_meet(out.lower, out.upper, inherited.lower, inherited.upper))
-    return ab, out
+# Search nodes bounded, probed and split per step of branch-and-bound.
+_FRONTIER = 32
 
 
 def _search_conjunct(net, spec, conj, budget, deadline, stats) -> Witness | None:
+    """Branch-and-bound over one conjunct's box, a frontier of boxes per step.
+
+    The frontier is a stack of rows: input bounds lo, hi (S, n) and the
+    output bounds each row inherits from its parent, y_lo, y_hi (S, m); the
+    top is the last row.  A step pops up to ``_FRONTIER`` rows, top first and
+    never more than the node cap has left, probes their midpoints, bounds
+    them, prunes the infeasible ones, probes the survivors' corners and
+    splits each survivor on its widest dimension; row 0's left child ends up
+    on top.  Witnesses are taken in pop order.
+    """
     # the conjunct's constraints as float arrays, built once for every node
     cons = a_y, b_x, rhs = _constraint_arrays(spec, conj)
     root = Box(conj.input_lower, conj.input_upper)
-    stack: list[tuple[Box, Box | None]] = [(root, None)]
-    while stack:
+    unbounded = np.full((1, net.n_outputs), np.inf)
+    stack = (root.lower[None], root.upper[None], -unbounded, unbounded)
+    while len(stack[0]):
         if time.monotonic() > deadline or stats.subproblems >= budget.max_subproblems:
             raise _BudgetExhausted
-        box, inherited = stack.pop()
-        stats.subproblems += 1
+        k = min(_FRONTIER, budget.max_subproblems - stats.subproblems, len(stack[0]))
+        rest = len(stack[0]) - k
+        lo, hi, inh_lo, inh_hi = (s[rest:][::-1] for s in stack)
+        stack = tuple(s[:rest] for s in stack)
+        stats.subproblems += k
 
-        # the midpoint goes first: it needs no bounds, so neither a bound
-        # that overflows nor an unsound prune can hide a witness there
-        w = _probe(net, spec, conj, cons, box.midpoint()[None, :])
+        # midpoints go first: they need no bounds, so neither a bound that
+        # overflows nor an unsound prune can hide a witness there
+        w = _probe(net, spec, conj, cons, 0.5 * (lo + hi))
         if w is not None:
             return w
 
-        ab, out_box = refine_output_box(net, box, inherited)
-        if infeasible(ab, a_y, b_x, rhs, out_box):
+        *forms, y_lo, y_hi = _affine_forms(net, lo, hi)
+        # meeting the parent's bounds keeps node bounds monotone under splitting
+        y_lo, y_hi = _meet(y_lo, y_hi, inh_lo, inh_hi)
+        lb, coef = _constraint_rows(lo, hi, forms, y_lo, y_hi, a_y, b_x)
+        keep = ~(lb > rhs).any(axis=1)
+        if not keep.any():
             continue
+        lo, hi, y_lo, y_hi, coef = (a[keep] for a in (lo, hi, y_lo, y_hi, coef))
 
-        w = _probe(net, spec, conj, cons, _constraint_corners(ab, a_y, b_x, box))
+        # per survivor and constraint row (the first 8), the box corner
+        # minimizing the row's lower affine form
+        corners = np.where(coef[:, :8] > 0, lo[:, None], hi[:, None])
+        w = _probe(net, spec, conj, cons, corners.reshape(-1, net.n_inputs))
         if w is not None:
             return w
 
-        dim = int(np.argmax(box.width))  # argmax takes the lowest index on ties
-        if box.width[dim] < MIN_SPLIT_WIDTH:
+        width = hi - lo
+        at = np.arange(len(lo)), np.argmax(width, axis=1)  # lowest index on ties
+        if (width[at] < MIN_SPLIT_WIDTH).any():
             # cannot refine further and could not decide this cell
             raise _Unresolvable
-        left, right = box.split(dim)
-        stack.append((right, out_box))
-        stack.append((left, out_box))
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[at] = right_lo[at] = 0.5 * (lo[at] + hi[at])
+        # children in pop order, row 0's left and right child first; pushed
+        # reversed, so that row 0's left child is on top
+        kids = (
+            np.stack([lo, right_lo], 1),
+            np.stack([left_hi, hi], 1),
+            np.stack([y_lo, y_lo], 1),
+            np.stack([y_hi, y_hi], 1),
+        )
+        stack = tuple(
+            np.concatenate([s, c.reshape(-1, s.shape[1])[::-1]])
+            for s, c in zip(stack, kids)
+        )
     return None
 
 
@@ -331,8 +353,15 @@ def verify(net: Network, spec: NormalizedSpec, budget: Budget) -> Outcome:
     HOLDS when every disjunct's box tree is exhausted, VIOLATED on the first
     validated witness, TIMEOUT when the wall clock or subproblem budget runs
     out, UNKNOWN for unsupported activations (falsifier-only) or cells that
-    cannot be split further.  The status does not depend on exploration
-    order; any returned witness is validated.
+    cannot be split further.  Each disjunct's tree is searched a frontier of
+    up to ``_FRONTIER`` boxes at a time, depth first (see
+    ``_search_conjunct``); a capped run visits exactly ``max_subproblems``
+    nodes, and the first two are the root and its left child.  Witnesses
+    are taken in pop order, every midpoint of a batch before its corners,
+    and a bound overflow in any row of a batch is an ERROR once the batch's
+    midpoints are probed.  When the run is not capped, the status does not
+    depend on exploration order, and a spec that holds visits the same
+    nodes in any order; any returned witness is validated.
     """
     if spec.n_inputs != net.n_inputs or spec.n_outputs != net.n_outputs:
         raise ValueError("spec dimensions do not match network")

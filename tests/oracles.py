@@ -17,6 +17,10 @@ code; it only reads network weights and evaluates layers directly.
 ``reference_falsify`` is the falsifier as it was before it was batched: one
 point per forward pass, PGD restarts one after another.  The batched
 ``verifier.falsify`` must find a witness exactly when it does, at the same x.
+
+``reference_search`` is branch-and-bound as it was before the frontier: one
+box per step, depth first.  The frontier ``verifier.verify`` must reach the
+same status on uncapped runs, and visit as many nodes when the spec holds.
 """
 
 import numpy as np
@@ -29,7 +33,9 @@ from veribench.speclang import (
     Witness,
     conjunct_satisfied,
 )
-from veribench.verifier import WITNESS_TOL, validate_witness
+from veribench.bounds import affine_bounds, constraint_lower_bound
+from veribench.network import Box
+from veribench.verifier import MIN_SPLIT_WIDTH, WITNESS_TOL, validate_witness
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -235,3 +241,71 @@ def reference_falsify(net: Network, spec: NormalizedSpec, budget):
             if w is not None:
                 return w
     return None
+
+
+# ---------------------------------------------------------------------------
+# Sequential reference branch-and-bound
+
+
+def _accepted(net, spec, conj, x):
+    """A validated witness at x, or None; one point per forward pass."""
+    y = _point_outputs(net, x)[-1]
+    if not conjunct_satisfied(conj, x, y):
+        return None
+    w = Witness(tuple(float(v) for v in x), tuple(float(v) for v in y))
+    return w if validate_witness(net, spec, w, WITNESS_TOL) else None
+
+
+def reference_search(net: Network, spec: NormalizedSpec):
+    """Depth-first branch-and-bound, one box at a time, with no budget.
+
+    Per node: probe the midpoint, bound the box with ``affine_bounds`` and
+    meet the result with the parent's output box, prune when a constraint's
+    ``constraint_lower_bound`` exceeds its rhs, probe the corners minimizing
+    the first 8 rows' lower forms, split the widest dimension and visit the
+    left child first.  Returns (status, witness, nodes) with status one of
+    "violated", "holds" and "unknown" (a cell too narrow to split).  ReLU
+    networks only.
+    """
+    nodes, undecided = 0, False
+    for conj in spec.disjuncts:
+        a_y = np.array([m.a_y for m in conj.constraints]).reshape(-1, spec.n_outputs)
+        b_x = np.array([m.b_x for m in conj.constraints]).reshape(-1, spec.n_inputs)
+        rhs = [m.rhs for m in conj.constraints]
+        stack = [(Box(conj.input_lower, conj.input_upper), None)]
+        while stack:
+            box, inherited = stack.pop()
+            nodes += 1
+            w = _accepted(net, spec, conj, 0.5 * (box.lower + box.upper))
+            if w is not None:
+                return "violated", w, nodes
+            ab = affine_bounds(net, box)
+            out_lo, out_hi = ab.output_box.lower, ab.output_box.upper
+            if inherited is not None:
+                out_lo = np.maximum(out_lo, inherited[0])
+                out_hi = np.minimum(out_hi, inherited[1])
+                bad = out_lo > out_hi  # rounding noise: collapse to the middle
+                mid = 0.5 * (out_lo + out_hi)
+                out_lo, out_hi = np.where(bad, mid, out_lo), np.where(bad, mid, out_hi)
+            out_box = Box(out_lo, out_hi)
+            if any(
+                constraint_lower_bound(ab, a, b, out_box) > r
+                for a, b, r in zip(a_y, b_x, rhs)
+            ):
+                continue
+            for a, b in zip(a_y[:8], b_x[:8]):
+                row = np.maximum(a, 0.0) @ ab.lower_weight
+                row = row + np.minimum(a, 0.0) @ ab.upper_weight + b
+                w = _accepted(net, spec, conj, np.where(row > 0, box.lower, box.upper))
+                if w is not None:
+                    return "violated", w, nodes
+            dim = int(np.argmax(box.width))
+            if box.width[dim] < MIN_SPLIT_WIDTH:
+                undecided = True
+                break
+            mid = 0.5 * (box.lower[dim] + box.upper[dim])
+            left_hi, right_lo = box.upper.copy(), box.lower.copy()
+            left_hi[dim] = right_lo[dim] = mid
+            stack.append((Box(right_lo, box.upper), (out_lo, out_hi)))
+            stack.append((Box(box.lower, left_hi), (out_lo, out_hi)))
+    return ("unknown" if undecided else "holds"), None, nodes

@@ -3,6 +3,9 @@ import pytest
 
 from veribench.bounds import (
     UnsupportedActivationError,
+    _affine_forms,
+    _constraint_rows,
+    _meet,
     affine_bounds,
     constraint_lower_bound,
     interval_bounds,
@@ -14,7 +17,6 @@ from veribench.network import (
     Network,
     forward,
 )
-from veribench.verifier import refine_output_box
 
 from conftest import make_random_network
 
@@ -169,19 +171,53 @@ def test_constraint_lower_bound_sound():
 
 
 def test_split_bounds_monotone():
-    # union of children's node bounds stays inside the parent's
+    # union of children's node bounds, met with the parent's as branch-and-
+    # bound does, stays inside the parent's and still encloses the outputs
     rng = np.random.default_rng(19)
     for _ in range(100):
         n_in = int(rng.integers(1, 3))
         net = make_random_network(rng, n_in, [6, 4], int(rng.integers(1, 3)))
         lo = rng.uniform(-1, 0, n_in)
-        box = Box(lo, lo + rng.uniform(0.5, 2, n_in))
-        _, parent = refine_output_box(net, box)
-        dim = int(np.argmax(box.width))
-        left, right = box.split(dim)
-        _, lb = refine_output_box(net, left, parent)
-        _, rb = refine_output_box(net, right, parent)
-        union_lo = np.minimum(lb.lower, rb.lower)
-        union_hi = np.maximum(lb.upper, rb.upper)
-        assert np.all(union_lo >= parent.lower - 1e-12)
-        assert np.all(union_hi <= parent.upper + 1e-12)
+        hi = lo + rng.uniform(0.5, 2, n_in)
+        *_, p_lo, p_hi = _affine_forms(net, lo[None], hi[None])
+        dim = int(np.argmax(hi - lo))
+        kids_lo, kids_hi = np.array([lo, lo]), np.array([hi, hi])
+        kids_hi[0, dim] = kids_lo[1, dim] = 0.5 * (lo[dim] + hi[dim])
+        *_, y_lo, y_hi = _affine_forms(net, kids_lo, kids_hi)
+        y_lo, y_hi = _meet(y_lo, y_hi, p_lo, p_hi)
+        assert np.all(y_lo.min(axis=0) >= p_lo[0] - 1e-12)
+        assert np.all(y_hi.max(axis=0) <= p_hi[0] + 1e-12)
+        for k in range(2):
+            for x in Box(kids_lo[k], kids_hi[k]).sample(rng, 50):
+                y = forward(net, x)
+                assert np.all(y >= y_lo[k] - 1e-9) and np.all(y <= y_hi[k] + 1e-9)
+
+
+def test_batched_rows_match_single_boxes():
+    # the batched core gives every box the bounds it gets alone, which are
+    # what affine_bounds and constraint_lower_bound return
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        n_in, n_out = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        net = make_random_network(rng, n_in, [20, 20], n_out)
+        k, c = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+        lo = rng.uniform(-1, 0, (k, n_in))
+        hi = lo + rng.uniform(0.01, 1, (k, n_in)) ** 3
+        a_y, b_x = rng.uniform(-1, 1, (c, n_out)), rng.uniform(-1, 1, (c, n_in))
+        rows = _affine_forms(net, lo, hi)
+        lb, _ = _constraint_rows(lo, hi, rows[:4], rows[4], rows[5], a_y, b_x)
+        for i in range(k):
+            ab = affine_bounds(net, Box(lo[i], hi[i]))
+            alone = (
+                ab.lower_weight,
+                ab.lower_const,
+                ab.upper_weight,
+                ab.upper_const,
+                ab.output_box.lower,
+                ab.output_box.upper,
+            )
+            for batched, single in zip(rows, alone):
+                np.testing.assert_allclose(batched[i], single, rtol=1e-12, atol=0)
+            for j in range(c):
+                single = constraint_lower_bound(ab, a_y[j], b_x[j])
+                np.testing.assert_allclose(lb[i, j], single, rtol=1e-12, atol=0)

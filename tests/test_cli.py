@@ -333,6 +333,18 @@ class TestCalibrateEps:
         value = float(capsys.readouterr().out.strip())
         assert 0.0 <= value <= 0.5
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--oracle-seconds", "0"), ("--eps-max", "-1"), ("--eps-tol", "nan")],
+    )
+    def test_nonpositive_flag_is_usage_error(self, identity_net, capsys, flag, value):
+        code = main(["calibrate-eps", str(identity_net), flag, value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be positive" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_single_output_is_data_error(self, identity_net, capsys):
         code = main(
             ["calibrate-eps", str(identity_net), "--center", "0.0"]

@@ -13,6 +13,7 @@ from veribench.speclang import (
     to_dnf,
 )
 from veribench.verifier import (
+    _FRONTIER,
     Budget,
     Outcome,
     Status,
@@ -82,9 +83,11 @@ def test_verify_boundary_satisfiable():
     assert out.witness.x[0] == pytest.approx(1.0)
 
 
-def test_verify_subproblem_budget_timeout():
+@pytest.mark.parametrize("cap", [1, 2, 3, 40, 90])
+def test_verify_subproblem_budget_timeout(cap):
     # the reachable maximum is 0.7; a threshold just above it is unsat but
-    # needs several splits before the relaxation can prove that
+    # needs 91 nodes before the relaxation can prove that; a capped run
+    # visits exactly the cap, even where it cuts a frontier step short
     text = (
         "(declare-const X_0 Real)(declare-const X_1 Real)(declare-const Y_0 Real)"
         "(assert (>= X_0 -1.0))(assert (<= X_0 1.0))"
@@ -101,11 +104,37 @@ def test_verify_subproblem_budget_timeout():
         2,
         1,
     )
-    out = verify(net, _spec(text), Budget(max_subproblems=3))
+    out = verify(net, _spec(text), Budget(max_subproblems=cap))
     assert out.status is Status.TIMEOUT
-    assert out.stats.subproblems <= 3
+    assert out.stats.subproblems == cap
     # with room to split, the same instance is proved to hold
-    assert verify(net, _spec(text), Budget()).status is Status.HOLDS
+    out = verify(net, _spec(text), Budget())
+    assert out.status is Status.HOLDS
+    assert out.stats.subproblems == 91
+
+
+@pytest.mark.parametrize(
+    "y_lo, y_hi, cap, status, x",
+    [
+        (0.9, 1.1, 1, Status.TIMEOUT, None),
+        (0.9, 1.1, 2, Status.VIOLATED, 1.0),  # the left child's midpoint
+        (2.9, 3.1, 2, Status.TIMEOUT, None),  # the right child is not visited
+        (2.9, 3.1, 3, Status.VIOLATED, 3.0),
+    ],
+)
+def test_small_caps_visit_the_root_then_its_left_child(y_lo, y_hi, cap, status, x):
+    # y = x on [0, 4]: the root's midpoint and corners miss [y_lo, y_hi], the
+    # children [0, 2] and [2, 4] have their midpoints at 1 and 3
+    spec = _spec(
+        "(declare-const X_0 Real)(declare-const Y_0 Real)"
+        "(assert (>= X_0 0.0))(assert (<= X_0 4.0))"
+        f"(assert (>= Y_0 {y_lo}))(assert (<= Y_0 {y_hi}))"
+    )
+    out = verify(IDENTITY, spec, Budget(max_subproblems=cap))
+    assert out.status is status
+    assert out.stats.subproblems == cap
+    if x is not None:
+        assert out.witness.x == (x,)
 
 
 def test_verify_wall_clock_budget():
@@ -192,6 +221,36 @@ def test_verify_midpoint_witness_beats_overflowing_bounds():
     assert out.witness.x == (0.0,)
 
 
+@pytest.mark.parametrize(
+    "x_lo, x_hi, status", [(0.25, 0.35, Status.VIOLATED), (0.4, 0.45, Status.ERROR)]
+)
+def test_verify_bound_overflow_fails_a_batch_after_its_midpoints(x_lo, x_hi, status):
+    # y = 2.5e154 * relu(-1e154 * x) on [-0.6, 0.6]: the root's bounds are
+    # finite, but its left child [-0.6, 0] is active and the bounds overflow.
+    # The children form one batch, so the right child's midpoint 0.3 is
+    # probed before that overflow: a witness when x_lo <= 0.3 <= x_hi
+    net = Network(
+        (
+            AffineLayer(np.array([[-1e154]]), np.zeros(1)),
+            ActivationLayer("relu"),
+            AffineLayer(np.array([[2.5e154]]), np.zeros(1)),
+        ),
+        1,
+        1,
+    )
+    rows = (
+        MixedConstraint((0.0,), (-1.0,), -x_lo),
+        MixedConstraint((0.0,), (1.0,), x_hi),
+        MixedConstraint((1.0,), (0.0,), 1.0),
+    )
+    spec = NormalizedSpec(1, 1, (Conjunct((-0.6,), (0.6,), rows),))
+    out = verify(net, spec, Budget())
+    assert out.status is status
+    assert out.stats.subproblems == 3
+    if status is Status.VIOLATED:
+        assert out.witness.x == (0.3,)
+
+
 def test_verify_empty_disjunction_holds():
     # both branches have empty boxes, so nothing can satisfy the spec
     spec = _spec(
@@ -223,6 +282,48 @@ def test_verify_agrees_with_grid_oracle():
         verdicts[truth] += 1
     # the fixture generator must exercise both outcomes
     assert verdicts["sat"] > 0 and verdicts["unsat"] > 0
+
+
+def _hard_instance(rng):
+    """A ReLU net and a conjunct whose threshold sits near the sampled optimum."""
+    from conftest import make_random_network
+
+    n_in, n_out = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+    net = make_random_network(rng, n_in, [12, 12], n_out, weight_scale=1.5)
+    lower = rng.uniform(-1.5, -0.2, n_in)
+    upper = lower + rng.uniform(0.5, 2.0, n_in)
+    xs = oracles._grid(lower, upper, 9)
+    ys = oracles.batch_forward(net, xs)
+    constraints = []
+    for _ in range(int(rng.integers(1, 3))):
+        a_y = rng.uniform(-1, 1, n_out)
+        b_x = rng.uniform(-0.3, 0.3, n_in) if rng.random() < 0.3 else np.zeros(n_in)
+        vals = ys @ a_y + xs @ b_x
+        spread = float(np.max(vals) - np.min(vals))
+        rhs = float(np.min(vals)) + rng.uniform(-0.01, 0.01) * spread
+        constraints.append(MixedConstraint(tuple(a_y), tuple(b_x), rhs))
+    conj = Conjunct(tuple(lower), tuple(upper), tuple(constraints))
+    return net, NormalizedSpec(n_in, n_out, (conj,))
+
+
+def test_frontier_search_matches_sequential_reference():
+    # uncapped, the status does not depend on exploration order, and a spec
+    # that holds has the same pruned tree, so the same node count
+    rng = np.random.default_rng(11)
+    statuses = []
+    for _ in range(30):
+        net, spec = _hard_instance(rng)
+        status, _, nodes = oracles.reference_search(net, spec)
+        out = verify(net, spec, Budget(wall_seconds=60.0))
+        assert out.status.value == status
+        if out.status is Status.HOLDS:
+            assert out.stats.subproblems == nodes
+        if out.witness is not None:
+            assert validate_witness(net, spec, out.witness)
+        statuses.append((status, nodes > 2 * _FRONTIER))
+    # both outcomes, and holds whose trees span several frontier steps
+    assert sum(s == "violated" for s, _ in statuses) >= 5
+    assert sum(s == ("holds", True) for s in statuses) >= 5
 
 
 def test_verify_multiconstraint_conjunct_holds():
