@@ -9,9 +9,10 @@ One batched core, ``_affine_forms``, bounds K boxes at once: the boxes are
 rows of ``lo, hi`` arrays (K, n), the affine forms are stacked as (K, m, n)
 and every layer's concrete bounds travel as (K, width) arrays.  Each box
 gets exactly the arithmetic it gets alone, and a non-finite value in any
-row fails the whole batch with ``ArithmeticError``.  Branch-and-bound calls
-the core directly; ``affine_bounds``, ``constraint_lower_bound`` and
-``infeasible`` are its one-box wrappers, with a ``Box`` at the edge.
+row fails the whole batch with ``ArithmeticError``.  Branch-and-bound and
+the robustness certifier call the core directly; ``affine_bounds`` and
+``constraint_lower_bound`` are its one-box wrappers, with a ``Box`` at the
+edge.
 """
 
 from __future__ import annotations
@@ -214,8 +215,17 @@ def _constraint_rows(lo, hi, forms, y_lo, y_hi, a_y, b_x):
     return lb[..., 0, 0], rows[:, :, 0]
 
 
-def _lower_bounds(ab: AffineBounds, a_y, b_x, out_box: Box) -> np.ndarray:
-    """The constraint rows' lower bounds over ab.box, as a batch of one box."""
+def constraint_lower_bound(
+    ab: AffineBounds, a_y, b_x, out_box: Box | None = None
+) -> float:
+    """Sound lower bound of a_y . f(x) + b_x . x over the bounds' box.
+
+    Combines the affine-form bound with the interval bound through out_box
+    (defaulting to the bounds' own concretization) and keeps the tighter.
+    This is ``_constraint_rows`` run on one row over a batch of one box.
+    """
+    if out_box is None:
+        out_box = ab.output_box
     m, n = ab.lower_weight.shape
     forms = (ab.lower_weight, ab.lower_const, ab.upper_weight, ab.upper_const)
     lb, _ = _constraint_rows(
@@ -227,26 +237,4 @@ def _lower_bounds(ab: AffineBounds, a_y, b_x, out_box: Box) -> np.ndarray:
         np.asarray(a_y, dtype=np.float64).reshape(-1, m),
         np.asarray(b_x, dtype=np.float64).reshape(-1, n),
     )
-    return lb[0]
-
-
-def constraint_lower_bound(
-    ab: AffineBounds, a_y, b_x, out_box: Box | None = None
-) -> float:
-    """Sound lower bound of a_y . f(x) + b_x . x over the bounds' box.
-
-    Combines the affine-form bound with the interval bound through out_box
-    (defaulting to the bounds' own concretization) and keeps the tighter.
-    """
-    if out_box is None:
-        out_box = ab.output_box
-    return float(_lower_bounds(ab, a_y, b_x, out_box)[0])
-
-
-def infeasible(ab: AffineBounds, a_y, b_x, rhs, out_box: Box) -> bool:
-    """True when some row's lower bound over ab.box exceeds its rhs.
-
-    Rows are constraints a_y . f(x) + b_x . x <= rhs; one row that cannot be
-    met means no point of the box meets them all, so the box is pruned.
-    """
-    return bool((_lower_bounds(ab, a_y, b_x, out_box) > rhs).any())
+    return float(lb[0, 0])

@@ -177,9 +177,7 @@ def _cmd_validate_ce(args) -> int:
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
     adapters = build_adapters(config)
-    baseline = config.get("baseline.tool", "randgen")
-    if args.no_baseline or not _truthy(config.get("baseline", "on"), "baseline"):
-        baseline = None
+    baseline = not args.no_baseline and _truthy(config.get("baseline", "on"), "baseline")
     strict = _truthy(config.get("strict_witness", "on"), "strict_witness")
     if args.lenient_witness:
         strict = False

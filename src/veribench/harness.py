@@ -24,10 +24,12 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bounds import affine_bounds, infeasible
+from .bounds import _affine_forms, _constraint_rows
 from .network import Box, NetworkError, gen_trivial_network, load_network, forward, save_network
 from .scoring import RunRecord, ScoreLedger, write_results_csv
 from .scoring import (
+    BASELINE_TOOL,
+    TRIVIAL_BENCHMARK,
     benchmark_table_csv,
     overall_table_csv,
     render_instance_log,
@@ -49,7 +51,6 @@ log = logging.getLogger(__name__)
 
 BENCHMARK_BUDGET_SECONDS = 6 * 3600.0
 DEFAULT_GRACE_SECONDS = 10.0
-DEFAULT_BASELINE_TOOL = "randgen"
 
 MANIFEST_COLUMNS = ("onnx_path", "vnnlib_path", "timeout_seconds")
 
@@ -367,27 +368,26 @@ def run_baseline(
     inst: Instance,
     budget: Budget = EASY_VIOLATED_BUDGET,
     *,
-    tool: str = DEFAULT_BASELINE_TOOL,
-    mode: str = "default",
     witness_dir=None,
 ) -> RunRecord:
     """Run the bundled participant: quick falsification, then verification.
 
-    The falsifier gets the pinned easy-violated budget; whatever instance
-    time remains goes to branch-and-bound verification.  Networks with
-    unsupported operators yield UNKNOWN, mirroring tools that skip a
-    benchmark rather than erroring on it.
+    Records carry the tool id BASELINE_TOOL, which scoring treats as the
+    baseline, and the mode "default".  The falsifier gets the pinned
+    easy-violated budget; whatever instance time remains goes to
+    branch-and-bound verification.  Networks with unsupported operators
+    yield UNKNOWN, mirroring tools that skip a benchmark rather than
+    erroring on it.
     """
     start = time.monotonic()
 
     def record(status, witness=""):
         return RunRecord(
-            tool=tool,
+            tool=BASELINE_TOOL,
             instance_id=inst.instance_id,
             benchmark=inst.benchmark,
             status=status,
             seconds=min(time.monotonic() - start, inst.timeout),
-            mode=mode,
             witness_path=witness,
         )
 
@@ -458,7 +458,7 @@ def trivial_instances(n: int, work_dir, timeout: float = 60.0) -> list:
         instances.append(
             Instance(
                 instance_id="trivial-%d" % i,
-                benchmark="trivial",
+                benchmark=TRIVIAL_BENCHMARK,
                 network_path=net_path,
                 spec_path=spec_path,
                 timeout=timeout,
@@ -593,8 +593,9 @@ def make_robustness_oracles(
 
     The property: some non-maximal output overtakes the center's argmax
     class inside the L-infinity ball.  The attack is the module's own
-    falsifier; the certifier prunes every competing class with forward
-    affine bounds, by the same test that prunes branch-and-bound nodes.
+    falsifier; the certifier bounds every competing class's margin row in
+    one call of the bound core that branch-and-bound uses, and proves the
+    ball robust when every row's lower bound is positive.
     """
     net = req.network
     if net.n_outputs < 2:
@@ -605,7 +606,7 @@ def make_robustness_oracles(
     eye = np.eye(net.n_outputs)
     rows = eye[top] - np.delete(eye, top, axis=0)  # y_top - y_j, one row per j
     b_x = tuple(0.0 for _ in range(net.n_inputs))
-    zero_x, zero_rhs = np.zeros((1, net.n_inputs)), np.zeros(1)
+    zero_x = np.zeros((len(rows), net.n_inputs))
 
     def spec_at(eps):
         lower = req.center - eps
@@ -628,11 +629,11 @@ def make_robustness_oracles(
     def certify(eps):
         if eps <= 0:
             return True
-        ab = affine_bounds(net, Box(req.center - eps, req.center + eps))
-        # each competing class is its own disjunct with a single row
-        return all(
-            infeasible(ab, row[None], zero_x, zero_rhs, ab.output_box) for row in rows
-        )
+        box = Box(req.center - eps, req.center + eps)
+        lo, hi = box.lower[None], box.upper[None]
+        *forms, y_lo, y_hi = _affine_forms(net, lo, hi)
+        lb, _ = _constraint_rows(lo, hi, forms, y_lo, y_hi, rows, zero_x)
+        return bool((lb > 0).all())
 
     return attack, certify
 
@@ -687,17 +688,30 @@ def parse_config(text: str) -> dict:
 
 
 _ADAPTER_FIELDS = {"run", "prepare", "mode"}
+_RUN_KEYS = {"baseline", "strict_witness", "grace", "n_trivial", "seed"}
 
 
 def build_adapters(config: dict) -> list:
-    """Collect adapter.<tool>.<field> keys into ToolAdapters, sorted by tool."""
+    """Collect adapter.<tool>.<field> keys into ToolAdapters, sorted by tool.
+
+    Every other key must be one of the batch-run settings (baseline,
+    strict_witness, grace, n_trivial, seed); any other key, a typo
+    included, raises HarnessError instead of being ignored.  No adapter may
+    take the id BASELINE_TOOL, which scoring reserves for the baseline.
+    """
     fields: dict = {}
     for key, value in config.items():
         if not key.startswith("adapter."):
+            if key not in _RUN_KEYS:
+                raise HarnessError("unknown config key %r" % key)
             continue
         parts = key.split(".")
         if len(parts) != 3 or parts[2] not in _ADAPTER_FIELDS:
             raise HarnessError("bad adapter config key %r" % key)
+        if parts[1] == BASELINE_TOOL:
+            raise HarnessError(
+                "adapter id %r is reserved for the baseline" % BASELINE_TOOL
+            )
         fields.setdefault(parts[1], {})[parts[2]] = value
     adapters = []
     for tool in sorted(fields):
@@ -723,7 +737,7 @@ def run_batch(
     adapters: Sequence[ToolAdapter],
     out_dir,
     *,
-    baseline: Optional[str] = DEFAULT_BASELINE_TOOL,
+    baseline: bool = True,
     baseline_budget: Budget = EASY_VIOLATED_BUDGET,
     n_trivial: int = 3,
     grace: float = DEFAULT_GRACE_SECONDS,
@@ -732,8 +746,10 @@ def run_batch(
     """Run every adapter (plus the baseline) over the instances, write one
     results CSV per tool under out_dir, and return records grouped by tool.
 
-    Strictly sequential; a crashing adapter contributes ERROR records but
-    never aborts the batch.
+    baseline is an on/off switch, read by truthiness: when on, the bundled
+    participant runs as BASELINE_TOOL on every instance and on its own
+    warm-up instances.  Strictly sequential; a crashing adapter contributes
+    ERROR records but never aborts the batch.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -765,7 +781,7 @@ def run_batch(
             by_tool.setdefault(record.tool, []).append(record)
 
     if baseline:
-        rows = by_tool.setdefault(baseline, [])
+        rows = by_tool.setdefault(BASELINE_TOOL, [])
         baseline_instances = list(instances)
         if n_trivial > 0:
             baseline_instances += trivial_instances(
@@ -776,8 +792,7 @@ def run_batch(
                 run_baseline(
                     inst,
                     baseline_budget,
-                    tool=baseline,
-                    witness_dir=out_dir / "witnesses" / baseline,
+                    witness_dir=out_dir / "witnesses" / BASELINE_TOOL,
                 )
             )
 

@@ -49,10 +49,6 @@ class Box:
     def width(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def contains(self, x, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        return bool((x >= self.lower - tol).all() and (x <= self.upper + tol).all())
-
     def sample(self, rng, count: int) -> np.ndarray:
         u = rng.random((count, self.dim))
         return self.lower + u * self.width

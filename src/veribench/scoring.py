@@ -48,9 +48,13 @@ RESULTS_CSV_COLUMNS = (
 #: statuses that never contribute to overhead measurement
 _OVERHEAD_EXCLUDED = frozenset({Status.TIMEOUT, Status.ERROR})
 
-DEFAULT_BASELINE_TOOLS = frozenset({"randgen"})
-DEFAULT_UNSCORED_BENCHMARKS = frozenset({"cifar2020"})
-DEFAULT_TRIVIAL_BENCHMARK = "trivial"
+#: the bundled random-testing participant: no speed bonus, and the
+#: violations it finds mark instances easy
+BASELINE_TOOL = "randgen"
+#: benchmarks that get tables but no share of the overall score
+UNSCORED_BENCHMARKS = frozenset({"cifar2020"})
+#: warm-up instances, which feed overhead measurement only
+TRIVIAL_BENCHMARK = "trivial"
 
 
 class ScoringError(ValueError):
@@ -425,9 +429,6 @@ class ScoreLedger:
 
     adjudication_mode: str
     overhead_model: OverheadModel
-    baseline_tools: frozenset
-    unscored_benchmarks: frozenset
-    trivial_benchmark: str
     easy_violated: frozenset
     tools: tuple                      # all tools, sorted
     benchmarks: tuple                 # scored + unscored, sorted (no trivial)
@@ -439,9 +440,6 @@ class ScoreLedger:
     overall: list                     # [(tool, float)] descending
     warnings: list = field(default_factory=list)
 
-    def scored_benchmarks(self) -> tuple:
-        return tuple(b for b in self.benchmarks if b not in self.unscored_benchmarks)
-
 
 def score_records(
     records: Sequence[RunRecord],
@@ -450,14 +448,13 @@ def score_records(
     overhead_mode: str = "multi",
     easy_violated: Optional[Iterable[str]] = None,
     witness_validated: Optional[Callable[[RunRecord], bool]] = None,
-    baseline_tools: frozenset = DEFAULT_BASELINE_TOOLS,
-    unscored_benchmarks: frozenset = DEFAULT_UNSCORED_BENCHMARKS,
-    trivial_benchmark: str = DEFAULT_TRIVIAL_BENCHMARK,
 ) -> ScoreLedger:
     """Run the full scoring pipeline over an immutable record set.
 
-    Rows in the trivial benchmark feed overhead measurement only.  When
-    easy_violated is None the set is derived from the baseline tools'
+    The competition's fixed policies apply: rows in TRIVIAL_BENCHMARK feed
+    overhead measurement only, BASELINE_TOOL earns no speed bonus, and
+    UNSCORED_BENCHMARKS get tables but no share of the overall score.
+    When easy_violated is None the set is derived from BASELINE_TOOL's
     violated claims.  witness_validated (record -> bool) enables
     counterexample-backed adjudication overrides; None (CSV replay)
     leaves adjudication purely to the configured mode.
@@ -481,13 +478,13 @@ def score_records(
         overhead_model = build_overhead_model(records, mode=overhead_mode)
     captured.extend(str(w.message) for w in caught)
 
-    scorable = [r for r in records if r.benchmark != trivial_benchmark]
+    scorable = [r for r in records if r.benchmark != TRIVIAL_BENCHMARK]
 
     if easy_violated is None:
         easy = frozenset(
             r.instance_id
             for r in scorable
-            if r.tool in baseline_tools and r.status is Status.VIOLATED
+            if r.tool == BASELINE_TOOL and r.status is Status.VIOLATED
         )
     else:
         easy = frozenset(easy_violated)
@@ -523,7 +520,7 @@ def score_records(
         eligible = {
             tool
             for tool, label in labels.items()
-            if label is Label.CORRECT and tool not in baseline_tools
+            if label is Label.CORRECT and tool != BASELINE_TOOL
         }
         bonuses = time_bonus(adjusted, eligible)
         score = InstanceScore(
@@ -551,7 +548,7 @@ def score_records(
         benchmark_percents[benchmark] = pcts
 
     benchmarks = tuple(sorted(benchmark_points))
-    scored = [b for b in benchmarks if b not in unscored_benchmarks]
+    scored = [b for b in benchmarks if b not in UNSCORED_BENCHMARKS]
     overall = overall_table(benchmark_percents, scored)
 
     instances = {
@@ -561,9 +558,6 @@ def score_records(
     return ScoreLedger(
         adjudication_mode=adjudication,
         overhead_model=overhead_model,
-        baseline_tools=frozenset(baseline_tools),
-        unscored_benchmarks=frozenset(unscored_benchmarks),
-        trivial_benchmark=trivial_benchmark,
         easy_violated=easy,
         tools=tools,
         benchmarks=benchmarks,
@@ -577,16 +571,11 @@ def score_records(
     )
 
 
-def empty_ledger(
-    adjudication: str = "odd-one-out", overhead_mode: str = "multi"
-) -> ScoreLedger:
+def empty_ledger() -> ScoreLedger:
     """A ledger with no records; reports render as headers only."""
     return ScoreLedger(
-        adjudication_mode=adjudication,
-        overhead_model=OverheadModel(mode=overhead_mode, overheads={}),
-        baseline_tools=DEFAULT_BASELINE_TOOLS,
-        unscored_benchmarks=DEFAULT_UNSCORED_BENCHMARKS,
-        trivial_benchmark=DEFAULT_TRIVIAL_BENCHMARK,
+        adjudication_mode="odd-one-out",
+        overhead_model=OverheadModel(mode="multi", overheads={}),
         easy_violated=frozenset(),
         tools=(),
         benchmarks=(),
@@ -721,7 +710,7 @@ def overall_table_csv(ledger: ScoreLedger) -> str:
     return "\n".join(rows) + "\n"
 
 
-def report_header(ledger: ScoreLedger, extra: Sequence[str] = ()) -> str:
+def report_header(ledger: ScoreLedger) -> str:
     """Report preamble recording every scoring policy that shaped the run."""
     lines = [
         "# verification competition score report",
@@ -733,25 +722,22 @@ def report_header(ledger: ScoreLedger, extra: Sequence[str] = ()) -> str:
         ),
         "# time bonus: +2 fastest class, +1 next class even when the fastest"
         " class has several members (%.1f s transitive tie window)" % TIE_WINDOW_SECONDS,
-        "# baseline tools (bonus-ineligible): %s"
-        % (", ".join(sorted(ledger.baseline_tools)) or "none"),
-        "# unscored benchmarks (tables only): %s"
-        % (", ".join(sorted(ledger.unscored_benchmarks)) or "none"),
+        "# baseline tools (bonus-ineligible): %s" % BASELINE_TOOL,
+        "# unscored benchmarks (tables only): %s" % ", ".join(sorted(UNSCORED_BENCHMARKS)),
         "# easy-violated instances: %d" % len(ledger.easy_violated),
     ]
-    lines.extend("# %s" % line for line in extra)
     for message in ledger.warnings:
         lines.append("# warning: %s" % message)
     return "\n".join(lines) + "\n"
 
 
-def render_report(ledger: ScoreLedger, extra_header: Sequence[str] = ()) -> str:
+def render_report(ledger: ScoreLedger) -> str:
     """Full text report: header, overall ranking, per-benchmark tables and
     per-instance logs.  Byte-deterministic for a given ledger."""
-    parts = [report_header(ledger, extra_header), "\n== overall ==\n"]
+    parts = [report_header(ledger), "\n== overall ==\n"]
     parts.append(render_overall_table(ledger))
     for benchmark in ledger.benchmarks:
-        tag = " (unscored)" if benchmark in ledger.unscored_benchmarks else ""
+        tag = " (unscored)" if benchmark in UNSCORED_BENCHMARKS else ""
         parts.append("\n== benchmark %s%s ==\n" % (benchmark, tag))
         parts.append(render_benchmark_table(ledger, benchmark))
         parts.append("\n-- instance log: %s --\n" % benchmark)

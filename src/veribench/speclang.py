@@ -60,9 +60,6 @@ class AffineExpr:
         items = tuple(sorted((k, v) for k, v in coeffs.items() if v != 0.0))
         return AffineExpr(items, const)
 
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
     @property
     def is_constant(self) -> bool:
         return not self.coeffs

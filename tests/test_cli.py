@@ -233,6 +233,32 @@ class TestRunAndOverhead:
         assert code == 0
         assert not (out / "randgen.csv").exists()
 
+    def test_run_config_keys_respected(self, echo_setup, tmp_path, capsys):
+        config, manifest = echo_setup
+        config.write_text(
+            config.read_text()
+            + "baseline = off\nstrict_witness = off\ngrace = 5\nn_trivial = 0\nseed = 3\n"
+        )
+        out = tmp_path / "out"
+        code = main(["run", str(manifest), "--config", str(config), "--out", str(out)])
+        assert code == 0
+        assert (out / "echo.csv").is_file()
+        assert not (out / "randgen.csv").exists()
+
+    @pytest.mark.parametrize("key", ["baseline.tool = mybase", "strict_witnes = off"])
+    def test_unknown_config_key_is_data_error(self, echo_setup, tmp_path, capsys, key):
+        config, manifest = echo_setup
+        config.write_text(config.read_text() + key + "\n")
+        for argv in (
+            ["run", str(manifest), "--out", str(tmp_path / "out")],
+            ["measure-overhead", "--out", str(tmp_path / "warm")],
+        ):
+            assert main(argv + ["--config", str(config)]) == 2
+            err = capsys.readouterr().err
+            assert "unknown config key %r" % key.split(" = ")[0] in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_measure_overhead_prints_model(self, echo_setup, tmp_path, capsys):
         config, _ = echo_setup
         out = tmp_path / "warm"

@@ -28,7 +28,8 @@ from veribench.harness import (
     save_manifest,
     trivial_instances,
 )
-from veribench.network import forward, gen_trivial_network, load_network, network_to_onnx_bytes, save_network
+from veribench.bounds import affine_bounds, constraint_lower_bound
+from veribench.network import Box, forward, gen_trivial_network, load_network, network_to_onnx_bytes, save_network
 from veribench.scoring import RunRecord, build_overhead_model, empty_ledger, read_results_csv, score_records
 from veribench.verifier import Budget, EASY_VIOLATED_BUDGET, Status
 
@@ -447,6 +448,29 @@ class TestCalibrateEpsilon:
         r2 = _smallest_unproved_radius(certify, req.eps_max, req.eps_tol)
         assert min(r1, r2) <= eps <= max(r1, r2)
 
+    def test_certify_is_every_margin_row_positive(self, net_factory):
+        # certify proves the ball robust exactly when the one-box lower bound
+        # of every competing class's margin y_top - y_j is positive
+        rng = np.random.default_rng(8)
+        answers = set()
+        for _ in range(8):
+            net = net_factory(rng, n_in=3, hidden=[8, 8], n_out=4)
+            center = rng.normal(size=3)
+            req = CalibrationRequest(network=net, center=center, eps_max=1.0, eps_tol=0.01)
+            _, certify = make_robustness_oracles(req)
+            eye = np.eye(4)
+            top = int(np.argmax(forward(net, center)))
+            for eps in 10.0 ** rng.uniform(-3, 0, size=6):
+                ab = affine_bounds(net, Box(center - eps, center + eps))
+                expected = all(
+                    constraint_lower_bound(ab, eye[top] - eye[j], np.zeros(3)) > 0
+                    for j in range(4)
+                    if j != top
+                )
+                assert certify(eps) == expected
+                answers.add(expected)
+        assert answers == {True, False}
+
     def test_request_validation(self):
         net = gen_trivial_network(2)
         with pytest.raises(HarnessError, match="eps_max"):
@@ -538,6 +562,12 @@ class TestConfig:
     def test_unknown_adapter_field_rejected(self):
         with pytest.raises(HarnessError, match="bad adapter config key"):
             build_adapters({"adapter.x.shell": "sh"})
+
+    def test_baseline_id_reserved(self):
+        # scoring would treat the adapter as the baseline, and with the
+        # baseline on both would write the same randgen.csv
+        with pytest.raises(HarnessError, match="reserved for the baseline"):
+            build_adapters({"adapter.randgen.run": "r {result}"})
 
 
 class TestRunBatch:

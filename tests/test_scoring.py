@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veribench.scoring import (
+    BASELINE_TOOL,
     Label,
     OverheadModel,
     RunRecord,
@@ -711,7 +712,7 @@ class TestPipelineProperties:
                         continue
                     assert bonus in (1, 2)
                     assert score.labels[tool] is Label.CORRECT
-                    assert tool not in ledger.baseline_tools
+                    assert tool != BASELINE_TOOL
 
     def test_bonus_classes_disjoint(self):
         rng = random.Random(3)
