@@ -1,23 +1,39 @@
 """Sound output enclosures: interval propagation and affine relaxation.
 
-Both methods take an input box and return guaranteed bounds on every
-network output.  The affine relaxation carries, per neuron, a lower and an
-upper affine function of the network inputs; its concretization is always
-intersected with the interval result, so it is never looser.
+Bounds travel stacked as ``[lower | -upper]``: a layer of width w has
+concrete bounds ``y`` of shape (K, 2w), one row per box, and affine forms
+``z`` of shape (K, 2w, n + 1), the lower form of every neuron over its
+negated upper form, per box the n input coefficients and the form's value
+at the box centre.  With both halves bounded from below, an affine layer W
+maps a box's forms by one product with the nonnegative block
+``[[W+, |W-|], [|W-|, W+]]``; the centre value less ``|A| . radius``
+concretizes both halves at once, and ``np.maximum`` meets two enclosures.
 
-One batched core, ``_affine_forms``, bounds K boxes at once: the boxes are
-rows of ``lo, hi`` arrays (K, n), the affine forms are stacked as (K, m, n)
-and every layer's concrete bounds travel as (K, width) arrays.  Each box
-gets exactly the arithmetic it gets alone, and a non-finite value in any
-row fails the whole batch with ``ArithmeticError``.  Branch-and-bound and
-the robustness certifier call the core directly; ``affine_bounds`` and
-``constraint_lower_bound`` are its one-box wrappers, with a ``Box`` at the
-edge.
+One batched core, ``_affine_forms``, bounds K boxes at once.  Per layer it
+intersects the interval image of the previous bounds with the
+concretization of the forms.  Every product is taken per box, with a
+shape that does not depend on K, so each box gets exactly the arithmetic
+of a batch of one; the interval image is the same matrix-vector product
+``interval_bounds`` makes, so a single box's bounds nest inside
+``interval_bounds`` exactly.  Unstable ReLU neurons get the chord upper
+relaxation and a zero or identity lower relaxation, and the core returns
+their slopes.
+``_constraint_rows`` bounds constraint rows ``a_y . f(x) + b_x . x`` by
+back-substitution through those slopes (DeepPoly, CROWN): it walks the rows
+back to the input, choosing each neuron's lower or upper relaxation by the
+sign of its accumulated coefficient, which in exact arithmetic is never
+looser than substituting the forward forms.  Each (box, row) pair is its
+own row vector there, so a row's bound does not depend on the rows or
+boxes batched with it.  A non-finite value in any row fails the whole batch
+with ``ArithmeticError``.  Branch-and-bound and the robustness certifier
+call the core directly; ``affine_bounds`` and ``constraint_lower_bound``
+run the same code on one box, with a ``Box`` at the edge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +42,7 @@ from .network import (
     AffineLayer,
     Box,
     Network,
+    apply_activation,
 )
 
 # Pre-activation ranges narrower than this are widened before computing the
@@ -42,40 +59,66 @@ def _check_finite(*arrays) -> None:
         raise ArithmeticError("bound propagation produced non-finite values")
 
 
-def _interval_affine(wp, wn, bias, lo, hi):
-    """Interval image of W x + b, given W's positive and negative parts."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        new_lo = wp @ lo + wn @ hi + bias
-        new_hi = wp @ hi + wn @ lo + bias
-    _check_finite(new_lo, new_hi)
-    return new_lo, new_hi
+def _stacked(layer: AffineLayer):
+    """The layer's block [[W+, |W-|], [|W-|, W+]] and bias [b, -b]."""
+    w, b = layer.weight, layer.bias
+    (rows, cols), wp = w.shape, np.maximum(w, 0.0)
+    block = np.empty((2 * rows, 2 * cols))
+    block[:rows, :cols] = block[rows:, cols:] = wp
+    block[:rows, cols:] = block[rows:, :cols] = wp - w  # |W-|, exactly
+    return block, np.concatenate([b, -b])
+
+
+def _halves(y):
+    """The lower and the negated upper half of stacked bounds [lo; -hi]."""
+    half = y.shape[-1] // 2
+    return y[..., :half], y[..., half:]
+
+
+def _interval_affine(block, bias, y):
+    """Interval image of an affine layer, on stacked bounds y (K, 2w).
+
+    One matrix-vector product per box, the same for any K.
+    """
+    return (block @ y[..., None])[..., 0] + bias
+
+
+def _interval_relu(y):
+    """Interval image of ReLU: max(lo, 0) and -max(hi, 0) = min(-hi, 0)."""
+    lo, neg_hi = _halves(y)
+    return np.concatenate([np.maximum(lo, 0.0), np.minimum(neg_hi, 0.0)], axis=-1)
 
 
 def interval_bounds(net: Network, box: Box) -> list[Box]:
     """Per-layer output boxes, index 0 being the input box itself."""
     if box.dim != net.n_inputs:
         raise ValueError(f"box dimension {box.dim} != network inputs {net.n_inputs}")
-    lo, hi = box.lower, box.upper
+    y = np.concatenate([box.lower, -box.upper])[None]
     out = [box]
-    for layer in net.layers:
-        if isinstance(layer, AffineLayer):
-            w = layer.weight
-            lo, hi = _interval_affine(
-                np.maximum(w, 0.0), np.minimum(w, 0.0), layer.bias, lo, hi
-            )
-        elif isinstance(layer, ActivationLayer):
-            if layer.kind == "relu":
-                lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
-            else:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in net.layers:
+            if isinstance(layer, AffineLayer):
+                y = _interval_affine(*_stacked(layer), y)
+            elif isinstance(layer, ActivationLayer) and layer.kind == "relu":
+                y = _interval_relu(y)
+            elif isinstance(layer, ActivationLayer):
                 # sigmoid and tanh are monotone increasing
-                from .network import apply_activation
-
-                lo, hi = apply_activation(layer.kind, lo), apply_activation(
-                    layer.kind, hi
+                lo, neg_hi = _halves(y)
+                y = np.concatenate(
+                    [apply_activation(layer.kind, lo), -apply_activation(layer.kind, -neg_hi)],
+                    axis=-1,
                 )
-        out.append(Box(lo, hi))
-        lo, hi = out[-1].lower, out[-1].upper
+            _check_finite(y)
+            lo, neg_hi = _halves(y[0])
+            out.append(Box(lo, -neg_hi))
     return out
+
+
+class _Backward(NamedTuple):
+    """What back-substitution over one box needs beyond its output bounds."""
+
+    net: Network
+    relaxation: list  # the core's ReLU slopes and shifts, for a batch of one
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,88 +131,82 @@ class AffineBounds:
     upper_weight: np.ndarray
     upper_const: np.ndarray
     output_box: Box  # concretization, already intersected with intervals
+    _backward: _Backward = field(repr=False)
 
 
-def _meet(lo, hi, other_lo, other_hi) -> tuple[np.ndarray, np.ndarray]:
-    """Intersection of two enclosures of the same values, as lo, hi arrays."""
-    lo = np.maximum(lo, other_lo)
-    hi = np.minimum(hi, other_hi)
+def _meet(y, other):
+    """Intersection of two stacked enclosures (K, 2w) of the same values."""
+    y = np.maximum(y, other)
+    lo, neg_hi = _halves(y)
     # both operands are sound enclosures of the same values, so a crossing
-    # can only be rounding noise; collapse it instead of failing
-    bad = lo > hi
+    # (lo > hi) can only be rounding noise; collapse it instead of failing
+    bad = lo + neg_hi > 0.0
     if bad.any():
-        mid = 0.5 * (lo + hi)
-        lo = np.where(bad, mid, lo)
-        hi = np.where(bad, mid, hi)
-    _check_finite(lo, hi)
-    return lo, hi
+        mid = 0.5 * (lo - neg_hi)
+        y = np.concatenate([np.where(bad, mid, lo), np.where(bad, -mid, neg_hi)], axis=-1)
+    _check_finite(y)
+    return y
 
 
-def _form_min(weight, const, lo, hi) -> np.ndarray:
-    """Least value of each affine form over its box; swap lo, hi for the most.
+def _relu_relaxation(y):
+    """ReLU slopes (K, 2w), lower then upper, and the negated upper's shift (K, w).
 
-    Vectors are columns, so a stack of forms (..., w, n) meets a stack of
-    boxes (..., n, 1) as one matrix-vector product per box.
+    From pre-activation bounds l, u: the upper relaxation is the chord
+    u (z - l) / (u - l) where l < 0 < u, the identity where l >= 0 and zero
+    where u <= 0; the lower one is the identity where u > -l, else zero.
     """
-    return np.maximum(weight, 0.0) @ lo + np.minimum(weight, 0.0) @ hi + const
+    lo, neg_hi = _halves(y)
+    hi = -neg_hi
+    width = hi - lo
+    width = np.where(width < DEGENERATE_WIDTH, width + DEGENERATE_WIDTH, width)
+    upper = np.where(lo < 0.0, hi / width, 1.0) * (hi > 0.0)
+    lower = lo + hi > 0.0
+    return np.concatenate([lower, upper], axis=-1), upper * np.minimum(lo, 0.0)
 
 
 def _affine_forms(net: Network, lo: np.ndarray, hi: np.ndarray) -> tuple:
     """The batched bound core: affine bounds of K boxes, rows of lo, hi (K, n).
 
-    Returns the lower weights and constants, the upper weights and constants
-    and the output bounds: weights of shape (K, m, n), the rest (K, m).
-    Inside, every vector is a (K, w, 1) stack of columns, so each box gets
-    exactly the products, and the bounds, of a batch of one.  A non-finite
-    value in any row raises ``ArithmeticError`` for the whole batch.
+    Returns ``(z, relaxation, y)``.  The output layer's stacked forms z
+    (K, 2m, n + 1) hold, per box, each form's n input coefficients and its
+    value at the box centre; ``relaxation`` holds every ReLU layer's
+    ``_relu_relaxation``, in order; y (K, 2m) are the stacked output bounds.
+    Every product is one per box, so each box gets exactly the arithmetic
+    of a batch of one.  A non-finite value in any box raises
+    ``ArithmeticError`` for the batch.
     """
     k, n = lo.shape
-    lo, hi = lo[..., None], hi[..., None]
-    a_lo = a_hi = np.broadcast_to(np.eye(n), (k, n, n))
-    c_lo = c_hi = np.zeros((k, n, 1))
-    y_lo, y_hi = lo, hi  # concrete bounds of the current layer
-
-    for layer in net.layers:
-        if isinstance(layer, AffineLayer):
-            w, b = layer.weight, layer.bias[:, None]
-            wp = np.maximum(w, 0.0)
-            wn = np.minimum(w, 0.0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                a_lo, a_hi = wp @ a_lo + wn @ a_hi, wp @ a_hi + wn @ a_lo
-                c_lo, c_hi = wp @ c_lo + wn @ c_hi + b, wp @ c_hi + wn @ c_lo + b
-            _check_finite(a_lo, a_hi)
-            i_lo, i_hi = _interval_affine(wp, wn, b, y_lo, y_hi)
-            y_lo, y_hi = _meet(
-                i_lo, i_hi, _form_min(a_lo, c_lo, lo, hi), _form_min(a_hi, c_hi, hi, lo)
-            )
-        elif isinstance(layer, ActivationLayer):
-            if layer.kind != "relu":
-                raise UnsupportedActivationError(
-                    f"affine relaxation does not support {layer.kind}"
-                )
-            inactive = y_hi <= 0.0
-            unstable = (y_lo < 0.0) & ~inactive
-            # upper: chord through (l, 0) and (u, u) applied to the upper form
-            width = y_hi - y_lo
-            width = np.where(width < DEGENERATE_WIDTH, width + DEGENERATE_WIDTH, width)
-            slope = np.where(unstable, y_hi / width, 1.0)
-            a_hi = np.where(unstable, slope * a_hi, a_hi)
-            c_hi = np.where(unstable, slope * (c_hi - y_lo), c_hi)
-            # lower: zero when the negative side dominates, else identity
-            zero_lo = inactive | (unstable & (-y_lo >= y_hi))
-            a_lo = np.where(zero_lo, 0.0, a_lo)
-            c_lo = np.where(zero_lo, 0.0, c_lo)
-            a_hi = np.where(inactive, 0.0, a_hi)
-            c_hi = np.where(inactive, 0.0, c_hi)
-            y_lo, y_hi = _meet(
-                np.maximum(y_lo, 0.0),
-                np.maximum(y_hi, 0.0),
-                _form_min(a_lo, c_lo, lo, hi),
-                _form_min(a_hi, c_hi, hi, lo),
-            )
-        # Reshape layers change nothing
-
-    return a_lo, c_lo[..., 0], a_hi, c_hi[..., 0], y_lo[..., 0], y_hi[..., 0]
+    rad = 0.5 * (hi - lo)[..., None]  # (K, n, 1)
+    mid = 0.5 * (lo + hi)
+    eye = np.eye(n)
+    z = np.empty((k, 2 * n, n + 1))
+    z[..., :n] = np.concatenate([eye, -eye])
+    z[..., n] = np.concatenate([mid, -mid], axis=1)
+    y = np.concatenate([lo, -hi], axis=1)
+    relaxation = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in net.layers:
+            if isinstance(layer, AffineLayer):
+                block, bias = _stacked(layer)
+                z = block @ z
+                z[..., n] += bias
+                _check_finite(z)
+                # least value over the box: at the centre, less |A| . radius
+                conc = z[..., n] - (np.abs(z[..., :n]) @ rad)[..., 0]
+                y = _meet(_interval_affine(block, bias, y), conc)
+            elif isinstance(layer, ActivationLayer):
+                if layer.kind != "relu":
+                    raise UnsupportedActivationError(
+                        f"affine relaxation does not support {layer.kind}"
+                    )
+                slope, shift = _relu_relaxation(y)
+                z = z * slope[..., None]
+                z[:, shift.shape[1] :, n] += shift
+                # the relaxed forms concretize no tighter than this
+                y = _interval_relu(y)
+                relaxation.append((slope, shift))
+            # Reshape layers change nothing
+    return z, relaxation, y
 
 
 def affine_bounds(net: Network, box: Box) -> AffineBounds:
@@ -182,37 +219,62 @@ def affine_bounds(net: Network, box: Box) -> AffineBounds:
     """
     if box.dim != net.n_inputs:
         raise ValueError(f"box dimension {box.dim} != network inputs {net.n_inputs}")
-    rows = _affine_forms(net, box.lower[None], box.upper[None])
-    *forms, lo, hi = (r[0] for r in rows)
-    return AffineBounds(box, *forms, Box(lo, hi))
+    z, relaxation, y = _affine_forms(net, box.lower[None], box.upper[None])
+    m, n = net.n_outputs, net.n_inputs
+    weight = z[0, :, :n]
+    const = z[0, :, n] - weight @ (0.5 * (box.lower + box.upper))
+    return AffineBounds(
+        box,
+        weight[:m],
+        const[:m],
+        -weight[m:],
+        -const[m:],
+        Box(y[0, :m], -y[0, m:]),
+        _Backward(net, relaxation),
+    )
 
 
-def _constraint_rows(lo, hi, forms, y_lo, y_hi, a_y, b_x):
+def _constraint_rows(net, relaxation, lo, hi, y, a_y, b_x):
     """Lower bounds of every constraint row over each of K boxes.
 
-    Rows are a_y . f(x) + b_x . x with a_y (c, m) and b_x (c, n); ``forms``
-    are the first four arrays of ``_affine_forms`` for the boxes lo, hi
-    (K, n), and y_lo, y_hi (K, m) enclose the outputs.  Returns the (K, c)
-    lower bounds, each the tighter of the affine-form bound and the interval
-    bound through y_lo, y_hi, and the (K, c, n) input coefficients of each
-    row's lower affine form.  Boxes and rows are both batch axes, so each
-    bound is computed as for one row over one box.
+    Rows are a_y . f(x) + b_x . x with a_y (c, m) and b_x (c, n);
+    ``relaxation`` is what ``_affine_forms`` returned for the boxes lo, hi
+    (K, n), and y (K, 2m) encloses the outputs, stacked.  Each row is walked
+    back through the layers: an affine layer maps its coefficients g to
+    g W and adds g . b to its constant, and a ReLU takes the lower slope
+    where g >= 0 and the upper chord, with its shift, where g < 0.  Returns
+    the (K, c) lower bounds, each the tighter of the back-substituted bound
+    and the interval bound through y, and the (K, c, n) input coefficients
+    of each row's lower affine form.  Every (box, row) pair is its own
+    (1, width) row vector, so each bound is computed as for one row over
+    one box.
     """
-    a_lo, c_lo, a_hi, c_hi = forms
+    (k, _), (c, m) = lo.shape, a_y.shape
+    g = np.broadcast_to(a_y[:, None], (k, c, 1, m))
+    const = 0.0
+    slopes = reversed(relaxation)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in reversed(net.layers):
+            if isinstance(layer, AffineLayer):
+                const = const + g @ layer.bias[:, None]
+                g = g @ layer.weight
+            elif isinstance(layer, ActivationLayer):
+                slope, shift = next(slopes)
+                lower, upper = (s[:, None, None] for s in _halves(slope))
+                const = const - np.minimum(g, 0.0) @ shift[:, None, :, None]
+                g = g * np.where(g >= 0.0, lower, upper)
+        coef = g + b_x[:, None]  # (K, c, 1, n)
+        mid, rad = (v[:, None, :, None] for v in (0.5 * (lo + hi), 0.5 * (hi - lo)))
 
-    def col(v):  # (K, d) -> (K, 1, d, 1): one column per box, shared by rows
-        return v[:, None, :, None]
+        def box_min(a):  # least value over each box of row vectors a
+            return a @ mid - np.abs(a) @ rad
 
-    lo, hi = col(lo), col(hi)
-    ap = np.maximum(a_y, 0.0)[:, None]  # (c, 1, m)
-    an = np.minimum(a_y, 0.0)[:, None]
-    b = b_x[:, None]
-    # substitute affine forms for the output part, fold in the input part
-    rows = ap @ a_lo[:, None] + an @ a_hi[:, None] + b
-    form_lb = _form_min(rows, ap @ col(c_lo) + an @ col(c_hi), lo, hi)
-    y_lb = ap @ col(y_lo) + an @ col(y_hi)
-    lb = np.maximum(form_lb, y_lb + _form_min(b, 0.0, lo, hi))
-    return lb[..., 0, 0], rows[:, :, 0]
+        ap, an = np.maximum(a_y, 0.0), np.minimum(a_y, 0.0)
+        y_rows = np.concatenate([ap, -an], axis=1)[:, None]  # (c, 1, 2m)
+        y_lb = y_rows @ y[:, None, :, None] + box_min(b_x[:, None])
+        lb = np.maximum(box_min(coef) + const, y_lb)[..., 0, 0]
+    _check_finite(lb, coef)
+    return lb, coef[:, :, 0]
 
 
 def constraint_lower_bound(
@@ -220,21 +282,31 @@ def constraint_lower_bound(
 ) -> float:
     """Sound lower bound of a_y . f(x) + b_x . x over the bounds' box.
 
-    Combines the affine-form bound with the interval bound through out_box
-    (defaulting to the bounds' own concretization) and keeps the tighter.
-    This is ``_constraint_rows`` run on one row over a batch of one box.
+    Combines the back-substituted bound with the interval bound through
+    out_box (defaulting to the bounds' own concretization) and keeps the
+    tighter.  This is ``_constraint_rows`` run on one row over a batch of
+    one box.
+    """
+    return float(_box_rows(ab, a_y, b_x, out_box)[0][0])
+
+
+def _box_rows(ab: AffineBounds, a_y, b_x, out_box: Box | None = None):
+    """``_constraint_rows`` over the bounds' one box.
+
+    Returns the (c,) lower bounds and the (c, n) input coefficients of the
+    rows a_y (c, m), b_x (c, n); out_box defaults to the bounds' own.
     """
     if out_box is None:
         out_box = ab.output_box
     m, n = ab.lower_weight.shape
-    forms = (ab.lower_weight, ab.lower_const, ab.upper_weight, ab.upper_const)
-    lb, _ = _constraint_rows(
+    net, relaxation = ab._backward
+    lb, coef = _constraint_rows(
+        net,
+        relaxation,
         ab.box.lower[None],
         ab.box.upper[None],
-        tuple(f[None] for f in forms),
-        out_box.lower[None],
-        out_box.upper[None],
+        np.concatenate([out_box.lower, -out_box.upper])[None],
         np.asarray(a_y, dtype=np.float64).reshape(-1, m),
         np.asarray(b_x, dtype=np.float64).reshape(-1, n),
     )
-    return float(lb[0, 0])
+    return lb[0], coef[0]

@@ -180,25 +180,6 @@ def load_manifest(path, benchmark: Optional[str] = None, require_files: bool = F
     return instances
 
 
-def save_manifest(path, instances: Sequence[Instance]) -> None:
-    """Write instances back out, paths relative to the manifest location."""
-    path = Path(path)
-    base = path.resolve().parent
-    lines = []
-    for inst in instances:
-        timeout = inst.timeout
-        timeout_text = "%d" % timeout if timeout == int(timeout) else repr(timeout)
-        lines.append(
-            "%s,%s,%s"
-            % (
-                os.path.relpath(inst.network_path, base),
-                os.path.relpath(inst.spec_path, base),
-                timeout_text,
-            )
-        )
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # subprocess runner
 
@@ -467,6 +448,12 @@ def trivial_instances(n: int, work_dir, timeout: float = 60.0) -> list:
     return instances
 
 
+def _check_n_trivial(n_trivial: int) -> None:
+    """The one check of a warm-up count, shared by run and measure-overhead."""
+    if n_trivial < 0:
+        raise HarnessError("n_trivial must be >= 0")
+
+
 def measure_overhead_run(
     adapters: Sequence[ToolAdapter],
     n_trivial: int,
@@ -484,11 +471,10 @@ def measure_overhead_run(
     instances.
     """
     records = list(records)
+    _check_n_trivial(n_trivial)
     if n_trivial == 0:
         warnings.warn("n_trivial is 0; record set unchanged", stacklevel=2)
         return records
-    if n_trivial < 0:
-        raise HarnessError("n_trivial must be >= 0")
     if work_dir is None:
         work_dir = tempfile.mkdtemp(prefix="veribench-trivial-")
     for inst in trivial_instances(n_trivial, work_dir, timeout=timeout):
@@ -593,9 +579,10 @@ def make_robustness_oracles(
 
     The property: some non-maximal output overtakes the center's argmax
     class inside the L-infinity ball.  The attack is the module's own
-    falsifier; the certifier bounds every competing class's margin row in
-    one call of the bound core that branch-and-bound uses, and proves the
-    ball robust when every row's lower bound is positive.
+    falsifier; the certifier bounds every competing class's margin row by
+    back-substitution, in one call of the bound core that branch-and-bound
+    uses, and proves the ball robust when every row's lower bound is
+    positive.
     """
     net = req.network
     if net.n_outputs < 2:
@@ -631,8 +618,8 @@ def make_robustness_oracles(
             return True
         box = Box(req.center - eps, req.center + eps)
         lo, hi = box.lower[None], box.upper[None]
-        *forms, y_lo, y_hi = _affine_forms(net, lo, hi)
-        lb, _ = _constraint_rows(lo, hi, forms, y_lo, y_hi, rows, zero_x)
+        _, relaxation, y = _affine_forms(net, lo, hi)
+        lb, _ = _constraint_rows(net, relaxation, lo, hi, y, rows, zero_x)
         return bool((lb > 0).all())
 
     return attack, certify
@@ -749,8 +736,10 @@ def run_batch(
     baseline is an on/off switch, read by truthiness: when on, the bundled
     participant runs as BASELINE_TOOL on every instance and on its own
     warm-up instances.  Strictly sequential; a crashing adapter contributes
-    ERROR records but never aborts the batch.
+    ERROR records but never aborts the batch.  A negative n_trivial raises
+    ``HarnessError`` before anything runs.
     """
+    _check_n_trivial(n_trivial)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     by_tool: dict = {}

@@ -132,14 +132,6 @@ class Network:
                 f"final width {width} does not match declared outputs {self.n_outputs}"
             )
 
-    @property
-    def affine_layers(self) -> list[AffineLayer]:
-        return [l for l in self.layers if isinstance(l, AffineLayer)]
-
-    @property
-    def hidden_activation_count(self) -> int:
-        return sum(1 for l in self.layers if isinstance(l, ActivationLayer))
-
 
 # ---------------------------------------------------------------------------
 # Evaluation

@@ -112,7 +112,7 @@ class RunRecord:
 def write_results_csv(path, records: Iterable[RunRecord]) -> None:
     """Write one tool's records to a results CSV (tool id not stored)."""
     rows = list(records)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_CSV_COLUMNS)
         for rec in rows:
@@ -129,45 +129,47 @@ def write_results_csv(path, records: Iterable[RunRecord]) -> None:
 
 
 def read_results_csv(path, tool: str) -> list[RunRecord]:
-    """Read one tool's results CSV; the tool id comes from the caller."""
+    """Read one tool's UTF-8 results CSV; the tool id comes from the caller."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ScoringError("unreadable results file %s: %s" % (path, exc)) from None
+    if rows[:1] != [list(RESULTS_CSV_COLUMNS)]:
+        raise ScoringError(
+            "bad results header in %s: expected %s"
+            % (path, ",".join(RESULTS_CSV_COLUMNS))
+        )
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(RESULTS_CSV_COLUMNS):
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(RESULTS_CSV_COLUMNS):
+            raise ScoringError("wrong column count at %s line %d" % (path, line_no))
+        instance_id, benchmark, status, seconds, mode, witness = row
+        try:
+            status_val = Status(status)
+        except ValueError:
             raise ScoringError(
-                "bad results header in %s: expected %s"
-                % (path, ",".join(RESULTS_CSV_COLUMNS))
+                "unknown status %r at %s line %d" % (status, path, line_no)
+            ) from None
+        try:
+            seconds_val = float(seconds)
+        except ValueError:
+            raise ScoringError(
+                "bad time_seconds %r at %s line %d" % (seconds, path, line_no)
+            ) from None
+        records.append(
+            RunRecord(
+                tool=tool,
+                instance_id=instance_id,
+                benchmark=benchmark,
+                status=status_val,
+                seconds=seconds_val,
+                mode=mode,
+                witness_path=witness,
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(RESULTS_CSV_COLUMNS):
-                raise ScoringError("wrong column count at %s line %d" % (path, line_no))
-            instance_id, benchmark, status, seconds, mode, witness = row
-            try:
-                status_val = Status(status)
-            except ValueError:
-                raise ScoringError(
-                    "unknown status %r at %s line %d" % (status, path, line_no)
-                ) from None
-            try:
-                seconds_val = float(seconds)
-            except ValueError:
-                raise ScoringError(
-                    "bad time_seconds %r at %s line %d" % (seconds, path, line_no)
-                ) from None
-            records.append(
-                RunRecord(
-                    tool=tool,
-                    instance_id=instance_id,
-                    benchmark=benchmark,
-                    status=status_val,
-                    seconds=seconds_val,
-                    mode=mode,
-                    witness_path=witness,
-                )
-            )
+        )
     return records
 
 

@@ -1,11 +1,14 @@
 """Baseline verifier, falsifier and witness validation.
 
-verify() runs branch-and-bound over input splits with the affine relaxation
-as the pruning bound.  It works on a frontier of up to 32 boxes per step,
-held as stacked arrays and taken depth first: all their midpoints are
-probed in one forward pass before any bound is computed, all of them are
-bounded in one batched call, the survivors' constraint corners are probed
-in one forward pass, and each survivor is split on its widest dimension.
+verify() runs branch-and-bound over input splits.  It prunes a box when a
+constraint row's lower bound, back-substituted through the ReLU relaxation
+of the box (``bounds._constraint_rows``), exceeds the row's rhs.  It works
+on a frontier of up to 32 boxes per step, held as stacked arrays and taken
+depth first: all their midpoints are probed in one forward pass before any
+bound is computed, all of them are bounded in one batched call, the
+survivors' constraint corners (the corners minimizing each row's
+back-substituted lower form) are probed in one forward pass, and each
+survivor is split on its widest dimension.
 A batch fails as a whole: a bound that overflows in any of its rows is an
 error once the batch's midpoints are probed.  Uncapped, the status does not
 depend on this order.  falsify() is the cheap counterexample
@@ -282,24 +285,25 @@ def _search_conjunct(net, spec, conj, budget, deadline, stats) -> Witness | None
     """Branch-and-bound over one conjunct's box, a frontier of boxes per step.
 
     The frontier is a stack of rows: input bounds lo, hi (S, n) and the
-    output bounds each row inherits from its parent, y_lo, y_hi (S, m); the
-    top is the last row.  A step pops up to ``_FRONTIER`` rows, top first and
-    never more than the node cap has left, probes their midpoints, bounds
-    them, prunes the infeasible ones, probes the survivors' corners and
-    splits each survivor on its widest dimension; row 0's left child ends up
-    on top.  Witnesses are taken in pop order.
+    output bounds each row inherits from its parent, stacked as
+    ``[lower | -upper]`` (S, 2m); the top is the last row.  A step pops up
+    to ``_FRONTIER`` rows, top first and never more than the node cap has
+    left, probes their midpoints, bounds them, prunes the infeasible ones,
+    probes the survivors' corners and splits each survivor on its widest
+    dimension; row 0's left child ends up on top.  Witnesses are taken in
+    pop order.
     """
     # the conjunct's constraints as float arrays, built once for every node
     cons = a_y, b_x, rhs = _constraint_arrays(spec, conj)
     root = Box(conj.input_lower, conj.input_upper)
-    unbounded = np.full((1, net.n_outputs), np.inf)
-    stack = (root.lower[None], root.upper[None], -unbounded, unbounded)
+    unbounded = np.full((1, 2 * net.n_outputs), -np.inf)  # stacked [lo | -hi]
+    stack = (root.lower[None], root.upper[None], unbounded)
     while len(stack[0]):
         if time.monotonic() > deadline or stats.subproblems >= budget.max_subproblems:
             raise _BudgetExhausted
         k = min(_FRONTIER, budget.max_subproblems - stats.subproblems, len(stack[0]))
         rest = len(stack[0]) - k
-        lo, hi, inh_lo, inh_hi = (s[rest:][::-1] for s in stack)
+        lo, hi, inherited = (s[rest:][::-1] for s in stack)
         stack = tuple(s[:rest] for s in stack)
         stats.subproblems += k
 
@@ -309,17 +313,17 @@ def _search_conjunct(net, spec, conj, budget, deadline, stats) -> Witness | None
         if w is not None:
             return w
 
-        *forms, y_lo, y_hi = _affine_forms(net, lo, hi)
+        _, relaxation, y = _affine_forms(net, lo, hi)
         # meeting the parent's bounds keeps node bounds monotone under splitting
-        y_lo, y_hi = _meet(y_lo, y_hi, inh_lo, inh_hi)
-        lb, coef = _constraint_rows(lo, hi, forms, y_lo, y_hi, a_y, b_x)
+        y = _meet(y, inherited)
+        lb, coef = _constraint_rows(net, relaxation, lo, hi, y, a_y, b_x)
         keep = ~(lb > rhs).any(axis=1)
         if not keep.any():
             continue
-        lo, hi, y_lo, y_hi, coef = (a[keep] for a in (lo, hi, y_lo, y_hi, coef))
+        lo, hi, y, coef = (a[keep] for a in (lo, hi, y, coef))
 
         # per survivor and constraint row (the first 8), the box corner
-        # minimizing the row's lower affine form
+        # minimizing the row's back-substituted lower affine form
         corners = np.where(coef[:, :8] > 0, lo[:, None], hi[:, None])
         w = _probe(net, spec, conj, cons, corners.reshape(-1, net.n_inputs))
         if w is not None:
@@ -337,8 +341,7 @@ def _search_conjunct(net, spec, conj, budget, deadline, stats) -> Witness | None
         kids = (
             np.stack([lo, right_lo], 1),
             np.stack([left_hi, hi], 1),
-            np.stack([y_lo, y_lo], 1),
-            np.stack([y_hi, y_hi], 1),
+            np.stack([y, y], 1),
         )
         stack = tuple(
             np.concatenate([s, c.reshape(-1, s.shape[1])[::-1]])

@@ -33,7 +33,7 @@ from veribench.speclang import (
     Witness,
     conjunct_satisfied,
 )
-from veribench.bounds import affine_bounds, constraint_lower_bound
+from veribench.bounds import _box_rows, affine_bounds, constraint_lower_bound
 from veribench.network import Box
 from veribench.verifier import MIN_SPLIT_WIDTH, WITNESS_TOL, validate_witness
 
@@ -262,7 +262,7 @@ def reference_search(net: Network, spec: NormalizedSpec):
     Per node: probe the midpoint, bound the box with ``affine_bounds`` and
     meet the result with the parent's output box, prune when a constraint's
     ``constraint_lower_bound`` exceeds its rhs, probe the corners minimizing
-    the first 8 rows' lower forms, split the widest dimension and visit the
+    the first 8 rows' back-substituted lower forms, split the widest dimension and visit the
     left child first.  Returns (status, witness, nodes) with status one of
     "violated", "holds" and "unknown" (a cell too narrow to split).  ReLU
     networks only.
@@ -293,9 +293,8 @@ def reference_search(net: Network, spec: NormalizedSpec):
                 for a, b, r in zip(a_y, b_x, rhs)
             ):
                 continue
-            for a, b in zip(a_y[:8], b_x[:8]):
-                row = np.maximum(a, 0.0) @ ab.lower_weight
-                row = row + np.minimum(a, 0.0) @ ab.upper_weight + b
+            _, coef = _box_rows(ab, a_y[:8], b_x[:8], out_box)
+            for row in coef:
                 w = _accepted(net, spec, conj, np.where(row > 0, box.lower, box.upper))
                 if w is not None:
                     return "violated", w, nodes

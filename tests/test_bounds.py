@@ -21,6 +21,12 @@ from veribench.network import (
 from conftest import make_random_network
 
 
+def _halves(y):
+    """Stacked bounds [lo | -hi] (..., 2w) as the pair lo, hi."""
+    lo, neg_hi = np.split(y, 2, axis=-1)
+    return lo, -neg_hi
+
+
 def _identity_relu() -> Network:
     return Network(
         (AffineLayer(np.eye(1), np.zeros(1)), ActivationLayer("relu")), 1, 1
@@ -179,14 +185,15 @@ def test_split_bounds_monotone():
         net = make_random_network(rng, n_in, [6, 4], int(rng.integers(1, 3)))
         lo = rng.uniform(-1, 0, n_in)
         hi = lo + rng.uniform(0.5, 2, n_in)
-        *_, p_lo, p_hi = _affine_forms(net, lo[None], hi[None])
+        *_, p = _affine_forms(net, lo[None], hi[None])
+        p_lo, p_hi = _halves(p[0])
         dim = int(np.argmax(hi - lo))
         kids_lo, kids_hi = np.array([lo, lo]), np.array([hi, hi])
         kids_hi[0, dim] = kids_lo[1, dim] = 0.5 * (lo[dim] + hi[dim])
-        *_, y_lo, y_hi = _affine_forms(net, kids_lo, kids_hi)
-        y_lo, y_hi = _meet(y_lo, y_hi, p_lo, p_hi)
-        assert np.all(y_lo.min(axis=0) >= p_lo[0] - 1e-12)
-        assert np.all(y_hi.max(axis=0) <= p_hi[0] + 1e-12)
+        *_, y = _affine_forms(net, kids_lo, kids_hi)
+        y_lo, y_hi = _halves(_meet(y, p))
+        assert np.all(y_lo.min(axis=0) >= p_lo - 1e-12)
+        assert np.all(y_hi.max(axis=0) <= p_hi + 1e-12)
         for k in range(2):
             for x in Box(kids_lo[k], kids_hi[k]).sample(rng, 50):
                 y = forward(net, x)
@@ -196,6 +203,9 @@ def test_split_bounds_monotone():
 def test_batched_rows_match_single_boxes():
     # the batched core gives every box the bounds it gets alone, which are
     # what affine_bounds and constraint_lower_bound return
+    def close(batched, single):
+        np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
+
     rng = np.random.default_rng(31)
     for _ in range(10):
         n_in, n_out = int(rng.integers(1, 6)), int(rng.integers(1, 6))
@@ -204,20 +214,76 @@ def test_batched_rows_match_single_boxes():
         lo = rng.uniform(-1, 0, (k, n_in))
         hi = lo + rng.uniform(0.01, 1, (k, n_in)) ** 3
         a_y, b_x = rng.uniform(-1, 1, (c, n_out)), rng.uniform(-1, 1, (c, n_in))
-        rows = _affine_forms(net, lo, hi)
-        lb, _ = _constraint_rows(lo, hi, rows[:4], rows[4], rows[5], a_y, b_x)
+        z, relaxation, y = _affine_forms(net, lo, hi)
+        lb, coef = _constraint_rows(net, relaxation, lo, hi, y, a_y, b_x)
         for i in range(k):
+            one = slice(i, i + 1)
+            z1, relaxation1, y1 = _affine_forms(net, lo[one], hi[one])
+            close(z[one], z1)
+            close(y[one], y1)
+            for (slope, shift), (slope1, shift1) in zip(relaxation, relaxation1):
+                close(slope[one], slope1)
+                close(shift[one], shift1)
+            lb1, coef1 = _constraint_rows(net, relaxation1, lo[one], hi[one], y1, a_y, b_x)
+            close(lb[one], lb1)
+            close(coef[one], coef1)
+
             ab = affine_bounds(net, Box(lo[i], hi[i]))
-            alone = (
-                ab.lower_weight,
-                ab.lower_const,
-                ab.upper_weight,
-                ab.upper_const,
-                ab.output_box.lower,
-                ab.output_box.upper,
-            )
-            for batched, single in zip(rows, alone):
-                np.testing.assert_allclose(batched[i], single, rtol=1e-12, atol=0)
+            weight = z[i, :, :n_in]
+            const = z[i, :, n_in] - weight @ (0.5 * (lo[i] + hi[i]))
+            close(weight, np.vstack([ab.lower_weight, -ab.upper_weight]))
+            close(const, np.concatenate([ab.lower_const, -ab.upper_const]))
+            close(_halves(y[i]), (ab.output_box.lower, ab.output_box.upper))
             for j in range(c):
-                single = constraint_lower_bound(ab, a_y[j], b_x[j])
-                np.testing.assert_allclose(lb[i, j], single, rtol=1e-12, atol=0)
+                close(lb[i, j], constraint_lower_bound(ab, a_y[j], b_x[j]))
+
+
+def _acas_rows(rng):
+    """An ACAS-shaped 5->50x6->5 net, constraint rows and boxes in [-1, 1]^5.
+
+    Half the boxes are full-sized, half are 1/64 as wide around a random
+    centre, where the bounds are nearly tight.
+    """
+    net = make_random_network(rng, 5, [50] * 6, 5)
+    a_y, b_x = rng.uniform(-1, 1, (3, 5)), rng.uniform(-0.2, 0.2, (3, 5))
+    centre = rng.uniform(-0.5, 0.5, (8, 5))
+    half = rng.uniform(0.1, 0.5, (8, 5))
+    half[4:] /= 64
+    return net, a_y, b_x, centre - half, centre + half
+
+
+def test_back_substituted_rows_sound_by_sampling():
+    rng = np.random.default_rng(41)
+    for _ in range(4):
+        net, a_y, b_x, lo, hi = _acas_rows(rng)
+        _, relaxation, y = _affine_forms(net, lo, hi)
+        lb, coef = _constraint_rows(net, relaxation, lo, hi, y, a_y, b_x)
+        assert coef.shape == (len(lo), len(a_y), 5)
+        for i in range(len(lo)):
+            xs = Box(lo[i], hi[i]).sample(rng, 400)
+            xs = np.vstack([xs, lo[i], hi[i]])
+            vals = forward(net, xs) @ a_y.T + xs @ b_x.T
+            assert np.all(vals.min(axis=0) >= lb[i] - 1e-9)
+
+
+def test_back_substitution_never_looser_than_forward_forms():
+    # forward substitution: put the public forward forms into each row and
+    # keep the better of that and the interval bound through the outputs
+    rng = np.random.default_rng(43)
+    tighter = 0
+    for _ in range(3):
+        net, a_y, b_x, lo, hi = _acas_rows(rng)
+        for i in range(len(lo)):
+            ab = affine_bounds(net, Box(lo[i], hi[i]))
+            out = ab.output_box
+            for a, b in zip(a_y, b_x):
+                ap, an = np.maximum(a, 0.0), np.minimum(a, 0.0)
+                row = ap @ ab.lower_weight + an @ ab.upper_weight + b
+                const = ap @ ab.lower_const + an @ ab.upper_const
+                forms = np.where(row > 0, lo[i], hi[i]) @ row + const
+                bx = np.where(b > 0, lo[i], hi[i]) @ b
+                forward_lb = max(forms, ap @ out.lower + an @ out.upper + bx)
+                back_lb = constraint_lower_bound(ab, a, b)
+                assert back_lb >= forward_lb - 1e-12 * max(1.0, abs(forward_lb))
+                tighter += back_lb > forward_lb + 1e-9
+    assert tighter > 0

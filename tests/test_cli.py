@@ -259,6 +259,25 @@ class TestRunAndOverhead:
             assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_n_trivial_is_data_error(self, echo_setup, tmp_path, capsys, where):
+        # run and measure-overhead share one check of the warm-up count
+        config, manifest = echo_setup
+        extra = ["--n-trivial", "-1"]
+        if where == "config":
+            config.write_text(config.read_text() + "n_trivial = -1\n")
+            extra = []
+        out = tmp_path / "out"
+        argv = ["run", str(manifest), "--config", str(config), "--out", str(out)]
+        assert main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert "n_trivial must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()  # nothing ran
+        if where == "flag":
+            argv = ["measure-overhead", "--config", str(config), "--out", str(out)]
+            assert main(argv + extra) == 2
+            assert "n_trivial must be >= 0" in capsys.readouterr().err
+
     def test_measure_overhead_prints_model(self, echo_setup, tmp_path, capsys):
         config, _ = echo_setup
         out = tmp_path / "warm"

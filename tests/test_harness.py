@@ -3,7 +3,9 @@ calibration, and report emission.  Adapter fixtures are tiny python
 scripts driven through the real subprocess path."""
 
 import math
+import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,13 +27,31 @@ from veribench.harness import (
     run_baseline,
     run_batch,
     run_tool,
-    save_manifest,
     trivial_instances,
 )
 from veribench.bounds import affine_bounds, constraint_lower_bound
 from veribench.network import Box, forward, gen_trivial_network, load_network, network_to_onnx_bytes, save_network
 from veribench.scoring import RunRecord, build_overhead_model, empty_ledger, read_results_csv, score_records
 from veribench.verifier import Budget, EASY_VIOLATED_BUDGET, Status
+
+def save_manifest(path, instances) -> None:
+    """Write instances back out, paths relative to the manifest location."""
+    path = Path(path)
+    base = path.resolve().parent
+    lines = []
+    for inst in instances:
+        timeout = inst.timeout
+        timeout_text = "%d" % timeout if timeout == int(timeout) else repr(timeout)
+        lines.append(
+            "%s,%s,%s"
+            % (
+                os.path.relpath(inst.network_path, base),
+                os.path.relpath(inst.spec_path, base),
+                timeout_text,
+            )
+        )
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
 
 RUNNER_SOURCE = '''\
 import sys, time

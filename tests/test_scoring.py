@@ -1,6 +1,8 @@
 """Scoring pipeline tests: overhead, points, bonuses, percentages, reports."""
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,33 @@ class TestResultsCsv:
         )
         with pytest.raises(ScoringError, match="bad time_seconds"):
             read_results_csv(path, tool="m")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.sampled_from(["", "i1", "b", "holds", "violated", "sat", "1.5", "-1",
+                                 "nan", "1e400", "default", "w.txt", "a,b", '"', "\x00",
+                                 "\n", "\r", "\xe9"]),
+                max_size=8,
+            ).map(",".join),
+            max_size=6,
+        ),
+        header=st.booleans(),
+        tail=st.binary(max_size=12),
+    )
+    def test_malformed_file_raises_only_scoring_error(self, rows, header, tail):
+        # near-valid rows under the real header (or none), then arbitrary
+        # bytes: only ScoringError may escape
+        lines = ["instance_id,benchmark,status,time_seconds,mode,witness_path"] * header
+        data = "\n".join(lines + rows).encode("utf-8") + tail
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            path.write_bytes(data)
+            try:
+                read_results_csv(path, tool="m")
+            except ScoringError:
+                pass
 
     def test_dir_read_names_tools_from_stems(self, tmp_path):
         write_results_csv(tmp_path / "alpha.csv", [rec("x", "i1", "holds", 1.0)])

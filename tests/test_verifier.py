@@ -1,7 +1,10 @@
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veribench.network import ActivationLayer, AffineLayer, Network, forward
 from veribench.speclang import (
@@ -324,7 +327,7 @@ def test_frontier_search_matches_sequential_reference():
     # that holds has the same pruned tree, so the same node count
     rng = np.random.default_rng(11)
     statuses = []
-    for _ in range(30):
+    for _ in range(80):
         net, spec = _hard_instance(rng)
         status, _, nodes = oracles.reference_search(net, spec)
         out = verify(net, spec, Budget(wall_seconds=60.0))
@@ -337,6 +340,18 @@ def test_frontier_search_matches_sequential_reference():
     # both outcomes, and holds whose trees span several frontier steps
     assert sum(s == "violated" for s, _ in statuses) >= 5
     assert sum(s == ("holds", True) for s in statuses) >= 5
+
+
+def test_prop_2_holds_within_a_node_budget():
+    # ACAS prop_2 on an ACAS-shaped net: the forward-substituted bound
+    # timed out past 70k nodes, back-substituted rows prune it in ~7.4k
+    from conftest import make_random_network
+
+    prop = Path(__file__).parent / "fixtures" / "acasxu" / "props" / "prop_2.vnnlib"
+    net = make_random_network(np.random.default_rng(0), 5, [50] * 6, 5)
+    budget = Budget(max_subproblems=10_000, wall_seconds=60)
+    out = verify(net, _spec(prop.read_text()), budget)
+    assert out.status is Status.HOLDS
 
 
 def test_verify_multiconstraint_conjunct_holds():
@@ -427,6 +442,27 @@ def test_witness_format_layout():
     w = parse_witness(text)
     assert w.x == (0.5, -1.0)
     assert w.y_claimed == (2.0,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(
+        st.tuples(
+            st.sampled_from(["X", "Y", "Z", "x", "", "X_", "Y_"]),
+            st.sampled_from(["_0", "_1", "_2", "_", "_-1", "_a", "_1_0", "_\u0663", ""]),
+            st.sampled_from([" ", "\t", "  ", ""]),
+            st.text(max_size=6) | st.sampled_from(["1.5", "-0", "nan", "1e999", "0x1p3"]),
+        ).map("".join),
+        max_size=6,
+    ),
+    noise=st.text(max_size=8),
+)
+def test_witness_parse_raises_only_value_error(lines, noise):
+    try:
+        w = parse_witness("\n".join(lines) + noise)
+    except ValueError:
+        return
+    assert w.x and all(isinstance(v, float) for v in w.x)
 
 
 def test_witness_parse_errors():
