@@ -237,20 +237,20 @@ def affine_bounds(net: Network, box: Box) -> AffineBounds:
 def _constraint_rows(net, relaxation, lo, hi, y, a_y, b_x):
     """Lower bounds of every constraint row over each of K boxes.
 
-    Rows are a_y . f(x) + b_x . x with a_y (c, m) and b_x (c, n);
-    ``relaxation`` is what ``_affine_forms`` returned for the boxes lo, hi
-    (K, n), and y (K, 2m) encloses the outputs, stacked.  Each row is walked
-    back through the layers: an affine layer maps its coefficients g to
-    g W and adds g . b to its constant, and a ReLU takes the lower slope
-    where g >= 0 and the upper chord, with its shift, where g < 0.  Returns
-    the (K, c) lower bounds, each the tighter of the back-substituted bound
-    and the interval bound through y, and the (K, c, n) input coefficients
-    of each row's lower affine form.  Every (box, row) pair is its own
-    (1, width) row vector, so each bound is computed as for one row over
-    one box.
+    Rows a_y . f(x) + b_x . x come shared, a_y (c, m) and b_x (c, n), or per
+    box, (K, c, m) and (K, c, n); ``relaxation`` is what ``_affine_forms``
+    returned for the boxes lo, hi (K, n); stacked y (K, 2m) encloses f(x).
+    Each row is walked back through the layers: an affine layer maps its
+    coefficients g to g W and adds g . b to its constant, and a ReLU takes
+    the lower slope where g >= 0 and the upper chord, with its shift, where
+    g < 0.  Returns the (K, c) lower bounds, each the tighter of the
+    back-substituted bound and the interval bound through y, and the
+    (K, c, n) input coefficients of each row's lower affine form.  Every
+    (box, row) pair is its own (1, width) row vector, so each bound is
+    computed as for one row over one box.
     """
-    (k, _), (c, m) = lo.shape, a_y.shape
-    g = np.broadcast_to(a_y[:, None], (k, c, 1, m))
+    (k, _), (c, m) = lo.shape, a_y.shape[-2:]
+    g = np.broadcast_to(a_y[..., None, :], (k, c, 1, m))
     const = 0.0
     slopes = reversed(relaxation)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -263,15 +263,15 @@ def _constraint_rows(net, relaxation, lo, hi, y, a_y, b_x):
                 lower, upper = (s[:, None, None] for s in _halves(slope))
                 const = const - np.minimum(g, 0.0) @ shift[:, None, :, None]
                 g = g * np.where(g >= 0.0, lower, upper)
-        coef = g + b_x[:, None]  # (K, c, 1, n)
+        coef = g + b_x[..., None, :]  # (K, c, 1, n)
         mid, rad = (v[:, None, :, None] for v in (0.5 * (lo + hi), 0.5 * (hi - lo)))
 
         def box_min(a):  # least value over each box of row vectors a
             return a @ mid - np.abs(a) @ rad
 
         ap, an = np.maximum(a_y, 0.0), np.minimum(a_y, 0.0)
-        y_rows = np.concatenate([ap, -an], axis=1)[:, None]  # (c, 1, 2m)
-        y_lb = y_rows @ y[:, None, :, None] + box_min(b_x[:, None])
+        y_rows = np.concatenate([ap, -an], axis=-1)[..., None, :]  # ([K,] c, 1, 2m)
+        y_lb = y_rows @ y[:, None, :, None] + box_min(b_x[..., None, :])
         lb = np.maximum(box_min(coef) + const, y_lb)[..., 0, 0]
     _check_finite(lb, coef)
     return lb, coef[:, :, 0]

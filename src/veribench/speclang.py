@@ -10,15 +10,17 @@ property it describes is violated.  The supported grammar is::
     <term> ::= (and <term>+) | (or <term>+) | (<= <expr> <expr>) | (>= <expr> <expr>)
     <expr> ::= <decimal> | X_i | Y_j | (+ <expr>+) | (- <expr>+) | (* <expr>+)
 
-Products must stay affine (at most one non-constant factor).  Comments run
-from ``;`` to end of line.  Strict ``<``/``>`` are accepted as their
-non-strict forms with a warning, which is unobservable under tolerance-based
-witness checking over the reals.
+Products must stay affine (at most one non-constant factor), every number
+and coefficient finite, and nesting at most 256 parentheses deep; anything
+else raises ``SpecError``.  Comments run from ``;`` to end of line.  Strict
+``<``/``>`` are accepted as their non-strict forms with a warning, which is
+unobservable under tolerance-based witness checking over the reals.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -32,6 +34,10 @@ UNBOUNDED_MAGNITUDE = 1e30
 
 # Default cap on the number of disjuncts produced by DNF distribution.
 DEFAULT_MAX_DISJUNCTS = 4096
+
+# Deeper nesting is rejected: parsing and DNF recurse once or twice per
+# level, and must stay well inside Python's recursion limit.
+_MAX_DEPTH = 256
 
 
 class SpecError(ValueError):
@@ -222,6 +228,8 @@ def _read_sexprs(tokens: list[_Token]):
     stack = []
     for tok in tokens:
         if tok.text == "(":
+            if len(stack) == _MAX_DEPTH:
+                raise SpecError(f"nested deeper than {_MAX_DEPTH} levels", tok.line, tok.col)
             stack.append(([], tok))
         elif tok.text == ")":
             if not stack:
@@ -244,8 +252,6 @@ def _read_sexprs(tokens: list[_Token]):
 
 
 def _is_number(token: str) -> bool:
-    if token.lower() in ("inf", "-inf", "+inf", "nan", "-nan", "+nan"):
-        return False
     try:
         float(token)
         return True
@@ -270,7 +276,10 @@ class _Parser:
     def parse_expr(self, node) -> AffineExpr:
         if isinstance(node, _Token):
             if _is_number(node.text):
-                return AffineExpr((), float(node.text))
+                value = float(node.text)
+                if not math.isfinite(value):  # inf, nan, or 1e999 overflowing
+                    raise SpecError(f"non-finite number '{node.text}'", node.line, node.col)
+                return AffineExpr((), value)
             m = _VAR_RE.match(node.text)
             if m:
                 key = (m.group(1), int(m.group(2)))
@@ -401,8 +410,9 @@ class _Parser:
 def parse_vnnlib(text: str) -> SpecAst:
     """Parse specification source into an AST.
 
-    Raises SpecError with position information on syntax errors, undeclared
-    variables, non-affine terms, or non-dense variable indices.
+    Raises SpecError with position information on syntax errors, nesting
+    deeper than 256 levels, non-finite numbers, undeclared variables,
+    non-affine terms, or non-dense variable indices.
     """
     parser = _Parser()
     for node in _read_sexprs(_tokenize(text)):
@@ -454,7 +464,10 @@ def _normalize_atom(atom: Atom) -> tuple[dict, float]:
     for k, v in rhs.coeffs:
         coeffs[k] = coeffs.get(k, 0.0) - v
     coeffs = {k: v for k, v in coeffs.items() if v != 0.0}
-    return coeffs, lhs.const - rhs.const
+    const = lhs.const - rhs.const
+    if not all(map(math.isfinite, (const, *coeffs.values()))):
+        raise SpecError("coefficient overflows to a non-finite value")
+    return coeffs, const
 
 
 def _build_conjunct(
@@ -518,7 +531,8 @@ def to_dnf(
     Per conjunct, single-variable input atoms fold into the input box
     (tightest bound wins); everything else stays as a joint constraint.
     Empty conjuncts are dropped.  Disjunct order is deterministic: source
-    order with left-to-right distribution.
+    order with left-to-right distribution.  An atom whose coefficients
+    overflow to non-finite values raises SpecError.
     """
     conjunction = BoolTerm("and", tuple(ast.assertions)) if ast.assertions else None
     if conjunction is None:

@@ -1,22 +1,28 @@
 """Baseline verifier, falsifier and witness validation.
 
-verify() runs branch-and-bound over input splits.  It prunes a box when a
-constraint row's lower bound, back-substituted through the ReLU relaxation
-of the box (``bounds._constraint_rows``), exceeds the row's rhs.  It works
-on a frontier of up to 32 boxes per step, held as stacked arrays and taken
-depth first: all their midpoints are probed in one forward pass before any
-bound is computed, all of them are bounded in one batched call, the
-survivors' constraint corners (the corners minimizing each row's
+verify() runs branch-and-bound over input splits: one search over the box
+trees of all disjuncts.  It prunes a box when a constraint row's lower
+bound, back-substituted through the ReLU relaxation of the box
+(``bounds._constraint_rows``), exceeds the row's rhs.  The frontier is a
+stack of boxes, each tagged with its disjunct, that starts with every
+disjunct's root, disjunct 0 on top.  A step pops up to 32 boxes, never more
+than the node cap has left, and takes them in pop order: their midpoints
+are probed in one forward pass before any bound is computed, they are
+bounded in one batched call, the survivors' constraint corners (per real
+row of the box's disjunct, at most 8, the corner minimizing the row's
 back-substituted lower form) are probed in one forward pass, and each
-survivor is split on its widest dimension.
-A batch fails as a whole: a bound that overflows in any of its rows is an
-error once the batch's midpoints are probed.  Uncapped, the status does not
-depend on this order.  falsify() is the cheap counterexample
-search (uniform sampling, then sign-gradient ascent on constraint slack)
-that also defines the competition's "answerable by random testing"
-baseline; it scores its samples in fixed-size batches and runs its
-gradient restarts in lockstep, one forward and one backward pass per step
-for all of them.
+survivor is split on its widest dimension, the first popped box's left
+child ending on top.  A survivor too narrow to split leaves the frontier
+and marks the spec undecided; the search goes on.  A batch fails as a
+whole: a bound that overflows in any of its rows is an error once the
+batch's midpoints are probed.
+
+falsify() is the cheap counterexample search (uniform sampling, then
+sign-gradient ascent on constraint slack) that also defines the
+competition's "answerable by random testing" baseline; it searches the
+disjuncts one after another, scores its samples in fixed-size batches and
+runs its gradient restarts in lockstep, one forward and one backward pass
+per step for all of them.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from .network import (
     layer_outputs,
 )
 from .speclang import (
-    Conjunct,
     NormalizedSpec,
     Witness,
     conjunct_satisfied,
@@ -114,14 +119,6 @@ class Outcome:
             raise ValueError("a violated outcome requires a witness")
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _Unresolvable(Exception):
-    pass
-
-
 def _make_witness(net: Network, x: np.ndarray) -> Witness:
     y = forward(net, x)
     return Witness(tuple(float(v) for v in x), tuple(float(v) for v in y))
@@ -171,35 +168,49 @@ def output_combination_gradient(net: Network, x, a_y) -> np.ndarray:
 _SAMPLE_BLOCK = 4096
 
 
-def _constraint_arrays(spec: NormalizedSpec, conj: Conjunct):
-    """A conjunct's constraints as arrays a_y (k, m), b_x (k, n) and rhs (k)."""
-    cs, k = conj.constraints, len(conj.constraints)
-    a_y = np.array([m.a_y for m in cs], dtype=np.float64).reshape(k, spec.n_outputs)
-    b_x = np.array([m.b_x for m in cs], dtype=np.float64).reshape(k, spec.n_inputs)
-    rhs = np.array([m.rhs for m in cs], dtype=np.float64)
+def _padded_rows(spec: NormalizedSpec):
+    """Every disjunct's constraints as a_y (D, k, m), b_x (D, k, n), rhs (D, k).
+
+    k is the most rows any disjunct has.  A shorter disjunct is padded with
+    inert rows, a_y = 0, b_x = 0 and rhs = +inf: their slack is +inf and no
+    bound prunes on them.
+    """
+    d, k = len(spec.disjuncts), max((len(c.constraints) for c in spec.disjuncts), default=0)
+    a_y, b_x = np.zeros((d, k, spec.n_outputs)), np.zeros((d, k, spec.n_inputs))
+    rhs = np.full((d, k), np.inf)
+    for i, conj in enumerate(spec.disjuncts):
+        for j, row in enumerate(conj.constraints):
+            a_y[i, j], b_x[i, j], rhs[i, j] = row.a_y, row.b_x, row.rhs
     return a_y, b_x, rhs
 
 
-def _worst_slack(cons, X, Y) -> np.ndarray:
-    """Per row, the least ``rhs - (a_y . y + b_x . x)`` over the constraints."""
-    a_y, b_x, rhs = cons
-    return np.min(rhs - (Y @ a_y.T + X @ b_x.T), axis=1, initial=np.inf)
+def _worst_slack(rows, X, Y, d) -> np.ndarray:
+    """Per point, the least ``rhs - (a_y . y + b_x . x)`` over its disjunct's rows.
+
+    Every point meets all D * k rows in one product and keeps the k of its
+    disjunct d[i], so for D = 1 this is the plain ``Y @ a_y.T`` product.
+    """
+    a_y, b_x, rhs = rows
+    (n_pts, n), (n_d, k, m) = X.shape, a_y.shape
+    slack = rhs.reshape(-1) - (Y @ a_y.reshape(-1, m).T + X @ b_x.reshape(-1, n).T)
+    own = slack.reshape(n_pts, n_d, k)[np.arange(n_pts), d]
+    return np.min(own, axis=1, initial=np.inf)
 
 
-def _witness_among(net, spec, conj, X, Y, worst) -> Witness | None:
-    """The first row with no negative slack that passes the exact checks."""
+def _witness_among(net, spec, X, Y, worst, d) -> Witness | None:
+    """The first point with no negative slack that meets its conjunct and re-validates."""
     for i in np.flatnonzero(worst >= 0.0):
-        if conjunct_satisfied(conj, X[i], Y[i]):
+        if conjunct_satisfied(spec.disjuncts[d[i]], X[i], Y[i]):
             w = _make_witness(net, X[i])
             if validate_witness(net, spec, w, WITNESS_TOL):
                 return w
     return None
 
 
-def _probe(net, spec, conj, cons, points) -> Witness | None:
+def _probe(net, spec, rows, points, d) -> Witness | None:
     """Forward the points as one batch; the first that satisfies and re-validates."""
     Y = forward(net, points)
-    return _witness_among(net, spec, conj, points, Y, _worst_slack(cons, points, Y))
+    return _witness_among(net, spec, points, Y, _worst_slack(rows, points, Y, d), d)
 
 
 def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | None:
@@ -227,9 +238,11 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
     rng = np.random.default_rng(budget.seed)
     deadline = time.monotonic() + budget.wall_seconds
 
-    for conj in spec.disjuncts:
+    rows = _padded_rows(spec)
+    for index, conj in enumerate(spec.disjuncts):
         box = Box(conj.input_lower, conj.input_upper)
-        cons = a_y, b_x, rhs = _constraint_arrays(spec, conj)
+        # the disjunct's own rows, without padding, for the gradient phase
+        a_y, b_x, rhs = (r[index, : len(conj.constraints)] for r in rows)
 
         best_x = None
         best_slack = -np.inf
@@ -238,8 +251,9 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
                 return None
             X = box.sample(rng, min(_SAMPLE_BLOCK, budget.falsifier_samples - start))
             Y = forward(net, X)
-            worst = _worst_slack(cons, X, Y)
-            w = _witness_among(net, spec, conj, X, Y, worst)
+            d = np.full(len(X), index)
+            worst = _worst_slack(rows, X, Y, d)
+            w = _witness_among(net, spec, X, Y, worst, d)
             if w is not None:
                 return w
             i = int(np.argmax(worst))  # argmax takes the first of equals
@@ -267,7 +281,7 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
             X[live] = np.clip(moved, box.lower, box.upper)
             if not live.size:
                 break
-        w = _probe(net, spec, conj, cons, X)
+        w = _probe(net, spec, rows, X, np.full(len(X), index))
         if w is not None:
             return w
     return None
@@ -281,59 +295,60 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
 _FRONTIER = 32
 
 
-def _search_conjunct(net, spec, conj, budget, deadline, stats) -> Witness | None:
-    """Branch-and-bound over one conjunct's box, a frontier of boxes per step.
+def _branch_and_bound(net, spec, budget, deadline, stats):
+    """The search of the module docstring; returns (status, witness).
 
-    The frontier is a stack of rows: input bounds lo, hi (S, n) and the
-    output bounds each row inherits from its parent, stacked as
-    ``[lower | -upper]`` (S, 2m); the top is the last row.  A step pops up
-    to ``_FRONTIER`` rows, top first and never more than the node cap has
-    left, probes their midpoints, bounds them, prunes the infeasible ones,
-    probes the survivors' corners and splits each survivor on its widest
-    dimension; row 0's left child ends up on top.  Witnesses are taken in
-    pop order.
+    The frontier holds stacked rows: input bounds lo, hi (S, n), the output
+    bounds each row inherits from its parent, stacked as ``[lower | -upper]``
+    (S, 2m), and the row's disjunct index (S,); the top is the last row.
     """
-    # the conjunct's constraints as float arrays, built once for every node
-    cons = a_y, b_x, rhs = _constraint_arrays(spec, conj)
-    root = Box(conj.input_lower, conj.input_upper)
-    unbounded = np.full((1, 2 * net.n_outputs), -np.inf)  # stacked [lo | -hi]
-    stack = (root.lower[None], root.upper[None], unbounded)
+    rows = a_y, b_x, rhs = _padded_rows(spec)
+    roots = spec.disjuncts[::-1]  # disjunct 0 on top
+    stack = (
+        np.array([c.input_lower for c in roots]).reshape(-1, spec.n_inputs),
+        np.array([c.input_upper for c in roots]).reshape(-1, spec.n_inputs),
+        np.full((len(roots), 2 * spec.n_outputs), -np.inf),  # stacked [lo | -hi]
+        np.arange(len(roots))[::-1],
+    )
+    undecided = False
     while len(stack[0]):
         if time.monotonic() > deadline or stats.subproblems >= budget.max_subproblems:
-            raise _BudgetExhausted
+            return Status.TIMEOUT, None
         k = min(_FRONTIER, budget.max_subproblems - stats.subproblems, len(stack[0]))
         rest = len(stack[0]) - k
-        lo, hi, inherited = (s[rest:][::-1] for s in stack)
+        lo, hi, inherited, d = (s[rest:][::-1] for s in stack)
         stack = tuple(s[:rest] for s in stack)
         stats.subproblems += k
 
         # midpoints go first: they need no bounds, so neither a bound that
         # overflows nor an unsound prune can hide a witness there
-        w = _probe(net, spec, conj, cons, 0.5 * (lo + hi))
+        w = _probe(net, spec, rows, 0.5 * (lo + hi), d)
         if w is not None:
-            return w
+            return Status.VIOLATED, w
 
         _, relaxation, y = _affine_forms(net, lo, hi)
         # meeting the parent's bounds keeps node bounds monotone under splitting
         y = _meet(y, inherited)
-        lb, coef = _constraint_rows(net, relaxation, lo, hi, y, a_y, b_x)
-        keep = ~(lb > rhs).any(axis=1)
+        lb, coef = _constraint_rows(net, relaxation, lo, hi, y, a_y[d], b_x[d])
+        keep = ~(lb > rhs[d]).any(axis=1)
         if not keep.any():
             continue
-        lo, hi, y, coef = (a[keep] for a in (lo, hi, y, coef))
+        lo, hi, y, d, coef = (a[keep] for a in (lo, hi, y, d, coef))
 
-        # per survivor and constraint row (the first 8), the box corner
-        # minimizing the row's back-substituted lower affine form
-        corners = np.where(coef[:, :8] > 0, lo[:, None], hi[:, None])
-        w = _probe(net, spec, conj, cons, corners.reshape(-1, net.n_inputs))
+        # per survivor and real row (the first 8; padding has rhs = +inf),
+        # the box corner minimizing the row's back-substituted lower form
+        real = rhs[d, :8] < np.inf
+        corners = np.where(coef[:, :8] > 0, lo[:, None], hi[:, None])[real]
+        w = _probe(net, spec, rows, corners, np.repeat(d, real.sum(axis=1)))
         if w is not None:
-            return w
+            return Status.VIOLATED, w
 
-        width = hi - lo
-        at = np.arange(len(lo)), np.argmax(width, axis=1)  # lowest index on ties
-        if (width[at] < MIN_SPLIT_WIDTH).any():
-            # cannot refine further and could not decide this cell
-            raise _Unresolvable
+        # a cell too narrow to split leaves the frontier undecided
+        split = (hi - lo).max(axis=1) >= MIN_SPLIT_WIDTH
+        if not split.all():
+            undecided = True
+            lo, hi, y, d = (a[split] for a in (lo, hi, y, d))
+        at = np.arange(len(lo)), np.argmax(hi - lo, axis=1)  # lowest index on ties
         left_hi, right_lo = hi.copy(), lo.copy()
         left_hi[at] = right_lo[at] = 0.5 * (lo[at] + hi[at])
         # children in pop order, row 0's left and right child first; pushed
@@ -342,12 +357,13 @@ def _search_conjunct(net, spec, conj, budget, deadline, stats) -> Witness | None
             np.stack([lo, right_lo], 1),
             np.stack([left_hi, hi], 1),
             np.stack([y, y], 1),
+            np.stack([d, d], 1),
         )
         stack = tuple(
-            np.concatenate([s, c.reshape(-1, s.shape[1])[::-1]])
+            np.concatenate([s, c.reshape(-1, *s.shape[1:])[::-1]])
             for s, c in zip(stack, kids)
         )
-    return None
+    return (Status.UNKNOWN if undecided else Status.HOLDS), None
 
 
 def verify(net: Network, spec: NormalizedSpec, budget: Budget) -> Outcome:
@@ -355,16 +371,12 @@ def verify(net: Network, spec: NormalizedSpec, budget: Budget) -> Outcome:
 
     HOLDS when every disjunct's box tree is exhausted, VIOLATED on the first
     validated witness, TIMEOUT when the wall clock or subproblem budget runs
-    out, UNKNOWN for unsupported activations (falsifier-only) or cells that
-    cannot be split further.  Each disjunct's tree is searched a frontier of
-    up to ``_FRONTIER`` boxes at a time, depth first (see
-    ``_search_conjunct``); a capped run visits exactly ``max_subproblems``
-    nodes, and the first two are the root and its left child.  Witnesses
-    are taken in pop order, every midpoint of a batch before its corners,
-    and a bound overflow in any row of a batch is an ERROR once the batch's
-    midpoints are probed.  When the run is not capped, the status does not
-    depend on exploration order, and a spec that holds visits the same
-    nodes in any order; any returned witness is validated.
+    out, UNKNOWN for unsupported activations (falsifier-only) or when some
+    cell could not be split further and no witness was found.  The search
+    order is the module docstring's; a capped run visits exactly
+    ``max_subproblems`` nodes.  When the run is not capped, the status does
+    not depend on that order, and a spec that holds visits the same nodes in
+    any order; any returned witness is validated.
     """
     if spec.n_inputs != net.n_inputs or spec.n_outputs != net.n_outputs:
         raise ValueError("spec dimensions do not match network")
@@ -385,23 +397,10 @@ def verify(net: Network, spec: NormalizedSpec, budget: Budget) -> Outcome:
             return done(Status.ERROR)
         return done(Status.VIOLATED, w) if w is not None else done(Status.UNKNOWN)
 
-    deadline = start + budget.wall_seconds
-    undecided = False
     try:
-        for conj in spec.disjuncts:
-            try:
-                w = _search_conjunct(net, spec, conj, budget, deadline, stats)
-            except _Unresolvable:
-                # a cell too narrow to split; other disjuncts may still violate
-                undecided = True
-                continue
-            if w is not None:
-                return done(Status.VIOLATED, w)
-    except _BudgetExhausted:
-        return done(Status.TIMEOUT)
+        return done(*_branch_and_bound(net, spec, budget, start + budget.wall_seconds, stats))
     except (ArithmeticError, UnsupportedActivationError):
         return done(Status.ERROR)
-    return done(Status.UNKNOWN) if undecided else done(Status.HOLDS)
 
 
 # ---------------------------------------------------------------------------

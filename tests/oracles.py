@@ -262,9 +262,11 @@ def reference_search(net: Network, spec: NormalizedSpec):
     Per node: probe the midpoint, bound the box with ``affine_bounds`` and
     meet the result with the parent's output box, prune when a constraint's
     ``constraint_lower_bound`` exceeds its rhs, probe the corners minimizing
-    the first 8 rows' back-substituted lower forms, split the widest dimension and visit the
-    left child first.  Returns (status, witness, nodes) with status one of
-    "violated", "holds" and "unknown" (a cell too narrow to split).  ReLU
+    the first 8 rows' back-substituted lower forms, split the widest
+    dimension and visit the left child first; a cell too narrow to split is
+    dropped undecided.  Disjuncts are searched one after another.  Returns
+    (status, witness, nodes) with status one of "violated", "holds" and
+    "unknown" (no witness, but some cell too narrow to split).  ReLU
     networks only.
     """
     nodes, undecided = 0, False
@@ -300,8 +302,8 @@ def reference_search(net: Network, spec: NormalizedSpec):
                     return "violated", w, nodes
             dim = int(np.argmax(box.width))
             if box.width[dim] < MIN_SPLIT_WIDTH:
-                undecided = True
-                break
+                undecided = True  # this cell is undecided; the search goes on
+                continue
             mid = 0.5 * (box.lower[dim] + box.upper[dim])
             left_hi, right_lo = box.upper.copy(), box.lower.copy()
             left_hi[dim] = right_lo[dim] = mid

@@ -202,9 +202,13 @@ def test_split_bounds_monotone():
 
 def test_batched_rows_match_single_boxes():
     # the batched core gives every box the bounds it gets alone, which are
-    # what affine_bounds and constraint_lower_bound return
+    # what affine_bounds and constraint_lower_bound return; with rows per
+    # box, box i's rows (here the shared rows rolled by i) are its own
     def close(batched, single):
         np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
+
+    def rolled(rows, i):
+        return np.roll(rows, i, axis=0)
 
     rng = np.random.default_rng(31)
     for _ in range(10):
@@ -216,6 +220,8 @@ def test_batched_rows_match_single_boxes():
         a_y, b_x = rng.uniform(-1, 1, (c, n_out)), rng.uniform(-1, 1, (c, n_in))
         z, relaxation, y = _affine_forms(net, lo, hi)
         lb, coef = _constraint_rows(net, relaxation, lo, hi, y, a_y, b_x)
+        per_box = (np.stack([rolled(r, i) for i in range(k)]) for r in (a_y, b_x))
+        lb_box, coef_box = _constraint_rows(net, relaxation, lo, hi, y, *per_box)
         for i in range(k):
             one = slice(i, i + 1)
             z1, relaxation1, y1 = _affine_forms(net, lo[one], hi[one])
@@ -227,6 +233,11 @@ def test_batched_rows_match_single_boxes():
             lb1, coef1 = _constraint_rows(net, relaxation1, lo[one], hi[one], y1, a_y, b_x)
             close(lb[one], lb1)
             close(coef[one], coef1)
+            lb1, coef1 = _constraint_rows(
+                net, relaxation1, lo[one], hi[one], y1, rolled(a_y, i), rolled(b_x, i)
+            )
+            close(lb_box[one], lb1)
+            close(coef_box[one], coef1)
 
             ab = affine_bounds(net, Box(lo[i], hi[i]))
             weight = z[i, :, :n_in]

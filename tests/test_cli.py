@@ -73,6 +73,23 @@ class TestParse:
         spec.write_text("\n".join(lines) + "\n")
         assert main(["parse", str(spec), "--max-disjuncts", "2"]) == 2
 
+    def test_deep_nesting_is_data_error(self, tmp_path, capsys):
+        # without the depth cap, 500 levels overflow the recursion limit
+        deep = "(and " * 500 + "(<= Y_0 0.0)" + ")" * 500
+        spec = tmp_path / "deep.vnnlib"
+        spec.write_text(HOLDS_SPEC_TEXT + "(assert %s)\n" % deep)
+        assert main(["parse", str(spec)]) == 2
+        assert "nested deeper" in capsys.readouterr().err
+
+    def test_overflowing_number_is_data_error(self, tmp_path, capsys):
+        # -1e999 overflows to -inf, which would print as -Infinity: not JSON
+        spec = tmp_path / "huge.vnnlib"
+        spec.write_text(HOLDS_SPEC_TEXT + "(assert (>= Y_0 -1e999))\n")
+        assert main(["parse", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert "non-finite number '-1e999'" in captured.err
+        assert captured.out == ""
+
 
 class TestEval:
     def test_identity_forward(self, identity_net, capsys):

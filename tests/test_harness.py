@@ -649,6 +649,18 @@ class TestRunBatch:
         assert statuses["bad-prop_0"] is Status.ERROR
         assert statuses["net-prop_0"] is Status.VIOLATED
 
+    def test_deeply_nested_spec_never_aborts_batch(self, tmp_path):
+        # without the depth cap, 500 levels overflow the recursion limit
+        manifest = self.make_manifest(tmp_path)
+        deep = "(and " * 500 + "(<= Y_0 0.0)" + ")" * 500
+        (manifest.parent / "deep.vnnlib").write_text(HOLDS_SPEC_TEXT + "(assert %s)" % deep)
+        with manifest.open("a") as fh:
+            fh.write("net.onnx,deep.vnnlib,20\n")
+        by_tool = run_batch(load_manifest(manifest), [], tmp_path / "out", n_trivial=0)
+        statuses = {r.instance_id: r.status for r in by_tool["randgen"]}
+        assert statuses["net-deep"] is Status.ERROR
+        assert statuses["net-prop_0"] is Status.VIOLATED
+
     def test_end_to_end_determinism(self, runner, tmp_path):
         manifest = self.make_manifest(tmp_path)
         instances = load_manifest(manifest)

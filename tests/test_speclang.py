@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -363,3 +364,78 @@ def test_single_box_spec_matches_closed_form(lo, hi, thr, x, y):
     spec = to_dnf(parse_vnnlib(text))
     expected = (lo <= x <= hi) and y >= thr
     assert eval_spec(spec, [x], [y]) == expected
+
+
+def test_nesting_depth_is_capped():
+    head = "(declare-const X_0 Real)(declare-const Y_0 Real)(assert (<= X_0 1.0))"
+
+    def nested(depth):
+        return head + "(assert " + "(and " * depth + "(>= X_0 0.0))" + ")" * depth
+
+    assert len(to_dnf(parse_vnnlib(nested(250))).disjuncts) == 1
+    # without the cap, 500 levels overflow the recursion limit
+    for depth in (300, 500, 5000):
+        with pytest.raises(SpecError, match="nested deeper than 256 levels"):
+            parse_vnnlib(nested(depth))
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        ("(<= X_0 1e999)", "non-finite number '1e999'"),
+        ("(>= X_0 -1E400)", "non-finite number '-1E400'"),
+        ("(<= X_0 infinity)", "non-finite number 'infinity'"),
+        ("(<= X_0 NaN)", "non-finite number 'NaN'"),
+        ("(<= (* 1e200 1e200 X_0) 1.0)", "coefficient overflows"),
+        ("(<= (- X_0 1.7e308) 1.7e308)", "coefficient overflows"),
+    ],
+)
+def test_non_finite_numbers_rejected(term, message):
+    text = "(declare-const X_0 Real)(declare-const Y_0 Real)" f"(assert {term})"
+    with pytest.raises(SpecError, match=message):
+        to_dnf(parse_vnnlib(text), allow_unbounded=True)
+
+
+def _strict_json(text):
+    """json.loads that refuses the non-standard Infinity and NaN."""
+    return json.loads(text, parse_constant=lambda c: pytest.fail("non-JSON " + c))
+
+
+_LITERALS = st.sampled_from(
+    ["1", "-2.5", "0", "1e308", "-1e308", "1e-320", "1e999", "inf", "nan", "1_0"]
+) | st.floats().map(repr)
+_EXPRS = st.recursive(
+    _LITERALS | st.sampled_from(["X_0", "X_1", "Y_0", "Y_1"]),
+    lambda inner: st.tuples(
+        st.sampled_from(["+", "-", "*"]), st.lists(inner, min_size=1, max_size=3)
+    ).map(lambda t: "(%s)" % " ".join([t[0], *t[1]])),
+    max_leaves=4,
+)
+_TERMS = st.recursive(
+    st.tuples(st.sampled_from(["<=", ">=", "<"]), _EXPRS, _EXPRS).map(
+        lambda t: "(%s %s %s)" % t
+    ),
+    lambda inner: st.tuples(
+        st.sampled_from(["and", "or"]), st.lists(inner, min_size=1, max_size=3)
+    ).map(lambda t: "(%s)" % " ".join([t[0], *t[1]])),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    terms=st.lists(_TERMS, max_size=3),
+    depth=st.integers(0, 3) | st.sampled_from([250, 300, 600]),
+    noise=st.sampled_from(["", "(", ")", "(not", "(assert (= X_0 1))"]) | st.text(max_size=4),
+)
+def test_parse_and_dnf_raise_only_spec_error(terms, depth, noise):
+    text = "(declare-const X_0 Real)(declare-const X_1 Real)(declare-const Y_0 Real)"
+    text += "(declare-const Y_1 Real)(assert (and (>= X_0 -1) (<= X_0 1)))"
+    text += "".join(f"(assert {'(or ' * depth}{t}{')' * depth})" for t in terms) + noise
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # strict '<' warns
+            spec = to_dnf(parse_vnnlib(text), allow_unbounded=True)
+    except SpecError:
+        return
+    _strict_json(spec.dumps())

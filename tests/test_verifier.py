@@ -153,6 +153,56 @@ def test_small_caps_visit_the_root_then_its_left_child(y_lo, y_hi, cap, status, 
         assert out.witness.x == (x,)
 
 
+def test_first_step_pops_every_root_disjunct_0_first():
+    # y = x; disjunct 0 on [0, 4] needs its right child for a witness at 3,
+    # disjunct 1's root midpoint 11 is one.  Both roots share the first
+    # step, so two nodes find it; one node takes only disjunct 0's root
+    spec = _spec(
+        "(declare-const X_0 Real)(declare-const Y_0 Real)"
+        "(assert (or"
+        " (and (>= X_0 0.0) (<= X_0 4.0) (>= Y_0 2.9) (<= Y_0 3.1))"
+        " (and (>= X_0 10.0) (<= X_0 12.0) (>= Y_0 10.5) (<= Y_0 11.5))))"
+    )
+    out = verify(IDENTITY, spec, Budget(max_subproblems=2))
+    assert out.status is Status.VIOLATED
+    assert out.witness.x == (11.0,)
+    assert out.stats.subproblems == 2
+    out = verify(IDENTITY, spec, Budget(max_subproblems=1))
+    assert out.status is Status.TIMEOUT
+
+
+@pytest.mark.parametrize("spike, status", [(1e-3, Status.VIOLATED), (0.0, Status.UNKNOWN)])
+def test_unsplittable_cells_leave_the_search_undecided(spike, status):
+    # y = g(x) on [0, 1] must reach p + 1e-13.  g has 40 tent peaks of
+    # height p in [0, 0.5), each unprunable until its cell is too narrow to
+    # split, then a narrow spike to p + spike near 0.7.  The peaks fill the
+    # frontier, so their unsplittable cells come first; they leave the spec
+    # undecided, and the search goes on to the spike's witness, if any
+    p, at, half = 1 / 240, 0.7 + 1 / 3000, 1e-4
+    peaks = p + np.arange(40) / 80
+    knots = np.concatenate([[0.0], peaks, peaks + 1 / 160, [at - half, at, at + half]])
+    rise = (1 / 160 + spike) / half if spike else 0.0
+    slopes = np.concatenate(
+        [[1.0], np.full(40, -2.0), np.full(39, 2.0), [1.0, rise, -2 * rise, rise]]
+    )
+    net = Network(
+        (
+            AffineLayer(np.ones((knots.size, 1)), -knots),
+            ActivationLayer("relu"),
+            AffineLayer(slopes[None], np.zeros(1)),
+        ),
+        1,
+        1,
+    )
+    row = MixedConstraint((-1.0,), (0.0,), -(p + 1e-13))  # y >= p + 1e-13
+    spec = NormalizedSpec(1, 1, (Conjunct((0.0,), (1.0,), (row,)),))
+    out = verify(net, spec, Budget())
+    assert out.status is status
+    if spike:
+        assert abs(out.witness.x[0] - at) < half
+    assert oracles.reference_search(net, spec)[0] == status.value
+
+
 def test_verify_wall_clock_budget():
     rng = np.random.default_rng(23)
     from conftest import make_random_network
@@ -300,26 +350,44 @@ def test_verify_agrees_with_grid_oracle():
     assert verdicts["sat"] > 0 and verdicts["unsat"] > 0
 
 
-def _hard_instance(rng):
-    """A ReLU net and a conjunct whose threshold sits near the sampled optimum."""
+def _hard_instance(rng, n_disjuncts=1):
+    """A ReLU net and conjuncts whose thresholds sit near the sampled optimum.
+
+    Each conjunct has its own box and 1-2 rows, or 1-3 rows when there are
+    several conjuncts, so that their row counts differ.
+    """
     from conftest import make_random_network
 
     n_in, n_out = int(rng.integers(2, 4)), int(rng.integers(1, 3))
     net = make_random_network(rng, n_in, [12, 12], n_out, weight_scale=1.5)
-    lower = rng.uniform(-1.5, -0.2, n_in)
-    upper = lower + rng.uniform(0.5, 2.0, n_in)
-    xs = oracles._grid(lower, upper, 9)
-    ys = oracles.batch_forward(net, xs)
-    constraints = []
-    for _ in range(int(rng.integers(1, 3))):
-        a_y = rng.uniform(-1, 1, n_out)
-        b_x = rng.uniform(-0.3, 0.3, n_in) if rng.random() < 0.3 else np.zeros(n_in)
-        vals = ys @ a_y + xs @ b_x
-        spread = float(np.max(vals) - np.min(vals))
-        rhs = float(np.min(vals)) + rng.uniform(-0.01, 0.01) * spread
-        constraints.append(MixedConstraint(tuple(a_y), tuple(b_x), rhs))
-    conj = Conjunct(tuple(lower), tuple(upper), tuple(constraints))
-    return net, NormalizedSpec(n_in, n_out, (conj,))
+    conjs = []
+    for _ in range(n_disjuncts):
+        lower = rng.uniform(-1.5, -0.2, n_in)
+        upper = lower + rng.uniform(0.5, 2.0, n_in)
+        xs = oracles._grid(lower, upper, 9)
+        ys = oracles.batch_forward(net, xs)
+        constraints = []
+        for _ in range(int(rng.integers(1, 3 if n_disjuncts == 1 else 4))):
+            a_y = rng.uniform(-1, 1, n_out)
+            b_x = rng.uniform(-0.3, 0.3, n_in) if rng.random() < 0.3 else np.zeros(n_in)
+            vals = ys @ a_y + xs @ b_x
+            spread = float(np.max(vals) - np.min(vals))
+            rhs = float(np.min(vals)) + rng.uniform(-0.01, 0.01) * spread
+            constraints.append(MixedConstraint(tuple(a_y), tuple(b_x), rhs))
+        conjs.append(Conjunct(tuple(lower), tuple(upper), tuple(constraints)))
+    return net, NormalizedSpec(n_in, n_out, tuple(conjs))
+
+
+def _matches_reference(net, spec):
+    """verify's uncapped status equals the reference's, and so do holds nodes."""
+    status, _, nodes = oracles.reference_search(net, spec)
+    out = verify(net, spec, Budget(wall_seconds=60.0))
+    assert out.status.value == status
+    if out.status is Status.HOLDS:
+        assert out.stats.subproblems == nodes
+    if out.witness is not None:
+        assert validate_witness(net, spec, out.witness)
+    return status, nodes
 
 
 def test_frontier_search_matches_sequential_reference():
@@ -327,19 +395,25 @@ def test_frontier_search_matches_sequential_reference():
     # that holds has the same pruned tree, so the same node count
     rng = np.random.default_rng(11)
     statuses = []
-    for _ in range(80):
-        net, spec = _hard_instance(rng)
-        status, _, nodes = oracles.reference_search(net, spec)
-        out = verify(net, spec, Budget(wall_seconds=60.0))
-        assert out.status.value == status
-        if out.status is Status.HOLDS:
-            assert out.stats.subproblems == nodes
-        if out.witness is not None:
-            assert validate_witness(net, spec, out.witness)
+    for _ in range(120):
+        status, nodes = _matches_reference(*_hard_instance(rng))
         statuses.append((status, nodes > 2 * _FRONTIER))
     # both outcomes, and holds whose trees span several frontier steps
     assert sum(s == "violated" for s, _ in statuses) >= 5
     assert sum(s == ("holds", True) for s in statuses) >= 5
+
+
+def test_one_frontier_over_disjuncts_matches_sequential_reference():
+    # 2-3 disjuncts of 1-3 rows share one frontier, the shorter ones padded
+    # with inert rows; the reference searches them one after another
+    rng = np.random.default_rng(12)
+    statuses, unequal = [], 0
+    for _ in range(40):
+        net, spec = _hard_instance(rng, int(rng.integers(2, 4)))
+        unequal += len({len(c.constraints) for c in spec.disjuncts}) > 1
+        statuses.append(_matches_reference(net, spec)[0])
+    assert statuses.count("violated") >= 5 and statuses.count("holds") >= 5
+    assert unequal >= 20
 
 
 def test_prop_2_holds_within_a_node_budget():
