@@ -27,6 +27,7 @@ from .harness import (
     make_robustness_oracles,
     measure_overhead_run,
     parse_config,
+    prepare_adapter,
     run_batch,
 )
 from .network import NetworkError, forward, load_network
@@ -73,13 +74,8 @@ def _parse_floats(text: str) -> np.ndarray:
         raise HarnessError("bad number list %r" % text) from None
 
 
-def _load_spec(path, max_disjuncts=None, allow_unbounded=False):
-    text = Path(path).read_text(encoding="utf-8")
-    ast = parse_vnnlib(text)
-    kwargs = {"allow_unbounded": allow_unbounded}
-    if max_disjuncts is not None:
-        kwargs["max_disjuncts"] = max_disjuncts
-    return to_dnf(ast, **kwargs)
+def _load_spec(path):
+    return to_dnf(parse_vnnlib(Path(path).read_text(encoding="utf-8")))
 
 
 def _positive(kind):
@@ -108,26 +104,15 @@ def _budget_from_args(args) -> Budget:
     )
 
 
-def _config_from_args(args) -> dict:
-    if getattr(args, "config", None) is None:
-        return {}
-    return parse_config(Path(args.config).read_text(encoding="utf-8"))
-
-
-def _truthy(value: str, key: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise HarnessError("bad boolean %r for config key %s" % (value, key))
+def _adapters_from_args(args) -> list:
+    return build_adapters(parse_config(Path(args.config).read_text(encoding="utf-8")))
 
 
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
 def _cmd_parse(args) -> int:
-    spec = _load_spec(args.spec, args.max_disjuncts, args.allow_unbounded)
+    spec = _load_spec(args.spec)
     print(spec.dumps())
     return 0
 
@@ -167,7 +152,7 @@ def _cmd_validate_ce(args) -> int:
     net = load_network(args.network)
     spec = _load_spec(args.spec)
     witness = read_witness(args.witness)
-    if validate_witness(net, spec, witness, tol=args.tol):
+    if validate_witness(net, spec, witness):
         print("ok")
         return 0
     print("fail")
@@ -175,27 +160,15 @@ def _cmd_validate_ce(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _config_from_args(args)
-    adapters = build_adapters(config)
-    baseline = not args.no_baseline and _truthy(config.get("baseline", "on"), "baseline")
-    strict = _truthy(config.get("strict_witness", "on"), "strict_witness")
-    if args.lenient_witness:
-        strict = False
-    grace = float(config.get("grace", 10.0))
-    n_trivial = args.n_trivial
-    if n_trivial is None:
-        n_trivial = int(config.get("n_trivial", 3))
-    seed = int(config.get("seed", 0))
+    adapters = _adapters_from_args(args)
     instances = load_manifest(args.manifest, require_files=True)
     by_tool = run_batch(
         instances,
         adapters,
         args.out,
-        baseline=baseline,
-        baseline_budget=dataclasses.replace(EASY_VIOLATED_BUDGET, seed=seed),
-        n_trivial=n_trivial,
-        grace=grace,
-        strict_witness=strict,
+        baseline=not args.no_baseline,
+        n_trivial=args.n_trivial,
+        strict_witness=not args.lenient_witness,
     )
     for tool in sorted(by_tool):
         print("%s: %d records -> %s" % (tool, len(by_tool[tool]), Path(args.out) / ("%s.csv" % tool)))
@@ -203,13 +176,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_measure_overhead(args) -> int:
-    config = _config_from_args(args)
-    adapters = build_adapters(config)
+    adapters = _adapters_from_args(args)
     records = read_results_dir(args.results) if args.results else []
-    augmented = measure_overhead_run(
-        adapters, args.n_trivial, records, timeout=args.timeout
-    )
+    if args.n_trivial > 0:  # a negative count is refused below, before any tool runs
+        for adapter in adapters:
+            prepare_adapter(adapter)
     out = Path(args.out)
+    augmented = measure_overhead_run(
+        adapters, args.n_trivial, records, timeout=args.timeout, work_dir=out / "trivial"
+    )
     out.mkdir(parents=True, exist_ok=True)
     by_tool: dict = {}
     for record in augmented:
@@ -273,8 +248,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("parse", parents=[], help="normalize a spec file and dump JSON")
     p.add_argument("spec")
-    p.add_argument("--max-disjuncts", type=int, default=None)
-    p.add_argument("--allow-unbounded", action="store_true")
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("eval", help="run a network on one input vector")
@@ -306,7 +279,6 @@ def _build_parser() -> _Parser:
     p.add_argument("network")
     p.add_argument("spec")
     p.add_argument("witness")
-    p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=_cmd_validate_ce)
 
     p = sub.add_parser("run", help="run adapters over a manifest")
@@ -315,7 +287,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--no-baseline", action="store_true")
     p.add_argument("--lenient-witness", action="store_true")
-    p.add_argument("--n-trivial", type=int, default=None)
+    p.add_argument("--n-trivial", type=int, default=3)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("measure-overhead", help="run trivial warm-up instances")

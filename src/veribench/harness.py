@@ -118,18 +118,18 @@ class ToolAdapter:
 # ---------------------------------------------------------------------------
 # manifests
 
-def load_manifest(path, benchmark: Optional[str] = None, require_files: bool = False) -> list:
+def load_manifest(path, *, require_files: bool = False) -> list:
     """Read a benchmark manifest CSV into Instances, in file order.
 
     Rows are ``onnx_path,vnnlib_path,timeout_seconds`` with paths
     relative to the manifest; a header row is tolerated.  The benchmark
-    name defaults to the manifest's directory name.
+    name is always the manifest's directory name, so no caller can file
+    instances under another benchmark such as ``trivial``.
     """
     path = Path(path)
     if not path.is_file():
         raise HarnessError("manifest not found: %s" % path)
-    if benchmark is None:
-        benchmark = path.resolve().parent.name
+    benchmark = path.resolve().parent.name
     instances = []
     totals = 0.0
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -217,7 +217,7 @@ def run_tool(
     adapter: ToolAdapter,
     inst: Instance,
     *,
-    result_dir=None,
+    result_dir,
     grace: float = DEFAULT_GRACE_SECONDS,
     strict_witness: bool = True,
 ) -> RunRecord:
@@ -226,10 +226,9 @@ def run_tool(
     The child runs in its own process group and the whole group is killed
     at timeout + grace.  Recorded raw time is capped at the timeout so a
     late kill cannot distort overhead minima.  A crashing adapter yields
-    an ERROR record, never an exception.
+    an ERROR record, never an exception.  The result file, and any
+    captured output, go under result_dir.
     """
-    if result_dir is None:
-        result_dir = tempfile.mkdtemp(prefix="veribench-run-")
     result_dir = Path(result_dir)
     result_dir.mkdir(parents=True, exist_ok=True)
     result_path = result_dir / ("%s.result" % inst.instance_id)
@@ -675,23 +674,21 @@ def parse_config(text: str) -> dict:
 
 
 _ADAPTER_FIELDS = {"run", "prepare", "mode"}
-_RUN_KEYS = {"baseline", "strict_witness", "grace", "n_trivial", "seed"}
 
 
 def build_adapters(config: dict) -> list:
     """Collect adapter.<tool>.<field> keys into ToolAdapters, sorted by tool.
 
-    Every other key must be one of the batch-run settings (baseline,
-    strict_witness, grace, n_trivial, seed); any other key, a typo
-    included, raises HarnessError instead of being ignored.  No adapter may
-    take the id BASELINE_TOOL, which scoring reserves for the baseline.
+    The config names tools only: the fields are run, prepare and mode, and
+    any other key, a typo or a run setting included, raises HarnessError
+    instead of being ignored.  Run settings are arguments of run_batch.  No
+    adapter may take the id BASELINE_TOOL, which scoring reserves for the
+    baseline.
     """
     fields: dict = {}
     for key, value in config.items():
         if not key.startswith("adapter."):
-            if key not in _RUN_KEYS:
-                raise HarnessError("unknown config key %r" % key)
-            continue
+            raise HarnessError("unknown config key %r" % key)
         parts = key.split(".")
         if len(parts) != 3 or parts[2] not in _ADAPTER_FIELDS:
             raise HarnessError("bad adapter config key %r" % key)

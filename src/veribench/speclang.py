@@ -11,8 +11,9 @@ property it describes is violated.  The supported grammar is::
     <expr> ::= <decimal> | X_i | Y_j | (+ <expr>+) | (- <expr>+) | (* <expr>+)
 
 Products must stay affine (at most one non-constant factor), every number
-and coefficient finite, and nesting at most 256 parentheses deep; anything
-else raises ``SpecError``.  Comments run from ``;`` to end of line.  Strict
+an ASCII literal without ``_`` separators, every number and coefficient
+finite, and nesting at most 256 parentheses deep; anything else raises
+``SpecError``.  Comments run from ``;`` to end of line.  Strict
 ``<``/``>`` are accepted as their non-strict forms with a warning, which is
 unobservable under tolerance-based witness checking over the reals.
 """
@@ -29,11 +30,8 @@ import numpy as np
 
 _VAR_RE = re.compile(r"^([XY])_(\d+)$")
 
-# Magnitude substituted for missing box bounds when explicitly allowed.
-UNBOUNDED_MAGNITUDE = 1e30
-
-# Default cap on the number of disjuncts produced by DNF distribution.
-DEFAULT_MAX_DISJUNCTS = 4096
+# Cap on the number of disjuncts produced by DNF distribution.
+MAX_DISJUNCTS = 4096
 
 # Deeper nesting is rejected: parsing and DNF recurse once or twice per
 # level, and must stay well inside Python's recursion limit.
@@ -252,6 +250,9 @@ def _read_sexprs(tokens: list[_Token]):
 
 
 def _is_number(token: str) -> bool:
+    # float() also takes digit-group underscores and non-ASCII digits
+    if not token.isascii() or "_" in token:
+        return False
     try:
         float(token)
         return True
@@ -433,22 +434,22 @@ def parse_vnnlib(text: str) -> SpecAst:
 # DNF normalization
 
 
-def _term_to_dnf(term, cap: int) -> list[list[Atom]]:
+def _term_to_dnf(term) -> list[list[Atom]]:
     if isinstance(term, Atom):
         return [[term]]
     if term.kind == "or":
         out = []
         for t in term.terms:
-            out.extend(_term_to_dnf(t, cap))
-            if len(out) > cap:
+            out.extend(_term_to_dnf(t))
+            if len(out) > MAX_DISJUNCTS:
                 raise SpecError("specification too disjunctive")
         return out
     # "and": distribute left-to-right
     out = [[]]
     for t in term.terms:
-        branches = _term_to_dnf(t, cap)
+        branches = _term_to_dnf(t)
         out = [prefix + b for prefix in out for b in branches]
-        if len(out) > cap:
+        if len(out) > MAX_DISJUNCTS:
             raise SpecError("specification too disjunctive")
     return out
 
@@ -470,12 +471,7 @@ def _normalize_atom(atom: Atom) -> tuple[dict, float]:
     return coeffs, const
 
 
-def _build_conjunct(
-    atoms: list[Atom],
-    n_inputs: int,
-    n_outputs: int,
-    allow_unbounded: bool,
-) -> Conjunct | None:
+def _build_conjunct(atoms: list[Atom], n_inputs: int, n_outputs: int) -> Conjunct | None:
     """Fold pure-input bounds into a box; returns None for an empty conjunct."""
     lower = np.full(n_inputs, -np.inf)
     upper = np.full(n_inputs, np.inf)
@@ -508,41 +504,35 @@ def _build_conjunct(
         i for i in range(n_inputs) if not np.isfinite(lower[i]) or not np.isfinite(upper[i])
     ]
     if unbounded:
-        if not allow_unbounded:
-            raise SpecError(
-                "unbounded input dimension(s): "
-                + ", ".join(f"X_{i}" for i in unbounded)
-            )
-        lower = np.maximum(lower, -UNBOUNDED_MAGNITUDE)
-        upper = np.minimum(upper, UNBOUNDED_MAGNITUDE)
+        raise SpecError(
+            "unbounded input dimension(s): " + ", ".join(f"X_{i}" for i in unbounded)
+        )
 
     if np.any(lower > upper):
         return None
     return Conjunct(tuple(lower), tuple(upper), tuple(mixed))
 
 
-def to_dnf(
-    ast: SpecAst,
-    max_disjuncts: int = DEFAULT_MAX_DISJUNCTS,
-    allow_unbounded: bool = False,
-) -> NormalizedSpec:
+def to_dnf(ast: SpecAst) -> NormalizedSpec:
     """Distribute the assertion conjunction into disjunctive normal form.
 
     Per conjunct, single-variable input atoms fold into the input box
     (tightest bound wins); everything else stays as a joint constraint.
     Empty conjuncts are dropped.  Disjunct order is deterministic: source
-    order with left-to-right distribution.  An atom whose coefficients
-    overflow to non-finite values raises SpecError.
+    order with left-to-right distribution.  SpecError is raised when
+    distribution exceeds MAX_DISJUNCTS (4096) disjuncts, when a conjunct
+    leaves an input without a finite lower and upper bound, or when an
+    atom's coefficients overflow to non-finite values.
     """
     conjunction = BoolTerm("and", tuple(ast.assertions)) if ast.assertions else None
     if conjunction is None:
         branches = [[]]
     else:
-        branches = _term_to_dnf(conjunction, max_disjuncts)
+        branches = _term_to_dnf(conjunction)
 
     disjuncts = []
     for atoms in branches:
-        conj = _build_conjunct(atoms, ast.n_inputs, ast.n_outputs, allow_unbounded)
+        conj = _build_conjunct(atoms, ast.n_inputs, ast.n_outputs)
         if conj is not None:
             disjuncts.append(conj)
     return NormalizedSpec(ast.n_inputs, ast.n_outputs, tuple(disjuncts))

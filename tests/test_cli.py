@@ -64,14 +64,23 @@ class TestParse:
         assert len(payload["disjuncts"]) == 1
 
     def test_disjunct_cap_respected(self, tmp_path, capsys):
+        # 13 binary ors distribute to 2^13 = 8192 disjuncts, over the cap of 4096
         lines = ["(declare-const X_0 Real)", "(declare-const Y_0 Real)"]
         lines += ["(assert (>= X_0 0.0))", "(assert (<= X_0 1.0))"]
-        lines.append(
-            "(assert (or (<= Y_0 0.0) (<= Y_0 1.0) (<= Y_0 2.0)))"
-        )
+        lines += ["(assert (or (>= Y_0 %d.0) (<= Y_0 -%d.0)))" % (k, k) for k in range(1, 14)]
         spec = tmp_path / "wide.vnnlib"
         spec.write_text("\n".join(lines) + "\n")
-        assert main(["parse", str(spec), "--max-disjuncts", "2"]) == 2
+        assert main(["parse", str(spec)]) == 2
+        assert "too disjunctive" in capsys.readouterr().err
+
+    def test_unboxed_spec_is_data_error(self, tmp_path, capsys):
+        # parse accepts exactly the specs verify and run accept
+        spec = tmp_path / "open.vnnlib"
+        spec.write_text("(declare-const X_0 Real)(declare-const Y_0 Real)(assert (>= Y_0 0.0))")
+        assert main(["parse", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert "unbounded input dimension(s): X_0" in captured.err
+        assert captured.out == ""
 
     def test_deep_nesting_is_data_error(self, tmp_path, capsys):
         # without the depth cap, 500 levels overflow the recursion limit
@@ -89,6 +98,29 @@ class TestParse:
         captured = capsys.readouterr()
         assert "non-finite number '-1e999'" in captured.err
         assert captured.out == ""
+
+
+class TestRetiredFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["parse", "{spec}", "--max-disjuncts", "2"],
+            ["parse", "{spec}", "--allow-unbounded"],
+            ["validate-ce", "{net}", "{spec}", "{witness}", "--tol", "1"],
+        ],
+        ids=["max-disjuncts", "allow-unbounded", "tol"],
+    )
+    def test_retired_flag_is_usage_error(
+        self, identity_net, sat_spec, tmp_path, capsys, argv
+    ):
+        witness = tmp_path / "w.txt"
+        witness.write_text("X_0 0.5\nY_0 0.5\n")
+        paths = {"{spec}": str(sat_spec), "{net}": str(identity_net), "{witness}": str(witness)}
+        assert main([paths.get(a, a) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestEval:
@@ -251,18 +283,28 @@ class TestRunAndOverhead:
         assert not (out / "randgen.csv").exists()
 
     def test_run_config_keys_respected(self, echo_setup, tmp_path, capsys):
+        # run settings are flags; the config names tools only
         config, manifest = echo_setup
-        config.write_text(
-            config.read_text()
-            + "baseline = off\nstrict_witness = off\ngrace = 5\nn_trivial = 0\nseed = 3\n"
-        )
         out = tmp_path / "out"
-        code = main(["run", str(manifest), "--config", str(config), "--out", str(out)])
+        flags = ["--no-baseline", "--lenient-witness", "--n-trivial", "0"]
+        code = main(["run", str(manifest), "--config", str(config), "--out", str(out)] + flags)
         assert code == 0
         assert (out / "echo.csv").is_file()
         assert not (out / "randgen.csv").exists()
 
-    @pytest.mark.parametrize("key", ["baseline.tool = mybase", "strict_witnes = off"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "baseline.tool = mybase",
+            "strict_witnes = off",
+            # run settings are flags, not config keys, whatever the value
+            "baseline = off",
+            "strict_witness = off",
+            "grace = -30",
+            "n_trivial = -1",
+            "seed = -1",
+        ],
+    )
     def test_unknown_config_key_is_data_error(self, echo_setup, tmp_path, capsys, key):
         config, manifest = echo_setup
         config.write_text(config.read_text() + key + "\n")
@@ -276,24 +318,19 @@ class TestRunAndOverhead:
             assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("where", ["flag", "config"])
-    def test_negative_n_trivial_is_data_error(self, echo_setup, tmp_path, capsys, where):
+    def test_negative_n_trivial_is_data_error(self, echo_setup, tmp_path, capsys):
         # run and measure-overhead share one check of the warm-up count
         config, manifest = echo_setup
         extra = ["--n-trivial", "-1"]
-        if where == "config":
-            config.write_text(config.read_text() + "n_trivial = -1\n")
-            extra = []
         out = tmp_path / "out"
         argv = ["run", str(manifest), "--config", str(config), "--out", str(out)]
         assert main(argv + extra) == 2
         err = capsys.readouterr().err
         assert "n_trivial must be >= 0" in err and "Traceback" not in err
         assert not out.exists()  # nothing ran
-        if where == "flag":
-            argv = ["measure-overhead", "--config", str(config), "--out", str(out)]
-            assert main(argv + extra) == 2
-            assert "n_trivial must be >= 0" in capsys.readouterr().err
+        argv = ["measure-overhead", "--config", str(config), "--out", str(out)]
+        assert main(argv + extra) == 2
+        assert "n_trivial must be >= 0" in capsys.readouterr().err
 
     def test_measure_overhead_prints_model(self, echo_setup, tmp_path, capsys):
         config, _ = echo_setup
@@ -315,6 +352,21 @@ class TestRunAndOverhead:
         lines = capsys.readouterr().out.strip().splitlines()
         assert any(line.startswith("echo default ") for line in lines)
         assert (out / "echo.csv").is_file()
+
+    def test_measure_overhead_prepares_adapters(self, echo_setup, tmp_path, capsys):
+        # like run: prepare first, and the warm-up instances stay under --out
+        config, _ = echo_setup
+        adapters = config.read_text()
+        out = tmp_path / "warm"
+        argv = ["measure-overhead", "--config", str(config), "--out", str(out)]
+        config.write_text(adapters + 'adapter.echo.prepare = python3 -c "raise SystemExit(1)"\n')
+        assert main(argv + ["--n-trivial", "1"]) == 2
+        assert "prepare failed for echo (exit 1)" in capsys.readouterr().err
+        assert not out.exists()
+        config.write_text(adapters + 'adapter.echo.prepare = python3 -c "pass"\n')
+        assert main(argv + ["--n-trivial", "1"]) == 0
+        assert (out / "trivial" / "trivial-0.onnx").is_file()
+        assert (out / "trivial" / "results" / "echo" / "trivial-0.result").is_file()
 
 
 @pytest.fixture()

@@ -211,10 +211,10 @@ class TestManifest:
         first = load_manifest(path)
         out = path.parent / "copy.csv"
         save_manifest(out, first)
-        second = load_manifest(out, benchmark="acasxu")
+        second = load_manifest(out)
         assert first == second
         save_manifest(out, second)
-        assert load_manifest(out, benchmark="acasxu") == second
+        assert load_manifest(out) == second
 
 
 class TestRunTool:
