@@ -75,8 +75,13 @@ class Instance:
         object.__setattr__(self, "network_path", Path(self.network_path))
         object.__setattr__(self, "spec_path", Path(self.spec_path))
         object.__setattr__(self, "timeout", float(self.timeout))
-        if self.timeout <= 0:
-            raise HarnessError("non-positive timeout for %s" % self.instance_id)
+        # the one check of a timeout: nan passes a plain <= 0 test
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise HarnessError(
+                "%s timeout %r for %s"
+                % ("non-positive" if self.timeout <= 0 else "non-finite",
+                   self.timeout, self.instance_id)
+            )
 
 
 @dataclass(frozen=True)
@@ -149,25 +154,23 @@ def load_manifest(path, *, require_files: bool = False) -> list:
             raise HarnessError(
                 "bad timeout %r at %s line %d" % (timeout_text, path, line_no)
             ) from None
-        if timeout <= 0:
-            raise HarnessError(
-                "non-positive timeout at %s line %d" % (path, line_no)
-            )
         network_path = (path.parent / net_rel).resolve()
         spec_path = (path.parent / spec_rel).resolve()
-        if require_files:
-            for p in (network_path, spec_path):
-                if not p.is_file():
-                    raise HarnessError("instance file not found: %s" % p)
-        instances.append(
-            Instance(
+        try:
+            inst = Instance(
                 instance_id="%s-%s" % (network_path.stem, spec_path.stem),
                 benchmark=benchmark,
                 network_path=network_path,
                 spec_path=spec_path,
                 timeout=timeout,
             )
-        )
+        except HarnessError as exc:
+            raise HarnessError("%s at %s line %d" % (exc, path, line_no)) from None
+        if require_files:
+            for p in (network_path, spec_path):
+                if not p.is_file():
+                    raise HarnessError("instance file not found: %s" % p)
+        instances.append(inst)
         totals += timeout
     if not instances:
         warnings.warn("manifest %s has no instances" % path, stacklevel=2)
@@ -428,22 +431,20 @@ TRIVIAL_SPEC_TEXT = (
 def trivial_instances(n: int, work_dir, timeout: float = 60.0) -> list:
     """Generate n identity-network warm-up instances under work_dir."""
     work_dir = Path(work_dir)
-    work_dir.mkdir(parents=True, exist_ok=True)
-    instances = []
-    for i in range(n):
-        net_path = work_dir / ("trivial-%d.onnx" % i)
-        spec_path = work_dir / ("trivial-%d.vnnlib" % i)
-        save_network(gen_trivial_network(1), net_path)
-        spec_path.write_text(TRIVIAL_SPEC_TEXT, encoding="utf-8")
-        instances.append(
-            Instance(
-                instance_id="trivial-%d" % i,
-                benchmark=TRIVIAL_BENCHMARK,
-                network_path=net_path,
-                spec_path=spec_path,
-                timeout=timeout,
-            )
+    instances = [
+        Instance(
+            instance_id="trivial-%d" % i,
+            benchmark=TRIVIAL_BENCHMARK,
+            network_path=work_dir / ("trivial-%d.onnx" % i),
+            spec_path=work_dir / ("trivial-%d.vnnlib" % i),
+            timeout=timeout,
         )
+        for i in range(n)
+    ]
+    work_dir.mkdir(parents=True, exist_ok=True)  # once every timeout is valid
+    for inst in instances:
+        save_network(gen_trivial_network(1), inst.network_path)
+        inst.spec_path.write_text(TRIVIAL_SPEC_TEXT, encoding="utf-8")
     return instances
 
 

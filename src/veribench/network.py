@@ -131,6 +131,10 @@ class Network:
             raise NetworkError(
                 f"final width {width} does not match declared outputs {self.n_outputs}"
             )
+        object.__setattr__(self, "_walk", tuple(map(_walk_step, self.layers)))
+        object.__setattr__(self, "_affine_at", tuple(
+            i for i, l in enumerate(self.layers) if isinstance(l, AffineLayer)
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -146,22 +150,49 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _relu(v: np.ndarray) -> np.ndarray:
+    return np.maximum(v, 0.0)
+
+
+# Each activation with its reverse derivative: the incoming gradient g times
+# f'(v), read off the output s = f(v).  All three map finite values to finite
+# values.
+_ACTIVATIONS = {
+    "relu": (_relu, lambda g, s: g * (s > 0.0)),
+    "sigmoid": (_stable_sigmoid, lambda g, s: g * s * (1.0 - s)),
+    "tanh": (np.tanh, lambda g, s: g * (1.0 - s * s)),
+}
+
+
+_IDENTITY = (lambda v: v, lambda g, s: g)
+
+
+def _walk_step(layer) -> tuple:
+    """What ``layer_outputs`` and the gradient walk take per layer, as
+    (W, b, f, f'): an affine layer's weight and bias, or an activation's
+    function and reverse derivative; a reshape's are the identity."""
+    if isinstance(layer, AffineLayer):
+        return layer.weight, layer.bias, None, None
+    return (None, None) + (
+        _ACTIVATIONS[layer.kind] if isinstance(layer, ActivationLayer) else _IDENTITY
+    )
+
+
 def apply_activation(kind: str, v: np.ndarray) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(v, 0.0)
-    if kind == "sigmoid":
-        return _stable_sigmoid(v)
-    return np.tanh(v)
+    return _ACTIVATIONS[kind][0](v)
 
 
 def layer_outputs(net: Network, x) -> list[np.ndarray]:
     """The input followed by every layer's output, in float64.
 
     ``x`` is one point of shape ``(n,)`` or a batch of shape ``(N, n)``, one
-    point per row; an affine layer computes ``v @ W.T + b``.  Every layer's
-    output is checked for finiteness, and the first non-finite one raises
-    ``ArithmeticError``.  The outputs are what reverse accumulation needs,
-    so a gradient can reuse the pass that computed the network's value.
+    point per row; an affine layer computes ``v @ W.T + b``.  Activations
+    map finite values to finite values, so the affine outputs are checked
+    for finiteness once, after the pass, and the first non-finite one raises
+    ``ArithmeticError`` naming its layer, even when a later activation maps
+    it back to a finite value.  The outputs are what reverse accumulation
+    needs, so a gradient can reuse the pass that computed the network's
+    value.
     """
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 2:
@@ -172,14 +203,13 @@ def layer_outputs(net: Network, x) -> list[np.ndarray]:
         raise ValueError("non-finite input")
     outs = [v]
     with np.errstate(over="ignore", invalid="ignore"):
-        for idx, layer in enumerate(net.layers):
-            if isinstance(layer, AffineLayer):
-                v = v @ layer.weight.T + layer.bias
-            elif isinstance(layer, ActivationLayer):
-                v = apply_activation(layer.kind, v)
-            if not np.isfinite(v).all():
-                raise ArithmeticError(f"non-finite intermediate after layer {idx}")
+        for w, b, f, _ in net._walk:
+            v = v @ w.T + b if f is None else f(v)
             outs.append(v)
+    affine = [outs[i + 1] for i in net._affine_at]
+    if affine and not np.isfinite(np.concatenate(affine, axis=-1)).all():
+        idx = next(i for i in net._affine_at if not np.isfinite(outs[i + 1]).all())
+        raise ArithmeticError(f"non-finite intermediate after layer {idx}")
     return outs
 
 

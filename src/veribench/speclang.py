@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_VAR_RE = re.compile(r"^([XY])_(\d+)$")
+# ASCII digits only: \d also matches other scripts' digits (X_\u0660 would be X_0)
+_VAR_RE = re.compile(r"^([XY])_([0-9]+)$")
 
 # Cap on the number of disjuncts produced by DNF distribution.
 MAX_DISJUNCTS = 4096

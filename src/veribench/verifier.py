@@ -19,10 +19,12 @@ batch's midpoints are probed.
 
 falsify() is the cheap counterexample search (uniform sampling, then
 sign-gradient ascent on constraint slack) that also defines the
-competition's "answerable by random testing" baseline; it searches the
-disjuncts one after another, scores its samples in fixed-size batches and
-runs its gradient restarts in lockstep, one forward and one backward pass
-per step for all of them.
+competition's "answerable by random testing" baseline.  It samples the
+disjuncts one after another, in fixed-size batches, until a sample hits;
+then it climbs the gradient restarts of every disjunct sampled before the
+hit in lockstep, one forward and one backward pass per step for all of
+them.  A climbed point wins over the sample hit, the earliest disjunct
+first, which is the answer of searching the disjuncts one at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .bounds import (
 )
 from .network import (
     ActivationLayer,
-    AffineLayer,
     Box,
     Network,
     forward,
@@ -132,21 +133,13 @@ def _backprop(net: Network, outs: list, a_y) -> np.ndarray:
     """Reverse accumulation of a_y . f(x) over the layer outputs of one pass.
 
     ``outs`` is ``layer_outputs(net, x)``; rows of ``a_y`` pair with rows of
-    ``x``.  An activation's derivative is read off its output: ReLU passes
-    where the output is positive, sigmoid scales by ``s (1 - s)`` and tanh by
-    ``1 - t**2``.
+    ``x``.  An affine layer takes ``g @ W``; an activation's derivative is
+    read off its output: ReLU passes where the output is positive, sigmoid
+    scales by ``s (1 - s)`` and tanh by ``1 - t**2``.
     """
     g = np.asarray(a_y, dtype=np.float64)
-    for layer, out in zip(reversed(net.layers), reversed(outs[1:])):
-        if isinstance(layer, AffineLayer):
-            g = g @ layer.weight
-        elif isinstance(layer, ActivationLayer):
-            if layer.kind == "relu":
-                g = g * (out > 0.0)
-            elif layer.kind == "sigmoid":
-                g = g * out * (1.0 - out)
-            else:
-                g = g * (1.0 - out * out)
+    for (w, _, _, df), out in zip(reversed(net._walk), reversed(outs[1:])):
+        g = g @ w if df is None else df(g, out)
     return g
 
 
@@ -184,17 +177,22 @@ def _padded_rows(spec: NormalizedSpec):
     return a_y, b_x, rhs
 
 
-def _worst_slack(rows, X, Y, d) -> np.ndarray:
-    """Per point, the least ``rhs - (a_y . y + b_x . x)`` over its disjunct's rows.
+def _own_slack(rows, X, Y, d) -> np.ndarray:
+    """Per point, ``rhs - (a_y . y + b_x . x)`` over the k rows of its disjunct d[i].
 
     Every point meets all D * k rows in one product and keeps the k of its
-    disjunct d[i], so for D = 1 this is the plain ``Y @ a_y.T`` product.
+    disjunct, so for D = 1 this is the plain ``Y @ a_y.T`` product.  Returns
+    (N, k); padding rows have slack +inf.
     """
     a_y, b_x, rhs = rows
     (n_pts, n), (n_d, k, m) = X.shape, a_y.shape
     slack = rhs.reshape(-1) - (Y @ a_y.reshape(-1, m).T + X @ b_x.reshape(-1, n).T)
-    own = slack.reshape(n_pts, n_d, k)[np.arange(n_pts), d]
-    return np.min(own, axis=1, initial=np.inf)
+    return slack.reshape(n_pts, n_d, k)[np.arange(n_pts), d]
+
+
+def _worst_slack(rows, X, Y, d) -> np.ndarray:
+    """Per point, the least slack over its disjunct's rows (+inf for none)."""
+    return np.min(_own_slack(rows, X, Y, d), axis=1, initial=np.inf)
 
 
 def _witness_among(net, spec, X, Y, worst, d) -> Witness | None:
@@ -216,34 +214,41 @@ def _probe(net, spec, rows, points, d) -> Witness | None:
 def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | None:
     """Search for a satisfying point: random samples, then gradient ascent.
 
-    Per conjunct, phase 1 draws ``falsifier_samples`` uniform points from
-    its box and scores them in blocks of 4096 (``_SAMPLE_BLOCK``), one
-    batched forward pass per block; the first point in draw order that
-    satisfies the conjunct and re-validates is returned.  Phase 2 maximizes
-    the minimum constraint slack from ``pgd_restarts`` starts, run in
-    lockstep as one batch: the best sample, then fresh uniform draws.  Each
-    step takes one forward pass that yields the values and the gradients of
-    every restart, and moves each restart by a sign-gradient step of
-    ``pgd_step_scale`` box-width per dimension on its worst constraint,
-    clipped to the box; a restart stops once no slack is negative.  The
-    lowest-index restart whose final point re-validates is returned.  The
-    wall clock is checked between blocks and between steps.  Deterministic
-    for a fixed budget.seed, and the random stream does not depend on the
-    block size.  A batch fails as a whole: a non-finite value in any row of
-    a sample block, or in any restart, raises ``ArithmeticError`` even when
-    an earlier row or a lower restart is a witness.
+    Phase 1 goes through the disjuncts in order.  Per disjunct it draws
+    ``falsifier_samples`` uniform points from the disjunct's box and scores
+    them in blocks of 4096 (``_SAMPLE_BLOCK``), one batched forward pass per
+    block; the first point in draw order that satisfies the disjunct and
+    re-validates is the sample hit, and it ends phase 1.  Each constrained
+    disjunct before the hit queues ``pgd_restarts`` restarts: its best
+    sample, then fresh uniform draws, taken right after its samples.
+
+    Phase 2 climbs every queued restart in lockstep, as one batch, to
+    maximize its disjunct's minimum constraint slack.  Each step takes one
+    forward pass that yields the values and the gradients of every restart,
+    and moves each restart by a sign-gradient step of ``pgd_step_scale``
+    times its box's width per dimension on its worst constraint, clipped to
+    its box; a restart stops once no slack is negative.  The final points
+    are probed in (disjunct, restart) order and the first that re-validates
+    is returned, else the sample hit.  That is the answer of searching the
+    disjuncts one after another, each sampled and then climbed.
+
+    The wall clock is checked between blocks and between steps; past it,
+    the result is None.  Deterministic for a fixed budget.seed, and the
+    random stream does not depend on the block size.  A batch fails as a
+    whole: a non-finite value in any row of a sample block, or in any
+    restart of any disjunct, raises ``ArithmeticError`` even when an earlier
+    row, a lower restart or an earlier disjunct's climb is a witness.
     """
     if spec.n_inputs != net.n_inputs or spec.n_outputs != net.n_outputs:
         raise ValueError("spec dimensions do not match network")
     rng = np.random.default_rng(budget.seed)
     deadline = time.monotonic() + budget.wall_seconds
 
-    rows = _padded_rows(spec)
+    rows = a_y, b_x, _ = _padded_rows(spec)
+    hit = None
+    starts, owners = [], []  # queued restarts, and each one's (disjunct, box)
     for index, conj in enumerate(spec.disjuncts):
         box = Box(conj.input_lower, conj.input_upper)
-        # the disjunct's own rows, without padding, for the gradient phase
-        a_y, b_x, rhs = (r[index, : len(conj.constraints)] for r in rows)
-
         best_x = None
         best_slack = -np.inf
         for start in range(0, budget.falsifier_samples, _SAMPLE_BLOCK):
@@ -253,38 +258,48 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
             Y = forward(net, X)
             d = np.full(len(X), index)
             worst = _worst_slack(rows, X, Y, d)
-            w = _witness_among(net, spec, X, Y, worst, d)
-            if w is not None:
-                return w
+            hit = _witness_among(net, spec, X, Y, worst, d)
+            if hit is not None:
+                break
             i = int(np.argmax(worst))  # argmax takes the first of equals
             if best_x is None or worst[i] > best_slack:
                 best_slack, best_x = worst[i], X[i]
+        if hit is not None:
+            break
+        if conj.constraints:  # sampling would have hit an unconstrained one
+            starts += [best_x, box.sample(rng, budget.pgd_restarts - 1)]
+            owners += [(index, box)] * budget.pgd_restarts
+    if not starts:
+        return hit
 
-        if not conj.constraints:
-            continue  # sampling would have hit an unconstrained conjunct
-
-        step = budget.pgd_step_scale * box.width
-        X = np.vstack([best_x, box.sample(rng, budget.pgd_restarts - 1)])
-        live = np.arange(len(X))  # the restarts still climbing
-        for _ in range(budget.pgd_steps):
-            if time.monotonic() > deadline:
-                return None
-            XL = X[live]
-            outs = layer_outputs(net, XL)
-            S = rhs - (outs[-1] @ a_y.T + XL @ b_x.T)
-            j = np.argmin(S, axis=1)
-            climbing = S[np.arange(live.size), j] < 0.0
-            # slack_j = rhs - (a_y.f(x) + b_x.x); ascend it
-            g = _backprop(net, outs, a_y[j]) + b_x[j]
-            live = live[climbing]
-            moved = XL[climbing] - step * np.sign(g[climbing])
-            X[live] = np.clip(moved, box.lower, box.upper)
+    X = np.vstack(starts)
+    d = np.array([index for index, _ in owners])
+    live = np.arange(len(X))  # the restarts still climbing
+    # the live rows: points, disjuncts, step sizes and clip bounds
+    XL, dL = X, d
+    step = budget.pgd_step_scale * np.array([box.width for _, box in owners])
+    lo = np.array([box.lower for _, box in owners])
+    hi = np.array([box.upper for _, box in owners])
+    for _ in range(budget.pgd_steps):
+        if time.monotonic() > deadline:
+            return None
+        outs = layer_outputs(net, XL)
+        S = _own_slack(rows, XL, outs[-1], dL)
+        j = np.argmin(S, axis=1)
+        # slack_j = rhs - (a_y.f(x) + b_x.x); ascend it
+        g = _backprop(net, outs, a_y[dL, j]) + b_x[dL, j]
+        climbing = S.min(axis=1) < 0.0
+        if not climbing.all():
+            X[live[~climbing]] = XL[~climbing]
+            live, XL, dL, g, step, lo, hi = (
+                a[climbing] for a in (live, XL, dL, g, step, lo, hi)
+            )
             if not live.size:
                 break
-        w = _probe(net, spec, rows, X, np.full(len(X), index))
-        if w is not None:
-            return w
-    return None
+        XL = np.clip(XL - step * np.sign(g), lo, hi)
+    X[live] = XL
+    w = _probe(net, spec, rows, X, d)
+    return w if w is not None else hit
 
 
 # ---------------------------------------------------------------------------

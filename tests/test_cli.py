@@ -332,6 +332,27 @@ class TestRunAndOverhead:
         assert main(argv + extra) == 2
         assert "n_trivial must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf"])
+    def test_non_finite_timeout_is_data_error(self, echo_setup, tmp_path, capsys, timeout):
+        # a nan or inf timeout used to reach communicate(timeout=...) and
+        # abort the batch with no CSV written
+        config, manifest = echo_setup
+        marker = tmp_path / "adapter-ran"
+        config.write_text(
+            config.read_text() + "adapter.echo.prepare = touch %s\n" % marker
+        )
+        manifest.write_text(manifest.read_text().replace(",20\n", ",%s\n" % timeout))
+        out = tmp_path / "out"
+        assert main(["run", str(manifest), "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite timeout" in err and "Traceback" not in err
+        assert not out.exists() and not marker.exists()  # no adapter ran
+        argv = ["measure-overhead", "--config", str(config), "--out", str(out)]
+        assert main(argv + ["--timeout", timeout]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite timeout" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_measure_overhead_prints_model(self, echo_setup, tmp_path, capsys):
         config, _ = echo_setup
         out = tmp_path / "warm"

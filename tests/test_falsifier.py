@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -195,18 +196,35 @@ def _same_answer(net, spec, budget):
 
 
 def test_batched_falsify_matches_sequential_reference():
+    # 1-4 disjuncts: the lockstep climb over every disjunct must answer as
+    # the reference does, climbing one disjunct after another
     rng = np.random.default_rng(47)
-    found = 0
-    for case in range(30):
-        net, spec = _random_falsify_instance(rng, n_disjuncts=int(rng.integers(1, 3)))
+    found = Counter()
+    for case in range(120):
+        n_disjuncts = int(rng.integers(1, 5))
+        net, spec = _random_falsify_instance(rng, n_disjuncts=n_disjuncts)
         budget = Budget(
             falsifier_samples=int(rng.choice([1, 5, 20, 100])),
             pgd_restarts=int(rng.integers(1, 5)),
             pgd_steps=int(rng.integers(1, 40)),
             seed=case,
         )
-        found += _same_answer(net, spec, budget) is not None
-    assert 5 <= found <= 25  # both outcomes are exercised
+        found[n_disjuncts, _same_answer(net, spec, budget) is not None] += 1
+    # both outcomes are exercised at every disjunct count
+    assert all(found[d, hit] >= 3 for d in range(1, 5) for hit in (False, True))
+
+
+def test_earlier_disjunct_climb_wins_over_later_sample_hit():
+    # y = x on [0, 1]: no draw reaches 1 (draws are < 1), so disjunct 0
+    # needs its climb, which clips to x = 1; disjunct 1's first draw hits
+    spec = _spec(
+        "(declare-const X_0 Real)(declare-const Y_0 Real)"
+        "(assert (>= X_0 0.0))(assert (<= X_0 1.0))"
+        "(assert (or (>= Y_0 1.0) (>= Y_0 0.0)))"
+    )
+    for seed in range(3):
+        w = _same_answer(IDENTITY, spec, Budget(seed=seed))
+        assert w.x == (1.0,)
 
 
 def test_batched_falsify_matches_reference_across_sample_blocks():
@@ -276,6 +294,38 @@ def test_falsify_overflow_in_a_sample_block_raises_despite_earlier_witness():
     draws = np.random.default_rng(budget.seed).random(budget.falsifier_samples)
     assert draws[0] < 0.5 and (draws > 0.5).any()  # x = 2u - 1
     # the block is scored as a whole, so the later overflow wins
+    with pytest.raises(ArithmeticError, match="non-finite intermediate"):
+        falsify(net, spec, budget)
+
+
+def _x_at_least(rhs, lo, hi):
+    """A disjunct x >= rhs over the box [lo, hi], as its normalized row."""
+    return Conjunct((lo,), (hi,), (MixedConstraint((0.0,), (-1.0,), -rhs),))
+
+
+@pytest.mark.parametrize("where", ["samples", "restarts"])
+def test_falsify_overflow_in_a_later_disjunct_raises_despite_earlier_climb(where):
+    # y = 1e400 * relu(x): 0 for x <= 0 and an overflow for x > 0.  Disjunct
+    # 0 wants x >= 0 on [-1, 0]: no draw hits, its climb reaches x = 0.
+    # Disjunct 1 overflows in its samples (box [0.5, 1]), or in its restarts
+    # and climb (box [-1, 1], one draw, below 0, and x >= 2 to climb to)
+    net = Network(
+        (
+            AffineLayer(np.array([[1e200]]), np.zeros(1)),
+            ActivationLayer("relu"),
+            AffineLayer(np.array([[1e200]]), np.zeros(1)),
+        ),
+        1,
+        1,
+    )
+    later = _x_at_least(0.75, 0.5, 1.0) if where == "samples" else _x_at_least(2.0, -1.0, 1.0)
+    spec = NormalizedSpec(1, 1, (_x_at_least(0.0, -1.0, 0.0), later))
+    budget = Budget(falsifier_samples=1, seed=0)
+    # the draws: disjunct 0's sample and 2 restarts, then disjunct 1's sample
+    assert np.random.default_rng(budget.seed).random(4)[3] < 0.5
+    # one disjunct after another, disjunct 0's climb would answer first ...
+    assert reference_falsify(net, spec, budget).x == (0.0,)
+    # ... but all restarts climb as one batch, which fails as a whole
     with pytest.raises(ArithmeticError, match="non-finite intermediate"):
         falsify(net, spec, budget)
 

@@ -121,6 +121,12 @@ class TestInstanceAndAdapter:
         with pytest.raises(HarnessError, match="non-positive timeout"):
             Instance("i", "b", tmp_path / "n", tmp_path / "s", 0.0)
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), "nan", "inf"])
+    def test_non_finite_timeout_rejected(self, tmp_path, timeout):
+        # nan <= 0 is false, so a plain sign test let nan through
+        with pytest.raises(HarnessError, match="non-finite timeout"):
+            Instance("i", "b", tmp_path / "n", tmp_path / "s", timeout)
+
     def test_argv_substitution(self):
         adapter = ToolAdapter(
             tool="t", run_template="tool --net={network} {spec} {timeout} {result}"
@@ -177,6 +183,12 @@ class TestManifest:
     def test_non_positive_timeout_rejected(self, tmp_path):
         path = self.write_manifest(tmp_path, ["n.onnx,s.vnnlib,0"])
         with pytest.raises(HarnessError, match="non-positive timeout"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "-inf", "1e999", "NaN"])
+    def test_non_finite_timeout_rejected(self, tmp_path, timeout):
+        path = self.write_manifest(tmp_path, ["n.onnx,s.vnnlib,10", "n.onnx,s.vnnlib," + timeout])
+        with pytest.raises(HarnessError, match=r"timeout .* at .* line 2$"):
             load_manifest(path)
 
     def test_empty_manifest_warns(self, tmp_path):

@@ -457,6 +457,44 @@ def test_forward_reports_nonfinite_intermediate():
         forward(net, [[1.0], [100.0]])
 
 
+@pytest.mark.parametrize("activation", ["relu", "sigmoid", "tanh"])
+def test_nonfinite_affine_output_masked_by_activation_still_raises(activation):
+    # -1e308 * 2 = -inf, which relu maps to 0, sigmoid to 0 and tanh to -1:
+    # the pass ends finite, but layer 0 overflowed
+    net = Network(
+        (
+            AffineLayer(np.array([[-1e308]]), np.zeros(1)),
+            ActivationLayer(activation),
+            AffineLayer(np.array([[1.0]]), np.zeros(1)),
+        ),
+        1,
+        1,
+    )
+    for x in ([2.0], [[0.5], [2.0]]):
+        with pytest.raises(ArithmeticError, match="non-finite intermediate after layer 0$"):
+            forward(net, x)
+    assert np.isfinite(forward(net, [0.5])).all()
+
+
+def test_nonfinite_intermediate_names_the_first_bad_affine_layer():
+    # layer 0 gives 1e200, finite; layer 2 gives 1e400 = inf, layer 4 nan
+    net = Network(
+        (
+            AffineLayer(np.array([[1e200]]), np.zeros(1)),
+            ActivationLayer("relu"),
+            AffineLayer(np.array([[1e200]]), np.zeros(1)),
+            ReshapeLayer(1),
+            AffineLayer(np.array([[1.0], [-1.0]]), np.zeros(2)),
+            AffineLayer(np.array([[1.0, 1.0]]), np.zeros(1)),
+        ),
+        1,
+        1,
+    )
+    with pytest.raises(ArithmeticError, match="non-finite intermediate after layer 2$"):
+        forward(net, [1.0])
+    assert forward(net, [-1.0])[0] == 0.0
+
+
 def test_trivial_network_identity():
     net1 = gen_trivial_network(1)
     assert forward(net1, [7.0])[0] == 7.0

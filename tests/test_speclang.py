@@ -395,6 +395,19 @@ def test_non_ascii_and_underscore_literals_rejected(literal):
         parse_vnnlib(text)
 
 
+@pytest.mark.parametrize("name", ["X_٠", "X_٣", "Y_０", "X_1٠"])
+def test_non_ascii_digits_in_variable_names_rejected(name):
+    # \d matches every script's digits: X_٠ used to declare X_0
+    text = f"(declare-const {name} Real)(declare-const Y_0 Real)(assert (<= X_0 1.0))"
+    with pytest.raises(SpecError, match="variable name must be X_<i> or Y_<j>"):
+        parse_vnnlib(text)
+    with pytest.raises(SpecError, match="unexpected token"):
+        parse_vnnlib(
+            "(declare-const X_0 Real)(declare-const Y_0 Real)"
+            f"(assert (<= {name} 1.0))"
+        )
+
+
 def _strict_json(text):
     """json.loads that refuses the non-standard Infinity and NaN."""
     return json.loads(text, parse_constant=lambda c: pytest.fail("non-JSON " + c))
