@@ -25,9 +25,7 @@ from .harness import (
     emit_report,
     load_manifest,
     make_robustness_oracles,
-    measure_overhead_run,
     parse_config,
-    prepare_adapter,
     run_batch,
 )
 from .network import NetworkError, forward, load_network
@@ -176,22 +174,18 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_measure_overhead(args) -> int:
+    # run over no instances with the baseline off; each tool's warm-up rows
+    # follow its rows from --results
     adapters = _adapters_from_args(args)
     records = read_results_dir(args.results) if args.results else []
-    if args.n_trivial > 0:  # a negative count is refused below, before any tool runs
-        for adapter in adapters:
-            prepare_adapter(adapter)
-    out = Path(args.out)
-    augmented = measure_overhead_run(
-        adapters, args.n_trivial, records, timeout=args.timeout, work_dir=out / "trivial"
-    )
-    out.mkdir(parents=True, exist_ok=True)
+    warm = run_batch([], adapters, args.out, baseline=False, n_trivial=args.n_trivial)
+    records += [r for rows in warm.values() for r in rows]
     by_tool: dict = {}
-    for record in augmented:
+    for record in records:
         by_tool.setdefault(record.tool, []).append(record)
     for tool in sorted(by_tool):
-        write_results_csv(out / ("%s.csv" % tool), by_tool[tool])
-    model = build_overhead_model(augmented, mode="multi")
+        write_results_csv(Path(args.out) / ("%s.csv" % tool), by_tool[tool])
+    model = build_overhead_model(records, mode="multi")
     for (tool, mode), overhead in sorted(model.overheads.items()):
         print("%s %s %.6g" % (tool, mode, overhead))
     return 0
@@ -290,12 +284,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-trivial", type=int, default=3)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("measure-overhead", help="run trivial warm-up instances")
+    p = sub.add_parser("measure-overhead", help="run only the warm-up instances")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--results", default=None, help="existing results dir to augment")
     p.add_argument("--n-trivial", type=int, default=3)
-    p.add_argument("--timeout", type=float, default=60.0)
     p.set_defaults(func=_cmd_measure_overhead)
 
     p = sub.add_parser("score", help="score results CSVs into a report")

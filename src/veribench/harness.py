@@ -2,8 +2,10 @@
 
 Loads benchmark manifests, runs external tools as subprocesses under
 per-instance timeouts, runs the built-in sampling/gradient baseline,
-measures startup overhead on generated trivial instances, calibrates
-robustness radii by binary search, and writes score reports.
+calibrates robustness radii by binary search, and writes score reports.
+``run_batch`` is the one place that builds and runs the trivial warm-up
+instances on which startup overhead is measured; ``measure-overhead`` is
+``run_batch`` over no instances with the baseline off.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ import os
 import shlex
 import signal
 import subprocess
-import tempfile
 import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,7 +51,8 @@ from .verifier import (
 log = logging.getLogger(__name__)
 
 BENCHMARK_BUDGET_SECONDS = 6 * 3600.0
-DEFAULT_GRACE_SECONDS = 10.0
+GRACE_SECONDS = 10.0  # a timed-out tool is killed this long after its timeout
+TRIVIAL_TIMEOUT_SECONDS = 60.0  # the timeout of every warm-up instance
 
 MANIFEST_COLUMNS = ("onnx_path", "vnnlib_path", "timeout_seconds")
 
@@ -221,14 +223,13 @@ def run_tool(
     inst: Instance,
     *,
     result_dir,
-    grace: float = DEFAULT_GRACE_SECONDS,
     strict_witness: bool = True,
 ) -> RunRecord:
     """Run one adapter on one instance under its timeout.
 
     The child runs in its own process group and the whole group is killed
-    at timeout + grace.  Recorded raw time is capped at the timeout so a
-    late kill cannot distort overhead minima.  A crashing adapter yields
+    at timeout + GRACE_SECONDS (read at call time).  Recorded raw time is
+    capped at the timeout so a late kill cannot distort overhead minima.  A crashing adapter yields
     an ERROR record, never an exception.  The result file, and any
     captured output, go under result_dir.
     """
@@ -264,7 +265,7 @@ def run_tool(
 
     timed_out = False
     try:
-        output, _ = proc.communicate(timeout=inst.timeout + grace)
+        output, _ = proc.communicate(timeout=inst.timeout + GRACE_SECONDS)
     except subprocess.TimeoutExpired:
         timed_out = True
         _kill_group(proc)
@@ -428,67 +429,25 @@ TRIVIAL_SPEC_TEXT = (
 )
 
 
-def trivial_instances(n: int, work_dir, timeout: float = 60.0) -> list:
-    """Generate n identity-network warm-up instances under work_dir."""
+def trivial_instances(n: int, work_dir) -> list:
+    """Generate n identity-network warm-up instances under work_dir, each
+    with the timeout TRIVIAL_TIMEOUT_SECONDS."""
     work_dir = Path(work_dir)
+    work_dir.mkdir(parents=True, exist_ok=True)
     instances = [
         Instance(
             instance_id="trivial-%d" % i,
             benchmark=TRIVIAL_BENCHMARK,
             network_path=work_dir / ("trivial-%d.onnx" % i),
             spec_path=work_dir / ("trivial-%d.vnnlib" % i),
-            timeout=timeout,
+            timeout=TRIVIAL_TIMEOUT_SECONDS,
         )
         for i in range(n)
     ]
-    work_dir.mkdir(parents=True, exist_ok=True)  # once every timeout is valid
     for inst in instances:
         save_network(gen_trivial_network(1), inst.network_path)
         inst.spec_path.write_text(TRIVIAL_SPEC_TEXT, encoding="utf-8")
     return instances
-
-
-def _check_n_trivial(n_trivial: int) -> None:
-    """The one check of a warm-up count, shared by run and measure-overhead."""
-    if n_trivial < 0:
-        raise HarnessError("n_trivial must be >= 0")
-
-
-def measure_overhead_run(
-    adapters: Sequence[ToolAdapter],
-    n_trivial: int,
-    records: Iterable[RunRecord] = (),
-    *,
-    timeout: float = 60.0,
-    grace: float = DEFAULT_GRACE_SECONDS,
-    work_dir=None,
-) -> list:
-    """Append trivial-instance runs for every adapter to the record set.
-
-    The trivial rows give overhead measurement a startup-dominated floor.
-    An adapter that times out even on trivial instances contributes no
-    usable row, so its overhead falls back to the minimum over its real
-    instances.
-    """
-    records = list(records)
-    _check_n_trivial(n_trivial)
-    if n_trivial == 0:
-        warnings.warn("n_trivial is 0; record set unchanged", stacklevel=2)
-        return records
-    if work_dir is None:
-        work_dir = tempfile.mkdtemp(prefix="veribench-trivial-")
-    for inst in trivial_instances(n_trivial, work_dir, timeout=timeout):
-        for adapter in adapters:
-            records.append(
-                run_tool(
-                    adapter,
-                    inst,
-                    result_dir=Path(work_dir) / "results" / adapter.tool,
-                    grace=grace,
-                    strict_witness=False,
-                )
-            )
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -526,32 +485,19 @@ def _bisection_steps(eps_max, eps_tol):
     return max(0, math.ceil(math.log2(eps_max / eps_tol) - 1e-12))
 
 
-def _largest_failing_radius(attack, eps_max, eps_tol):
-    # largest radius where the attack finds nothing
-    if not attack(eps_max):
-        return eps_max
+def _bisect(fails, eps_max, eps_tol):
+    # final bracket (lo, hi) of the radius where fails(eps) turns true:
+    # (eps_max, eps_max) when fails(eps_max) is false
+    if not fails(eps_max):
+        return eps_max, eps_max
     lo, hi = 0.0, eps_max
     for _ in range(_bisection_steps(eps_max, eps_tol)):
         mid = 0.5 * (lo + hi)
-        if attack(mid):
+        if fails(mid):
             hi = mid
         else:
             lo = mid
-    return lo
-
-
-def _smallest_unproved_radius(certify, eps_max, eps_tol):
-    # smallest radius where certification no longer goes through
-    if certify(eps_max):
-        return eps_max
-    lo, hi = 0.0, eps_max
-    for _ in range(_bisection_steps(eps_max, eps_tol)):
-        mid = 0.5 * (lo + hi)
-        if certify(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return lo, hi
 
 
 def calibrate_epsilon(req: CalibrationRequest, attack, certify) -> float:
@@ -563,8 +509,9 @@ def calibrate_epsilon(req: CalibrationRequest, attack, certify) -> float:
     costing at most ceil(log2(eps_max/eps_tol)) + 1 oracle calls.  Oracle
     exceptions propagate.
     """
-    r_attack = _largest_failing_radius(attack, req.eps_max, req.eps_tol)
-    r_certify = _smallest_unproved_radius(certify, req.eps_max, req.eps_tol)
+    # the largest radius the attack misses, the smallest one not certified
+    r_attack, _ = _bisect(attack, req.eps_max, req.eps_tol)
+    _, r_certify = _bisect(lambda eps: not certify(eps), req.eps_max, req.eps_tol)
     eps_lb = min(r_attack, r_certify)
     eps_ub = max(r_attack, r_certify)
     if eps_lb == eps_ub:
@@ -725,25 +672,35 @@ def run_batch(
     baseline: bool = True,
     baseline_budget: Budget = EASY_VIOLATED_BUDGET,
     n_trivial: int = 3,
-    grace: float = DEFAULT_GRACE_SECONDS,
     strict_witness: bool = True,
 ) -> dict:
-    """Run every adapter (plus the baseline) over the instances, write one
-    results CSV per tool under out_dir, and return records grouped by tool.
+    """Run every adapter (plus the baseline) over the instances and the
+    warm-ups, write one results CSV per tool under out_dir, and return
+    records grouped by tool.
 
-    baseline is an on/off switch, read by truthiness: when on, the bundled
-    participant runs as BASELINE_TOOL on every instance and on its own
-    warm-up instances.  Strictly sequential; a crashing adapter contributes
-    ERROR records but never aborts the batch.  A negative n_trivial raises
-    ``HarnessError`` before anything runs.
+    The n_trivial warm-up instances are built once, under out_dir/trivial.
+    Every adapter is prepared first; then each adapter runs the instances
+    (results under out_dir/results/<tool>) and then the warm-ups, whose
+    witnesses are not validated (results under
+    out_dir/trivial/results/<tool>).  baseline is an on/off switch, read by
+    truthiness: when on, the bundled participant runs as BASELINE_TOOL on
+    the instances and then the same warm-ups.  Strictly sequential; a
+    crashing adapter contributes ERROR records but never aborts the batch.
+    A negative n_trivial or a failing prepare command raises
+    ``HarnessError`` before any instance runs.
     """
-    _check_n_trivial(n_trivial)
+    if n_trivial < 0:
+        raise HarnessError("n_trivial must be >= 0")
+    for adapter in adapters:
+        prepare_adapter(adapter)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    warmups = []
+    if n_trivial > 0 and (adapters or baseline):
+        warmups = trivial_instances(n_trivial, out_dir / "trivial")
     by_tool: dict = {}
 
     for adapter in adapters:
-        prepare_adapter(adapter)
         rows = by_tool.setdefault(adapter.tool, [])
         for inst in instances:
             rows.append(
@@ -751,30 +708,22 @@ def run_batch(
                     adapter,
                     inst,
                     result_dir=out_dir / "results" / adapter.tool,
-                    grace=grace,
                     strict_witness=strict_witness,
                 )
             )
-
-    if n_trivial > 0 and adapters:
-        augmented = measure_overhead_run(
-            adapters,
-            n_trivial,
-            records=(),
-            grace=grace,
-            work_dir=out_dir / "trivial",
-        )
-        for record in augmented:
-            by_tool.setdefault(record.tool, []).append(record)
+        for inst in warmups:
+            rows.append(
+                run_tool(
+                    adapter,
+                    inst,
+                    result_dir=out_dir / "trivial" / "results" / adapter.tool,
+                    strict_witness=False,
+                )
+            )
 
     if baseline:
         rows = by_tool.setdefault(BASELINE_TOOL, [])
-        baseline_instances = list(instances)
-        if n_trivial > 0:
-            baseline_instances += trivial_instances(
-                n_trivial, out_dir / "trivial-baseline"
-            )
-        for inst in baseline_instances:
+        for inst in list(instances) + warmups:
             rows.append(
                 run_baseline(
                     inst,

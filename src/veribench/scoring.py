@@ -383,28 +383,21 @@ def benchmark_percent(points: Mapping[str, float]) -> dict:
     return {tool: max(0.0, 100.0 * p / best) for tool, p in points.items()}
 
 
-def overall_table(
-    percentages: Mapping[str, Mapping[str, float]],
-    scored,
-    tools: Optional[Iterable[str]] = None,
-) -> list:
+def overall_table(percentages: Mapping[str, Mapping[str, float]], scored) -> list:
     """Sum each tool's percentages over the scored benchmarks.
 
     Returns (tool, overall) pairs sorted by descending overall score,
-    ties broken by tool name.  The tool universe defaults to everyone
-    appearing in any benchmark, so a tool with only unscored entries
-    still lands in the ranking at 0.0.  Unrounded; rounding happens at
-    render time.
+    ties broken by tool name.  Every tool appearing in any benchmark is
+    ranked, so a tool with only unscored entries still lands in the
+    ranking at 0.0.  Unrounded; rounding happens at render time.
     """
     scored = set(scored)
-    if tools is None:
-        tools = {t for pcts in percentages.values() for t in pcts}
-    totals = {tool: 0.0 for tool in tools}
+    totals = {tool: 0.0 for pcts in percentages.values() for tool in pcts}
     for benchmark, pcts in percentages.items():
         if benchmark not in scored:
             continue
         for tool, pct in pcts.items():
-            totals[tool] = totals.get(tool, 0.0) + pct
+            totals[tool] += pct
     return sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
@@ -432,7 +425,6 @@ class ScoreLedger:
     adjudication_mode: str
     overhead_model: OverheadModel
     easy_violated: frozenset
-    tools: tuple                      # all tools, sorted
     benchmarks: tuple                 # scored + unscored, sorted (no trivial)
     instances: dict                   # benchmark -> [instance_id, ...] sorted
     instance_scores: dict             # (benchmark, instance_id) -> InstanceScore
@@ -556,12 +548,10 @@ def score_records(
     instances = {
         b: sorted(i for (bb, i) in instance_scores if bb == b) for b in benchmarks
     }
-    tools = tuple(sorted({r.tool for r in records}))
     return ScoreLedger(
         adjudication_mode=adjudication,
         overhead_model=overhead_model,
         easy_violated=easy,
-        tools=tools,
         benchmarks=benchmarks,
         instances=instances,
         instance_scores=instance_scores,
@@ -579,7 +569,6 @@ def empty_ledger() -> ScoreLedger:
         adjudication_mode="odd-one-out",
         overhead_model=OverheadModel(mode="multi", overheads={}),
         easy_violated=frozenset(),
-        tools=(),
         benchmarks=(),
         instances={},
         instance_scores={},

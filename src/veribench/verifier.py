@@ -200,7 +200,7 @@ def _witness_among(net, spec, X, Y, worst, d) -> Witness | None:
     for i in np.flatnonzero(worst >= 0.0):
         if conjunct_satisfied(spec.disjuncts[d[i]], X[i], Y[i]):
             w = _make_witness(net, X[i])
-            if validate_witness(net, spec, w, WITNESS_TOL):
+            if validate_witness(net, spec, w):
                 return w
     return None
 
@@ -422,17 +422,13 @@ def verify(net: Network, spec: NormalizedSpec, budget: Budget) -> Outcome:
 # Witness validation and file format
 
 
-def validate_witness(
-    net: Network, spec: NormalizedSpec, witness: Witness, tol: float = WITNESS_TOL
-) -> bool:
+def validate_witness(net: Network, spec: NormalizedSpec, witness: Witness) -> bool:
     """Recompute the outputs at witness.x and check spec satisfaction.
 
-    Tolerance is relative with an absolute floor of 1e-9.  A claimed output
-    vector that disagrees with the recomputation fails validation with a
-    warning.
+    Tolerance is WITNESS_TOL, relative, with an absolute floor of 1e-9.  A
+    claimed output vector that disagrees with the recomputation fails
+    validation with a warning.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     x = np.asarray(witness.x, dtype=np.float64)
     if x.size != spec.n_inputs:
         raise ValueError(f"witness has {x.size} inputs, spec needs {spec.n_inputs}")
@@ -443,7 +439,7 @@ def validate_witness(
             raise ValueError(
                 f"witness claims {yc.size} outputs, network has {y.size}"
             )
-        allow = np.maximum(WITNESS_ABS_FLOOR, tol * np.maximum(1.0, np.abs(y)))
+        allow = np.maximum(WITNESS_ABS_FLOOR, WITNESS_TOL * np.maximum(1.0, np.abs(y)))
         if np.any(np.abs(yc - y) > allow):
             worst = float(np.max(np.abs(yc - y)))
             warnings.warn(
@@ -451,7 +447,7 @@ def validate_witness(
                 stacklevel=2,
             )
             return False
-    return eval_spec(spec, x, y, tol, relative=True, abs_floor=WITNESS_ABS_FLOOR)
+    return eval_spec(spec, x, y, WITNESS_TOL, relative=True, abs_floor=WITNESS_ABS_FLOOR)
 
 
 def format_witness(witness: Witness) -> str:

@@ -35,7 +35,7 @@ from veribench.speclang import (
 )
 from veribench.bounds import _box_rows, affine_bounds, constraint_lower_bound
 from veribench.network import Box
-from veribench.verifier import MIN_SPLIT_WIDTH, WITNESS_TOL, validate_witness
+from veribench.verifier import MIN_SPLIT_WIDTH, validate_witness
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -212,7 +212,7 @@ def reference_falsify(net: Network, spec: NormalizedSpec, budget):
             if not conjunct_satisfied(conj, x, y):
                 return None
             w = Witness(tuple(float(v) for v in x), tuple(float(v) for v in y))
-            return w if validate_witness(net, spec, w, WITNESS_TOL) else None
+            return w if validate_witness(net, spec, w) else None
 
         best_x, best_slack = None, -np.inf
         for x in sample(budget.falsifier_samples):
@@ -253,7 +253,7 @@ def _accepted(net, spec, conj, x):
     if not conjunct_satisfied(conj, x, y):
         return None
     w = Witness(tuple(float(v) for v in x), tuple(float(v) for v in y))
-    return w if validate_witness(net, spec, w, WITNESS_TOL) else None
+    return w if validate_witness(net, spec, w) else None
 
 
 def reference_search(net: Network, spec: NormalizedSpec):

@@ -2,6 +2,7 @@
 exit codes and stdout/stderr routing are checked for real."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from veribench.cli import main
 from veribench.harness import TRIVIAL_SPEC_TEXT
 from veribench.network import gen_trivial_network, save_network
-from veribench.scoring import RunRecord, write_results_csv
+from veribench.scoring import RunRecord, read_results_csv, write_results_csv
 from veribench.verifier import Status
 
 HOLDS_SPEC_TEXT = (
@@ -347,11 +348,12 @@ class TestRunAndOverhead:
         err = capsys.readouterr().err
         assert "non-finite timeout" in err and "Traceback" not in err
         assert not out.exists() and not marker.exists()  # no adapter ran
+        # measure-overhead has no --timeout: warm-ups take one fixed timeout
         argv = ["measure-overhead", "--config", str(config), "--out", str(out)]
-        assert main(argv + ["--timeout", timeout]) == 2
+        assert main(argv + ["--timeout", timeout]) == 1
         err = capsys.readouterr().err
-        assert "non-finite timeout" in err and "Traceback" not in err
-        assert not out.exists()
+        assert "unrecognized arguments: --timeout" in err and "Traceback" not in err
+        assert not out.exists() and not marker.exists()
 
     def test_measure_overhead_prints_model(self, echo_setup, tmp_path, capsys):
         config, _ = echo_setup
@@ -365,8 +367,6 @@ class TestRunAndOverhead:
                 str(out),
                 "--n-trivial",
                 "2",
-                "--timeout",
-                "30",
             ]
         )
         assert code == 0
@@ -388,6 +388,51 @@ class TestRunAndOverhead:
         assert main(argv + ["--n-trivial", "1"]) == 0
         assert (out / "trivial" / "trivial-0.onnx").is_file()
         assert (out / "trivial" / "results" / "echo" / "trivial-0.result").is_file()
+
+    def test_measure_overhead_zero_trivial_keeps_results(
+        self, echo_setup, results_dir, tmp_path, capsys
+    ):
+        config, _ = echo_setup
+        out = tmp_path / "warm"
+        argv = ["measure-overhead", "--config", str(config), "--out", str(out)]
+        assert main(argv + ["--results", str(results_dir), "--n-trivial", "0"]) == 0
+        for name in ("fast.csv", "slow.csv"):
+            assert (out / name).read_bytes() == (results_dir / name).read_bytes()
+        assert read_results_csv(out / "echo.csv", tool="echo") == []
+        assert not (out / "trivial").exists()
+
+    def test_run_and_measure_overhead_write_the_same_warmups(
+        self, echo_setup, tmp_path, capsys
+    ):
+        config, manifest = echo_setup
+        k = ["--n-trivial", "2"]
+
+        def warmups(path, tool):
+            return [
+                (r.instance_id, r.benchmark, r.mode)
+                for r in read_results_csv(path / ("%s.csv" % tool), tool=tool)
+                if r.benchmark == "trivial"
+            ]
+
+        def layout(path):
+            root = path / "trivial"
+            return sorted(p.relative_to(root) for p in root.rglob("*"))
+
+        run, warm, full = tmp_path / "run", tmp_path / "warm", tmp_path / "full"
+        base = ["--config", str(config), "--out"]
+        assert main(["run", str(manifest)] + base + [str(run), "--no-baseline"] + k) == 0
+        assert main(["measure-overhead"] + base + [str(warm)] + k) == 0
+        expected = [("trivial-0", "trivial", "default"), ("trivial-1", "trivial", "default")]
+        assert warmups(run, "echo") == warmups(warm, "echo") == expected
+        assert layout(run) == layout(warm)
+        assert Path("results/echo/trivial-1.result") in layout(warm)
+
+        assert main(["run", str(manifest)] + base + [str(full)] + k) == 0
+        assert not (full / "trivial-baseline").exists()
+        assert layout(full) == layout(run)
+        assert warmups(full, "randgen") == [
+            (iid, "trivial", "default") for iid in ("trivial-0", "trivial-1")
+        ]
 
 
 @pytest.fixture()

@@ -54,7 +54,7 @@ def test_witness_found_by_random_sampling():
     w = falsify(RELU_NET, spec, Budget(seed=0))
     assert w is not None
     assert 0.5 <= w.x[0] <= 1.0
-    assert validate_witness(RELU_NET, spec, w, 1e-6)
+    assert validate_witness(RELU_NET, spec, w)
 
 
 def test_falsify_deterministic_given_seed():
@@ -93,7 +93,7 @@ def test_gradient_phase_reaches_narrow_satisfying_set():
     budget = Budget(falsifier_samples=20, pgd_restarts=3, pgd_steps=60, seed=5)
     w = falsify(net, spec, budget)
     assert w is not None
-    assert validate_witness(net, spec, w, 1e-6)
+    assert validate_witness(net, spec, w)
 
 
 def test_planted_violations_recall():
@@ -122,7 +122,7 @@ def test_planted_violations_recall():
             n_in, n_out, (Conjunct(tuple(lo), tuple(box_hi), tuple(constraints)),)
         )
         w = falsify(net, spec, EASY_VIOLATED_BUDGET)
-        if w is not None and validate_witness(net, spec, w, 1e-6):
+        if w is not None and validate_witness(net, spec, w):
             found += 1
     assert found >= 19
 

@@ -2,6 +2,7 @@
 calibration, and report emission.  Adapter fixtures are tiny python
 scripts driven through the real subprocess path."""
 
+import dataclasses
 import math
 import os
 import time
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import veribench._onnxproto as wire
+import veribench.harness as harness
 from veribench.harness import (
     CalibrationRequest,
     HarnessError,
@@ -22,7 +24,6 @@ from veribench.harness import (
     emit_report,
     load_manifest,
     make_robustness_oracles,
-    measure_overhead_run,
     parse_config,
     run_baseline,
     run_batch,
@@ -237,7 +238,7 @@ class TestRunTool:
         assert record.benchmark == "bench"
         assert 0 <= record.seconds < 10
 
-    def test_timeout_kills_and_caps(self, runner, trivial_instance, tmp_path):
+    def test_timeout_kills_and_caps(self, runner, trivial_instance, tmp_path, monkeypatch):
         inst = Instance(
             instance_id=trivial_instance.instance_id,
             benchmark="bench",
@@ -246,9 +247,8 @@ class TestRunTool:
             timeout=1.0,
         )
         start = time.monotonic()
-        record = run_tool(
-            runner("holds", delay=30.0), inst, result_dir=tmp_path / "r", grace=0.5
-        )
+        monkeypatch.setattr(harness, "GRACE_SECONDS", 0.5)
+        record = run_tool(runner("holds", delay=30.0), inst, result_dir=tmp_path / "r")
         wall = time.monotonic() - start
         assert record.status is Status.TIMEOUT
         assert record.seconds == 1.0
@@ -380,44 +380,52 @@ class TestRunBaseline:
 
 
 class TestMeasureOverheadRun:
+    """Warm-up runs as measure-overhead makes them: run_batch over no
+    instances with the baseline off."""
+
     def test_startup_floor_measured(self, runner, tmp_path):
-        records = measure_overhead_run(
-            [runner("holds", delay=0.2)], 3, work_dir=tmp_path / "t"
-        )
-        assert len(records) == 3
+        records = run_batch(
+            [], [runner("holds", delay=0.2)], tmp_path / "t", baseline=False, n_trivial=3
+        )["echo"]
+        assert [r.instance_id for r in records] == ["trivial-0", "trivial-1", "trivial-2"]
         assert all(r.benchmark == "trivial" for r in records)
         model = build_overhead_model(records)
         overhead = model.overhead_for("echo", "default")
         assert 0.15 <= overhead <= 1.5
 
-    def test_zero_trivial_warns_and_keeps_records(self, runner):
-        existing = [
-            RunRecord("echo", "i1", "bench", Status.HOLDS, 5.0),
-        ]
-        with pytest.warns(UserWarning, match="record set unchanged"):
-            records = measure_overhead_run([runner("holds")], 0, existing)
-        assert records == existing
-
-    def test_timeout_on_trivial_falls_back_to_real_minimum(self, runner, tmp_path):
+    def test_timeout_on_trivial_falls_back_to_real_minimum(
+        self, runner, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(harness, "TRIVIAL_TIMEOUT_SECONDS", 0.5)
+        monkeypatch.setattr(harness, "GRACE_SECONDS", 0.1)
         existing = [
             RunRecord("echo", "i1", "bench", Status.HOLDS, 5.0),
             RunRecord("echo", "i2", "bench", Status.HOLDS, 7.0),
         ]
-        records = measure_overhead_run(
-            [runner("holds", delay=30.0)],
-            1,
-            existing,
-            timeout=0.5,
-            grace=0.1,
-            work_dir=tmp_path / "t",
-        )
+        start = time.monotonic()
+        records = existing + run_batch(
+            [], [runner("holds", delay=30.0)], tmp_path / "t", baseline=False, n_trivial=1
+        )["echo"]
+        assert time.monotonic() - start <= 0.5 + 0.1 + 2.0
         assert records[-1].status is Status.TIMEOUT
+        assert records[-1].seconds == 0.5
         model = build_overhead_model(records)
         assert model.overhead_for("echo", "default") == 5.0
 
-    def test_negative_count_rejected(self, runner):
+    def test_warmup_witnesses_not_validated(self, runner, trivial_instance, tmp_path):
+        # a real instance's unreadable witness is an ERROR; on a warm-up it is kept
+        adapter = runner("violated", extra="missing.txt")
+        by_tool = run_batch(
+            [trivial_instance], [adapter], tmp_path / "t", baseline=False, n_trivial=1
+        )
+        assert [r.status for r in by_tool["echo"]] == [Status.ERROR, Status.VIOLATED]
+
+    def test_negative_count_rejected(self, runner, tmp_path):
+        marker = tmp_path / "prepared"
+        adapter = dataclasses.replace(runner("holds"), prepare="touch %s" % marker)
         with pytest.raises(HarnessError, match="n_trivial"):
-            measure_overhead_run([runner("holds")], -1)
+            run_batch([], [adapter], tmp_path / "t", baseline=False, n_trivial=-1)
+        assert not marker.exists() and not (tmp_path / "t").exists()
 
 
 class TestCalibrateEpsilon:
@@ -452,10 +460,14 @@ class TestCalibrateEpsilon:
             calls["certify"] += 1
             return eps < 0.022
 
-        calibrate_epsilon(req, attack, certify)
+        eps = calibrate_epsilon(req, attack, certify)
         bound = math.ceil(math.log2(req.eps_max / req.eps_tol)) + 1
         assert calls["attack"] <= bound
         assert calls["certify"] <= bound
+        # the attack bracket ends at [0.01, 0.015], the certify one at
+        # [0.02, 0.025]: the frontiers are the attack's low side and the
+        # certifier's high side
+        assert eps == pytest.approx((0.01 + 2 * 0.025) / 3, rel=1e-12)
 
     def test_oracle_failure_propagates(self):
         req = self.request()
@@ -474,10 +486,10 @@ class TestCalibrateEpsilon:
         )
         attack, certify = make_robustness_oracles(req)
         eps = calibrate_epsilon(req, attack, certify)
-        from veribench.harness import _largest_failing_radius, _smallest_unproved_radius
+        from veribench.harness import _bisect
 
-        r1 = _largest_failing_radius(attack, req.eps_max, req.eps_tol)
-        r2 = _smallest_unproved_radius(certify, req.eps_max, req.eps_tol)
+        r1, _ = _bisect(attack, req.eps_max, req.eps_tol)
+        _, r2 = _bisect(lambda e: not certify(e), req.eps_max, req.eps_tol)
         assert min(r1, r2) <= eps <= max(r1, r2)
 
     def test_certify_is_every_margin_row_positive(self, net_factory):

@@ -62,7 +62,7 @@ def test_verify_violated_relu():
     assert out.status is Status.VIOLATED
     assert out.witness is not None
     assert 0.5 <= out.witness.x[0] <= 1.0
-    assert validate_witness(RELU_NET, VIOLATED_SPEC, out.witness, 1e-6)
+    assert validate_witness(RELU_NET, VIOLATED_SPEC, out.witness)
 
 
 def test_verify_dimension_mismatch():
@@ -342,7 +342,7 @@ def test_verify_agrees_with_grid_oracle():
         out = verify(net, spec, Budget(wall_seconds=30.0, seed=3))
         if truth == oracles.SAT:
             assert out.status is Status.VIOLATED
-            assert validate_witness(net, spec, out.witness, 1e-6)
+            assert validate_witness(net, spec, out.witness)
         else:
             assert out.status is Status.HOLDS
         verdicts[truth] += 1
@@ -474,9 +474,9 @@ def test_validate_witness_claimed_output_mismatch():
     spec = VIOLATED_SPEC
     w = Witness((0.75,), (0.75 + 1e-3,))
     with pytest.warns(UserWarning, match="claimed-output mismatch"):
-        assert validate_witness(RELU_NET, spec, w, 1e-6) is False
+        assert validate_witness(RELU_NET, spec, w) is False
     # matching claim passes silently
-    assert validate_witness(RELU_NET, spec, Witness((0.75,), (0.75,)), 1e-6)
+    assert validate_witness(RELU_NET, spec, Witness((0.75,), (0.75,)))
 
 
 def test_validate_witness_dimension_mismatch():
@@ -494,7 +494,7 @@ def test_validate_witness_relative_tolerance_scales():
     )
     # y = 5e5 - 0.2: absolute miss of 0.2 but within 1e-6 relative
     x = (5e5 - 0.2) / 1e6
-    assert validate_witness(big, spec, Witness((x,)), 1e-6) is True
+    assert validate_witness(big, spec, Witness((x,))) is True
 
 
 def test_witness_file_roundtrip_bit_exact(tmp_path):
