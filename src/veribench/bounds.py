@@ -205,7 +205,6 @@ def _affine_forms(net: Network, lo: np.ndarray, hi: np.ndarray) -> tuple:
                 # the relaxed forms concretize no tighter than this
                 y = _interval_relu(y)
                 relaxation.append((slope, shift))
-            # Reshape layers change nothing
     return z, relaxation, y
 
 

@@ -30,6 +30,7 @@ from .harness import (
 )
 from .network import NetworkError, forward, load_network
 from .scoring import (
+    TRIVIAL_BENCHMARK,
     ScoringError,
     build_overhead_model,
     read_results_dir,
@@ -174,11 +175,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_measure_overhead(args) -> int:
-    # run over no instances with the baseline off; each tool's warm-up rows
-    # follow its rows from --results
+    # run over no instances with the baseline off; each re-measured tool's
+    # new warm-up rows replace its warm-up rows from --results and follow
+    # its other rows
     adapters = _adapters_from_args(args)
     records = read_results_dir(args.results) if args.results else []
     warm = run_batch([], adapters, args.out, baseline=False, n_trivial=args.n_trivial)
+    records = [r for r in records if r.tool not in warm or r.benchmark != TRIVIAL_BENCHMARK]
     records += [r for rows in warm.values() for r in rows]
     by_tool: dict = {}
     for record in records:

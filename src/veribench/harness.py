@@ -3,17 +3,21 @@
 Loads benchmark manifests, runs external tools as subprocesses under
 per-instance timeouts, runs the built-in sampling/gradient baseline,
 calibrates robustness radii by binary search, and writes score reports.
-``run_batch`` is the one place that builds and runs the trivial warm-up
-instances on which startup overhead is measured; ``measure-overhead`` is
-``run_batch`` over no instances with the baseline off.
+A tool run writes its output to a file beside its result file, never to a
+pipe, and ends with its whole process group killed.  ``run_batch`` is the
+one place that builds and runs the trivial warm-up instances on which
+startup overhead is measured; ``measure-overhead`` is ``run_batch`` over no
+instances with the baseline off.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import logging
 import math
 import os
+import select
 import shlex
 import signal
 import subprocess
@@ -131,13 +135,17 @@ def load_manifest(path, *, require_files: bool = False) -> list:
     Rows are ``onnx_path,vnnlib_path,timeout_seconds`` with paths
     relative to the manifest; a header row is tolerated.  The benchmark
     name is always the manifest's directory name, so no caller can file
-    instances under another benchmark such as ``trivial``.
+    instances under another benchmark such as ``trivial``.  An instance id
+    is ``<network stem>-<spec stem>`` and must be unique: a second row with
+    the same id raises ``HarnessError`` naming both lines, even when its
+    paths differ.
     """
     path = Path(path)
     if not path.is_file():
         raise HarnessError("manifest not found: %s" % path)
     benchmark = path.resolve().parent.name
     instances = []
+    first_line: dict = {}  # instance id -> the line that named it
     totals = 0.0
     lines = path.read_text(encoding="utf-8").splitlines()
     for line_no, raw in enumerate(lines, start=1):
@@ -168,6 +176,12 @@ def load_manifest(path, *, require_files: bool = False) -> list:
             )
         except HarnessError as exc:
             raise HarnessError("%s at %s line %d" % (exc, path, line_no)) from None
+        first = first_line.setdefault(inst.instance_id, line_no)
+        if first != line_no:
+            raise HarnessError(
+                "duplicate instance %s at %s lines %d and %d"
+                % (inst.instance_id, path, first, line_no)
+            )
         if require_files:
             for p in (network_path, spec_path):
                 if not p.is_file():
@@ -208,14 +222,29 @@ def _parse_result_file(path: Path):
 
 
 def _kill_group(proc: subprocess.Popen) -> None:
-    try:
-        os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
-    except (ProcessLookupError, PermissionError):
-        pass
-    try:
+    # the child leads its own session: its pid names the group, even once reaped
+    with contextlib.suppress(ProcessLookupError, PermissionError):
+        os.killpg(proc.pid, signal.SIGKILL)
+    with contextlib.suppress(subprocess.TimeoutExpired):  # kernel cleanup race
         proc.wait(timeout=5)
-    except subprocess.TimeoutExpired:  # pragma: no cover - kernel cleanup race
-        pass
+
+
+def _wait_for_exit(proc: subprocess.Popen, timeout: float) -> None:
+    """Return once proc has exited or timeout seconds have passed.  A pidfd
+    (Linux 5.3+) is ready the moment the child exits; Popen.wait(timeout),
+    the fallback, polls with sleeps of up to 50 ms that count as run time."""
+    try:
+        fd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):
+        with contextlib.suppress(subprocess.TimeoutExpired):
+            proc.wait(timeout)
+        return
+    try:
+        poll = select.poll()
+        poll.register(fd, select.POLLIN)
+        poll.poll(1e3 * timeout)
+    finally:
+        os.close(fd)
 
 
 def run_tool(
@@ -227,17 +256,20 @@ def run_tool(
 ) -> RunRecord:
     """Run one adapter on one instance under its timeout.
 
-    The child runs in its own process group and the whole group is killed
-    at timeout + GRACE_SECONDS (read at call time).  Recorded raw time is
-    capped at the timeout so a late kill cannot distort overhead minima.  A crashing adapter yields
-    an ERROR record, never an exception.  The result file, and any
-    captured output, go under result_dir.
+    The child runs in its own process group, with stdout and stderr going
+    to ``<result>.out`` beside the result file, which is kept on every path.
+    It is waited on for at most timeout + GRACE_SECONDS (read at call time),
+    and then its whole group is killed, so no process of the run outlives
+    it.  The run is a TIMEOUT when the wait lasted at least the timeout.
+    Recorded raw time is capped at the timeout so a late kill cannot
+    distort overhead minima.  A crashing adapter yields an ERROR record,
+    never an exception.
     """
     result_dir = Path(result_dir)
     result_dir.mkdir(parents=True, exist_ok=True)
     result_path = result_dir / ("%s.result" % inst.instance_id)
-    if result_path.exists():
-        result_path.unlink()
+    out_path = result_path.with_suffix(".out")
+    result_path.unlink(missing_ok=True)
     argv = adapter.argv(inst.network_path, inst.spec_path, inst.timeout, result_path)
 
     def record(status, seconds, witness=""):
@@ -251,59 +283,37 @@ def run_tool(
             witness_path=witness,
         )
 
-    start = time.monotonic()
-    try:
-        proc = subprocess.Popen(
-            argv,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            start_new_session=True,
-        )
-    except OSError as exc:
-        log.warning("adapter %s failed to launch: %s", adapter.tool, exc)
-        return record(Status.ERROR, time.monotonic() - start)
-
-    timed_out = False
-    try:
-        output, _ = proc.communicate(timeout=inst.timeout + GRACE_SECONDS)
-    except subprocess.TimeoutExpired:
-        timed_out = True
+    with open(out_path, "wb") as out:
+        start = time.monotonic()
+        try:
+            proc = subprocess.Popen(
+                argv, stdout=out, stderr=subprocess.STDOUT, start_new_session=True
+            )
+        except OSError as exc:
+            log.warning("adapter %s failed to launch: %s", adapter.tool, exc)
+            return record(Status.ERROR, time.monotonic() - start)
+        _wait_for_exit(proc, inst.timeout + GRACE_SECONDS)
+        elapsed = time.monotonic() - start
         _kill_group(proc)
-        output = b""
-    elapsed = time.monotonic() - start
-    captured = output.decode("utf-8", errors="replace") if output else ""
 
-    if timed_out or elapsed >= inst.timeout:
+    if elapsed >= inst.timeout:
         return record(Status.TIMEOUT, elapsed)
 
-    def attach_output(reason):
-        if captured:
-            out_path = result_path.with_suffix(".out")
-            out_path.write_text(captured, encoding="utf-8")
-            log.warning("%s; captured output at %s", reason, out_path)
-        else:
-            log.warning("%s", reason)
-
     if not result_path.is_file():
-        attach_output(
-            "adapter %s exited %d without a result file on %s"
-            % (adapter.tool, proc.returncode, inst.instance_id)
+        log.warning(
+            "adapter %s exited %d without a result file on %s; output at %s",
+            adapter.tool, proc.returncode, inst.instance_id, out_path,
         )
         return record(Status.ERROR, elapsed)
     try:
         status, witness_rel = _parse_result_file(result_path)
     except HarnessError as exc:
-        attach_output(str(exc))
+        log.warning("%s; output at %s", exc, out_path)
         return record(Status.ERROR, elapsed)
 
     witness = ""
-    if witness_rel:
-        witness_path = Path(witness_rel)
-        if not witness_path.is_absolute():
-            witness_path = result_path.parent / witness_path
-        witness = str(witness_path)
-    if status is not Status.VIOLATED:
-        witness = ""
+    if witness_rel and status is Status.VIOLATED:  # relative to the result file
+        witness = str(result_path.parent / witness_rel)
 
     if status is Status.VIOLATED and witness and strict_witness:
         try:
@@ -315,9 +325,9 @@ def run_tool(
         except (OSError, ValueError, ArithmeticError) as exc:
             ok, detail = False, str(exc)
         if not ok:
-            attach_output(
-                "witness validation failed for %s on %s: %s"
-                % (adapter.tool, inst.instance_id, detail or "spec not satisfied")
+            log.warning(
+                "witness validation failed for %s on %s: %s; output at %s",
+                adapter.tool, inst.instance_id, detail or "spec not satisfied", out_path,
             )
             return record(Status.ERROR, elapsed)
     elif status is Status.VIOLATED and witness:
@@ -331,14 +341,12 @@ def run_tool(
 
 
 def prepare_adapter(adapter: ToolAdapter) -> None:
-    """Run the adapter's one-time prepare command, if any."""
+    """Run the adapter's one-time prepare command, if any, and wait for it
+    to exit.  Its output goes to the harness's stderr; stdout stays the
+    CLI's report channel."""
     if not adapter.prepare.strip():
         return
-    proc = subprocess.run(
-        shlex.split(adapter.prepare),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-    )
+    proc = subprocess.run(shlex.split(adapter.prepare), stdout=2)  # fd 2: stderr
     if proc.returncode != 0:
         raise HarnessError(
             "prepare failed for %s (exit %d)" % (adapter.tool, proc.returncode)

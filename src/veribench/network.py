@@ -1,8 +1,11 @@
 """Feedforward networks: ONNX loading, exact evaluation, trivial generation.
 
 Supported graphs are a single data path of fully connected layers and
-elementwise activations.  Convolution, pooling and residual topologies are
-rejected with an error naming the offending node.
+elementwise activations, so a ``Network`` holds only ``AffineLayer`` and
+``ActivationLayer`` objects.  The shape no-ops Flatten, Identity and Reshape
+are checked on load (a Reshape must keep the element count) and then
+dropped.  Convolution, pooling and residual topologies are rejected with an
+error naming the offending node.
 """
 
 from __future__ import annotations
@@ -96,13 +99,6 @@ class ActivationLayer:
             raise NetworkError(f"unknown activation '{self.kind}'")
 
 
-@dataclass(frozen=True)
-class ReshapeLayer:
-    """Width-preserving bookkeeping node (Flatten/Reshape/Identity)."""
-
-    width: int
-
-
 @dataclass(frozen=True, eq=False)
 class Network:
     layers: tuple
@@ -127,6 +123,11 @@ class Network:
                 ):
                     raise NetworkError(f"layer {idx} has non-finite weights")
                 width = layer.out_width
+            elif not isinstance(layer, ActivationLayer):
+                raise NetworkError(
+                    f"layer {idx} is neither affine nor an activation: "
+                    f"{type(layer).__name__}"
+                )
         if width != self.n_outputs:
             raise NetworkError(
                 f"final width {width} does not match declared outputs {self.n_outputs}"
@@ -164,18 +165,13 @@ _ACTIVATIONS = {
 }
 
 
-_IDENTITY = (lambda v: v, lambda g, s: g)
-
-
 def _walk_step(layer) -> tuple:
     """What ``layer_outputs`` and the gradient walk take per layer, as
     (W, b, f, f'): an affine layer's weight and bias, or an activation's
-    function and reverse derivative; a reshape's are the identity."""
+    function and reverse derivative."""
     if isinstance(layer, AffineLayer):
         return layer.weight, layer.bias, None, None
-    return (None, None) + (
-        _ACTIVATIONS[layer.kind] if isinstance(layer, ActivationLayer) else _IDENTITY
-    )
+    return (None, None) + _ACTIVATIONS[layer.kind]
 
 
 def apply_activation(kind: str, v: np.ndarray) -> np.ndarray:
@@ -371,7 +367,6 @@ class _GraphWalker:
             self.fusable_affine = None
             return width
         if op in ("Flatten", "Identity"):
-            self.layers.append(ReshapeLayer(width))
             self.fusable_affine = None
             return width
         if op == "Reshape":
@@ -464,15 +459,13 @@ class _GraphWalker:
         other = [i for i in ins if i != cur]
         if other:
             target = self.params[other[0]].ravel()
-            concrete = [int(v) for v in target if v > 1]
             if -1 not in target and 0 not in target:
-                prod = math.prod(concrete) if concrete else 1
+                prod = math.prod(int(v) for v in target if v > 1)
                 if prod != width:
                     raise NetworkError(
                         f"Reshape '{label}' changes element count "
                         f"{width} -> {prod}"
                     )
-        self.layers.append(ReshapeLayer(width))
         self.fusable_affine = None
         return width
 
@@ -603,7 +596,7 @@ def network_to_onnx_bytes(net: Network, *, style: str = "gemm") -> bytes:
                     }
                 )
             cur = out
-        elif isinstance(layer, ActivationLayer):
+        else:
             out = f"v{k}"
             nodes.append(
                 {
@@ -611,17 +604,6 @@ def network_to_onnx_bytes(net: Network, *, style: str = "gemm") -> bytes:
                     "output": [out],
                     "name": f"act{k}",
                     "op_type": _ACT_OPS[layer.kind],
-                }
-            )
-            cur = out
-        else:
-            out = f"v{k}"
-            nodes.append(
-                {
-                    "input": [cur],
-                    "output": [out],
-                    "name": f"keep{k}",
-                    "op_type": "Identity",
                 }
             )
             cur = out

@@ -172,8 +172,6 @@ def _point_outputs(net: Network, x: np.ndarray) -> list:
         elif isinstance(layer, ActivationLayer):
             assert layer.kind == "relu", "oracle only covers relu"
             outs.append(np.maximum(outs[-1], 0.0))
-        else:
-            outs.append(outs[-1])
     return outs
 
 

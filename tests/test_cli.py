@@ -355,6 +355,39 @@ class TestRunAndOverhead:
         assert "unrecognized arguments: --timeout" in err and "Traceback" not in err
         assert not out.exists() and not marker.exists()
 
+    def test_duplicate_manifest_row_is_data_error(self, echo_setup, tmp_path, capsys):
+        # ids key every results row, so a repeated id is refused before any tool runs
+        config, manifest = echo_setup
+        marker = tmp_path / "adapter-ran"
+        config.write_text(
+            config.read_text() + "adapter.echo.prepare = touch %s\n" % marker
+        )
+        manifest.write_text(manifest.read_text() * 2)
+        out = tmp_path / "out"
+        assert main(["run", str(manifest), "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "duplicate instance net-sat at %s lines 1 and 2" % manifest.resolve() in err
+        assert "Traceback" not in err
+        assert not out.exists() and not marker.exists()  # no adapter ran
+
+    def test_measure_overhead_over_run_results_scores(self, echo_setup, tmp_path, capsys):
+        # re-measured warm-ups replace the tool's warm-ups from --results;
+        # the baseline's rows stay as they were
+        config, manifest = echo_setup
+        run, warm = tmp_path / "run", tmp_path / "warm"
+        argv = ["run", str(manifest), "--config", str(config), "--out", str(run)]
+        assert main(argv + ["--n-trivial", "2"]) == 0
+        argv = ["measure-overhead", "--config", str(config), "--out", str(warm)]
+        assert main(argv + ["--results", str(run), "--n-trivial", "3"]) == 0
+        echo = read_results_csv(warm / "echo.csv", tool="echo")
+        assert [r.instance_id for r in echo] == ["net-sat", "trivial-0", "trivial-1", "trivial-2"]
+        randgen = read_results_csv(warm / "randgen.csv", tool="randgen")
+        assert randgen == read_results_csv(run / "randgen.csv", tool="randgen")
+        assert [r.instance_id for r in randgen] == ["net-sat", "trivial-0", "trivial-1"]
+        capsys.readouterr()
+        assert main(["score", str(warm)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_measure_overhead_prints_model(self, echo_setup, tmp_path, capsys):
         config, _ = echo_setup
         out = tmp_path / "warm"

@@ -5,6 +5,7 @@ scripts driven through the real subprocess path."""
 import dataclasses
 import math
 import os
+import signal
 import time
 from pathlib import Path
 
@@ -216,6 +217,24 @@ class TestManifest:
         with pytest.raises(HarnessError, match="instance file not found"):
             load_manifest(path, require_files=True)
 
+    def test_duplicate_instance_rejected_naming_both_lines(self, tmp_path):
+        path = self.write_manifest(
+            tmp_path,
+            ["nets/a.onnx,specs/p.vnnlib,10", "nets/b.onnx,specs/p.vnnlib,10",
+             "nets/a.onnx,specs/p.vnnlib,20"],
+        )
+        with pytest.raises(HarnessError, match=r"duplicate instance a-p at .* lines 1 and 3$"):
+            load_manifest(path)
+
+    def test_duplicate_id_from_other_paths_rejected(self, tmp_path):
+        # ids are <network stem>-<spec stem>, so these two rows would share
+        # one row in every results CSV
+        path = self.write_manifest(
+            tmp_path, ["nets/a.onnx,specs/p.vnnlib,10", "other/a.onnx,specs/p.vnnlib,10"]
+        )
+        with pytest.raises(HarnessError, match=r"duplicate instance a-p at .* lines 1 and 2$"):
+            load_manifest(path)
+
     def test_round_trip_idempotent(self, tmp_path):
         path = self.write_manifest(
             tmp_path,
@@ -327,6 +346,102 @@ class TestRunTool:
         )
         assert record.status is Status.VIOLATED
         assert record.witness_path == str(result_dir / "w.txt")
+
+
+class TestProcessLifetime:
+    """A run ends when its child exits or is killed: output goes to a file,
+    so a background child holding it cannot stretch the run, and the
+    child's whole process group is killed on every path."""
+
+    @pytest.fixture()
+    def fast_grace(self, monkeypatch):
+        monkeypatch.setattr(harness, "GRACE_SECONDS", 0.2)
+
+    @staticmethod
+    def short(inst, timeout):
+        return dataclasses.replace(inst, timeout=timeout)
+
+    @staticmethod
+    def kill_group(pgid):
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+    def test_background_child_holding_output_does_not_stretch_run(
+        self, fast_grace, trivial_instance, tmp_path
+    ):
+        adapter = ToolAdapter("bg", "sh -c 'echo holds > {result}; sleep 3 &'")
+        start = time.monotonic()
+        record = run_tool(adapter, self.short(trivial_instance, 2.0), result_dir=tmp_path / "r")
+        assert record.status is Status.HOLDS
+        assert time.monotonic() - start < 1.0
+
+    def test_group_killed_after_normal_exit(self, fast_grace, trivial_instance, tmp_path):
+        # the adapter leaves a child that does not hold its output
+        pgid_file = tmp_path / "pgid"
+        adapter = ToolAdapter(
+            "bg",
+            "python3 -c \"import os, subprocess, sys; "
+            "open(sys.argv[1], 'w').write(str(os.getpgrp())); "
+            "subprocess.Popen(['sleep', '10'], stdout=subprocess.DEVNULL); "
+            "open(sys.argv[2], 'w').write('holds')\" %s {result}" % pgid_file,
+        )
+        record = run_tool(adapter, self.short(trivial_instance, 2.0), result_dir=tmp_path / "r")
+        pgid = int(pgid_file.read_text())
+        try:
+            assert record.status is Status.HOLDS
+            # the killed orphan stays a group member, as a zombie, until
+            # init reaps it; some inits take a second or two
+            deadline = time.monotonic() + 5.0
+            with pytest.raises(ProcessLookupError):
+                while time.monotonic() < deadline:
+                    os.killpg(pgid, 0)
+                    time.sleep(0.01)
+        finally:
+            self.kill_group(pgid)
+
+    def test_timed_out_run_keeps_its_output(self, fast_grace, trivial_instance, tmp_path):
+        adapter = ToolAdapter("slow", "sh -c 'echo started; echo $$ > %s; sleep 3'"
+                              % (tmp_path / "pgid"))
+        record = run_tool(adapter, self.short(trivial_instance, 0.3), result_dir=tmp_path / "r")
+        pgid = int((tmp_path / "pgid").read_text())
+        try:
+            assert record.status is Status.TIMEOUT
+            out = tmp_path / "r" / ("%s.out" % trivial_instance.instance_id)
+            assert out.read_text() == "started\n"
+        finally:
+            self.kill_group(pgid)
+
+    def test_runs_end_without_pidfd(
+        self, fast_grace, runner, trivial_instance, tmp_path, monkeypatch
+    ):
+        # where os.pidfd_open is missing, Popen.wait(timeout) waits instead
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+        record = run_tool(runner("holds"), trivial_instance, result_dir=tmp_path / "r")
+        assert record.status is Status.HOLDS
+        start = time.monotonic()
+        record = run_tool(
+            runner("holds", delay=30.0), self.short(trivial_instance, 0.3),
+            result_dir=tmp_path / "r",
+        )
+        assert record.status is Status.TIMEOUT
+        assert time.monotonic() - start < 0.3 + 0.2 + 2.0
+
+    def test_prepare_with_background_child_returns_at_once(self, tmp_path):
+        pid_file = tmp_path / "pid"
+        adapter = ToolAdapter(
+            "bg", "true", prepare="sh -c 'sleep 3 & echo $! > %s'" % pid_file
+        )
+        start = time.monotonic()
+        harness.prepare_adapter(adapter)
+        try:
+            assert time.monotonic() - start < 1.0
+        finally:
+            try:
+                os.kill(int(pid_file.read_text()), signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 class TestRunBaseline:

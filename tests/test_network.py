@@ -9,7 +9,6 @@ from veribench.network import (
     AffineLayer,
     Network,
     NetworkError,
-    ReshapeLayer,
     forward,
     gen_trivial_network,
     load_network,
@@ -337,7 +336,37 @@ def test_flatten_and_batch_dim_squeeze():
     }
     net = load_network(wire.encode_model(model))
     assert net.n_inputs == 4
-    assert isinstance(net.layers[0], ReshapeLayer)
+    # the Flatten is checked and dropped: only the Gemm is left
+    assert len(net.layers) == 1 and isinstance(net.layers[0], AffineLayer)
+
+
+def _with_shape_op(op, shape=None) -> bytes:
+    """The golden y = 2x + 1 model with a shape op on x before the Gemm."""
+    model = wire.decode_model(_golden_gemm_model())
+    graph = model["graph"]
+    node = {"input": ["x"], "output": ["x2"], "op_type": op}
+    if shape is not None:
+        node["input"].append("S")
+        graph["initializer"].append(
+            {"name": "S", "dims": [len(shape)], "data_type": wire.INT64,
+             "raw_data": np.array(shape, dtype="<i8").tobytes()}
+        )
+    graph["node"][0]["input"][0] = "x2"
+    graph["node"].insert(0, node)
+    return wire.encode_model(model)
+
+
+@pytest.mark.parametrize("op, shape", [("Identity", None), ("Flatten", None),
+                                       ("Reshape", [1, 1]), ("Reshape", [-1])])
+def test_shape_no_ops_checked_and_dropped(op, shape):
+    net = load_network(_with_shape_op(op, shape))
+    assert len(net.layers) == 1 and isinstance(net.layers[0], AffineLayer)
+    assert forward(net, [3.0])[0] == 7.0
+
+
+def test_reshape_changing_element_count_rejected():
+    with pytest.raises(NetworkError, match="changes element count 1 -> 2"):
+        load_network(_with_shape_op("Reshape", [1, 2]))
 
 
 def test_symbolic_batch_dim_accepted():
@@ -483,7 +512,6 @@ def test_nonfinite_intermediate_names_the_first_bad_affine_layer():
             AffineLayer(np.array([[1e200]]), np.zeros(1)),
             ActivationLayer("relu"),
             AffineLayer(np.array([[1e200]]), np.zeros(1)),
-            ReshapeLayer(1),
             AffineLayer(np.array([[1.0], [-1.0]]), np.zeros(2)),
             AffineLayer(np.array([[1.0, 1.0]]), np.zeros(1)),
         ),
@@ -524,6 +552,12 @@ def test_width_chain_enforced():
 def test_nonfinite_weights_rejected():
     with pytest.raises(NetworkError, match="non-finite weights"):
         Network((AffineLayer(np.array([[np.inf]]), np.zeros(1)),), 1, 1)
+
+
+def test_unknown_layer_rejected():
+    # every evaluator knows only these two kinds; anything else must not load
+    with pytest.raises(NetworkError, match="layer 1 is neither affine nor an activation"):
+        Network((AffineLayer(np.eye(1), np.zeros(1)), object()), 1, 1)
 
 
 def test_sigmoid_tanh_forward_values():
