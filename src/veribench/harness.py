@@ -57,6 +57,9 @@ log = logging.getLogger(__name__)
 BENCHMARK_BUDGET_SECONDS = 6 * 3600.0
 GRACE_SECONDS = 10.0  # a timed-out tool is killed this long after its timeout
 TRIVIAL_TIMEOUT_SECONDS = 60.0  # the timeout of every warm-up instance
+# The longest instance timeout (11.6 days): timeout + GRACE_SECONDS stays
+# well inside the 2**31 ms that the OS wait for a tool's exit can take.
+MAX_TIMEOUT_SECONDS = 1e6
 
 MANIFEST_COLUMNS = ("onnx_path", "vnnlib_path", "timeout_seconds")
 
@@ -69,7 +72,11 @@ class HarnessError(ValueError):
 
 @dataclass(frozen=True)
 class Instance:
-    """One scoring unit: a network, a spec, and a timeout."""
+    """One scoring unit: a network, a spec, and a timeout.
+
+    The timeout must be positive and at most MAX_TIMEOUT_SECONDS (1e6 s);
+    anything else, nan and inf included, raises ``HarnessError``.
+    """
 
     instance_id: str
     benchmark: str
@@ -87,6 +94,11 @@ class Instance:
                 "%s timeout %r for %s"
                 % ("non-positive" if self.timeout <= 0 else "non-finite",
                    self.timeout, self.instance_id)
+            )
+        if self.timeout > MAX_TIMEOUT_SECONDS:
+            raise HarnessError(
+                "timeout %r for %s is over the %g s cap"
+                % (self.timeout, self.instance_id, MAX_TIMEOUT_SECONDS)
             )
 
 

@@ -1,4 +1,4 @@
-"""Specification language: parsing, DNF normalization and evaluation.
+"""Specification language: parsing and DNF normalization.
 
 Specifications are written in an SMT-LIB2 subset over real-valued input
 variables ``X_0..X_{n-1}`` and output variables ``Y_0..Y_{m-1}``.  A
@@ -15,7 +15,9 @@ an ASCII literal without ``_`` separators, every number and coefficient
 finite, and nesting at most 256 parentheses deep; anything else raises
 ``SpecError``.  Comments run from ``;`` to end of line.  Strict
 ``<``/``>`` are accepted as their non-strict forms with a warning, which is
-unobservable under tolerance-based witness checking over the reals.
+unobservable under tolerance-based witness checking over the reals.  This
+module evaluates nothing: the one witness rule is
+``verifier.validate_witness``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,12 +71,6 @@ class AffineExpr:
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    def evaluate(self, x, y) -> float:
-        total = self.const
-        for (kind, idx), c in self.coeffs:
-            total += c * (x[idx] if kind == "X" else y[idx])
-        return total
-
 
 @dataclass(frozen=True)
 class Atom:
@@ -84,11 +80,6 @@ class Atom:
     lhs: AffineExpr
     rhs: AffineExpr
 
-    def evaluate(self, x, y, tol: float = 0.0) -> bool:
-        a = self.lhs.evaluate(x, y)
-        b = self.rhs.evaluate(x, y)
-        return a <= b + tol if self.op == "<=" else a >= b - tol
-
 
 @dataclass(frozen=True)
 class BoolTerm:
@@ -96,11 +87,6 @@ class BoolTerm:
 
     kind: str
     terms: tuple
-
-    def evaluate(self, x, y, tol: float = 0.0) -> bool:
-        if self.kind == "and":
-            return all(t.evaluate(x, y, tol) for t in self.terms)
-        return any(t.evaluate(x, y, tol) for t in self.terms)
 
 
 @dataclass
@@ -111,10 +97,6 @@ class SpecAst:
     n_outputs: int
     declarations: list[tuple[str, int]]
     assertions: list  # Atom | BoolTerm
-
-    def evaluate(self, x, y, tol: float = 0.0) -> bool:
-        """Truth value of the assertion conjunction at a concrete point."""
-        return all(t.evaluate(x, y, tol) for t in self.assertions)
 
 
 @dataclass(frozen=True)
@@ -537,61 +519,3 @@ def to_dnf(ast: SpecAst) -> NormalizedSpec:
         if conj is not None:
             disjuncts.append(conj)
     return NormalizedSpec(ast.n_inputs, ast.n_outputs, tuple(disjuncts))
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
-
-
-def _conjunct_satisfied(
-    conj: Conjunct, x, y, tol: float, relative: bool, abs_floor: float
-) -> bool:
-    for i, (lo, hi) in enumerate(zip(conj.input_lower, conj.input_upper)):
-        slack = tol
-        if relative:
-            scale = max(1.0, abs(x[i]), abs(lo), abs(hi))
-            slack = max(abs_floor, tol * scale)
-        if x[i] < lo - slack or x[i] > hi + slack:
-            return False
-    for m in conj.constraints:
-        lhs = float(np.dot(m.a_y, y) + np.dot(m.b_x, x))
-        slack = tol
-        if relative:
-            scale = max(1.0, abs(lhs), abs(m.rhs))
-            slack = max(abs_floor, tol * scale)
-        if lhs > m.rhs + slack:
-            return False
-    return True
-
-
-def eval_spec(
-    spec: NormalizedSpec,
-    x,
-    y,
-    tol: float = 0.0,
-    *,
-    relative: bool = False,
-    abs_floor: float = 0.0,
-) -> bool:
-    """True iff some conjunct is satisfied, inequalities slackened by tol.
-
-    With ``relative=True`` the slack per inequality is
-    ``max(abs_floor, tol * scale)`` where scale grows with the magnitudes
-    involved; witness validation uses this mode.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != (spec.n_inputs,):
-        raise ValueError(f"expected {spec.n_inputs} inputs, got shape {x.shape}")
-    if y.shape != (spec.n_outputs,):
-        raise ValueError(f"expected {spec.n_outputs} outputs, got shape {y.shape}")
-    return any(
-        _conjunct_satisfied(c, x, y, tol, relative, abs_floor) for c in spec.disjuncts
-    )
-
-
-def conjunct_satisfied(conj: Conjunct, x, y, tol: float = 0.0) -> bool:
-    """Exact satisfaction check for a single conjunct."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return _conjunct_satisfied(conj, x, y, tol, False, 0.0)

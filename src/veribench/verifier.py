@@ -37,12 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    UnsupportedActivationError,
-    _affine_forms,
-    _constraint_rows,
-    _meet,
-)
+from .bounds import _affine_forms, _constraint_rows, _meet
 from .network import (
     ActivationLayer,
     Box,
@@ -50,12 +45,7 @@ from .network import (
     forward,
     layer_outputs,
 )
-from .speclang import (
-    NormalizedSpec,
-    Witness,
-    conjunct_satisfied,
-    eval_spec,
-)
+from .speclang import NormalizedSpec, Witness
 
 # Boxes narrower than this per dimension are not split further.
 MIN_SPLIT_WIDTH = 1e-12
@@ -63,6 +53,9 @@ MIN_SPLIT_WIDTH = 1e-12
 # Relative tolerance used when a found counterexample is re-validated.
 WITNESS_TOL = 1e-6
 WITNESS_ABS_FLOOR = 1e-9
+
+# A PGD step moves this fraction of its box's width per dimension.
+PGD_STEP_SCALE = 0.1
 
 
 class Status(str, Enum):
@@ -82,7 +75,6 @@ class Budget:
     falsifier_samples: int = 100
     pgd_restarts: int = 3
     pgd_steps: int = 50
-    pgd_step_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -92,7 +84,6 @@ class Budget:
             "falsifier_samples",
             "pgd_restarts",
             "pgd_steps",
-            "pgd_step_scale",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -162,19 +153,24 @@ _SAMPLE_BLOCK = 4096
 
 
 def _padded_rows(spec: NormalizedSpec):
-    """Every disjunct's constraints as a_y (D, k, m), b_x (D, k, n), rhs (D, k).
+    """Every disjunct as arrays: its rows and its box.
 
-    k is the most rows any disjunct has.  A shorter disjunct is padded with
-    inert rows, a_y = 0, b_x = 0 and rhs = +inf: their slack is +inf and no
-    bound prunes on them.
+    Returns ``(a_y, b_x, rhs), (lower, upper)``: a_y (D, k, m), b_x (D, k, n)
+    and rhs (D, k) hold the constraints, lower and upper (D, n) the input
+    boxes.  k is the most rows any disjunct has.  A shorter disjunct is
+    padded with inert rows, a_y = 0, b_x = 0 and rhs = +inf, which read
+    0 <= +inf: their slack is +inf, no bound prunes on them and every point
+    satisfies them.
     """
     d, k = len(spec.disjuncts), max((len(c.constraints) for c in spec.disjuncts), default=0)
     a_y, b_x = np.zeros((d, k, spec.n_outputs)), np.zeros((d, k, spec.n_inputs))
     rhs = np.full((d, k), np.inf)
+    lower, upper = np.zeros((d, spec.n_inputs)), np.zeros((d, spec.n_inputs))
     for i, conj in enumerate(spec.disjuncts):
+        lower[i], upper[i] = conj.input_lower, conj.input_upper
         for j, row in enumerate(conj.constraints):
             a_y[i, j], b_x[i, j], rhs[i, j] = row.a_y, row.b_x, row.rhs
-    return a_y, b_x, rhs
+    return (a_y, b_x, rhs), (lower, upper)
 
 
 def _own_slack(rows, X, Y, d) -> np.ndarray:
@@ -196,12 +192,17 @@ def _worst_slack(rows, X, Y, d) -> np.ndarray:
 
 
 def _witness_among(net, spec, X, Y, worst, d) -> Witness | None:
-    """The first point with no negative slack that meets its conjunct and re-validates."""
+    """The first point, in row (pop) order, with no negative slack that re-validates.
+
+    ``worst`` is each point's least slack over its disjunct's padded rows,
+    with no tolerance.  The box is not checked before ``validate_witness``:
+    every point the search probes (a midpoint, a corner, a sample or a climb
+    clipped to its box) lies in its disjunct's box by construction.
+    """
     for i in np.flatnonzero(worst >= 0.0):
-        if conjunct_satisfied(spec.disjuncts[d[i]], X[i], Y[i]):
-            w = _make_witness(net, X[i])
-            if validate_witness(net, spec, w):
-                return w
+        w = _make_witness(net, X[i])
+        if validate_witness(net, spec, w):
+            return w
     return None
 
 
@@ -225,12 +226,13 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
     Phase 2 climbs every queued restart in lockstep, as one batch, to
     maximize its disjunct's minimum constraint slack.  Each step takes one
     forward pass that yields the values and the gradients of every restart,
-    and moves each restart by a sign-gradient step of ``pgd_step_scale``
-    times its box's width per dimension on its worst constraint, clipped to
-    its box; a restart stops once no slack is negative.  The final points
-    are probed in (disjunct, restart) order and the first that re-validates
-    is returned, else the sample hit.  That is the answer of searching the
-    disjuncts one after another, each sampled and then climbed.
+    and moves each restart by a sign-gradient step of ``PGD_STEP_SCALE``
+    (read at call time) times its box's width per dimension on its worst
+    constraint, clipped to its box; a restart stops once no slack is
+    negative.  The final points are probed in (disjunct, restart) order and
+    the first that re-validates is returned, else the sample hit.  That is
+    the answer of searching the disjuncts one after another, each sampled
+    and then climbed.
 
     The wall clock is checked between blocks and between steps; past it,
     the result is None.  Deterministic for a fixed budget.seed, and the
@@ -244,7 +246,8 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
     rng = np.random.default_rng(budget.seed)
     deadline = time.monotonic() + budget.wall_seconds
 
-    rows = a_y, b_x, _ = _padded_rows(spec)
+    rows, _ = _padded_rows(spec)
+    a_y, b_x, _ = rows
     hit = None
     starts, owners = [], []  # queued restarts, and each one's (disjunct, box)
     for index, conj in enumerate(spec.disjuncts):
@@ -277,7 +280,7 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
     live = np.arange(len(X))  # the restarts still climbing
     # the live rows: points, disjuncts, step sizes and clip bounds
     XL, dL = X, d
-    step = budget.pgd_step_scale * np.array([box.width for _, box in owners])
+    step = PGD_STEP_SCALE * np.array([box.width for _, box in owners])
     lo = np.array([box.lower for _, box in owners])
     hi = np.array([box.upper for _, box in owners])
     for _ in range(budget.pgd_steps):
@@ -317,13 +320,13 @@ def _branch_and_bound(net, spec, budget, deadline, stats):
     bounds each row inherits from its parent, stacked as ``[lower | -upper]``
     (S, 2m), and the row's disjunct index (S,); the top is the last row.
     """
-    rows = a_y, b_x, rhs = _padded_rows(spec)
-    roots = spec.disjuncts[::-1]  # disjunct 0 on top
-    stack = (
-        np.array([c.input_lower for c in roots]).reshape(-1, spec.n_inputs),
-        np.array([c.input_upper for c in roots]).reshape(-1, spec.n_inputs),
-        np.full((len(roots), 2 * spec.n_outputs), -np.inf),  # stacked [lo | -hi]
-        np.arange(len(roots))[::-1],
+    rows, (lower, upper) = _padded_rows(spec)
+    a_y, b_x, rhs = rows
+    stack = (  # every disjunct's root, disjunct 0 on top
+        lower[::-1],
+        upper[::-1],
+        np.full((len(lower), 2 * spec.n_outputs), -np.inf),  # stacked [lo | -hi]
+        np.arange(len(lower))[::-1],
     )
     undecided = False
     while len(stack[0]):
@@ -414,7 +417,7 @@ def verify(net: Network, spec: NormalizedSpec, budget: Budget) -> Outcome:
 
     try:
         return done(*_branch_and_bound(net, spec, budget, start + budget.wall_seconds, stats))
-    except (ArithmeticError, UnsupportedActivationError):
+    except ArithmeticError:
         return done(Status.ERROR)
 
 
@@ -425,7 +428,12 @@ def verify(net: Network, spec: NormalizedSpec, budget: Budget) -> Outcome:
 def validate_witness(net: Network, spec: NormalizedSpec, witness: Witness) -> bool:
     """Recompute the outputs at witness.x and check spec satisfaction.
 
-    Tolerance is WITNESS_TOL, relative, with an absolute floor of 1e-9.  A
+    This is the one witness rule.  The witness holds when some disjunct
+    holds at (x, y = f(x)), each inequality slackened by
+    ``max(WITNESS_ABS_FLOOR, WITNESS_TOL * scale)``: an input bound ``lo <= x_i <= hi`` with scale
+    ``max(1, |x_i|, |lo|, |hi|)``, a row ``lhs = a_y . y + b_x . x <= rhs``
+    with scale ``max(1, |lhs|, |rhs|)``.  Every disjunct is checked at once
+    on the padded rows the search uses; a padding row always holds.  A
     claimed output vector that disagrees with the recomputation fails
     validation with a warning.
     """
@@ -439,15 +447,25 @@ def validate_witness(net: Network, spec: NormalizedSpec, witness: Witness) -> bo
             raise ValueError(
                 f"witness claims {yc.size} outputs, network has {y.size}"
             )
-        allow = np.maximum(WITNESS_ABS_FLOOR, WITNESS_TOL * np.maximum(1.0, np.abs(y)))
-        if np.any(np.abs(yc - y) > allow):
+        if np.any(np.abs(yc - y) > _witness_slack(np.abs(y))):
             worst = float(np.max(np.abs(yc - y)))
             warnings.warn(
                 f"claimed-output mismatch: deviation {worst:.3g} exceeds tolerance",
                 stacklevel=2,
             )
             return False
-    return eval_spec(spec, x, y, WITNESS_TOL, relative=True, abs_floor=WITNESS_ABS_FLOOR)
+    (a_y, b_x, rhs), (lo, hi) = _padded_rows(spec)
+    lhs = a_y @ y + b_x @ x  # (D, k)
+    box_slack = _witness_slack(np.maximum(np.maximum(np.abs(x), np.abs(lo)), np.abs(hi)))
+    row_slack = _witness_slack(np.maximum(np.abs(lhs), np.abs(rhs)))
+    outside = ((x < lo - box_slack) | (x > hi + box_slack)).any(axis=1)
+    over = (lhs > rhs + row_slack).any(axis=1)
+    return bool((~outside & ~over).any())
+
+
+def _witness_slack(magnitude):
+    """The slack of an inequality whose largest term has this magnitude."""
+    return np.maximum(WITNESS_ABS_FLOOR, WITNESS_TOL * np.maximum(1.0, magnitude))
 
 
 def format_witness(witness: Witness) -> str:

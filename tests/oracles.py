@@ -21,25 +21,103 @@ point per forward pass, PGD restarts one after another.  The batched
 ``reference_search`` is branch-and-bound as it was before the frontier: one
 box per step, depth first.  The frontier ``verifier.verify`` must reach the
 same status on uncapped runs, and visit as many nodes when the spec holds.
+
+Spec semantics, one point at a time: ``conjunct_satisfied`` and
+``spec_satisfied`` are exact over the normal form, ``ast_satisfied`` walks
+the parsed assertions, and ``witness_rule_reference`` is the witness rule of
+``verifier.validate_witness`` written as a scalar loop.
 """
 
 import numpy as np
 
+from veribench import verifier
 from veribench.network import ActivationLayer, AffineLayer, Network
 from veribench.speclang import (
+    BoolTerm,
     Conjunct,
     MixedConstraint,
     NormalizedSpec,
     Witness,
-    conjunct_satisfied,
 )
 from veribench.bounds import _box_rows, affine_bounds, constraint_lower_bound
 from veribench.network import Box
-from veribench.verifier import MIN_SPLIT_WIDTH, validate_witness
+from veribench.verifier import (
+    MIN_SPLIT_WIDTH,
+    WITNESS_ABS_FLOOR,
+    WITNESS_TOL,
+    validate_witness,
+)
 
 SAT = "sat"
 UNSAT = "unsat"
 UNDECIDED = "undecided"
+
+
+# ---------------------------------------------------------------------------
+# Spec semantics at a point
+
+
+def _conjunct_holds(conj: Conjunct, x, y, slack) -> bool:
+    """Each input bound, then each row, may miss by slack(its values)."""
+    for i, (lo, hi) in enumerate(zip(conj.input_lower, conj.input_upper)):
+        s = slack(x[i], lo, hi)
+        if x[i] < lo - s or x[i] > hi + s:
+            return False
+    for m in conj.constraints:
+        lhs = float(np.dot(m.a_y, y) + np.dot(m.b_x, x))
+        s = slack(lhs, m.rhs)
+        if lhs > m.rhs + s:
+            return False
+    return True
+
+
+def _no_slack(*values) -> float:
+    return 0.0
+
+
+def _relative_slack(*values) -> float:
+    return max(WITNESS_ABS_FLOOR, WITNESS_TOL * max(1.0, *map(abs, values)))
+
+
+def conjunct_satisfied(conj: Conjunct, x, y) -> bool:
+    """Exact: x lies in the conjunct's box and every row holds at (x, y)."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return _conjunct_holds(conj, x, y, _no_slack)
+
+
+def spec_satisfied(spec: NormalizedSpec, x, y) -> bool:
+    """Exact: some disjunct of the normal form holds at (x, y)."""
+    return any(conjunct_satisfied(c, x, y) for c in spec.disjuncts)
+
+
+def witness_rule_reference(spec: NormalizedSpec, x, y) -> bool:
+    """The witness rule, one disjunct and one inequality at a time.
+
+    An inequality may miss by max(WITNESS_ABS_FLOOR, WITNESS_TOL * scale),
+    where scale is the largest of 1 and the magnitudes it compares: x_i and
+    its bounds, or a row's lhs and rhs.
+    """
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return any(_conjunct_holds(c, x, y, _relative_slack) for c in spec.disjuncts)
+
+
+def _affine_value(expr, x, y) -> float:
+    total = expr.const
+    for (kind, idx), c in expr.coeffs:
+        total += c * (x[idx] if kind == "X" else y[idx])
+    return total
+
+
+def ast_satisfied(ast, x, y) -> bool:
+    """Exact truth of the parsed assertions at (x, y), by walking the AST."""
+
+    def holds(term) -> bool:
+        if isinstance(term, BoolTerm):
+            return (all if term.kind == "and" else any)(holds(t) for t in term.terms)
+        a, b = _affine_value(term.lhs, x, y), _affine_value(term.rhs, x, y)
+        return a <= b if term.op == "<=" else a >= b
+
+    return all(holds(t) for t in ast.assertions)
 
 
 def batch_forward(net: Network, xs: np.ndarray) -> np.ndarray:
@@ -224,7 +302,7 @@ def reference_falsify(net: Network, spec: NormalizedSpec, budget):
         if not conj.constraints:
             continue
 
-        step = budget.pgd_step_scale * (hi - lo)
+        step = verifier.PGD_STEP_SCALE * (hi - lo)
         for restart in range(budget.pgd_restarts):
             x = best_x.copy() if restart == 0 else sample(1)[0]
             for _ in range(budget.pgd_steps):

@@ -355,6 +355,20 @@ class TestRunAndOverhead:
         assert "unrecognized arguments: --timeout" in err and "Traceback" not in err
         assert not out.exists() and not marker.exists()
 
+    def test_timeout_over_cap_is_data_error(self, echo_setup, tmp_path, capsys):
+        # a timeout the OS wait cannot take is refused before anything runs
+        config, manifest = echo_setup
+        marker = tmp_path / "adapter-ran"
+        config.write_text(
+            config.read_text() + "adapter.echo.prepare = touch %s\n" % marker
+        )
+        manifest.write_text(manifest.read_text().replace(",20\n", ",3e6\n"))
+        out = tmp_path / "out"
+        assert main(["run", str(manifest), "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "s cap at" in err and "line 1" in err and "Traceback" not in err
+        assert not out.exists() and not marker.exists()
+
     def test_duplicate_manifest_row_is_data_error(self, echo_setup, tmp_path, capsys):
         # ids key every results row, so a repeated id is refused before any tool runs
         config, manifest = echo_setup

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from veribench import verifier
 from veribench.network import ActivationLayer, AffineLayer, Network, forward
 from veribench.speclang import (
     Conjunct,
@@ -227,7 +228,7 @@ def test_earlier_disjunct_climb_wins_over_later_sample_hit():
         assert w.x == (1.0,)
 
 
-def test_batched_falsify_matches_reference_across_sample_blocks():
+def test_batched_falsify_matches_reference_across_sample_blocks(monkeypatch):
     # two whole sample blocks and a partial one, with specs built from the
     # falsifier's own draws: the best draw, which one short PGD step turns
     # into a witness, and the first satisfying draw may lie past block one
@@ -242,11 +243,9 @@ def test_batched_falsify_matches_reference_across_sample_blocks():
         return NormalizedSpec(3, 2, (Conjunct(tuple(lo), tuple(hi), (constraint,)),))
 
     late = [0, 0]  # best draw, first hit: how often past the first block
+    monkeypatch.setattr(verifier, "PGD_STEP_SCALE", 0.001)
     for seed in range(4):
-        budget = Budget(
-            falsifier_samples=n, pgd_restarts=3, pgd_steps=1, pgd_step_scale=0.001,
-            seed=seed,
-        )
+        budget = Budget(falsifier_samples=n, pgd_restarts=3, pgd_steps=1, seed=seed)
         draws = lo + np.random.default_rng(seed).random((n, 3)) * (hi - lo)
         vals = batch_forward(net, draws) @ np.array(a_y) + draws @ np.array(b_x)
         assert _same_answer(net, spec_below(vals.min() - 0.001), budget) is not None
@@ -340,7 +339,7 @@ def test_default_budget_shape():
     assert EASY_VIOLATED_BUDGET.falsifier_samples == 100
     assert EASY_VIOLATED_BUDGET.pgd_restarts == 3
     assert EASY_VIOLATED_BUDGET.pgd_steps == 50
-    assert EASY_VIOLATED_BUDGET.pgd_step_scale == 0.1
+    assert verifier.PGD_STEP_SCALE == 0.1
     assert EASY_VIOLATED_BUDGET.wall_seconds == 10.0
 
 

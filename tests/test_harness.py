@@ -193,6 +193,13 @@ class TestManifest:
         with pytest.raises(HarnessError, match=r"timeout .* at .* line 2$"):
             load_manifest(path)
 
+    def test_timeout_over_cap_rejected(self, tmp_path):
+        # 3e6 s plus grace is past the 2**31 ms the OS wait takes, which used
+        # to raise OverflowError out of run_tool and abort run_batch
+        path = self.write_manifest(tmp_path, ["n.onnx,s.vnnlib,3e6"])
+        with pytest.raises(HarnessError, match=r"over the 1e\+06 s cap at .* line 1$"):
+            load_manifest(path)
+
     def test_empty_manifest_warns(self, tmp_path):
         path = self.write_manifest(tmp_path, [])
         with pytest.warns(UserWarning, match="no instances"):

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from veribench.speclang import (
     SpecError,
-    eval_spec,
     parse_vnnlib,
     to_dnf,
 )
+
+from oracles import ast_satisfied, spec_satisfied
 
 MINIMAL = (
     "(declare-const X_0 Real)(declare-const Y_0 Real)"
@@ -217,7 +218,7 @@ def test_determinism_byte_identical_dump():
     json.loads(a)  # dump is valid JSON
 
 
-# -- eval_spec ----------------------------------------------------------------
+# -- satisfaction of the normal form ------------------------------------------
 
 
 @pytest.fixture
@@ -230,34 +231,16 @@ def box_spec():
 
 
 def test_eval_boundary_satisfied(box_spec):
-    assert eval_spec(box_spec, [0.5], [2.0], tol=0.0) is True
+    assert spec_satisfied(box_spec, [0.5], [2.0]) is True
 
 
 def test_eval_tolerance_slack(box_spec):
-    assert eval_spec(box_spec, [0.5], [1.999999], tol=1e-6) is True
-    assert eval_spec(box_spec, [0.5], [1.999999], tol=0.0) is False
+    # exact satisfaction has no slack; the witness rule's is in test_verifier
+    assert spec_satisfied(box_spec, [0.5], [1.999999]) is False
 
 
 def test_eval_outside_box(box_spec):
-    assert eval_spec(box_spec, [1.5], [3.0], tol=0.0) is False
-
-
-def test_eval_dimension_mismatch(box_spec):
-    with pytest.raises(ValueError, match="expected 1 inputs"):
-        eval_spec(box_spec, [0.5, 0.5], [2.0])
-    with pytest.raises(ValueError, match="expected 1 outputs"):
-        eval_spec(box_spec, [0.5], [2.0, 2.0])
-
-
-def test_eval_relative_mode_scales_slack():
-    text = (
-        "(declare-const X_0 Real)(declare-const Y_0 Real)"
-        "(assert (>= X_0 0.0))(assert (<= X_0 1.0))(assert (>= Y_0 1000000.0))"
-    )
-    spec = to_dnf(parse_vnnlib(text))
-    y = [1000000.0 * (1 - 1e-7)]
-    assert eval_spec(spec, [0.5], y, tol=1e-6) is False
-    assert eval_spec(spec, [0.5], y, tol=1e-6, relative=True, abs_floor=1e-9)
+    assert spec_satisfied(box_spec, [1.5], [3.0]) is False
 
 
 # -- sampling equivalence oracle ---------------------------------------------
@@ -320,7 +303,7 @@ def test_ast_vs_dnf_sampling_equivalence():
         xs = rng.uniform(-3, 3, size=(1000, n_in))
         ys = rng.uniform(-5, 5, size=(1000, n_out))
         for x, y in zip(xs, ys):
-            assert ast.evaluate(x, y) == eval_spec(spec, x, y)
+            assert ast_satisfied(ast, x, y) == spec_satisfied(spec, x, y)
 
 
 def test_folding_soundness():
@@ -334,8 +317,8 @@ def test_folding_soundness():
         xs = rng.uniform(-3, 3, size=(300, n_in))
         ys = rng.uniform(-5, 5, size=(300, n_out))
         for x, y in zip(xs, ys):
-            if eval_spec(spec, x, y):
-                assert ast.evaluate(x, y)
+            if spec_satisfied(spec, x, y):
+                assert ast_satisfied(ast, x, y)
 
 
 @settings(max_examples=60, deadline=None)
@@ -354,7 +337,7 @@ def test_single_box_spec_matches_closed_form(lo, hi, thr, x, y):
     )
     spec = to_dnf(parse_vnnlib(text))
     expected = (lo <= x <= hi) and y >= thr
-    assert eval_spec(spec, [x], [y]) == expected
+    assert spec_satisfied(spec, [x], [y]) == expected
 
 
 def test_nesting_depth_is_capped():

@@ -497,6 +497,53 @@ def test_validate_witness_relative_tolerance_scales():
     assert validate_witness(big, spec, Witness((x,))) is True
 
 
+def test_validate_witness_matches_scalar_reference():
+    # every disjunct at once on the padded rows, against the scalar loop, on
+    # specs with no disjuncts or disjuncts with no rows, magnitudes from 1e-3
+    # to 1e6, and a bound or row missed by 0.5-1.5 slacks
+    slack = oracles._relative_slack
+    rng = np.random.default_rng(61)
+    seen = set()  # (disjuncts, rows of the last, what is near its edge, answer)
+    for _ in range(10_000):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        scale = 10.0 ** rng.uniform(-3, 6)
+        net = Network(
+            (AffineLayer(rng.uniform(-1, 1, (m, n)), scale * rng.uniform(-1, 1, m)),), n, m
+        )
+        x = scale * rng.uniform(-1, 1, n)
+        y = forward(net, x)
+        disjuncts, edge = [], None
+        for _ in range(int(rng.integers(0, 4))):
+            lo = x - scale * rng.uniform(0, 1, n)
+            hi = x + scale * rng.uniform(0, 1, n)
+            edge, i, t = None, int(rng.integers(n)), rng.uniform(0.5, 1.5)
+            if rng.random() < 0.2:  # x_i just under lo or just over hi
+                edge = "box"
+                if rng.random() < 0.5:
+                    lo[i] = x[i] + t * slack(x[i], hi[i])
+                else:
+                    hi[i] = x[i] - t * slack(x[i], lo[i])
+            rows = []
+            for _ in range(int(rng.integers(0, 3))):
+                a_y = rng.uniform(-1, 1, m)
+                b_x = rng.uniform(-1, 1, n) if rng.random() < 0.5 else np.zeros(n)
+                lhs = float(a_y @ y + b_x @ x)
+                if edge is None and rng.random() < 0.3:  # lhs just over rhs
+                    edge, rhs = "row", lhs - t * slack(lhs)
+                else:
+                    rhs = lhs + scale * rng.uniform(-0.1, 1)
+                rows.append(MixedConstraint(tuple(a_y), tuple(b_x), rhs))
+            disjuncts.append(Conjunct(tuple(lo), tuple(hi), tuple(rows)))
+        spec = NormalizedSpec(n, m, tuple(disjuncts))
+        want = oracles.witness_rule_reference(spec, x, y)
+        assert validate_witness(net, spec, Witness(tuple(x))) == want
+        seen.add((len(disjuncts), len(rows) if disjuncts else None, edge, want))
+    assert (0, None, None, False) in seen
+    # a lone disjunct without rows, then with a row, held or missed at its edge
+    for shape in ((1, 0, "box"), (1, 1, "box"), (1, 1, "row"), (1, 2, "row")):
+        assert {shape + (True,), shape + (False,)} <= seen, shape
+
+
 def test_witness_file_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(29)
     for _ in range(20):
