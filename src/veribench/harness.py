@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import _affine_forms, _constraint_rows
-from .network import Box, NetworkError, gen_trivial_network, load_network, forward, save_network
+from .network import NetworkError, gen_trivial_network, load_network, forward, save_network
 from .scoring import RunRecord, ScoreLedger, write_results_csv
 from .scoring import (
     BASELINE_TOOL,
@@ -40,7 +40,7 @@ from .scoring import (
     render_instance_log,
     render_report,
 )
-from .speclang import Conjunct, MixedConstraint, NormalizedSpec, SpecError, parse_vnnlib, to_dnf
+from .speclang import Conjunct, NormalizedSpec, SpecError, parse_vnnlib, to_dnf
 from .verifier import (
     Budget,
     EASY_VIOLATED_BUDGET,
@@ -559,20 +559,11 @@ def make_robustness_oracles(
     top = int(np.argmax(forward(net, req.center)))
     eye = np.eye(net.n_outputs)
     rows = eye[top] - np.delete(eye, top, axis=0)  # y_top - y_j, one row per j
-    b_x = tuple(0.0 for _ in range(net.n_inputs))
     zero_x = np.zeros((len(rows), net.n_inputs))
 
     def spec_at(eps):
-        lower = req.center - eps
-        upper = req.center + eps
-        disjuncts = tuple(
-            Conjunct(
-                input_lower=tuple(lower),
-                input_upper=tuple(upper),
-                constraints=(MixedConstraint(a_y=tuple(row), b_x=b_x, rhs=0.0),),
-            )
-            for row in rows
-        )
+        lower, upper = req.center - eps, req.center + eps
+        disjuncts = tuple(Conjunct(lower, upper, [row], zero_x[:1], [0.0]) for row in rows)
         return NormalizedSpec(net.n_inputs, net.n_outputs, disjuncts)
 
     def attack(eps):
@@ -583,8 +574,7 @@ def make_robustness_oracles(
     def certify(eps):
         if eps <= 0:
             return True
-        box = Box(req.center - eps, req.center + eps)
-        lo, hi = box.lower[None], box.upper[None]
+        lo, hi = (req.center - eps)[None], (req.center + eps)[None]
         _, relaxation, y = _affine_forms(net, lo, hi)
         lb, _ = _constraint_rows(net, relaxation, lo, hi, y, rows, zero_x)
         return bool((lb > 0).all())

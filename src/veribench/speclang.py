@@ -15,8 +15,9 @@ an ASCII literal without ``_`` separators, every number and coefficient
 finite, and nesting at most 256 parentheses deep; anything else raises
 ``SpecError``.  Comments run from ``;`` to end of line.  Strict
 ``<``/``>`` are accepted as their non-strict forms with a warning, which is
-unobservable under tolerance-based witness checking over the reals.  This
-module evaluates nothing: the one witness rule is
+unobservable under tolerance-based witness checking over the reals.
+``to_dnf`` yields the arrays the search reads (see ``NormalizedSpec``).
+This module evaluates nothing: the one witness rule is
 ``verifier.validate_witness``.
 """
 
@@ -26,7 +27,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,22 +100,23 @@ class SpecAst:
     assertions: list  # Atom | BoolTerm
 
 
-@dataclass(frozen=True)
-class MixedConstraint:
-    """Affine inequality a_y . y + b_x . x <= rhs over inputs and outputs."""
-
-    a_y: tuple[float, ...]
-    b_x: tuple[float, ...]
-    rhs: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Conjunct:
-    """One disjunct: an input box plus joint affine constraints."""
+    """One disjunct as read-only float64 arrays: its box ``input_lower``,
+    ``input_upper`` (n,) and k rows ``a_y . y + b_x . x <= rhs``, with
+    ``a_y`` (k, m), ``b_x`` (k, n) and ``rhs`` (k,)."""
 
-    input_lower: tuple[float, ...]
-    input_upper: tuple[float, ...]
-    constraints: tuple[MixedConstraint, ...]
+    input_lower: np.ndarray
+    input_upper: np.ndarray
+    a_y: np.ndarray
+    b_x: np.ndarray
+    rhs: np.ndarray
+
+    def __post_init__(self):
+        for name in ("input_lower", "input_upper", "a_y", "b_x", "rhs"):
+            a = np.array(getattr(self, name), dtype=np.float64)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)
@@ -123,11 +125,44 @@ class NormalizedSpec:
 
     A point ``(x, y)`` satisfies the spec iff it satisfies at least one
     conjunct.  SAT means the property is violated; UNSAT means it holds.
+
+    Construction checks each disjunct's shapes against ``n_inputs`` and
+    ``n_outputs``, its numbers finite and its box not inverted, else raises
+    ``ValueError``; then it stacks the D disjuncts once, read-only: ``rows``
+    is (a_y (D, k, m), b_x (D, k, n), rhs (D, k)) and ``boxes`` is (lower,
+    upper), each (D, n), k the most rows of any disjunct.  Shorter ones are
+    padded with inert rows, a_y = 0, b_x = 0 and rhs = +inf: their slack is
+    +inf, no bound prunes on them and every point satisfies them.
     """
 
     n_inputs: int
     n_outputs: int
     disjuncts: tuple[Conjunct, ...]
+    rows: tuple = field(init=False, repr=False, compare=False)
+    boxes: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, m, d = self.n_inputs, self.n_outputs, len(self.disjuncts)
+        sizes = np.array([c.rhs.size for c in self.disjuncts], dtype=int)
+        k = sizes.max(initial=0)
+        a_y, b_x, rhs = np.zeros((d, k, m)), np.zeros((d, k, n)), np.full((d, k), np.inf)
+        lower, upper = np.empty((d, n)), np.empty((d, n))
+        for i, (c, j) in enumerate(zip(self.disjuncts, sizes.tolist())):
+            shapes = [a.shape for a in (c.input_lower, c.input_upper, c.a_y, c.b_x, c.rhs)]
+            want = [(n,), (n,), (j, m), (j, n), (j,)]
+            if shapes != want:
+                raise ValueError(f"disjunct {i} has shapes {shapes}, the spec needs {want}")
+            lower[i], upper[i] = c.input_lower, c.input_upper
+            a_y[i, :j], b_x[i, :j], rhs[i, :j] = c.a_y, c.b_x, c.rhs
+        real = np.arange(k) < sizes[:, None]  # the rows that are not padding
+        if not all(np.isfinite(a).all() for a in (lower, upper, a_y, b_x, rhs[real])):
+            raise ValueError("box bounds and rows must be finite")
+        if (lower > upper).any():
+            raise ValueError("box has lower > upper")
+        for a in (a_y, b_x, rhs, lower, upper):
+            a.setflags(write=False)
+        object.__setattr__(self, "rows", (a_y, b_x, rhs))
+        object.__setattr__(self, "boxes", (lower, upper))
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,11 +170,11 @@ class NormalizedSpec:
             "n_outputs": self.n_outputs,
             "disjuncts": [
                 {
-                    "input_lower": list(c.input_lower),
-                    "input_upper": list(c.input_upper),
+                    "input_lower": c.input_lower.tolist(),
+                    "input_upper": c.input_upper.tolist(),
                     "constraints": [
-                        {"a_y": list(m.a_y), "b_x": list(m.b_x), "rhs": m.rhs}
-                        for m in c.constraints
+                        {"a_y": a, "b_x": b, "rhs": r}
+                        for a, b, r in zip(c.a_y.tolist(), c.b_x.tolist(), c.rhs.tolist())
                     ],
                 }
                 for c in self.disjuncts
@@ -458,7 +493,7 @@ def _build_conjunct(atoms: list[Atom], n_inputs: int, n_outputs: int) -> Conjunc
     """Fold pure-input bounds into a box; returns None for an empty conjunct."""
     lower = np.full(n_inputs, -np.inf)
     upper = np.full(n_inputs, np.inf)
-    mixed: list[MixedConstraint] = []
+    mixed: list[tuple[dict, float]] = []
 
     for atom in atoms:
         coeffs, const = _normalize_atom(atom)
@@ -477,11 +512,7 @@ def _build_conjunct(atoms: list[Atom], n_inputs: int, n_outputs: int) -> Conjunc
             else:
                 lower[i] = max(lower[i], bound)
             continue
-        a_y = np.zeros(n_outputs)
-        b_x = np.zeros(n_inputs)
-        for (kind, i), v in coeffs.items():
-            (a_y if kind == "Y" else b_x)[i] = v
-        mixed.append(MixedConstraint(tuple(a_y), tuple(b_x), -const))
+        mixed.append((coeffs, -const))
 
     unbounded = [
         i for i in range(n_inputs) if not np.isfinite(lower[i]) or not np.isfinite(upper[i])
@@ -493,7 +524,11 @@ def _build_conjunct(atoms: list[Atom], n_inputs: int, n_outputs: int) -> Conjunc
 
     if np.any(lower > upper):
         return None
-    return Conjunct(tuple(lower), tuple(upper), tuple(mixed))
+    a_y, b_x = np.zeros((len(mixed), n_outputs)), np.zeros((len(mixed), n_inputs))
+    for j, (coeffs, _) in enumerate(mixed):
+        for (kind, i), v in coeffs.items():
+            (a_y if kind == "Y" else b_x)[j, i] = v
+    return Conjunct(lower, upper, a_y, b_x, [rhs for _, rhs in mixed])
 
 
 def to_dnf(ast: SpecAst) -> NormalizedSpec:

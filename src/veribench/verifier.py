@@ -38,13 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import _affine_forms, _constraint_rows, _meet
-from .network import (
-    ActivationLayer,
-    Box,
-    Network,
-    forward,
-    layer_outputs,
-)
+from .network import ActivationLayer, Network, forward, layer_outputs
 from .speclang import NormalizedSpec, Witness
 
 # Boxes narrower than this per dimension are not split further.
@@ -52,7 +46,6 @@ MIN_SPLIT_WIDTH = 1e-12
 
 # Relative tolerance used when a found counterexample is re-validated.
 WITNESS_TOL = 1e-6
-WITNESS_ABS_FLOOR = 1e-9
 
 # A PGD step moves this fraction of its box's width per dimension.
 PGD_STEP_SCALE = 0.1
@@ -152,27 +145,6 @@ def output_combination_gradient(net: Network, x, a_y) -> np.ndarray:
 _SAMPLE_BLOCK = 4096
 
 
-def _padded_rows(spec: NormalizedSpec):
-    """Every disjunct as arrays: its rows and its box.
-
-    Returns ``(a_y, b_x, rhs), (lower, upper)``: a_y (D, k, m), b_x (D, k, n)
-    and rhs (D, k) hold the constraints, lower and upper (D, n) the input
-    boxes.  k is the most rows any disjunct has.  A shorter disjunct is
-    padded with inert rows, a_y = 0, b_x = 0 and rhs = +inf, which read
-    0 <= +inf: their slack is +inf, no bound prunes on them and every point
-    satisfies them.
-    """
-    d, k = len(spec.disjuncts), max((len(c.constraints) for c in spec.disjuncts), default=0)
-    a_y, b_x = np.zeros((d, k, spec.n_outputs)), np.zeros((d, k, spec.n_inputs))
-    rhs = np.full((d, k), np.inf)
-    lower, upper = np.zeros((d, spec.n_inputs)), np.zeros((d, spec.n_inputs))
-    for i, conj in enumerate(spec.disjuncts):
-        lower[i], upper[i] = conj.input_lower, conj.input_upper
-        for j, row in enumerate(conj.constraints):
-            a_y[i, j], b_x[i, j], rhs[i, j] = row.a_y, row.b_x, row.rhs
-    return (a_y, b_x, rhs), (lower, upper)
-
-
 def _own_slack(rows, X, Y, d) -> np.ndarray:
     """Per point, ``rhs - (a_y . y + b_x . x)`` over the k rows of its disjunct d[i].
 
@@ -206,10 +178,10 @@ def _witness_among(net, spec, X, Y, worst, d) -> Witness | None:
     return None
 
 
-def _probe(net, spec, rows, points, d) -> Witness | None:
+def _probe(net, spec, points, d) -> Witness | None:
     """Forward the points as one batch; the first that satisfies and re-validates."""
     Y = forward(net, points)
-    return _witness_among(net, spec, points, Y, _worst_slack(rows, points, Y, d), d)
+    return _witness_among(net, spec, points, Y, _worst_slack(spec.rows, points, Y, d), d)
 
 
 def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | None:
@@ -246,18 +218,22 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
     rng = np.random.default_rng(budget.seed)
     deadline = time.monotonic() + budget.wall_seconds
 
-    rows, _ = _padded_rows(spec)
+    rows, (lower, upper) = spec.rows, spec.boxes
     a_y, b_x, _ = rows
+    width = upper - lower
+
+    def draw(index, count):  # uniform points in disjunct index's box
+        return lower[index] + rng.random((count, spec.n_inputs)) * width[index]
+
     hit = None
-    starts, owners = [], []  # queued restarts, and each one's (disjunct, box)
+    starts, queued = [], []  # queued restarts, and the disjuncts that queued them
     for index, conj in enumerate(spec.disjuncts):
-        box = Box(conj.input_lower, conj.input_upper)
         best_x = None
         best_slack = -np.inf
         for start in range(0, budget.falsifier_samples, _SAMPLE_BLOCK):
             if time.monotonic() > deadline:
                 return None
-            X = box.sample(rng, min(_SAMPLE_BLOCK, budget.falsifier_samples - start))
+            X = draw(index, min(_SAMPLE_BLOCK, budget.falsifier_samples - start))
             Y = forward(net, X)
             d = np.full(len(X), index)
             worst = _worst_slack(rows, X, Y, d)
@@ -269,20 +245,18 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
                 best_slack, best_x = worst[i], X[i]
         if hit is not None:
             break
-        if conj.constraints:  # sampling would have hit an unconstrained one
-            starts += [best_x, box.sample(rng, budget.pgd_restarts - 1)]
-            owners += [(index, box)] * budget.pgd_restarts
+        if conj.rhs.size:  # sampling would have hit an unconstrained one
+            starts += [best_x, draw(index, budget.pgd_restarts - 1)]
+            queued.append(index)
     if not starts:
         return hit
 
     X = np.vstack(starts)
-    d = np.array([index for index, _ in owners])
+    d = np.repeat(queued, budget.pgd_restarts)
     live = np.arange(len(X))  # the restarts still climbing
     # the live rows: points, disjuncts, step sizes and clip bounds
     XL, dL = X, d
-    step = PGD_STEP_SCALE * np.array([box.width for _, box in owners])
-    lo = np.array([box.lower for _, box in owners])
-    hi = np.array([box.upper for _, box in owners])
+    step, lo, hi = PGD_STEP_SCALE * width[d], lower[d], upper[d]
     for _ in range(budget.pgd_steps):
         if time.monotonic() > deadline:
             return None
@@ -301,7 +275,7 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
                 break
         XL = np.clip(XL - step * np.sign(g), lo, hi)
     X[live] = XL
-    w = _probe(net, spec, rows, X, d)
+    w = _probe(net, spec, X, d)
     return w if w is not None else hit
 
 
@@ -314,14 +288,14 @@ _FRONTIER = 32
 
 
 def _branch_and_bound(net, spec, budget, deadline, stats):
-    """The search of the module docstring; returns (status, witness).
+    """The search of the module docstring over ``spec.boxes`` and
+    ``spec.rows``; returns (status, witness).
 
     The frontier holds stacked rows: input bounds lo, hi (S, n), the output
     bounds each row inherits from its parent, stacked as ``[lower | -upper]``
     (S, 2m), and the row's disjunct index (S,); the top is the last row.
     """
-    rows, (lower, upper) = _padded_rows(spec)
-    a_y, b_x, rhs = rows
+    (a_y, b_x, rhs), (lower, upper) = spec.rows, spec.boxes
     stack = (  # every disjunct's root, disjunct 0 on top
         lower[::-1],
         upper[::-1],
@@ -340,7 +314,7 @@ def _branch_and_bound(net, spec, budget, deadline, stats):
 
         # midpoints go first: they need no bounds, so neither a bound that
         # overflows nor an unsound prune can hide a witness there
-        w = _probe(net, spec, rows, 0.5 * (lo + hi), d)
+        w = _probe(net, spec, 0.5 * (lo + hi), d)
         if w is not None:
             return Status.VIOLATED, w
 
@@ -357,7 +331,7 @@ def _branch_and_bound(net, spec, budget, deadline, stats):
         # the box corner minimizing the row's back-substituted lower form
         real = rhs[d, :8] < np.inf
         corners = np.where(coef[:, :8] > 0, lo[:, None], hi[:, None])[real]
-        w = _probe(net, spec, rows, corners, np.repeat(d, real.sum(axis=1)))
+        w = _probe(net, spec, corners, np.repeat(d, real.sum(axis=1)))
         if w is not None:
             return Status.VIOLATED, w
 
@@ -430,12 +404,12 @@ def validate_witness(net: Network, spec: NormalizedSpec, witness: Witness) -> bo
 
     This is the one witness rule.  The witness holds when some disjunct
     holds at (x, y = f(x)), each inequality slackened by
-    ``max(WITNESS_ABS_FLOOR, WITNESS_TOL * scale)``: an input bound ``lo <= x_i <= hi`` with scale
+    ``WITNESS_TOL * scale``: an input bound ``lo <= x_i <= hi`` with scale
     ``max(1, |x_i|, |lo|, |hi|)``, a row ``lhs = a_y . y + b_x . x <= rhs``
     with scale ``max(1, |lhs|, |rhs|)``.  Every disjunct is checked at once
-    on the padded rows the search uses; a padding row always holds.  A
-    claimed output vector that disagrees with the recomputation fails
-    validation with a warning.
+    on ``spec.rows`` and ``spec.boxes``, the arrays the search reads; a
+    padding row always holds.  A claimed output vector that disagrees with
+    the recomputation fails validation with a warning.
     """
     x = np.asarray(witness.x, dtype=np.float64)
     if x.size != spec.n_inputs:
@@ -454,7 +428,7 @@ def validate_witness(net: Network, spec: NormalizedSpec, witness: Witness) -> bo
                 stacklevel=2,
             )
             return False
-    (a_y, b_x, rhs), (lo, hi) = _padded_rows(spec)
+    (a_y, b_x, rhs), (lo, hi) = spec.rows, spec.boxes
     lhs = a_y @ y + b_x @ x  # (D, k)
     box_slack = _witness_slack(np.maximum(np.maximum(np.abs(x), np.abs(lo)), np.abs(hi)))
     row_slack = _witness_slack(np.maximum(np.abs(lhs), np.abs(rhs)))
@@ -465,7 +439,7 @@ def validate_witness(net: Network, spec: NormalizedSpec, witness: Witness) -> bo
 
 def _witness_slack(magnitude):
     """The slack of an inequality whose largest term has this magnitude."""
-    return np.maximum(WITNESS_ABS_FLOOR, WITNESS_TOL * np.maximum(1.0, magnitude))
+    return WITNESS_TOL * np.maximum(1.0, magnitude)
 
 
 def format_witness(witness: Witness) -> str:

@@ -35,7 +35,6 @@ from veribench.network import ActivationLayer, AffineLayer, Network
 from veribench.speclang import (
     BoolTerm,
     Conjunct,
-    MixedConstraint,
     NormalizedSpec,
     Witness,
 )
@@ -43,7 +42,6 @@ from veribench.bounds import _box_rows, affine_bounds, constraint_lower_bound
 from veribench.network import Box
 from veribench.verifier import (
     MIN_SPLIT_WIDTH,
-    WITNESS_ABS_FLOOR,
     WITNESS_TOL,
     validate_witness,
 )
@@ -63,10 +61,10 @@ def _conjunct_holds(conj: Conjunct, x, y, slack) -> bool:
         s = slack(x[i], lo, hi)
         if x[i] < lo - s or x[i] > hi + s:
             return False
-    for m in conj.constraints:
-        lhs = float(np.dot(m.a_y, y) + np.dot(m.b_x, x))
-        s = slack(lhs, m.rhs)
-        if lhs > m.rhs + s:
+    for a_y, b_x, rhs in zip(conj.a_y, conj.b_x, conj.rhs):
+        lhs = float(np.dot(a_y, y) + np.dot(b_x, x))
+        s = slack(lhs, rhs)
+        if lhs > rhs + s:
             return False
     return True
 
@@ -76,7 +74,7 @@ def _no_slack(*values) -> float:
 
 
 def _relative_slack(*values) -> float:
-    return max(WITNESS_ABS_FLOOR, WITNESS_TOL * max(1.0, *map(abs, values)))
+    return WITNESS_TOL * max(1.0, *map(abs, values))
 
 
 def conjunct_satisfied(conj: Conjunct, x, y) -> bool:
@@ -93,9 +91,9 @@ def spec_satisfied(spec: NormalizedSpec, x, y) -> bool:
 def witness_rule_reference(spec: NormalizedSpec, x, y) -> bool:
     """The witness rule, one disjunct and one inequality at a time.
 
-    An inequality may miss by max(WITNESS_ABS_FLOOR, WITNESS_TOL * scale),
-    where scale is the largest of 1 and the magnitudes it compares: x_i and
-    its bounds, or a row's lhs and rhs.
+    An inequality may miss by WITNESS_TOL * scale, where scale is the
+    largest of 1 and the magnitudes it compares: x_i and its bounds, or a
+    row's lhs and rhs.
     """
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     return any(_conjunct_holds(c, x, y, _relative_slack) for c in spec.disjuncts)
@@ -140,8 +138,8 @@ def network_lipschitz(net: Network) -> float:
     return bound
 
 
-def constraint_lipschitz(net_bound: float, m: MixedConstraint) -> float:
-    return float(np.sum(np.abs(m.a_y))) * net_bound + float(np.sum(np.abs(m.b_x)))
+def constraint_lipschitz(net_bound: float, a_y, b_x) -> float:
+    return float(np.sum(np.abs(a_y))) * net_bound + float(np.sum(np.abs(b_x)))
 
 
 def _grid(lower: np.ndarray, upper: np.ndarray, per_dim: int) -> np.ndarray:
@@ -153,14 +151,11 @@ def _grid(lower: np.ndarray, upper: np.ndarray, per_dim: int) -> np.ndarray:
 def _decide_conjunct(
     net: Network, conj: Conjunct, net_bound: float, max_points: int
 ) -> str:
-    lower = np.asarray(conj.input_lower)
-    upper = np.asarray(conj.input_upper)
-    if not conj.constraints:
+    lower, upper = conj.input_lower, conj.input_upper
+    if not conj.rhs.size:
         return SAT  # any box point satisfies
-    lips = [constraint_lipschitz(net_bound, m) for m in conj.constraints]
-    a_mat = np.array([m.a_y for m in conj.constraints])
-    b_mat = np.array([m.b_x for m in conj.constraints])
-    rhs = np.array([m.rhs for m in conj.constraints])
+    lips = [constraint_lipschitz(net_bound, a, b) for a, b in zip(conj.a_y, conj.b_x)]
+    a_mat, b_mat, rhs = conj.a_y, conj.b_x, conj.rhs
 
     per_dim = 9
     while True:
@@ -210,7 +205,7 @@ def make_decidable_instance(rng, max_tries: int = 50):
         upper = lower + rng.uniform(0.5, 2.0, n_in)
         n_constraints = int(rng.integers(1, 3))
         probes = batch_forward(net, _grid(lower, upper, 7))
-        constraints = []
+        a_rows, b_rows, rhs_list = [], [], []
         for _ in range(n_constraints):
             a_y = rng.uniform(-1, 1, n_out)
             b_x = (
@@ -223,13 +218,13 @@ def make_decidable_instance(rng, max_tries: int = 50):
                 rhs = float(np.max(vals) + rng.uniform(0.05, 0.3))  # easy to satisfy
             else:
                 rhs = float(np.min(vals) - rng.uniform(0.05, 0.5))  # likely empty
-            constraints.append(
-                MixedConstraint(tuple(a_y), tuple(b_x), rhs)
-            )
+            a_rows.append(a_y)
+            b_rows.append(b_x)
+            rhs_list.append(rhs)
         spec = NormalizedSpec(
             n_in,
             n_out,
-            (Conjunct(tuple(lower), tuple(upper), tuple(constraints)),),
+            (Conjunct(lower, upper, a_rows, b_rows, rhs_list),),
         )
         verdict = decide_spec(net, spec)
         if verdict != UNDECIDED:
@@ -272,16 +267,14 @@ def reference_falsify(net: Network, spec: NormalizedSpec, budget):
     """
     rng = np.random.default_rng(budget.seed)
     for conj in spec.disjuncts:
-        lo = np.asarray(conj.input_lower, dtype=np.float64)
-        hi = np.asarray(conj.input_upper, dtype=np.float64)
+        lo, hi = conj.input_lower, conj.input_upper
 
         def sample(count):
             return lo + rng.random((count, lo.size)) * (hi - lo)
 
         def slacks(x, y):
-            return np.array(
-                [m.rhs - (np.dot(m.a_y, y) + np.dot(m.b_x, x)) for m in conj.constraints]
-            )
+            rows = zip(conj.a_y, conj.b_x, conj.rhs)
+            return np.array([r - (np.dot(a, y) + np.dot(b, x)) for a, b, r in rows])
 
         def accepted(x):
             y = _point_outputs(net, x)[-1]
@@ -295,11 +288,11 @@ def reference_falsify(net: Network, spec: NormalizedSpec, budget):
             w = accepted(x)
             if w is not None:
                 return w
-            if conj.constraints:
+            if conj.rhs.size:
                 s = float(np.min(slacks(x, _point_outputs(net, x)[-1])))
                 if s > best_slack:
                     best_slack, best_x = s, x
-        if not conj.constraints:
+        if not conj.rhs.size:
             continue
 
         step = verifier.PGD_STEP_SCALE * (hi - lo)
@@ -310,8 +303,7 @@ def reference_falsify(net: Network, spec: NormalizedSpec, budget):
                 j = int(np.argmin(s))
                 if s[j] >= 0.0:
                     break
-                m = conj.constraints[j]
-                g = _point_gradient(net, x, m.a_y) + np.asarray(m.b_x)
+                g = _point_gradient(net, x, conj.a_y[j]) + conj.b_x[j]
                 x = np.clip(x - step * np.sign(g), lo, hi)
             w = accepted(x)
             if w is not None:
@@ -347,9 +339,7 @@ def reference_search(net: Network, spec: NormalizedSpec):
     """
     nodes, undecided = 0, False
     for conj in spec.disjuncts:
-        a_y = np.array([m.a_y for m in conj.constraints]).reshape(-1, spec.n_outputs)
-        b_x = np.array([m.b_x for m in conj.constraints]).reshape(-1, spec.n_inputs)
-        rhs = [m.rhs for m in conj.constraints]
+        a_y, b_x, rhs = conj.a_y, conj.b_x, conj.rhs
         stack = [(Box(conj.input_lower, conj.input_upper), None)]
         while stack:
             box, inherited = stack.pop()

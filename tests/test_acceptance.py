@@ -35,7 +35,7 @@ from veribench.scoring import (
     score_records,
     time_bonus,
 )
-from veribench.speclang import Conjunct, MixedConstraint, NormalizedSpec
+from veribench.speclang import Conjunct, NormalizedSpec
 from veribench.verifier import (
     Budget,
     EASY_VIOLATED_BUDGET,
@@ -235,11 +235,7 @@ def test_criterion_08_falsifier_recall():
             n_in,
             n_out,
             (
-                Conjunct(
-                    tuple(lower),
-                    tuple(upper),
-                    (MixedConstraint(tuple(a_y), tuple(np.zeros(n_in)), rhs),),
-                ),
+                Conjunct(lower, upper, [a_y], np.zeros((1, n_in)), [rhs]),
             ),
         )
         witness = falsify(net, spec, replace(EASY_VIOLATED_BUDGET, seed=k))

@@ -8,7 +8,6 @@ from veribench import verifier
 from veribench.network import ActivationLayer, AffineLayer, Network, forward
 from veribench.speclang import (
     Conjunct,
-    MixedConstraint,
     NormalizedSpec,
     parse_vnnlib,
     to_dnf,
@@ -83,11 +82,7 @@ def test_gradient_phase_reaches_narrow_satisfying_set():
         3,
         1,
         (
-            Conjunct(
-                tuple(box_lo),
-                tuple(box_hi),
-                (MixedConstraint((-1.0,), (0.0, 0.0, 0.0), -thr),),
-            ),
+            Conjunct(box_lo, box_hi, [[-1.0]], [[0.0, 0.0, 0.0]], [-thr]),
         ),
     )
     # few samples: phase 1 alone is very unlikely to hit the top 0.01%
@@ -110,17 +105,14 @@ def test_planted_violations_recall():
         box_hi = lo + rng.uniform(0.5, 2, n_in)
         x_star = lo + rng.random(n_in) * (box_hi - lo)
         y_star = forward(net, x_star)
-        constraints = []
+        a_rows, rhs = [], []
         for _ in range(int(rng.integers(1, 3))):
             a_y = rng.uniform(-1, 1, n_out)
             slack = rng.uniform(0.01, 0.1)
-            constraints.append(
-                MixedConstraint(
-                    tuple(a_y), tuple(np.zeros(n_in)), float(a_y @ y_star + slack)
-                )
-            )
+            a_rows.append(a_y)
+            rhs.append(float(a_y @ y_star + slack))
         spec = NormalizedSpec(
-            n_in, n_out, (Conjunct(tuple(lo), tuple(box_hi), tuple(constraints)),)
+            n_in, n_out, (Conjunct(lo, box_hi, a_rows, np.zeros((len(rhs), n_in)), rhs),)
         )
         w = falsify(net, spec, EASY_VIOLATED_BUDGET)
         if w is not None and validate_witness(net, spec, w):
@@ -136,11 +128,7 @@ def test_falsify_respects_wall_budget():
         4,
         2,
         tuple(
-            Conjunct(
-                (-1.0,) * 4,
-                (1.0,) * 4,
-                (MixedConstraint((-1.0, 0.0), (0.0,) * 4, -1e6),),
-            )
+            Conjunct((-1.0,) * 4, (1.0,) * 4, [[-1.0, 0.0]], [(0.0,) * 4], [-1e6])
             for _ in range(50)
         ),
     )
@@ -175,15 +163,17 @@ def _random_falsify_instance(rng, n_disjuncts=1, quantiles=(0.0005, 0.01, 0.2, -
         hi = lo + rng.uniform(0.2, 1.5, n_in)
         xs = lo + rng.random((512, n_in)) * (hi - lo)
         ys = batch_forward(net, xs)
-        constraints = []
+        a_rows, b_rows, rhs_list = [], [], []
         for _ in range(int(rng.integers(1, 4))):
             a_y = rng.uniform(-1.0, 1.0, n_out)
             b_x = rng.uniform(-0.3, 0.3, n_in) if rng.random() < 0.3 else np.zeros(n_in)
             vals = ys @ a_y + xs @ b_x
             q = float(rng.choice(quantiles))
             rhs = np.min(vals) - 0.5 if q < 0 else np.quantile(vals, q)
-            constraints.append(MixedConstraint(tuple(a_y), tuple(b_x), float(rhs)))
-        disjuncts.append(Conjunct(tuple(lo), tuple(hi), tuple(constraints)))
+            a_rows.append(a_y)
+            b_rows.append(b_x)
+            rhs_list.append(float(rhs))
+        disjuncts.append(Conjunct(lo, hi, a_rows, b_rows, rhs_list))
     return net, NormalizedSpec(n_in, n_out, tuple(disjuncts))
 
 
@@ -239,8 +229,7 @@ def test_batched_falsify_matches_reference_across_sample_blocks(monkeypatch):
     a_y, b_x = (1.0, -1.0), (2.0, 2.0, 2.0)
 
     def spec_below(rhs):
-        constraint = MixedConstraint(a_y, b_x, float(rhs))
-        return NormalizedSpec(3, 2, (Conjunct(tuple(lo), tuple(hi), (constraint,)),))
+        return NormalizedSpec(3, 2, (Conjunct(lo, hi, [a_y], [b_x], [float(rhs)]),))
 
     late = [0, 0]  # best draw, first hit: how often past the first block
     monkeypatch.setattr(verifier, "PGD_STEP_SCALE", 0.001)
@@ -299,7 +288,7 @@ def test_falsify_overflow_in_a_sample_block_raises_despite_earlier_witness():
 
 def _x_at_least(rhs, lo, hi):
     """A disjunct x >= rhs over the box [lo, hi], as its normalized row."""
-    return Conjunct((lo,), (hi,), (MixedConstraint((0.0,), (-1.0,), -rhs),))
+    return Conjunct((lo,), (hi,), [[0.0]], [[-1.0]], [-rhs])
 
 
 @pytest.mark.parametrize("where", ["samples", "restarts"])

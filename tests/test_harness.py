@@ -29,12 +29,11 @@ from veribench.harness import (
     run_baseline,
     run_batch,
     run_tool,
-    trivial_instances,
 )
 from veribench.bounds import affine_bounds, constraint_lower_bound
-from veribench.network import Box, forward, gen_trivial_network, load_network, network_to_onnx_bytes, save_network
+from veribench.network import Box, forward, gen_trivial_network, network_to_onnx_bytes, save_network
 from veribench.scoring import RunRecord, build_overhead_model, empty_ledger, read_results_csv, score_records
-from veribench.verifier import Budget, EASY_VIOLATED_BUDGET, Status
+from veribench.verifier import Status
 
 def save_manifest(path, instances) -> None:
     """Write instances back out, paths relative to the manifest location."""

@@ -1,11 +1,12 @@
-"""Source hygiene checks over src/veribench, using only the standard library."""
+"""Source hygiene checks over src/veribench and tests, using only the standard library."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "veribench").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "veribench").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported_names(tree: ast.Module):
@@ -19,7 +20,7 @@ def _imported_names(tree: ast.Module):
                 yield alias.asname or alias.name, node.lineno
 
 
-@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veribench.speclang import (
+    Conjunct,
+    NormalizedSpec,
     SpecError,
     parse_vnnlib,
     to_dnf,
@@ -47,8 +49,8 @@ def test_comments_and_scientific_literals():
 """
     spec = to_dnf(parse_vnnlib(text))
     (conj,) = spec.disjuncts
-    assert conj.input_lower == (-0.015,)
-    assert conj.input_upper == (2000.0,)
+    assert conj.input_lower.tolist() == [-0.015]
+    assert conj.input_upper.tolist() == [2000.0]
 
 
 def test_syntax_error_position():
@@ -73,11 +75,10 @@ def test_constant_product_and_nested_arithmetic():
     )
     spec = to_dnf(parse_vnnlib(text))
     (conj,) = spec.disjuncts
-    (m,) = conj.constraints
     # 2 y - x + 1 <= 6  ->  2 y - x <= 5
-    assert m.a_y == (2.0,)
-    assert m.b_x == (-1.0,)
-    assert m.rhs == 5.0
+    assert conj.a_y.tolist() == [[2.0]]
+    assert conj.b_x.tolist() == [[-1.0]]
+    assert conj.rhs.tolist() == [5.0]
 
 
 def test_nondense_indices_rejected():
@@ -101,8 +102,8 @@ def test_strict_ops_warn_and_act_nonstrict():
         ast = parse_vnnlib(text)
     spec = to_dnf(ast)
     (conj,) = spec.disjuncts
-    assert conj.input_lower == (0.0,)
-    assert conj.input_upper == (1.0,)
+    assert conj.input_lower.tolist() == [0.0]
+    assert conj.input_upper.tolist() == [1.0]
 
 
 # -- to_dnf -----------------------------------------------------------------
@@ -116,13 +117,12 @@ def test_single_conjunct_folding():
     spec = to_dnf(parse_vnnlib(text))
     assert spec.n_inputs == 1 and spec.n_outputs == 1
     (conj,) = spec.disjuncts
-    assert conj.input_lower == (0.0,)
-    assert conj.input_upper == (1.0,)
-    (m,) = conj.constraints
+    assert conj.input_lower.tolist() == [0.0]
+    assert conj.input_upper.tolist() == [1.0]
     # Y_0 >= 2 normalized to -Y_0 <= -2
-    assert m.a_y == (-1.0,)
-    assert m.b_x == (0.0,)
-    assert m.rhs == -2.0
+    assert conj.a_y.tolist() == [[-1.0]]
+    assert conj.b_x.tolist() == [[0.0]]
+    assert conj.rhs.tolist() == [-2.0]
 
 
 def test_or_distributes_box_into_both_disjuncts():
@@ -134,9 +134,9 @@ def test_or_distributes_box_into_both_disjuncts():
     spec = to_dnf(parse_vnnlib(text))
     assert len(spec.disjuncts) == 2
     for conj in spec.disjuncts:
-        assert conj.input_lower == (0.0,)
-        assert conj.input_upper == (1.0,)
-        assert len(conj.constraints) == 1
+        assert conj.input_lower.tolist() == [0.0]
+        assert conj.input_upper.tolist() == [1.0]
+        assert len(conj.rhs) == 1
 
 
 def test_or_without_box_is_unbounded_error():
@@ -156,8 +156,8 @@ def test_tightest_bound_wins():
         "(assert (>= Y_0 0.0))"
     )
     (conj,) = to_dnf(parse_vnnlib(text)).disjuncts
-    assert conj.input_lower == (0.25,)
-    assert conj.input_upper == (0.75,)
+    assert conj.input_lower.tolist() == [0.25]
+    assert conj.input_upper.tolist() == [0.75]
 
 
 def test_empty_box_conjunct_dropped():
@@ -168,7 +168,7 @@ def test_empty_box_conjunct_dropped():
     )
     spec = to_dnf(parse_vnnlib(text))
     assert len(spec.disjuncts) == 1
-    assert spec.disjuncts[0].input_lower == (0.0,)
+    assert spec.disjuncts[0].input_lower.tolist() == [0.0]
 
 
 def test_constant_atoms_fold():
@@ -180,8 +180,7 @@ def test_constant_atoms_fold():
     spec = to_dnf(parse_vnnlib(text))
     # first branch is trivially false, second keeps only the Y atom
     assert len(spec.disjuncts) == 1
-    (m,) = spec.disjuncts[0].constraints
-    assert m.rhs == -2.0
+    assert spec.disjuncts[0].rhs.tolist() == [-2.0]
 
 
 def test_pure_input_multivar_atom_kept_as_constraint():
@@ -192,8 +191,8 @@ def test_pure_input_multivar_atom_kept_as_constraint():
         "(assert (<= (+ X_0 X_1) 1.5))(assert (>= Y_0 0.0))"
     )
     (conj,) = to_dnf(parse_vnnlib(text)).disjuncts
-    kinds = sorted(tuple(m.a_y) for m in conj.constraints)
-    assert len(conj.constraints) == 2
+    kinds = sorted(tuple(row) for row in conj.a_y.tolist())
+    assert len(conj.rhs) == 2
     assert (0.0,) in kinds  # the x_0 + x_1 <= 1.5 row has no output part
 
 
@@ -216,6 +215,61 @@ def test_determinism_byte_identical_dump():
     b = to_dnf(parse_vnnlib(text)).dumps()
     assert a == b
     json.loads(a)  # dump is valid JSON
+
+
+# -- construction checks and the stacked search arrays ------------------------
+
+BOX3 = ((0.0,) * 3, (1.0,) * 3)
+ROW3 = ([[-1.0]], [[0.0] * 3], [-2.0])  # y >= 2, over 3 inputs and 1 output
+
+
+@pytest.mark.parametrize(
+    "conj, match",
+    [
+        (Conjunct((0.0,), (1.0,), *ROW3), "shapes"),
+        (Conjunct(*BOX3, [[-1.0, 0.0]], [[0.0] * 3], [-2.0]), "shapes"),
+        (Conjunct((0.0, -np.inf, 0.0), BOX3[1], *ROW3), "finite"),
+        (Conjunct(BOX3[0], (1.0, np.nan, 1.0), *ROW3), "finite"),
+        (Conjunct((0.0, 2.0, 0.0), BOX3[1], *ROW3), "lower > upper"),
+        (Conjunct(*BOX3, [[-1.0]], [[0.0] * 3], [np.inf]), "finite"),
+        (Conjunct(*BOX3, [[-1.0]], [[0.0] * 3], [np.nan]), "finite"),
+    ],
+    ids=[
+        "1-entry box",
+        "2-wide a_y row",
+        "infinite bound",
+        "nan bound",
+        "inverted box",
+        "infinite rhs",
+        "nan rhs",
+    ],
+)
+def test_spec_construction_checks_every_disjunct(conj, match):
+    # the bad disjunct comes second.  Unchecked, a 1-entry box broadcasts
+    # over the 3 inputs: verify and validate_witness answer on it, and only
+    # falsify raises
+    NormalizedSpec(3, 1, (Conjunct(*BOX3, *ROW3),))
+    with pytest.raises(ValueError, match=match):
+        NormalizedSpec(3, 1, (Conjunct(*BOX3, *ROW3), conj))
+
+
+def test_spec_stacks_disjuncts_with_inert_padding_rows():
+    one = Conjunct((0.0,), (1.0,), [[1.0]], [[2.0]], [3.0])
+    three = Conjunct(
+        (-1.0,), (0.5,), [[4.0], [5.0], [6.0]], [[7.0], [8.0], [9.0]], [10.0, 11.0, 12.0]
+    )
+    spec = NormalizedSpec(1, 1, (one, three))
+    (a_y, b_x, rhs), (lower, upper) = spec.rows, spec.boxes
+    # the 1-row disjunct is padded with rows a_y = 0, b_x = 0, rhs = +inf
+    assert a_y.tolist() == [[[1.0], [0.0], [0.0]], [[4.0], [5.0], [6.0]]]
+    assert b_x.tolist() == [[[2.0], [0.0], [0.0]], [[7.0], [8.0], [9.0]]]
+    assert rhs.tolist() == [[3.0, np.inf, np.inf], [10.0, 11.0, 12.0]]
+    assert lower.tolist() == [[0.0], [-1.0]] and upper.tolist() == [[1.0], [0.5]]
+    arrays = (a_y, b_x, rhs, lower, upper, one.input_lower, one.a_y, three.rhs)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+    assert "rows" not in repr(spec) and "boxes" not in repr(spec)
 
 
 # -- satisfaction of the normal form ------------------------------------------

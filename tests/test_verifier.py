@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from veribench.network import ActivationLayer, AffineLayer, Network, forward
 from veribench.speclang import (
     Conjunct,
-    MixedConstraint,
     NormalizedSpec,
     Witness,
     parse_vnnlib,
@@ -194,8 +193,8 @@ def test_unsplittable_cells_leave_the_search_undecided(spike, status):
         1,
         1,
     )
-    row = MixedConstraint((-1.0,), (0.0,), -(p + 1e-13))  # y >= p + 1e-13
-    spec = NormalizedSpec(1, 1, (Conjunct((0.0,), (1.0,), (row,)),))
+    row = ([[-1.0]], [[0.0]], [-(p + 1e-13)])  # y >= p + 1e-13
+    spec = NormalizedSpec(1, 1, (Conjunct((0.0,), (1.0,), *row),))
     out = verify(net, spec, Budget())
     assert out.status is status
     if spike:
@@ -216,11 +215,7 @@ def test_verify_wall_clock_budget():
         2,
         1,
         (
-            Conjunct(
-                tuple(box_lo),
-                tuple(box_hi),
-                (MixedConstraint((-1.0,), (0.0, 0.0), -thr),),
-            ),
+            Conjunct(box_lo, box_hi, [[-1.0]], [[0.0, 0.0]], [-thr]),
         ),
     )
     budget = Budget(wall_seconds=0.3)
@@ -305,11 +300,11 @@ def test_verify_bound_overflow_fails_a_batch_after_its_midpoints(x_lo, x_hi, sta
         1,
     )
     rows = (
-        MixedConstraint((0.0,), (-1.0,), -x_lo),
-        MixedConstraint((0.0,), (1.0,), x_hi),
-        MixedConstraint((1.0,), (0.0,), 1.0),
+        [[0.0], [0.0], [1.0]],  # a_y
+        [[-1.0], [1.0], [0.0]],  # b_x
+        [-x_lo, x_hi, 1.0],  # rhs
     )
-    spec = NormalizedSpec(1, 1, (Conjunct((-0.6,), (0.6,), rows),))
+    spec = NormalizedSpec(1, 1, (Conjunct((-0.6,), (0.6,), *rows),))
     out = verify(net, spec, Budget())
     assert out.status is status
     assert out.stats.subproblems == 3
@@ -366,15 +361,17 @@ def _hard_instance(rng, n_disjuncts=1):
         upper = lower + rng.uniform(0.5, 2.0, n_in)
         xs = oracles._grid(lower, upper, 9)
         ys = oracles.batch_forward(net, xs)
-        constraints = []
+        a_rows, b_rows, rhs_list = [], [], []
         for _ in range(int(rng.integers(1, 3 if n_disjuncts == 1 else 4))):
             a_y = rng.uniform(-1, 1, n_out)
             b_x = rng.uniform(-0.3, 0.3, n_in) if rng.random() < 0.3 else np.zeros(n_in)
             vals = ys @ a_y + xs @ b_x
             spread = float(np.max(vals) - np.min(vals))
             rhs = float(np.min(vals)) + rng.uniform(-0.01, 0.01) * spread
-            constraints.append(MixedConstraint(tuple(a_y), tuple(b_x), rhs))
-        conjs.append(Conjunct(tuple(lower), tuple(upper), tuple(constraints)))
+            a_rows.append(a_y)
+            b_rows.append(b_x)
+            rhs_list.append(rhs)
+        conjs.append(Conjunct(lower, upper, a_rows, b_rows, rhs_list))
     return net, NormalizedSpec(n_in, n_out, tuple(conjs))
 
 
@@ -410,7 +407,7 @@ def test_one_frontier_over_disjuncts_matches_sequential_reference():
     statuses, unequal = [], 0
     for _ in range(40):
         net, spec = _hard_instance(rng, int(rng.integers(2, 4)))
-        unequal += len({len(c.constraints) for c in spec.disjuncts}) > 1
+        unequal += len({c.rhs.size for c in spec.disjuncts}) > 1
         statuses.append(_matches_reference(net, spec)[0])
     assert statuses.count("violated") >= 5 and statuses.count("holds") >= 5
     assert unequal >= 20
@@ -438,10 +435,9 @@ def test_verify_multiconstraint_conjunct_holds():
             Conjunct(
                 (0.0,),
                 (1.0,),
-                (
-                    MixedConstraint((-1.0,), (0.0,), -0.8),  # y >= 0.8
-                    MixedConstraint((1.0,), (0.0,), 0.2),  # y <= 0.2
-                ),
+                [[-1.0], [1.0]],  # y >= 0.8, y <= 0.2
+                [[0.0], [0.0]],
+                [-0.8, 0.2],
             ),
         ),
     )
@@ -519,11 +515,14 @@ def test_validate_witness_matches_scalar_reference():
             edge, i, t = None, int(rng.integers(n)), rng.uniform(0.5, 1.5)
             if rng.random() < 0.2:  # x_i just under lo or just over hi
                 edge = "box"
+                # the far bound follows where needed: a spec's box is never inverted
                 if rng.random() < 0.5:
                     lo[i] = x[i] + t * slack(x[i], hi[i])
+                    hi[i] = max(hi[i], lo[i])
                 else:
                     hi[i] = x[i] - t * slack(x[i], lo[i])
-            rows = []
+                    lo[i] = min(lo[i], hi[i])
+            a_rows, b_rows, rhs_list = [], [], []
             for _ in range(int(rng.integers(0, 3))):
                 a_y = rng.uniform(-1, 1, m)
                 b_x = rng.uniform(-1, 1, n) if rng.random() < 0.5 else np.zeros(n)
@@ -532,12 +531,15 @@ def test_validate_witness_matches_scalar_reference():
                     edge, rhs = "row", lhs - t * slack(lhs)
                 else:
                     rhs = lhs + scale * rng.uniform(-0.1, 1)
-                rows.append(MixedConstraint(tuple(a_y), tuple(b_x), rhs))
-            disjuncts.append(Conjunct(tuple(lo), tuple(hi), tuple(rows)))
+                a_rows.append(a_y)
+                b_rows.append(b_x)
+                rhs_list.append(rhs)
+            a_rows, b_rows = np.reshape(a_rows, (-1, m)), np.reshape(b_rows, (-1, n))
+            disjuncts.append(Conjunct(lo, hi, a_rows, b_rows, rhs_list))
         spec = NormalizedSpec(n, m, tuple(disjuncts))
         want = oracles.witness_rule_reference(spec, x, y)
         assert validate_witness(net, spec, Witness(tuple(x))) == want
-        seen.add((len(disjuncts), len(rows) if disjuncts else None, edge, want))
+        seen.add((len(disjuncts), len(rhs_list) if disjuncts else None, edge, want))
     assert (0, None, None, False) in seen
     # a lone disjunct without rows, then with a row, held or missed at its edge
     for shape in ((1, 0, "box"), (1, 1, "box"), (1, 1, "row"), (1, 2, "row")):
