@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -28,17 +29,16 @@ from .harness import (
     parse_config,
     run_batch,
 )
-from .network import NetworkError, forward, load_network
+from .network import forward, load_network
 from .scoring import (
     TRIVIAL_BENCHMARK,
-    ScoringError,
     build_overhead_model,
     read_results_dir,
     render_report,
     score_records,
     write_results_csv,
 )
-from .speclang import SpecError, parse_vnnlib, to_dnf
+from .speclang import parse_vnnlib, to_dnf
 from .verifier import (
     Budget,
     EASY_VIOLATED_BUDGET,
@@ -52,8 +52,6 @@ from .verifier import (
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
-
-_DATA_ERRORS = (SpecError, NetworkError, ScoringError, HarnessError, OSError, ArithmeticError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,12 +76,12 @@ def _load_spec(path):
 
 
 def _positive(kind):
-    """An argparse type: a number of the given kind that is greater than 0."""
+    """An argparse type: a finite number of the given kind, greater than 0."""
 
     def parse(text: str):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError("must be positive, got %r" % text)
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError("must be positive and finite, got %r" % text)
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
@@ -188,8 +186,8 @@ def _cmd_measure_overhead(args) -> int:
         by_tool.setdefault(record.tool, []).append(record)
     for tool in sorted(by_tool):
         write_results_csv(Path(args.out) / ("%s.csv" % tool), by_tool[tool])
-    model = build_overhead_model(records, mode="multi")
-    for (tool, mode), overhead in sorted(model.overheads.items()):
+    overheads = build_overhead_model(records, mode="multi")
+    for (tool, mode), overhead in sorted(overheads.items()):
         print("%s %s %.6g" % (tool, mode, overhead))
     return 0
 
@@ -301,7 +299,11 @@ def _build_parser() -> _Parser:
         "--adjudication", choices=("voting", "odd-one-out"), default="odd-one-out"
     )
     p.add_argument("--out", default=None, help="write report files here")
-    p.add_argument("--easy-violated", default=None, help="file of easy instance ids")
+    p.add_argument(
+        "--easy-violated",
+        default=None,
+        help="file of instance ids that are easy in every benchmark",
+    )
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("calibrate-eps", help="binary-search a robustness radius")
@@ -329,10 +331,8 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except _DATA_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return DATA_ERROR
-    except ValueError as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
+        # every module's error type is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return DATA_ERROR
 

@@ -495,6 +495,12 @@ class CalibrationRequest:
             raise HarnessError("non-finite center")
         if not (self.eps_max > 0):
             raise HarnessError("eps_max must be > 0")
+        with np.errstate(over="ignore"):
+            width = (center + self.eps_max) - (center - self.eps_max)
+        if not np.all(np.isfinite(width)):
+            raise HarnessError(
+                "eps_max %r: the ball around the center is not finite" % self.eps_max
+            )
         if not (self.eps_tol > 0):
             raise HarnessError("eps_tol must be > 0")
 
@@ -602,7 +608,7 @@ def emit_report(ledger: ScoreLedger, out_dir) -> list:
 
     put("report.txt", render_report(ledger))
     put("overall.csv", overall_table_csv(ledger))
-    for benchmark in ledger.benchmarks:
+    for benchmark in ledger.benchmark_points:
         safe = benchmark.replace(os.sep, "_")
         put("benchmark_%s.csv" % safe, benchmark_table_csv(ledger, benchmark))
         put("instances_%s.log" % safe, render_instance_log(ledger, benchmark))

@@ -52,10 +52,6 @@ class Box:
     def width(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def sample(self, rng, count: int) -> np.ndarray:
-        u = rng.random((count, self.dim))
-        return self.lower + u * self.width
-
 
 @dataclass(frozen=True, eq=False)
 class AffineLayer:

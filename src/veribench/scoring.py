@@ -200,29 +200,13 @@ def measure_overhead(records: Iterable[RunRecord]) -> float:
     return min(usable)
 
 
-@dataclass(frozen=True)
-class OverheadModel:
-    """Measured startup cost per (tool, mode).
+def build_overhead_model(records: Sequence[RunRecord], mode: str = "multi") -> dict:
+    """Measured startup cost {(tool, mode): seconds} for every pair in records.
 
     mode "multi" measures each (tool, mode) pair separately; "single"
-    assigns the tool-wide minimum to every mode the tool used.
-    """
-
-    mode: str
-    overheads: dict
-
-    def overhead_for(self, tool: str, mode: str) -> float:
-        try:
-            return self.overheads[(tool, mode)]
-        except KeyError:
-            raise ScoringError("no overhead entry for (%s, %s)" % (tool, mode)) from None
-
-
-def build_overhead_model(records: Sequence[RunRecord], mode: str = "multi") -> OverheadModel:
-    """Measure overheads for every (tool, mode) pair appearing in records.
-
-    A pair whose rows are all timeouts/errors gets overhead 0.0 with a
-    warning; there is nothing to measure but scoring must not crash.
+    assigns the tool-wide minimum to every mode the tool used.  A pair
+    whose rows are all timeouts/errors gets overhead 0.0 with a warning;
+    there is nothing to measure but scoring must not crash.
     """
     if mode not in ("single", "multi"):
         raise ScoringError("unknown overhead mode %r" % mode)
@@ -244,7 +228,7 @@ def build_overhead_model(records: Sequence[RunRecord], mode: str = "multi") -> O
                 stacklevel=2,
             )
             overheads[pair] = 0.0
-    return OverheadModel(mode=mode, overheads=overheads)
+    return overheads
 
 
 def adjusted_runtime(raw: float, overhead: float) -> float:
@@ -420,15 +404,19 @@ class InstanceScore:
 
 @dataclass
 class ScoreLedger:
-    """Everything the report renderers need, fully adjudicated."""
+    """Everything the report renderers need, fully adjudicated.
+
+    instance_scores and benchmark_points are filled in sorted (benchmark,
+    instance_id) order, so the keys of benchmark_points are the sorted
+    benchmarks (scored and unscored, no trivial), the sorted keys of a
+    benchmark's points are its tools, and its scores in instance_scores
+    come in instance_id order.  The renderers rely on that order.
+    """
 
     adjudication_mode: str
-    overhead_model: OverheadModel
-    easy_violated: frozenset
-    benchmarks: tuple                 # scored + unscored, sorted (no trivial)
-    instances: dict                   # benchmark -> [instance_id, ...] sorted
+    overhead_mode: str
+    overheads: dict                   # (tool, mode) -> seconds
     instance_scores: dict             # (benchmark, instance_id) -> InstanceScore
-    benchmark_tools: dict             # benchmark -> sorted tools present
     benchmark_points: dict            # benchmark -> {tool: int sum}
     benchmark_percents: dict          # benchmark -> {tool: float}
     overall: list                     # [(tool, float)] descending
@@ -448,10 +436,12 @@ def score_records(
     The competition's fixed policies apply: rows in TRIVIAL_BENCHMARK feed
     overhead measurement only, BASELINE_TOOL earns no speed bonus, and
     UNSCORED_BENCHMARKS get tables but no share of the overall score.
-    When easy_violated is None the set is derived from BASELINE_TOOL's
-    violated claims.  witness_validated (record -> bool) enables
-    counterexample-backed adjudication overrides; None (CSV replay)
-    leaves adjudication purely to the configured mode.
+    When easy_violated is None an instance is easy where BASELINE_TOOL
+    claims violated on it, in that instance's benchmark only; a given
+    easy_violated names instance ids that are easy in every benchmark.
+    witness_validated (record -> bool) enables counterexample-backed
+    adjudication overrides; None (CSV replay) leaves adjudication purely
+    to the configured mode.
 
     Deterministic: record order never changes any score.
     """
@@ -469,28 +459,29 @@ def score_records(
     captured: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        overhead_model = build_overhead_model(records, mode=overhead_mode)
+        overheads = build_overhead_model(records, mode=overhead_mode)
     captured.extend(str(w.message) for w in caught)
 
     scorable = [r for r in records if r.benchmark != TRIVIAL_BENCHMARK]
 
-    if easy_violated is None:
-        easy = frozenset(
-            r.instance_id
-            for r in scorable
-            if r.tool == BASELINE_TOOL and r.status is Status.VIOLATED
-        )
-    else:
-        easy = frozenset(easy_violated)
-
+    # keys follow the sorted records, which fixes the ledger's order
     by_instance: dict = {}
     for rec in scorable:
         by_instance.setdefault((rec.benchmark, rec.instance_id), []).append(rec)
 
+    if easy_violated is None:
+        easy = {
+            (r.benchmark, r.instance_id)
+            for r in scorable
+            if r.tool == BASELINE_TOOL and r.status is Status.VIOLATED
+        }
+    else:
+        ids = set(easy_violated)
+        easy = {key for key in by_instance if key[1] in ids}
+
     instance_scores = {}
     benchmark_points: dict = {}
-    benchmark_tools: dict = {}
-    for (benchmark, instance_id), rows in sorted(by_instance.items()):
+    for (benchmark, instance_id), rows in by_instance.items():
         outcomes = {r.tool: r.status for r in rows}
         holders = frozenset(
             r.tool
@@ -504,9 +495,9 @@ def score_records(
         adjusted = {}
         for r in rows:
             if r.status in (Status.HOLDS, Status.VIOLATED):
-                overhead = overhead_model.overhead_for(r.tool, r.mode)
+                overhead = overheads[(r.tool, r.mode)]
                 adjusted[r.tool] = adjusted_runtime(r.seconds, overhead)
-        is_easy = instance_id in easy
+        is_easy = (benchmark, instance_id) in easy
         base = {
             tool: score_instance(label, outcomes[tool], is_easy)
             for tool, label in labels.items()
@@ -528,34 +519,25 @@ def score_records(
             bonuses=bonuses,
         )
         instance_scores[(benchmark, instance_id)] = score
-        benchmark_tools.setdefault(benchmark, set()).update(outcomes)
         sums = benchmark_points.setdefault(benchmark, {})
         for tool in outcomes:
             sums[tool] = sums.get(tool, 0) + score.points(tool)
 
     benchmark_percents = {}
-    for benchmark in sorted(benchmark_points):
+    for benchmark, points in benchmark_points.items():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            pcts = benchmark_percent(benchmark_points[benchmark])
+            benchmark_percents[benchmark] = benchmark_percent(points)
         captured.extend("%s: %s" % (benchmark, w.message) for w in caught)
-        benchmark_percents[benchmark] = pcts
 
-    benchmarks = tuple(sorted(benchmark_points))
-    scored = [b for b in benchmarks if b not in UNSCORED_BENCHMARKS]
+    scored = [b for b in benchmark_points if b not in UNSCORED_BENCHMARKS]
     overall = overall_table(benchmark_percents, scored)
 
-    instances = {
-        b: sorted(i for (bb, i) in instance_scores if bb == b) for b in benchmarks
-    }
     return ScoreLedger(
         adjudication_mode=adjudication,
-        overhead_model=overhead_model,
-        easy_violated=easy,
-        benchmarks=benchmarks,
-        instances=instances,
+        overhead_mode=overhead_mode,
+        overheads=overheads,
         instance_scores=instance_scores,
-        benchmark_tools={b: sorted(ts) for b, ts in benchmark_tools.items()},
         benchmark_points=benchmark_points,
         benchmark_percents=benchmark_percents,
         overall=overall,
@@ -567,12 +549,9 @@ def empty_ledger() -> ScoreLedger:
     """A ledger with no records; reports render as headers only."""
     return ScoreLedger(
         adjudication_mode="odd-one-out",
-        overhead_model=OverheadModel(mode="multi", overheads={}),
-        easy_violated=frozenset(),
-        benchmarks=(),
-        instances={},
+        overhead_mode="multi",
+        overheads={},
         instance_scores={},
-        benchmark_tools={},
         benchmark_points={},
         benchmark_percents={},
         overall=[],
@@ -607,14 +586,18 @@ def _status_cell(status: Status, adjusted: Optional[float]) -> str:
     return "-"
 
 
+def _benchmark_scores(ledger: ScoreLedger, benchmark: str) -> list:
+    """The benchmark's InstanceScores in instance_id order."""
+    return [s for s in ledger.instance_scores.values() if s.benchmark == benchmark]
+
+
 def render_instance_log(ledger: ScoreLedger, benchmark: str) -> str:
     """Per-instance log: one row of result cells, then one score line per
     tool, in the style of the published scoring run's debug output."""
-    tools = ledger.benchmark_tools[benchmark]
+    tools = sorted(ledger.benchmark_points[benchmark])
     lines = []
-    for index, instance_id in enumerate(ledger.instances[benchmark]):
-        score = ledger.instance_scores[(benchmark, instance_id)]
-        cells = [instance_id]
+    for index, score in enumerate(_benchmark_scores(ledger, benchmark)):
+        cells = [score.instance_id]
         for tool in tools:
             status = score.statuses.get(tool)
             if status is None:
@@ -632,8 +615,7 @@ def _benchmark_rows(ledger: ScoreLedger, benchmark: str) -> list:
     points = ledger.benchmark_points[benchmark]
     pcts = ledger.benchmark_percents[benchmark]
     stats = {t: {"verified": 0, "falsified": 0, "fastest": 0} for t in points}
-    for instance_id in ledger.instances[benchmark]:
-        score = ledger.instance_scores[(benchmark, instance_id)]
+    for score in _benchmark_scores(ledger, benchmark):
         for tool, label in score.labels.items():
             if label is not Label.CORRECT:
                 continue
@@ -663,6 +645,7 @@ def _benchmark_rows(ledger: ScoreLedger, benchmark: str) -> list:
 
 
 _BENCHMARK_HEADER = ("#", "Tool", "Verified", "Falsified", "Fastest", "Score", "Percent")
+_OVERALL_HEADER = ("#", "Tool", "Overall")
 
 
 def _align(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -672,10 +655,6 @@ def _align(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     for row in table:
         out.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip())
     return "\n".join(out) + "\n"
-
-
-def render_benchmark_table(ledger: ScoreLedger, benchmark: str) -> str:
-    return _align(_BENCHMARK_HEADER, _benchmark_rows(ledger, benchmark))
 
 
 def benchmark_table_csv(ledger: ScoreLedger, benchmark: str) -> str:
@@ -691,12 +670,8 @@ def _overall_rows(ledger: ScoreLedger) -> list:
     ]
 
 
-def render_overall_table(ledger: ScoreLedger) -> str:
-    return _align(("#", "Tool", "Overall"), _overall_rows(ledger))
-
-
 def overall_table_csv(ledger: ScoreLedger) -> str:
-    rows = ["#,Tool,Overall"]
+    rows = [",".join(_OVERALL_HEADER)]
     rows.extend(",".join(map(str, r)) for r in _overall_rows(ledger))
     return "\n".join(rows) + "\n"
 
@@ -708,14 +683,15 @@ def report_header(ledger: ScoreLedger) -> str:
         "# adjudication: %s" % ledger.adjudication_mode,
         "# overhead: %s (minimum runtime per %s; timeout/error rows excluded)"
         % (
-            ledger.overhead_model.mode,
-            "tool" if ledger.overhead_model.mode == "single" else "tool and mode",
+            ledger.overhead_mode,
+            "tool" if ledger.overhead_mode == "single" else "tool and mode",
         ),
         "# time bonus: +2 fastest class, +1 next class even when the fastest"
         " class has several members (%.1f s transitive tie window)" % TIE_WINDOW_SECONDS,
         "# baseline tools (bonus-ineligible): %s" % BASELINE_TOOL,
         "# unscored benchmarks (tables only): %s" % ", ".join(sorted(UNSCORED_BENCHMARKS)),
-        "# easy-violated instances: %d" % len(ledger.easy_violated),
+        "# easy-violated instances: %d"
+        % sum(s.easy_violated for s in ledger.instance_scores.values()),
     ]
     for message in ledger.warnings:
         lines.append("# warning: %s" % message)
@@ -726,11 +702,11 @@ def render_report(ledger: ScoreLedger) -> str:
     """Full text report: header, overall ranking, per-benchmark tables and
     per-instance logs.  Byte-deterministic for a given ledger."""
     parts = [report_header(ledger), "\n== overall ==\n"]
-    parts.append(render_overall_table(ledger))
-    for benchmark in ledger.benchmarks:
+    parts.append(_align(_OVERALL_HEADER, _overall_rows(ledger)))
+    for benchmark in ledger.benchmark_points:
         tag = " (unscored)" if benchmark in UNSCORED_BENCHMARKS else ""
         parts.append("\n== benchmark %s%s ==\n" % (benchmark, tag))
-        parts.append(render_benchmark_table(ledger, benchmark))
+        parts.append(_align(_BENCHMARK_HEADER, _benchmark_rows(ledger, benchmark)))
         parts.append("\n-- instance log: %s --\n" % benchmark)
         parts.append(render_instance_log(ledger, benchmark))
     return "".join(parts)

@@ -69,7 +69,7 @@ def test_interval_sampling_soundness():
         lo = rng.uniform(-2, 0, n_in)
         box = Box(lo, lo + rng.uniform(0.1, 3, n_in))
         out = interval_bounds(net, box)[-1]
-        for x in box.sample(rng, 500):
+        for x in rng.uniform(box.lower, box.upper, size=(500, box.dim)):
             y = forward(net, x)
             assert np.all(y >= out.lower - 1e-9)
             assert np.all(y <= out.upper + 1e-9)
@@ -107,7 +107,7 @@ def test_purely_affine_network_is_exact():
     np.testing.assert_allclose(ab.lower_weight, ab.upper_weight)
     np.testing.assert_allclose(ab.lower_const, ab.upper_const)
     np.testing.assert_allclose(ab.lower_weight, w2 @ w1)
-    for x in box.sample(rng, 50):
+    for x in rng.uniform(box.lower, box.upper, size=(50, box.dim)):
         lower_at = ab.lower_weight @ x + ab.lower_const
         np.testing.assert_allclose(lower_at, forward(net, x), rtol=1e-12)
 
@@ -126,7 +126,7 @@ def test_affine_bounds_sound_and_nested():
         assert np.all(conc.lower >= ib.lower - 1e-12)
         assert np.all(conc.upper <= ib.upper + 1e-12)
         # sound for sampled points, both symbolically and concretely
-        for x in box.sample(rng, 100):
+        for x in rng.uniform(box.lower, box.upper, size=(100, box.dim)):
             y = forward(net, x)
             assert np.all(ab.lower_weight @ x + ab.lower_const <= y + 1e-9)
             assert np.all(ab.upper_weight @ x + ab.upper_const >= y - 1e-9)
@@ -171,7 +171,7 @@ def test_constraint_lower_bound_sound():
         a_y = rng.uniform(-1, 1, n_out)
         b_x = rng.uniform(-1, 1, n_in)
         lb = constraint_lower_bound(ab, a_y, b_x)
-        for x in box.sample(rng, 200):
+        for x in rng.uniform(box.lower, box.upper, size=(200, box.dim)):
             val = float(a_y @ forward(net, x) + b_x @ x)
             assert val >= lb - 1e-9
 
@@ -195,7 +195,7 @@ def test_split_bounds_monotone():
         assert np.all(y_lo.min(axis=0) >= p_lo - 1e-12)
         assert np.all(y_hi.max(axis=0) <= p_hi + 1e-12)
         for k in range(2):
-            for x in Box(kids_lo[k], kids_hi[k]).sample(rng, 50):
+            for x in rng.uniform(kids_lo[k], kids_hi[k], size=(50, kids_lo.shape[1])):
                 y = forward(net, x)
                 assert np.all(y >= y_lo[k] - 1e-9) and np.all(y <= y_hi[k] + 1e-9)
 
@@ -271,7 +271,7 @@ def test_back_substituted_rows_sound_by_sampling():
         lb, coef = _constraint_rows(net, relaxation, lo, hi, y, a_y, b_x)
         assert coef.shape == (len(lo), len(a_y), 5)
         for i in range(len(lo)):
-            xs = Box(lo[i], hi[i]).sample(rng, 400)
+            xs = rng.uniform(lo[i], hi[i], size=(400, lo.shape[1]))
             xs = np.vstack([xs, lo[i], hi[i]])
             vals = forward(net, xs) @ a_y.T + xs @ b_x.T
             assert np.all(vals.min(axis=0) >= lb[i] - 1e-9)

@@ -2,12 +2,14 @@
 exit codes and stdout/stderr routing are checked for real."""
 
 import json
+import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from veribench.cli import main
+from veribench.cli import _build_parser, main
 from veribench.harness import TRIVIAL_SPEC_TEXT
 from veribench.network import gen_trivial_network, save_network
 from veribench.scoring import RunRecord, read_results_csv, write_results_csv
@@ -182,6 +184,8 @@ class TestVerifyFalsify:
             ("verify", "--max-subproblems", "0"),
             ("verify", "--samples", "-3"),
             ("verify", "--timeout", "nan"),
+            ("verify", "--timeout", "inf"),
+            ("falsify", "--timeout", "1e999"),
         ],
     )
     def test_nonpositive_budget_is_usage_error(
@@ -191,7 +195,7 @@ class TestVerifyFalsify:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "must be positive" in captured.err
+        assert "argument %s: must be positive" % flag in captured.err
         assert "Traceback" not in captured.err
 
     def test_falsify_unsat_spec_unknown(self, identity_net, unsat_spec, capsys):
@@ -562,18 +566,55 @@ class TestCalibrateEps:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--oracle-seconds", "0"), ("--eps-max", "-1"), ("--eps-tol", "nan")],
+        [
+            ("--oracle-seconds", "0"),
+            ("--eps-max", "-1"),
+            ("--eps-tol", "nan"),
+            ("--eps-max", "inf"),
+            ("--eps-tol", "1e999"),
+            ("--oracle-seconds", "inf"),
+        ],
     )
     def test_nonpositive_flag_is_usage_error(self, identity_net, capsys, flag, value):
         code = main(["calibrate-eps", str(identity_net), flag, value])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "must be positive" in captured.err
+        assert "argument %s: must be positive" % flag in captured.err
         assert "Traceback" not in captured.err
+
+    def test_overflowing_ball_is_data_error(self, tmp_path, capsys, net_factory):
+        # 0.5 +- 1e308 is finite, but the ball's width overflows
+        path = tmp_path / "net.onnx"
+        save_network(net_factory(np.random.default_rng(3), n_in=2, hidden=[4], n_out=2), path)
+        argv = ["calibrate-eps", str(path), "--center", "0.5,0.5", "--eps-max", "1e308"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the ball around the center is not finite" in captured.err
 
     def test_single_output_is_data_error(self, identity_net, capsys):
         code = main(
             ["calibrate-eps", str(identity_net), "--center", "0.0"]
         )
         assert code == 2
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("veribench ")]
+
+
+def test_readme_command_lines_parse():
+    # the documented flags are the parser's flags
+    commands = _readme_commands()
+    assert len(commands) == 9
+    parser = _build_parser()
+    for line in commands:
+        argv = shlex.split(line, comments=True)[1:]
+        args = parser.parse_args(argv)
+        assert args.command == argv[0] and args.func is not None, line

@@ -510,8 +510,7 @@ class TestMeasureOverheadRun:
         )["echo"]
         assert [r.instance_id for r in records] == ["trivial-0", "trivial-1", "trivial-2"]
         assert all(r.benchmark == "trivial" for r in records)
-        model = build_overhead_model(records)
-        overhead = model.overhead_for("echo", "default")
+        overhead = build_overhead_model(records)[("echo", "default")]
         assert 0.15 <= overhead <= 1.5
 
     def test_timeout_on_trivial_falls_back_to_real_minimum(
@@ -530,8 +529,7 @@ class TestMeasureOverheadRun:
         assert time.monotonic() - start <= 0.5 + 0.1 + 2.0
         assert records[-1].status is Status.TIMEOUT
         assert records[-1].seconds == 0.5
-        model = build_overhead_model(records)
-        assert model.overhead_for("echo", "default") == 5.0
+        assert build_overhead_model(records)[("echo", "default")] == 5.0
 
     def test_warmup_witnesses_not_validated(self, runner, trivial_instance, tmp_path):
         # a real instance's unreadable witness is an ERROR; on a warm-up it is kept
@@ -644,6 +642,9 @@ class TestCalibrateEpsilon:
             CalibrationRequest(net, np.zeros(2), eps_max=0.1, eps_tol=0.0)
         with pytest.raises(HarnessError, match="center has"):
             CalibrationRequest(net, np.zeros(3), eps_max=0.1, eps_tol=0.01)
+        for eps_max in (1e308, float("inf")):
+            with pytest.raises(HarnessError, match="ball around the center is not finite"):
+                CalibrationRequest(net, np.full(2, 0.5), eps_max=eps_max, eps_tol=0.01)
 
     def test_single_output_rejected(self):
         req = CalibrationRequest(

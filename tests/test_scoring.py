@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from veribench.scoring import (
     BASELINE_TOOL,
     Label,
-    OverheadModel,
     RunRecord,
     ScoringError,
     adjudicate,
@@ -191,29 +190,22 @@ class TestOverhead:
             rec("eran", "i2", "holds", 9.0, mode="gpu"),
             rec("eran", "i3", "holds", 3.7, mode="cpu"),
         ]
-        model = build_overhead_model(records, mode="multi")
-        assert model.overhead_for("eran", "gpu") == 7.1
-        assert model.overhead_for("eran", "cpu") == 3.7
+        overheads = build_overhead_model(records, mode="multi")
+        assert overheads == {("eran", "cpu"): 3.7, ("eran", "gpu"): 7.1}
 
     def test_single_mode_takes_tool_wide_minimum(self):
         records = [
             rec("eran", "i1", "holds", 7.1, mode="gpu"),
             rec("eran", "i3", "holds", 3.7, mode="cpu"),
         ]
-        model = build_overhead_model(records, mode="single")
-        assert model.overhead_for("eran", "gpu") == 3.7
-        assert model.overhead_for("eran", "cpu") == 3.7
+        overheads = build_overhead_model(records, mode="single")
+        assert overheads == {("eran", "cpu"): 3.7, ("eran", "gpu"): 3.7}
 
     def test_unmeasurable_pair_warns_and_zeroes(self):
         records = [rec("t", "i1", "timeout", 5.0)]
         with pytest.warns(UserWarning, match="overhead set to 0.0"):
-            model = build_overhead_model(records)
-        assert model.overhead_for("t", "default") == 0.0
-
-    def test_missing_entry_rejected(self):
-        model = OverheadModel(mode="multi", overheads={})
-        with pytest.raises(ScoringError, match="no overhead entry"):
-            model.overhead_for("ghost", "default")
+            overheads = build_overhead_model(records)
+        assert overheads == {("t", "default"): 0.0}
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ScoringError, match="unknown overhead mode"):
@@ -534,8 +526,8 @@ class TestScoreRecords:
 
     def test_trivial_rows_feed_overhead_only(self):
         ledger = score_records(worked_log_records())
-        assert "trivial" not in ledger.benchmarks
-        assert ledger.overhead_model.overhead_for("nnenum", "default") == 0.0
+        assert list(ledger.benchmark_points) == ["acasxu"]
+        assert ledger.overheads[("nnenum", "default")] == 0.0
 
     def test_easy_violated_derived_from_baseline(self):
         records = [
@@ -544,12 +536,37 @@ class TestScoreRecords:
             rec("fast", "i2", "violated", 3.0),
         ]
         ledger = score_records(records)
-        assert ledger.easy_violated == frozenset({"i1"})
         score1 = ledger.instance_scores[("bench", "i1")]
         score2 = ledger.instance_scores[("bench", "i2")]
         assert score1.base_points["fast"] == 1
         assert score1.base_points["randgen"] == 1
         assert score2.base_points["fast"] == 10
+        assert "# easy-violated instances: 1\n" in render_report(ledger)
+
+    def test_derived_easy_set_is_per_benchmark(self):
+        # a baseline violation on a/n-p makes n-p easy in benchmark a only
+        records = [
+            rec("randgen", "n-p", "violated", 0.5, benchmark="a"),
+            rec("X", "n-p", "violated", 3.0, benchmark="a"),
+            rec("X", "n-p", "violated", 3.0, benchmark="b"),
+        ]
+        ledger = score_records(records)
+        assert ledger.instance_scores[("a", "n-p")].base_points["X"] == 1
+        assert ledger.instance_scores[("b", "n-p")].base_points["X"] == 10
+        assert not ledger.instance_scores[("b", "n-p")].easy_violated
+        assert "# easy-violated instances: 1\n" in render_report(ledger)
+
+    def test_given_easy_ids_apply_in_every_benchmark(self):
+        records = [
+            rec("X", "n-p", "violated", 3.0, benchmark="a"),
+            rec("X", "n-p", "violated", 3.0, benchmark="b"),
+            rec("X", "other", "violated", 3.0, benchmark="b"),
+        ]
+        ledger = score_records(records, easy_violated={"n-p", "absent", "ghost"})
+        assert ledger.instance_scores[("a", "n-p")].base_points["X"] == 1
+        assert ledger.instance_scores[("b", "n-p")].base_points["X"] == 1
+        assert ledger.instance_scores[("b", "other")].base_points["X"] == 10
+        assert "# easy-violated instances: 2\n" in render_report(ledger)
 
     def test_baseline_never_bonused(self):
         records = [
@@ -594,7 +611,7 @@ class TestScoreRecords:
             rec("B", "i2", "holds", 5.0, benchmark="real"),
         ]
         ledger = score_records(records)
-        assert "cifar2020" in ledger.benchmarks
+        assert list(ledger.benchmark_points) == ["cifar2020", "real"]
         totals = dict(ledger.overall)
         assert totals["A"] == 100.0
         assert "cifar2020" in ledger.benchmark_percents
