@@ -2,10 +2,11 @@
 
 Supported graphs are a single data path of fully connected layers and
 elementwise activations, so a ``Network`` holds only ``AffineLayer`` and
-``ActivationLayer`` objects.  The shape no-ops Flatten, Identity and Reshape
-are checked on load (a Reshape must keep the element count) and then
-dropped.  Convolution, pooling and residual topologies are rejected with an
-error naming the offending node.
+``ActivationLayer`` objects.  A MatMul loads as a Gemm without bias, and an
+Add right after it becomes that bias; the writer emits Gemm nodes only.  The
+shape no-ops Flatten, Identity and Reshape are checked on load (a Reshape
+shape must be int64 and keep the element count) and then dropped.  Convolution, pooling and
+residual topologies are rejected with an error naming the offending node.
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ class Box:
     def dim(self) -> int:
         return self.lower.size
 
-    @property
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
-
 
 @dataclass(frozen=True, eq=False)
 class AffineLayer:
@@ -83,15 +80,12 @@ class AffineLayer:
         return self.weight.shape[0]
 
 
-ACTIVATION_KINDS = ("relu", "sigmoid", "tanh")
-
-
 @dataclass(frozen=True)
 class ActivationLayer:
-    kind: str  # one of ACTIVATION_KINDS
+    kind: str  # a key of _ACTIVATIONS; the ONNX op is kind.capitalize()
 
     def __post_init__(self):
-        if self.kind not in ACTIVATION_KINDS:
+        if self.kind not in _ACTIVATIONS:
             raise NetworkError(f"unknown activation '{self.kind}'")
 
 
@@ -228,41 +222,39 @@ def gen_trivial_network(n_inputs: int) -> Network:
 # ---------------------------------------------------------------------------
 # ONNX loading
 
+# The element types read and written: each one's little-endian dtype, as
+# raw_data holds it, and the typed field that holds the values otherwise.
+_ELEMENTS = {
+    wire.FLOAT32: ("<f4", "float_data"),
+    wire.DOUBLE: ("<f8", "double_data"),
+    wire.INT64: ("<i8", "int64_data"),
+}
+
 
 def _tensor_to_array(t: dict) -> tuple[np.ndarray, int]:
-    """Decode one tensor; returns (array, source data_type)."""
+    """Decode one tensor, floats as float64; returns (array, data_type)."""
     name = t.get("name", "<unnamed>")
     dims = t.get("dims", [])
     dt = t.get("data_type", 0)
-    raw = t.get("raw_data", b"")
-    if len(raw) % {wire.FLOAT32: 4, wire.DOUBLE: 8, wire.INT64: 8}.get(dt, 1):
-        raise NetworkError(f"tensor '{name}' raw data ends mid-element")
-    if dt == wire.FLOAT32:
-        arr = (
-            np.frombuffer(raw, dtype="<f4")
-            if raw
-            else np.asarray(t.get("float_data", []), dtype=np.float32)
-        ).astype(np.float64)
-    elif dt == wire.DOUBLE:
-        arr = (
-            np.frombuffer(raw, dtype="<f8")
-            if raw
-            else np.asarray(t.get("double_data", []), dtype=np.float64)
-        ).astype(np.float64)
-    elif dt == wire.INT64:
-        arr = (
-            np.frombuffer(raw, dtype="<i8")
-            if raw
-            else np.asarray(t.get("int64_data", []), dtype=np.int64)
-        ).astype(np.int64)
-    else:
+    if dt not in _ELEMENTS:
         raise NetworkError(f"tensor '{name}' has unsupported element type {dt}")
+    dtype, field = _ELEMENTS[dt]
+    raw = t.get("raw_data", b"")
+    if len(raw) % np.dtype(dtype).itemsize:
+        raise NetworkError(f"tensor '{name}' raw data ends mid-element")
+    arr = np.frombuffer(raw, dtype) if raw else np.asarray(t.get(field, []), dtype)
+    arr = arr.astype(np.int64 if dt == wire.INT64 else np.float64)
+    if any(d < 0 for d in dims):
+        raise NetworkError(f"tensor '{name}' has a negative dim in {dims}")
     expected = math.prod(dims) if dims else arr.size
     if arr.size != expected:
         raise NetworkError(
             f"tensor '{name}' holds {arr.size} values but dims {dims} need {expected}"
         )
-    return arr.reshape(dims) if dims else arr, dt
+    try:
+        return (arr.reshape(dims) if dims else arr), dt
+    except ValueError as exc:  # an empty shape whose other dims overflow
+        raise NetworkError(f"tensor '{name}' has dims too large: {dims}") from exc
 
 
 def _shape_width(value_info: dict) -> int | None:
@@ -295,18 +287,16 @@ class _GraphWalker:
     """Consume a topologically ordered single-path graph into Layers."""
 
     def __init__(self, graph: dict):
-        self.params: dict[str, np.ndarray] = {}
-        self.param_types: dict[str, int] = {}
-        for t in graph.get("initializer", []):
-            arr, dt = _tensor_to_array(t)
-            self.params[t.get("name", "")] = arr
-            self.param_types[t.get("name", "")] = dt
+        # name -> (array, data_type) of every initializer and Constant
+        self.params: dict[str, tuple[np.ndarray, int]] = {
+            t.get("name", ""): _tensor_to_array(t)
+            for t in graph.get("initializer", [])
+        }
         self.layers: list = []
-        self.fusable_affine: str | None = None  # output name of a bare MatMul
 
     def float_param(self, name: str, node_label: str) -> np.ndarray:
-        arr = self.params[name]
-        if self.param_types[name] not in (wire.FLOAT32, wire.DOUBLE):
+        arr, dt = self.params[name]
+        if dt not in (wire.FLOAT32, wire.DOUBLE):
             raise NetworkError(
                 f"node '{node_label}' uses non-float tensor '{name}'"
             )
@@ -314,18 +304,19 @@ class _GraphWalker:
 
     def walk(self, graph: dict, in_name: str, width: int) -> tuple[str, int]:
         cur = in_name
+        prev = ""  # op of the last node on the data path
         for node in graph.get("node", []):
             op = node.get("op_type", "")
             label = node.get("name") or op
             ins = node.get("input", [])
             outs = node.get("output", [])
+            if not outs:
+                raise NetworkError(f"node '{label}' ({op}) has no output")
             if op == "Constant":
                 attrs = _attr_map(node)
                 if "value" not in attrs or "t" not in attrs["value"]:
                     raise NetworkError(f"Constant node '{label}' has no tensor value")
-                arr, dt = _tensor_to_array(attrs["value"]["t"])
-                self.params[outs[0]] = arr
-                self.param_types[outs[0]] = dt
+                self.params[outs[0]] = _tensor_to_array(attrs["value"]["t"])
                 continue
             if cur not in ins:
                 raise NetworkError(
@@ -343,57 +334,34 @@ class _GraphWalker:
                         f"node '{label}' ({op}) joins two computed values; "
                         "branching graphs are unsupported"
                     )
-            if not outs:
-                raise NetworkError(f"node '{label}' ({op}) has no output")
-            width = self.dispatch(op, label, node, ins, cur, width)
-            cur = outs[0]
+            if op in ("Gemm", "MatMul"):
+                width = self.on_gemm(op, label, node, ins, cur, width)
+            elif op in ("Add", "Sub"):
+                width = self.on_addsub(op, label, ins, cur, width, prev == "MatMul")
+            elif op.lower() in _ACTIVATIONS and op == op.capitalize():
+                self.layers.append(ActivationLayer(op.lower()))
+            elif op == "Reshape":
+                self.check_reshape(label, ins, cur, width)
+            elif op not in ("Flatten", "Identity"):
+                raise NetworkError(f"unsupported operator {op} (node '{label}')")
+            cur, prev = outs[0], op
         return cur, width
 
     # -- per-op handling ----------------------------------------------------
 
-    def dispatch(self, op, label, node, ins, cur, width) -> int:
-        if op == "MatMul":
-            return self.on_matmul(label, node, ins, cur, width)
-        if op == "Gemm":
-            return self.on_gemm(label, node, ins, cur, width)
-        if op in ("Add", "Sub"):
-            return self.on_addsub(op, label, node, ins, cur, width)
-        if op in ("Relu", "Sigmoid", "Tanh"):
-            self.layers.append(ActivationLayer(op.lower()))
-            self.fusable_affine = None
-            return width
-        if op in ("Flatten", "Identity"):
-            self.fusable_affine = None
-            return width
-        if op == "Reshape":
-            return self.on_reshape(label, ins, cur, width)
-        raise NetworkError(f"unsupported operator {op} (node '{label}')")
-
-    def on_matmul(self, label, node, ins, cur, width) -> int:
-        if len(ins) != 2:
-            raise NetworkError(f"MatMul '{label}' needs two inputs")
-        other = ins[1] if ins[0] == cur else ins[0]
-        mat = self.float_param(other, label)
-        if mat.ndim != 2:
-            raise NetworkError(f"MatMul '{label}' weight must be 2-D")
-        # data-first computes x . M, data-second computes M . x
-        w = mat.T if ins[0] == cur else mat
-        if w.shape[1] != width:
-            raise NetworkError(
-                f"MatMul '{label}' expects width {w.shape[1]}, got {width}"
-            )
-        self.layers.append(AffineLayer(w, np.zeros(w.shape[0])))
-        self.fusable_affine = node.get("output", [""])[0]
-        return w.shape[0]
-
-    def on_gemm(self, label, node, ins, cur, width) -> int:
-        if len(ins) not in (2, 3):
-            raise NetworkError(f"Gemm '{label}' needs two or three inputs")
-        attrs = _attr_map(node)
+    def on_gemm(self, op, label, node, ins, cur, width) -> int:
+        """A Gemm, or a MatMul read as a Gemm with alpha 1, no transposes
+        and no C; a MatMul's attributes are ignored."""
+        matmul = op == "MatMul"
+        if len(ins) not in ((2,) if matmul else (2, 3)):
+            need = "two" if matmul else "two or three"
+            raise NetworkError(f"{op} '{label}' needs {need} inputs")
+        attrs = {} if matmul else _attr_map(node)
         alpha = attrs.get("alpha", {}).get("f", 1.0)
         beta = attrs.get("beta", {}).get("f", 1.0)
         trans_a = attrs.get("transA", {}).get("i", 0)
         trans_b = attrs.get("transB", {}).get("i", 0)
+        # data as A computes x . B, data as B computes A . x
         if ins[0] == cur:
             if trans_a:
                 raise NetworkError(f"Gemm '{label}': transA on the data input")
@@ -407,10 +375,10 @@ class _GraphWalker:
         else:
             raise NetworkError(f"Gemm '{label}': data path must be input A or B")
         if mat.ndim != 2:
-            raise NetworkError(f"Gemm '{label}' weight must be 2-D")
+            raise NetworkError(f"{op} '{label}' weight must be 2-D")
         if w.shape[1] != width:
             raise NetworkError(
-                f"Gemm '{label}' expects width {w.shape[1]}, got {width}"
+                f"{op} '{label}' expects width {w.shape[1]}, got {width}"
             )
         out_w = w.shape[0]
         bias = np.zeros(out_w)
@@ -424,10 +392,11 @@ class _GraphWalker:
                 )
             bias = beta * c
         self.layers.append(AffineLayer(alpha * w, bias))
-        self.fusable_affine = None
         return out_w
 
-    def on_addsub(self, op, label, node, ins, cur, width) -> int:
+    def on_addsub(self, op, label, ins, cur, width, after_matmul) -> int:
+        """Add or Sub of a constant; an Add right after a MatMul becomes its
+        bias."""
         if len(ins) != 2:
             raise NetworkError(f"{op} '{label}' needs two inputs")
         other = ins[1] if ins[0] == cur else ins[0]
@@ -438,23 +407,26 @@ class _GraphWalker:
             raise NetworkError(
                 f"{op} '{label}' operand has {p.size} entries, expected {width}"
             )
-        if op == "Add":
-            if self.fusable_affine is not None and cur == self.fusable_affine:
-                prev = self.layers[-1]
-                self.layers[-1] = AffineLayer(prev.weight, prev.bias + p)
-            else:
-                self.layers.append(AffineLayer(np.eye(width), p))
+        if op == "Add" and after_matmul:
+            prev = self.layers[-1]
+            self.layers[-1] = AffineLayer(prev.weight, prev.bias + p)
+        elif op == "Add":
+            self.layers.append(AffineLayer(np.eye(width), p))
         elif ins[0] == cur:  # v - p
             self.layers.append(AffineLayer(np.eye(width), -p))
         else:  # p - v
             self.layers.append(AffineLayer(-np.eye(width), p))
-        self.fusable_affine = None
         return width
 
-    def on_reshape(self, label, ins, cur, width) -> int:
+    def check_reshape(self, label, ins, cur, width) -> None:
         other = [i for i in ins if i != cur]
         if other:
-            target = self.params[other[0]].ravel()
+            target, dt = self.params[other[0]]
+            if dt != wire.INT64:
+                raise NetworkError(
+                    f"Reshape '{label}' shape '{other[0]}' is not int64"
+                )
+            target = target.ravel()
             if -1 not in target and 0 not in target:
                 prod = math.prod(int(v) for v in target if v > 1)
                 if prod != width:
@@ -462,12 +434,14 @@ class _GraphWalker:
                         f"Reshape '{label}' changes element count "
                         f"{width} -> {prod}"
                     )
-        self.fusable_affine = None
-        return width
 
 
 def load_network(source) -> Network:
-    """Load a network from ONNX bytes or a file path."""
+    """Load a network from ONNX bytes or a file path.
+
+    A malformed or unsupported file raises ``NetworkError``; an unreadable
+    path raises ``OSError``.
+    """
     if isinstance(source, (bytes, bytearray)):
         data = bytes(source)
         name = ""
@@ -509,7 +483,7 @@ def load_network(source) -> Network:
 
     precision = (
         "float64"
-        if any(t == wire.DOUBLE for t in walker.param_types.values())
+        if any(dt == wire.DOUBLE for _, dt in walker.params.values())
         else "float32"
     )
     return Network(tuple(walker.layers), n_inputs, width, precision, name or graph.get("name", ""))
@@ -520,12 +494,11 @@ def load_network(source) -> Network:
 
 
 def _tensor_dict(name: str, arr: np.ndarray, elem_type: int) -> dict:
-    np_dtype = {wire.FLOAT32: "<f4", wire.DOUBLE: "<f8", wire.INT64: "<i8"}[elem_type]
     return {
         "name": name,
         "dims": list(arr.shape),
         "data_type": elem_type,
-        "raw_data": np.ascontiguousarray(arr, dtype=np_dtype).tobytes(),
+        "raw_data": np.ascontiguousarray(arr, dtype=_ELEMENTS[elem_type][0]).tobytes(),
     }
 
 
@@ -541,68 +514,42 @@ def _value_info(name: str, widths: list[int], elem_type: int) -> dict:
     }
 
 
-_ACT_OPS = {"relu": "Relu", "sigmoid": "Sigmoid", "tanh": "Tanh"}
-
-
-def network_to_onnx_bytes(net: Network, *, style: str = "gemm") -> bytes:
-    """Serialize a network; style "gemm" uses Gemm nodes, "matmul" MatMul+Add."""
-    if style not in ("gemm", "matmul"):
-        raise ValueError(f"unknown style '{style}'")
+def network_to_onnx_bytes(net: Network) -> bytes:
+    """Serialize a network: a Gemm node per affine layer, an activation
+    node per activation layer."""
     elem = wire.DOUBLE if net.precision == "float64" else wire.FLOAT32
     nodes: list[dict] = []
     inits: list[dict] = []
     cur = "input"
     for k, layer in enumerate(net.layers):
+        out = f"v{k}"
         if isinstance(layer, AffineLayer):
             w_name, b_name = f"W{k}", f"B{k}"
+            inits.append(_tensor_dict(w_name, layer.weight, elem))
             inits.append(_tensor_dict(b_name, layer.bias, elem))
-            out = f"v{k}"
-            if style == "gemm":
-                inits.insert(-1, _tensor_dict(w_name, layer.weight, elem))
-                nodes.append(
-                    {
-                        "input": [cur, w_name, b_name],
-                        "output": [out],
-                        "name": f"gemm{k}",
-                        "op_type": "Gemm",
-                        "attribute": [
-                            {"name": "alpha", "f": 1.0, "type": wire.ATTR_FLOAT},
-                            {"name": "beta", "f": 1.0, "type": wire.ATTR_FLOAT},
-                            {"name": "transB", "i": 1, "type": wire.ATTR_INT},
-                        ],
-                    }
-                )
-            else:
-                inits.insert(-1, _tensor_dict(w_name, layer.weight.T, elem))
-                mm = f"mm{k}"
-                nodes.append(
-                    {
-                        "input": [cur, w_name],
-                        "output": [mm],
-                        "name": f"matmul{k}",
-                        "op_type": "MatMul",
-                    }
-                )
-                nodes.append(
-                    {
-                        "input": [mm, b_name],
-                        "output": [out],
-                        "name": f"add{k}",
-                        "op_type": "Add",
-                    }
-                )
-            cur = out
+            nodes.append(
+                {
+                    "input": [cur, w_name, b_name],
+                    "output": [out],
+                    "name": f"gemm{k}",
+                    "op_type": "Gemm",
+                    "attribute": [
+                        {"name": "alpha", "f": 1.0, "type": wire.ATTR_FLOAT},
+                        {"name": "beta", "f": 1.0, "type": wire.ATTR_FLOAT},
+                        {"name": "transB", "i": 1, "type": wire.ATTR_INT},
+                    ],
+                }
+            )
         else:
-            out = f"v{k}"
             nodes.append(
                 {
                     "input": [cur],
                     "output": [out],
                     "name": f"act{k}",
-                    "op_type": _ACT_OPS[layer.kind],
+                    "op_type": layer.kind.capitalize(),
                 }
             )
-            cur = out
+        cur = out
 
     model = {
         "ir_version": 7,
@@ -619,5 +566,5 @@ def network_to_onnx_bytes(net: Network, *, style: str = "gemm") -> bytes:
     return wire.encode_model(model)
 
 
-def save_network(net: Network, path, *, style: str = "gemm") -> None:
-    Path(path).write_bytes(network_to_onnx_bytes(net, style=style))
+def save_network(net: Network, path) -> None:
+    Path(path).write_bytes(network_to_onnx_bytes(net))

@@ -438,7 +438,8 @@ def score_records(
     UNSCORED_BENCHMARKS get tables but no share of the overall score.
     When easy_violated is None an instance is easy where BASELINE_TOOL
     claims violated on it, in that instance's benchmark only; a given
-    easy_violated names instance ids that are easy in every benchmark.
+    easy_violated names instance ids that are easy in every benchmark, and
+    the ids in it that name no scored instance get one ledger warning.
     witness_validated (record -> bool) enables counterexample-backed
     adjudication overrides; None (CSV replay) leaves adjudication purely
     to the configured mode.
@@ -478,6 +479,12 @@ def score_records(
     else:
         ids = set(easy_violated)
         easy = {key for key in by_instance if key[1] in ids}
+        unknown = ids - {instance_id for _, instance_id in easy}
+        if unknown:
+            captured.append(
+                "easy-violated ids name no scored instance: %s"
+                % ", ".join(sorted(unknown))
+            )
 
     instance_scores = {}
     benchmark_points: dict = {}

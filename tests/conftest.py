@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
+from veribench import _onnxproto as wire
 from veribench.network import ActivationLayer, AffineLayer, Network
 
 # One line per acceptance criterion at the end of the run, regardless of
@@ -45,6 +48,14 @@ def make_random_network(
         if k < len(widths) - 2:
             layers.append(ActivationLayer(activation))
     return Network(tuple(layers), n_in, n_out, precision=precision)
+
+
+def constant_node(outputs) -> dict:
+    """An ONNX Constant node holding the float32 scalar 5.0."""
+    const = {"name": "c", "dims": [1], "data_type": wire.FLOAT32,
+             "raw_data": struct.pack("<f", 5.0)}
+    return {"output": outputs, "op_type": "Constant",
+            "attribute": [{"name": "value", "t": const, "type": wire.ATTR_TENSOR}]}
 
 
 @pytest.fixture

@@ -366,8 +366,9 @@ def reference_search(net: Network, spec: NormalizedSpec):
                 w = _accepted(net, spec, conj, np.where(row > 0, box.lower, box.upper))
                 if w is not None:
                     return "violated", w, nodes
-            dim = int(np.argmax(box.width))
-            if box.width[dim] < MIN_SPLIT_WIDTH:
+            width = box.upper - box.lower
+            dim = int(np.argmax(width))
+            if width[dim] < MIN_SPLIT_WIDTH:
                 undecided = True  # this cell is undecided; the search goes on
                 continue
             mid = 0.5 * (box.lower[dim] + box.upper[dim])

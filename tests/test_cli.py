@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import constant_node
+import veribench._onnxproto as wire
 from veribench.cli import _build_parser, main
 from veribench.harness import TRIVIAL_SPEC_TEXT
 from veribench.network import gen_trivial_network, save_network
@@ -140,6 +142,15 @@ class TestEval:
         assert main(["eval", str(identity_net), "--input", "0.25"]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+
+    def test_constant_without_output_is_data_error(self, identity_net, unsat_spec, capsys):
+        model = wire.decode_model(identity_net.read_bytes())
+        model["graph"]["node"].insert(0, constant_node([]))
+        identity_net.write_bytes(wire.encode_model(model))
+        code = main(["verify", str(identity_net), str(unsat_spec), "--timeout", "30"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "has no output" in err and "Traceback" not in err
 
 class TestVerifyFalsify:
     def test_verify_unsat_spec_holds(self, identity_net, unsat_spec, capsys):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import constant_node
 import veribench._onnxproto as wire
 import veribench.harness as harness
 from veribench.harness import (
@@ -787,6 +788,27 @@ class TestRunBatch:
         manifest = self.make_manifest(tmp_path)
         model = wire.decode_model(network_to_onnx_bytes(gen_trivial_network(1)))
         model["producer_name"] = b"\xff"  # not UTF-8
+        (manifest.parent / "bad.onnx").write_bytes(wire.encode_model(model))
+        with manifest.open("a") as fh:
+            fh.write("bad.onnx,prop_0.vnnlib,20\n")
+        by_tool = run_batch(load_manifest(manifest), [], tmp_path / "out", n_trivial=0)
+        statuses = {r.instance_id: r.status for r in by_tool["randgen"]}
+        assert statuses["bad-prop_0"] is Status.ERROR
+        assert statuses["net-prop_0"] is Status.VIOLATED
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda graph: graph["node"].insert(0, constant_node([])),
+            lambda graph: graph["initializer"][0].update(dims=[-1, -1]),  # 1 value
+        ],
+        ids=["constant-without-output", "negative-dims"],
+    )
+    def test_malformed_graph_never_aborts_batch(self, corrupt, tmp_path):
+        # both once escaped load_network as IndexError / ValueError
+        manifest = self.make_manifest(tmp_path)
+        model = wire.decode_model(network_to_onnx_bytes(gen_trivial_network(1)))
+        corrupt(model["graph"])
         (manifest.parent / "bad.onnx").write_bytes(wire.encode_model(model))
         with manifest.open("a") as fh:
             fh.write("bad.onnx,prop_0.vnnlib,20\n")

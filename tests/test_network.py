@@ -1,8 +1,11 @@
+import copy
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
+from conftest import constant_node
 from veribench import _onnxproto as wire
 from veribench.network import (
     ActivationLayer,
@@ -147,18 +150,99 @@ def _affine_layers(net) -> list:
     return [l for l in net.layers if isinstance(l, AffineLayer)]
 
 
-@pytest.mark.parametrize("style", ["gemm", "matmul"])
-def test_roundtrip_both_styles(style):
-    net = _simple_net()
-    loaded = load_network(network_to_onnx_bytes(net, style=style))
-    assert loaded.n_inputs == 2 and loaded.n_outputs == 1
-    assert len(_affine_layers(loaded)) == 2  # MatMul+Add fused into one Affine
+def _assert_same_affine_layers(net, loaded):
+    assert loaded.n_inputs == net.n_inputs and loaded.n_outputs == net.n_outputs
+    assert len(_affine_layers(loaded)) == len(_affine_layers(net))
     for a, b in zip(_affine_layers(net), _affine_layers(loaded)):
         np.testing.assert_array_equal(a.weight, b.weight)
         np.testing.assert_array_equal(a.bias, b.bias)
     rng = np.random.default_rng(0)
-    for x in rng.uniform(-2, 2, size=(20, 2)):
+    for x in rng.uniform(-2, 2, size=(20, net.n_inputs)):
         np.testing.assert_array_equal(forward(net, x), forward(loaded, x))
+
+
+def test_gemm_roundtrip_is_bit_exact():
+    net = _simple_net()
+    _assert_same_affine_layers(net, load_network(network_to_onnx_bytes(net)))
+
+
+def _f64_tensor(name, arr) -> dict:
+    arr = np.asarray(arr, dtype="<f8")
+    return {"name": name, "dims": list(arr.shape), "data_type": wire.DOUBLE,
+            "raw_data": arr.tobytes()}
+
+
+def test_matmul_add_model_fuses_into_affine_layers():
+    # _simple_net by hand as MatMul+Add pairs, x . W.T + b; the first
+    # MatMul carries Gemm attributes, which a MatMul ignores
+    net = _simple_net()
+    w1, w2 = (l.weight for l in _affine_layers(net))
+    b1, b2 = (l.bias for l in _affine_layers(net))
+    gemm_attrs = [{"name": "alpha", "f": 2.0, "type": wire.ATTR_FLOAT},
+                  {"name": "transB", "i": 1, "type": wire.ATTR_INT}]
+    model = {
+        "ir_version": 7,
+        "opset_import": [{"domain": "", "version": 13}],
+        "graph": {
+            "name": "mm",
+            "node": [
+                {"input": ["x", "W1"], "output": ["m1"], "op_type": "MatMul",
+                 "attribute": gemm_attrs},
+                {"input": ["m1", "B1"], "output": ["a1"], "op_type": "Add"},
+                {"input": ["a1"], "output": ["r1"], "op_type": "Relu"},
+                {"input": ["r1", "W2"], "output": ["m2"], "op_type": "MatMul"},
+                {"input": ["B2", "m2"], "output": ["y"], "op_type": "Add"},
+            ],
+            "initializer": [
+                _f64_tensor("W1", w1.T), _f64_tensor("B1", b1),
+                _f64_tensor("W2", w2.T), _f64_tensor("B2", b2),
+            ],
+            "input": [{"name": "x", "type": {"tensor_type": {
+                "elem_type": wire.DOUBLE, "shape": {"dim": [{"dim_value": 2}]}}}}],
+            "output": [{"name": "y"}],
+        },
+    }
+    loaded = load_network(wire.encode_model(model))
+    assert len(loaded.layers) == 3  # each MatMul+Add fused into one Affine
+    assert loaded.precision == "float64"
+    _assert_same_affine_layers(net, loaded)
+
+
+def _pinned_net(precision) -> Network:
+    """3-2-2-3 with every activation; its first weight holds six values."""
+    w1 = np.arange(6.0).reshape(2, 3) / 7 - 0.75
+    w2 = np.array([[1.0, -1 / 3], [1e-3, 2.5]])
+    w3 = np.arange(6.0).reshape(3, 2) / -3 + 1
+    layers = (
+        AffineLayer(w1, np.array([0.5, 1 / 3])),
+        ActivationLayer("relu"),
+        AffineLayer(w2, np.array([0.1, -0.1])),
+        ActivationLayer("sigmoid"),
+        AffineLayer(w3, np.array([0.0, 1.0, -2.0])),
+        ActivationLayer("tanh"),
+    )
+    return Network(layers, 3, 3, precision=precision, name="pinned")
+
+
+def _pinned_model() -> dict:
+    return wire.decode_model(network_to_onnx_bytes(_pinned_net("float32")))
+
+
+# The bench writes its networks with save_network, so the writer's bytes
+# are pinned: any change to them is a change to every benchmark input.
+WRITER_SHA256 = {
+    "float32": "4811851db5a12992625ecdfc773bd84e5ccb853dd4b84cb799e8456029cfea74",
+    "float64": "64c9044b6b5dba6299f2821590a1b62f4620bfb7ddb64f08178aba63a0c1a8bb",
+}
+
+
+@pytest.mark.parametrize("precision", sorted(WRITER_SHA256))
+def test_writer_bytes_pinned(precision, tmp_path):
+    data = network_to_onnx_bytes(_pinned_net(precision))
+    assert hashlib.sha256(data).hexdigest() == WRITER_SHA256[precision]
+    save_network(_pinned_net(precision), tmp_path / "n.onnx")
+    assert (tmp_path / "n.onnx").read_bytes() == data
+    assert load_network(data).precision == precision
 
 
 def test_float64_weights_roundtrip_exactly(net_factory):
@@ -282,6 +366,75 @@ def test_mutated_bytes_raise_only_network_error(net_factory):
             pass  # any other exception type escaping fails the test
 
 
+_SUPPORTED_OPS = ("Gemm", "MatMul", "Add", "Sub", "Relu", "Sigmoid", "Tanh",
+                  "Flatten", "Identity", "Reshape", "Constant")
+
+
+def test_structured_mutations_raise_only_network_error():
+    base = _pinned_model()
+    graph = base["graph"]
+    outcomes = []
+
+    def check(edit):
+        model = copy.deepcopy(base)
+        edit(model["graph"])
+        try:
+            load_network(wire.encode_model(model))
+            outcomes.append("loaded")
+        except NetworkError:  # any other exception type fails the test
+            outcomes.append("refused")
+
+    for i, node in enumerate(graph["node"]):
+        for key, value in node.items():
+            check(lambda g: g["node"][i].pop(key))
+            if isinstance(value, list):
+                check(lambda g: g["node"][i].update({key: []}))
+        for op in _SUPPORTED_OPS:
+            check(lambda g: g["node"][i].update(op_type=op))
+    for i, tensor in enumerate(graph["initializer"]):
+        for dims in ([], [-1], [-2, -3], [0], [1, 1, 1]):
+            check(lambda g: g["initializer"][i].update(dims=dims))
+        for data_type in (0, 2, 7, 10, 16):
+            check(lambda g: g["initializer"][i].update(data_type=data_type))
+        for key in tensor:
+            check(lambda g: g["initializer"][i].pop(key))
+    for outputs in ([], ["c"]):
+        check(lambda g: g["node"].insert(0, constant_node(outputs)))
+    odd_shapes = (
+        [], [{"dim_value": 0}], [{"dim_value": -1}, {"dim_value": 3}],
+        [{"dim_param": "N"}], [{"dim_param": "N"}, {"dim_param": "M"}],
+        [{"dim_value": 1}, {}], [{"dim_value": 2**40}],
+        [{"dim_value": 1}, {"dim_value": 1}, {"dim_value": 3}],
+    )
+    for io in ("input", "output"):
+        check(lambda g: g[io][0].pop("type"))
+        for dims in odd_shapes:
+            check(lambda g: g[io][0]["type"]["tensor_type"]["shape"].update(dim=dims))
+    assert "loaded" in outcomes and "refused" in outcomes
+
+
+def test_constant_without_output_is_network_error():
+    model = _pinned_model()
+    model["graph"]["node"].insert(0, constant_node([]))
+    with pytest.raises(NetworkError, match="'Constant' \\(Constant\\) has no output"):
+        load_network(wire.encode_model(model))
+
+
+def test_negative_dims_are_network_error():
+    # [-2, -3] multiplies to the weight's six values, which numpy refuses
+    model = _pinned_model()
+    model["graph"]["initializer"][0]["dims"] = [-2, -3]
+    with pytest.raises(NetworkError, match="negative dim"):
+        load_network(wire.encode_model(model))
+
+
+def test_empty_tensor_with_overflowing_dims_is_network_error():
+    model = _pinned_model()
+    model["graph"]["initializer"][0].update(dims=[2**62, 2**62, 0], raw_data=b"")
+    with pytest.raises(NetworkError, match="dims too large"):
+        load_network(wire.encode_model(model))
+
+
 def test_flatten_and_batch_dim_squeeze():
     # input declared [1, 2, 2] flattened before a Gemm over width 4
     w = np.eye(4)
@@ -362,6 +515,15 @@ def test_shape_no_ops_checked_and_dropped(op, shape):
     net = load_network(_with_shape_op(op, shape))
     assert len(net.layers) == 1 and isinstance(net.layers[0], AffineLayer)
     assert forward(net, [3.0])[0] == 7.0
+
+
+def test_reshape_shape_must_be_int64():
+    # an infinite float shape once escaped as OverflowError
+    model = wire.decode_model(_with_shape_op("Reshape", [1]))
+    shape = model["graph"]["initializer"][-1]
+    shape.update(data_type=wire.DOUBLE, raw_data=struct.pack("<d", float("inf")))
+    with pytest.raises(NetworkError, match="shape 'S' is not int64"):
+        load_network(wire.encode_model(model))
 
 
 def test_reshape_changing_element_count_rejected():

@@ -567,6 +567,11 @@ class TestScoreRecords:
         assert ledger.instance_scores[("b", "n-p")].base_points["X"] == 1
         assert ledger.instance_scores[("b", "other")].base_points["X"] == 10
         assert "# easy-violated instances: 2\n" in render_report(ledger)
+        assert ledger.warnings == ["easy-violated ids name no scored instance: absent, ghost"]
+        assert (
+            "# warning: easy-violated ids name no scored instance: absent, ghost\n"
+            in render_report(ledger)
+        )
 
     def test_baseline_never_bonused(self):
         records = [
