@@ -1,5 +1,7 @@
+import hashlib
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -489,3 +491,66 @@ def test_parse_and_dnf_raise_only_spec_error(terms, depth, noise):
     except SpecError:
         return
     _strict_json(spec.dumps())
+
+
+# -- pinned outputs of the reader and the normal form ------------------------
+
+PROPS = Path(__file__).resolve().parent / "fixtures" / "acasxu" / "props"
+PROP_DUMP_SHA256 = {
+    "prop_1": "1b74f08a56c05ec057cfb23a61a47f80ab6f293d3560ddc31206fd35ff3c8824",
+    "prop_2": "61dcbb01ef4de0c4b3999f23af93edc2fa4816fa4f11284bade93e81b1ce7c4a",
+    "prop_3": "b6df4bf729555f482fbc5b9ffe29ab54e31e01bd3eb8e55308c774d227de2495",
+    "prop_4": "cb0b08a68493c36649d864afb59e09cc4161cb6752af4997e8d216795612e10f",
+    "prop_5": "04ba19837b2423430ad4bb555658968471465f0c892f5b9d35273dec3584614b",
+    "prop_6": "a6c4c8a40418b93e7d8a8f1f4238c687fcdb5258d02f4266ca719f388cefcd5b",
+    "prop_7": "dcfc0592f283f93804849b5b8fdcae3b001a7a407e08a5dd62fb18c50627556d",
+    "prop_8": "4df6c823047a393df416c2d5573ee80c7d8d61abc6619520bb5513d7bc67f6dc",
+    "prop_9": "a23c73759dc4db873226a90af7bed01b648827c8a93d82ca86ba2c960cb55ffb",
+    "prop_10": "33ea301be111f3e52e96a0afe853d8cb7253c7b019422cc3302a9cc5bc7add50",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROP_DUMP_SHA256))
+def test_acas_prop_dumps_pinned(name):
+    text = (PROPS / f"{name}.vnnlib").read_text(encoding="utf-8")
+    digest = hashlib.sha256(to_dnf(parse_vnnlib(text)).dumps().encode()).hexdigest()
+    assert digest == PROP_DUMP_SHA256[name]
+
+
+_DECLS = "(declare-const X_0 Real)(declare-const Y_0 Real)"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_DECLS + "\n(assert (<= X_0 1)\n", "unbalanced '(' (line 2, column 1)"),
+        (_DECLS + "\n(assert (<= X_0 1)))\n", "unbalanced ')' (line 2, column 20)"),
+        (
+            _DECLS + "(assert " + "(and " * 300 + "(>= X_0 0))" + ")" * 300,
+            "nested deeper than 256 levels (line 1, column 1332)",
+        ),
+        (
+            "(declare-const X_0 Real)\r\n(declare-const Y_0 Real)\r\n"
+            "  (assert (<= X_0 foo))\r\n",
+            "unexpected token 'foo' (line 3, column 19)",
+        ),
+        (_DECLS + "\n\t(assert\t(<= X_0\t@))", "unexpected token '@' (line 2, column 18)"),
+        (
+            _DECLS + " ; a comment (with parens\n  (assert (<= Y_7 1))",
+            "undeclared variable Y_7 (line 2, column 15)",
+        ),
+        (_DECLS + "\n(assert (<= X_0 \u0663))", "unexpected token '\u0663' (line 2, column 17)"),
+        (_DECLS + "\n\n   (assert (>= Y_0 Y_1))", "undeclared variable Y_1 (line 3, column 20)"),
+    ],
+    ids=["open", "close", "deep", "crlf", "tab", "after-comment", "non-ascii", "undeclared"],
+)
+def test_error_text_and_position_pinned(text, message):
+    with pytest.raises(SpecError) as excinfo:
+        to_dnf(parse_vnnlib(text))
+    assert str(excinfo.value) == message
+
+
+def test_strict_warning_names_its_line():
+    with pytest.warns(UserWarning) as record:
+        parse_vnnlib(_DECLS + "\n; c\n\n(assert (< X_0 1))")
+    assert [str(w.message) for w in record] == ["strict '<' at line 4 treated as non-strict"]
