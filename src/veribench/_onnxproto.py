@@ -20,10 +20,7 @@ DOUBLE = 11
 # AttributeProto.AttributeType values
 ATTR_FLOAT = 1
 ATTR_INT = 2
-ATTR_STRING = 3
 ATTR_TENSOR = 4
-ATTR_FLOATS = 6
-ATTR_INTS = 7
 
 _WIRE_VARINT = 0
 _WIRE_FIXED64 = 1
@@ -97,6 +94,12 @@ _SCHEMAS = {
 }
 
 _SCALAR_KINDS = {"int", "float32", "float64", "string", "bytes"}
+
+# fixed-width kind -> (struct code, width, wire type, name in error texts)
+_FIXED = {
+    "float32": ("f", 4, _WIRE_FIXED32, "float"),
+    "float64": ("d", 8, _WIRE_FIXED64, "double"),
+}
 
 
 class WireDecodeError(ValueError):
@@ -196,27 +199,17 @@ def _read_scalar(msg_name, name, kind, buf, pos, end, wire):
                 v, pos = _read_varint(buf, pos, stop)
                 vals.append(_to_signed64(v))
             return vals, pos
-    elif kind == "float32":
-        if wire == _WIRE_FIXED32:
-            if pos + 4 > end:
-                raise WireDecodeError("truncated float")
-            return [struct.unpack_from("<f", buf, pos)[0]], pos + 4
+    elif kind in _FIXED:
+        code, size, fixed_wire, label = _FIXED[kind]
+        if wire == fixed_wire:
+            if pos + size > end:
+                raise WireDecodeError(f"truncated {label}")
+            return [struct.unpack_from("<" + code, buf, pos)[0]], pos + size
         if wire == _WIRE_LEN:
             length, pos = _read_varint(buf, pos, end)
-            if length % 4 or pos + length > end:
-                raise WireDecodeError(f"{msg_name}.{name}: bad packed float block")
-            vals = list(struct.unpack_from(f"<{length // 4}f", buf, pos))
-            return vals, pos + length
-    elif kind == "float64":
-        if wire == _WIRE_FIXED64:
-            if pos + 8 > end:
-                raise WireDecodeError("truncated double")
-            return [struct.unpack_from("<d", buf, pos)[0]], pos + 8
-        if wire == _WIRE_LEN:
-            length, pos = _read_varint(buf, pos, end)
-            if length % 8 or pos + length > end:
-                raise WireDecodeError(f"{msg_name}.{name}: bad packed double block")
-            vals = list(struct.unpack_from(f"<{length // 8}d", buf, pos))
+            if length % size or pos + length > end:
+                raise WireDecodeError(f"{msg_name}.{name}: bad packed {label} block")
+            vals = list(struct.unpack_from(f"<{length // size}{code}", buf, pos))
             return vals, pos + length
     elif kind in ("string", "bytes"):
         if wire == _WIRE_LEN:
@@ -264,19 +257,12 @@ def _emit_scalar(out: bytearray, field_no: int, kind: str, value) -> None:
     if kind == "int":
         _emit_key(out, field_no, _WIRE_VARINT)
         _emit_varint(out, int(value))
-    elif kind == "float32":
-        _emit_key(out, field_no, _WIRE_FIXED32)
-        out += struct.pack("<f", value)
-    elif kind == "float64":
-        _emit_key(out, field_no, _WIRE_FIXED64)
-        out += struct.pack("<d", value)
-    elif kind == "string":
+    elif kind in _FIXED:
+        code, _, fixed_wire, _ = _FIXED[kind]
+        _emit_key(out, field_no, fixed_wire)
+        out += struct.pack("<" + code, value)
+    else:  # string or bytes
         raw = value.encode("utf-8") if isinstance(value, str) else bytes(value)
-        _emit_key(out, field_no, _WIRE_LEN)
-        _emit_varint(out, len(raw))
-        out += raw
-    elif kind == "bytes":
-        raw = bytes(value)
         _emit_key(out, field_no, _WIRE_LEN)
         _emit_varint(out, len(raw))
         out += raw
@@ -287,10 +273,8 @@ def _emit_packed(out: bytearray, field_no: int, kind: str, values) -> None:
     if kind == "int":
         for v in values:
             _emit_varint(body, int(v))
-    elif kind == "float32":
-        body += struct.pack(f"<{len(values)}f", *values)
-    else:  # float64
-        body += struct.pack(f"<{len(values)}d", *values)
+    else:
+        body += struct.pack(f"<{len(values)}{_FIXED[kind][0]}", *values)
     _emit_key(out, field_no, _WIRE_LEN)
     _emit_varint(out, len(body))
     out += body

@@ -38,7 +38,7 @@ from .scoring import (
     score_records,
     write_results_csv,
 )
-from .speclang import parse_vnnlib, to_dnf
+from .speclang import load_spec
 from .verifier import (
     Budget,
     EASY_VIOLATED_BUDGET,
@@ -69,10 +69,6 @@ def _parse_floats(text: str) -> np.ndarray:
         return np.array([float(p) for p in parts], dtype=np.float64)
     except ValueError:
         raise HarnessError("bad number list %r" % text) from None
-
-
-def _load_spec(path):
-    return to_dnf(parse_vnnlib(Path(path).read_text(encoding="utf-8")))
 
 
 def _positive(kind):
@@ -109,7 +105,7 @@ def _adapters_from_args(args) -> list:
 # subcommand bodies
 
 def _cmd_parse(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = load_spec(args.spec)
     print(spec.dumps())
     return 0
 
@@ -124,7 +120,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_verify(args) -> int:
     net = load_network(args.network)
-    spec = _load_spec(args.spec)
+    spec = load_spec(args.spec)
     outcome = verify(net, spec, _budget_from_args(args))
     print(outcome.status.value)
     if outcome.status is Status.VIOLATED and args.witness_out:
@@ -134,7 +130,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_falsify(args) -> int:
     net = load_network(args.network)
-    spec = _load_spec(args.spec)
+    spec = load_spec(args.spec)
     witness = falsify(net, spec, _budget_from_args(args))
     if witness is None:
         print(Status.UNKNOWN.value)
@@ -147,7 +143,7 @@ def _cmd_falsify(args) -> int:
 
 def _cmd_validate_ce(args) -> int:
     net = load_network(args.network)
-    spec = _load_spec(args.spec)
+    spec = load_spec(args.spec)
     witness = read_witness(args.witness)
     if validate_witness(net, spec, witness):
         print("ok")

@@ -40,7 +40,7 @@ from .scoring import (
     render_instance_log,
     render_report,
 )
-from .speclang import Conjunct, NormalizedSpec, SpecError, parse_vnnlib, to_dnf
+from .speclang import Conjunct, NormalizedSpec, SpecError, load_spec
 from .verifier import (
     Budget,
     EASY_VIOLATED_BUDGET,
@@ -215,9 +215,7 @@ def load_manifest(path, *, require_files: bool = False) -> list:
 # subprocess runner
 
 def _load_instance_problem(inst: Instance):
-    net = load_network(inst.network_path)
-    spec = to_dnf(parse_vnnlib(inst.spec_path.read_text(encoding="utf-8")))
-    return net, spec
+    return load_network(inst.network_path), load_spec(inst.spec_path)
 
 
 def _parse_result_file(path: Path):

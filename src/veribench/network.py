@@ -396,9 +396,21 @@ class _GraphWalker:
 
     def on_addsub(self, op, label, ins, cur, width, after_matmul) -> int:
         """Add or Sub of a constant; an Add right after a MatMul becomes its
-        bias."""
+        bias.
+
+        The path width must not exceed the element count of the file's
+        largest tensor, so a declared width that nothing in the file backs
+        is refused before any width-sized array is built; an identity layer
+        is then at most (largest tensor size)² values.
+        """
         if len(ins) != 2:
             raise NetworkError(f"{op} '{label}' needs two inputs")
+        largest = max(arr.size for arr, _ in self.params.values())
+        if width > largest:
+            raise NetworkError(
+                f"{op} '{label}' acts on width {width}, more than the "
+                f"{largest} values of the largest tensor in the file"
+            )
         other = ins[1] if ins[0] == cur else ins[0]
         p = self.float_param(other, label).ravel()
         if p.size == 1:

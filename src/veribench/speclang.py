@@ -11,12 +11,15 @@ property it describes is violated.  The supported grammar is::
     <expr> ::= <decimal> | X_i | Y_j | (+ <expr>+) | (- <expr>+) | (* <expr>+)
 
 Products must stay affine (at most one non-constant factor), every number
-an ASCII literal without ``_`` separators, every number and coefficient
-finite, and nesting at most 256 parentheses deep; anything else raises
-``SpecError``.  Comments run from ``;`` to end of line.  Strict
+an ASCII literal without ``_`` separators, every number and every atom's
+coefficients finite, and nesting at most 256 parentheses deep; anything
+else raises ``SpecError``.  Comments run from ``;`` to end of line.  Strict
 ``<``/``>`` are accepted as their non-strict forms with a warning, which is
 unobservable under tolerance-based witness checking over the reals.
-``to_dnf`` yields the arrays the search reads (see ``NormalizedSpec``).
+
+The text is read in one regex scan; ``to_dnf`` normalizes each atom once,
+shares its row among the disjuncts it lands in, and yields the arrays the
+search reads (see ``NormalizedSpec``).  ``load_spec`` does both for a file.
 This module evaluates nothing: the one witness rule is
 ``verifier.validate_witness``.
 """
@@ -92,11 +95,10 @@ class BoolTerm:
 
 @dataclass
 class SpecAst:
-    """Parsed specification: declarations plus a conjunction of assertions."""
+    """Parsed specification: variable counts plus a conjunction of assertions."""
 
     n_inputs: int
     n_outputs: int
-    declarations: list[tuple[str, int]]
     assertions: list  # Atom | BoolTerm
 
 
@@ -164,26 +166,21 @@ class NormalizedSpec:
         object.__setattr__(self, "rows", (a_y, b_x, rhs))
         object.__setattr__(self, "boxes", (lower, upper))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_inputs": self.n_inputs,
-            "n_outputs": self.n_outputs,
-            "disjuncts": [
-                {
-                    "input_lower": c.input_lower.tolist(),
-                    "input_upper": c.input_upper.tolist(),
-                    "constraints": [
-                        {"a_y": a, "b_x": b, "rhs": r}
-                        for a, b, r in zip(c.a_y.tolist(), c.b_x.tolist(), c.rhs.tolist())
-                    ],
-                }
-                for c in self.disjuncts
-            ],
-        }
-
     def dumps(self) -> str:
         """Deterministic textual dump (bytes are stable for equal specs)."""
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
+        disjuncts = [
+            {
+                "input_lower": c.input_lower.tolist(),
+                "input_upper": c.input_upper.tolist(),
+                "constraints": [
+                    {"a_y": a, "b_x": b, "rhs": r}
+                    for a, b, r in zip(c.a_y.tolist(), c.b_x.tolist(), c.rhs.tolist())
+                ],
+            }
+            for c in self.disjuncts
+        ]
+        obj = {"n_inputs": self.n_inputs, "n_outputs": self.n_outputs, "disjuncts": disjuncts}
+        return json.dumps(obj, sort_keys=True, indent=1)
 
 
 @dataclass(frozen=True)
@@ -205,62 +202,34 @@ class _Token:
     col: int
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-            continue
-        start = i
-        start_col = col
-        while i < n and text[i] not in " \t\r\n();":
-            i += 1
-            col += 1
-        tokens.append(_Token(text[start:i], line, start_col))
-    return tokens
+# A newline, a comment, a parenthesis or an atom; blanks stay unmatched and
+# are skipped.
+_TOKEN_RE = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
 
 
-def _read_sexprs(tokens: list[_Token]):
-    """Group tokens into nested lists; atoms stay as _Token."""
+def _read_sexprs(text: str):
+    """Group the text's tokens into nested (items, open paren) pairs; atoms
+    stay as _Token."""
     exprs = []
     stack = []
-    for tok in tokens:
-        if tok.text == "(":
-            if len(stack) == _MAX_DEPTH:
-                raise SpecError(f"nested deeper than {_MAX_DEPTH} levels", tok.line, tok.col)
-            stack.append(([], tok))
-        elif tok.text == ")":
+    line, line_start = 1, 0  # line_start: the offset of the line's first char
+    for m in _TOKEN_RE.finditer(text):
+        word = m.group()
+        if word == "\n":
+            line, line_start = line + 1, m.end()
+        elif word == ")":
             if not stack:
-                raise SpecError("unbalanced ')'", tok.line, tok.col)
-            items, open_tok = stack.pop()
-            node = (items, open_tok)
-            if stack:
-                stack[-1][0].append(node)
+                raise SpecError("unbalanced ')'", line, m.start() - line_start + 1)
+            node = stack.pop()
+            (stack[-1][0] if stack else exprs).append(node)
+        elif word[0] != ";":
+            tok = _Token(word, line, m.start() - line_start + 1)
+            if word != "(":
+                (stack[-1][0] if stack else exprs).append(tok)
+            elif len(stack) == _MAX_DEPTH:
+                raise SpecError(f"nested deeper than {_MAX_DEPTH} levels", tok.line, tok.col)
             else:
-                exprs.append(node)
-        else:
-            if stack:
-                stack[-1][0].append(tok)
-            else:
-                exprs.append(tok)
+                stack.append(([], tok))
     if stack:
         _, open_tok = stack[-1]
         raise SpecError("unbalanced '('", open_tok.line, open_tok.col)
@@ -434,7 +403,7 @@ def parse_vnnlib(text: str) -> SpecAst:
     non-affine terms, or non-dense variable indices.
     """
     parser = _Parser()
-    for node in _read_sexprs(_tokenize(text)):
+    for node in _read_sexprs(text):
         parser.parse_command(node)
 
     inputs = sorted(i for (kind, i) in parser.declared if kind == "X")
@@ -443,18 +412,18 @@ def parse_vnnlib(text: str) -> SpecAst:
         raise SpecError(f"input indices not dense: {['X_%d' % i for i in inputs]}")
     if outputs != list(range(len(outputs))):
         raise SpecError(f"output indices not dense: {['Y_%d' % j for j in outputs]}")
-
-    decls = [(k, i) for (k, i) in parser.declared]
-    return SpecAst(len(inputs), len(outputs), decls, parser.assertions)
+    return SpecAst(len(inputs), len(outputs), parser.assertions)
 
 
 # ---------------------------------------------------------------------------
 # DNF normalization
 
 
-def _term_to_dnf(term) -> list[list[Atom]]:
+def _term_to_dnf(term) -> list[list[tuple[dict, float]]]:
+    """Disjuncts as lists of normalized atoms; each atom is normalized once
+    and its (coeffs, const) pair is shared by every disjunct it lands in."""
     if isinstance(term, Atom):
-        return [[term]]
+        return [[_normalize_atom(term)]]
     if term.kind == "or":
         out = []
         for t in term.terms:
@@ -489,29 +458,27 @@ def _normalize_atom(atom: Atom) -> tuple[dict, float]:
     return coeffs, const
 
 
-def _build_conjunct(atoms: list[Atom], n_inputs: int, n_outputs: int) -> Conjunct | None:
-    """Fold pure-input bounds into a box; returns None for an empty conjunct."""
+def _build_conjunct(atoms: list, n_inputs: int, n_outputs: int) -> Conjunct | None:
+    """Fold pure-input bounds of normalized atoms into a box; returns None
+    for an empty conjunct."""
     lower = np.full(n_inputs, -np.inf)
     upper = np.full(n_inputs, np.inf)
     mixed: list[tuple[dict, float]] = []
 
-    for atom in atoms:
-        coeffs, const = _normalize_atom(atom)
-        x_keys = [k for k in coeffs if k[0] == "X"]
-        y_keys = [k for k in coeffs if k[0] == "Y"]
+    for coeffs, const in atoms:
         if not coeffs:
             if const <= 0.0:
                 continue  # trivially true
             return None  # trivially false
-        if not y_keys and len(x_keys) == 1:
-            (_, i), = x_keys
-            c = coeffs[x_keys[0]]
-            bound = -const / c
-            if c > 0:
-                upper[i] = min(upper[i], bound)
-            else:
-                lower[i] = max(lower[i], bound)
-            continue
+        if len(coeffs) == 1:
+            ((kind, i), c), = coeffs.items()
+            if kind == "X":
+                bound = -const / c
+                if c > 0:
+                    upper[i] = min(upper[i], bound)
+                else:
+                    lower[i] = max(lower[i], bound)
+                continue
         mixed.append((coeffs, -const))
 
     unbounded = [
@@ -539,18 +506,26 @@ def to_dnf(ast: SpecAst) -> NormalizedSpec:
     Empty conjuncts are dropped.  Disjunct order is deterministic: source
     order with left-to-right distribution.  SpecError is raised when
     distribution exceeds MAX_DISJUNCTS (4096) disjuncts, when a conjunct
-    leaves an input without a finite lower and upper bound, or when an
+    leaves an input without a finite lower and upper bound, or when any
     atom's coefficients overflow to non-finite values.
     """
-    conjunction = BoolTerm("and", tuple(ast.assertions)) if ast.assertions else None
-    if conjunction is None:
-        branches = [[]]
-    else:
-        branches = _term_to_dnf(conjunction)
-
     disjuncts = []
-    for atoms in branches:
+    for atoms in _term_to_dnf(BoolTerm("and", tuple(ast.assertions))):
         conj = _build_conjunct(atoms, ast.n_inputs, ast.n_outputs)
         if conj is not None:
             disjuncts.append(conj)
     return NormalizedSpec(ast.n_inputs, ast.n_outputs, tuple(disjuncts))
+
+
+def load_spec(path) -> NormalizedSpec:
+    """Read a specification file as UTF-8, parse it and normalize it.
+
+    Raises SpecError for a malformed spec or bytes that are not UTF-8, and
+    OSError for an unreadable path.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    return to_dnf(parse_vnnlib(text))

@@ -29,6 +29,7 @@ first, which is the answer of searching the disjuncts one at a time.
 
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -61,7 +62,9 @@ class Status(str, Enum):
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits for verify/falsify; all fields must be positive."""
+    """Resource limits for verify/falsify.  wall_seconds must be positive
+    (nan is refused) and the four counts positive integers, else
+    ``ValueError``."""
 
     wall_seconds: float = 60.0
     max_subproblems: int = 1_000_000
@@ -71,15 +74,12 @@ class Budget:
     seed: int = 0
 
     def __post_init__(self):
-        for name in (
-            "wall_seconds",
-            "max_subproblems",
-            "falsifier_samples",
-            "pgd_restarts",
-            "pgd_steps",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if not self.wall_seconds > 0:  # false for nan too
+            raise ValueError("wall_seconds must be positive")
+        for name in ("max_subproblems", "falsifier_samples", "pgd_restarts", "pgd_steps"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value <= 0:
+                raise ValueError(f"{name} must be a positive integer")
 
 
 # The pinned budget for deciding which instances count as answerable by

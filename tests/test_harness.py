@@ -500,6 +500,19 @@ class TestRunBaseline:
         )
         assert run_baseline(inst).status is Status.ERROR
 
+    def test_spec_that_is_not_utf8_is_error(self, trivial_instance, tmp_path):
+        # the UnicodeDecodeError used to escape run_baseline and abort run_batch
+        bad = tmp_path / "bad.vnnlib"
+        bad.write_bytes(trivial_instance.spec_path.read_bytes() + b"; \xff\n")
+        inst = Instance(
+            instance_id="net-bad",
+            benchmark="bench",
+            network_path=trivial_instance.network_path,
+            spec_path=bad,
+            timeout=30.0,
+        )
+        assert run_baseline(inst).status is Status.ERROR
+
 
 class TestMeasureOverheadRun:
     """Warm-up runs as measure-overhead makes them: run_batch over no

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -592,6 +593,39 @@ def test_sub_both_orders():
     assert forward(net, [10.0])[0] == 7.0
     net = with_sub(["c", "x"])  # 3 - x
     assert forward(net, [10.0])[0] == -7.0
+
+
+def _add_scalar_model(width: int) -> bytes:
+    """x of declared shape [1, width], then Add of a one-value tensor."""
+    shape = {"dim": [{"dim_value": 1}, {"dim_value": width}]}
+    vtype = {"tensor_type": {"elem_type": wire.FLOAT32, "shape": shape}}
+    graph = {
+        "node": [{"input": ["x", "c"], "output": ["y"], "op_type": "Add"}],
+        "initializer": [{"name": "c", "dims": [1], "data_type": wire.FLOAT32,
+                         "raw_data": struct.pack("<f", 1.0)}],
+        "input": [{"name": "x", "type": vtype}],
+        "output": [{"name": "y", "type": vtype}],
+    }
+    return wire.encode_model({"ir_version": 7, "graph": graph})
+
+
+def test_addsub_width_beyond_the_file_is_refused():
+    # numpy's "array is too big" ValueError used to escape from np.full
+    with pytest.raises(NetworkError, match="largest tensor"):
+        load_network(_add_scalar_model(2**62))
+
+
+def test_addsub_width_is_refused_before_allocating():
+    data = _add_scalar_model(3000)
+    assert len(data) < 100
+    tracemalloc.start()
+    try:
+        with pytest.raises(NetworkError, match="width 3000"):
+            load_network(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20  # np.eye(3000) alone is 72 MB
 
 
 # ---------------------------------------------------------------------------

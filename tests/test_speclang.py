@@ -418,6 +418,12 @@ def test_nesting_depth_is_capped():
         ("(<= X_0 NaN)", "non-finite number 'NaN'"),
         ("(<= (* 1e200 1e200 X_0) 1.0)", "coefficient overflows"),
         ("(<= (- X_0 1.7e308) 1.7e308)", "coefficient overflows"),
+        # an overflowing atom after a trivially false one in its disjunct
+        (
+            "(and (>= X_0 0) (<= X_0 1)"
+            " (or (<= Y_0 0) (and (<= 1 0) (<= (* 1e200 1e200 X_0) 1))))",
+            "coefficient overflows",
+        ),
     ],
 )
 def test_non_finite_numbers_rejected(term, message):

@@ -327,6 +327,15 @@ def test_budget_fields_must_be_positive():
         Budget(wall_seconds=0)
     with pytest.raises(ValueError, match="pgd_steps"):
         Budget(pgd_steps=-1)
+    # nan <= 0 is false: a nan wall budget never timed out
+    with pytest.raises(ValueError, match="wall_seconds"):
+        Budget(wall_seconds=float("nan"))
+    # a float count made falsify's range() raise TypeError inside run_batch
+    with pytest.raises(ValueError, match="falsifier_samples"):
+        Budget(falsifier_samples=2.5)
+    with pytest.raises(ValueError, match="max_subproblems"):
+        Budget(max_subproblems=3.0)
+    assert Budget(falsifier_samples=np.int64(5)).falsifier_samples == 5
 
 
 def test_verify_agrees_with_grid_oracle():
