@@ -1,5 +1,7 @@
+import hashlib
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from veribench.network import ActivationLayer, AffineLayer, Network, forward
 from veribench.speclang import (
     Conjunct,
     NormalizedSpec,
+    load_spec,
     parse_vnnlib,
     to_dnf,
 )
@@ -18,6 +21,7 @@ from veribench.verifier import (
     Status,
     _SAMPLE_BLOCK,
     falsify,
+    format_witness,
     output_combination_gradient,
     validate_witness,
     verify,
@@ -245,6 +249,169 @@ def test_batched_falsify_matches_reference_across_sample_blocks(monkeypatch):
             assert np.flatnonzero((draws == w.x).all(axis=1))[0] >= _SAMPLE_BLOCK
             late[1] += 1
     assert all(late)
+
+
+# ---------------------------------------------------------------------------
+# Pinned answers on ACAS-shaped nets
+
+PROPS = Path(__file__).resolve().parent / "fixtures" / "acasxu" / "props"
+STRONG_BUDGET = Budget(falsifier_samples=1000, pgd_restarts=10, pgd_steps=200, seed=3)
+_NONE = hashlib.sha256(b"none").hexdigest()
+# per net seed and prop: SHA-256 of format_witness(w), or of "none", at
+# EASY_VIOLATED_BUDGET and at STRONG_BUDGET
+FALSIFY_SHA256 = {
+    0: {
+        "prop_1": (_NONE, _NONE),
+        "prop_2": (_NONE, _NONE),
+        "prop_3": (_NONE, _NONE),
+        "prop_4": (_NONE, _NONE),
+        "prop_5": (
+            "9af81d65840458dc9105d19df7c9588870508f4cb56189d76743997d7674f736",
+            "d304aa63e41f44c685aa3c104516710a47ca1c9c1dcbe60758966205acbdc4a6",
+        ),
+        "prop_6": (
+            "bc2000953d25ad1117a16075470df03bbb4a536e2501fadf0e4d22e7263fca3d",
+            "53ed22efed3a05dc0207cc3651503d2a7790af776beeb82c7dfc09a7907d0f00",
+        ),
+        "prop_7": (_NONE, _NONE),
+        "prop_8": (
+            "a41c42ae4f19590ac376b220e78ed5dd6cb78153a2e0276c839fd46d961ec205",
+            "188b95861c4e87a555fd135e2680b51edd4b83cfc40da280fce9d3885cc55001",
+        ),
+        "prop_9": (
+            "8a46b966ddc1d8480c8dac24f7e6652e856abb6c40da1a3ffcaf9f09be3c4437",
+            "6b981f37541c92f0d58aa0c20f6d99c439533cd54ce002dc713741ec4b8cf060",
+        ),
+        "prop_10": (
+            "2b568ad50c63d643efc9c81b4b154aa5ab0505addf1cdf8bf8a1a6a17f5008cc",
+            "03559a6167f528f6f446624a837e4b52b6745f5544487394efa77a3d3fd23a24",
+        ),
+    },
+    1: {
+        "prop_1": (_NONE, _NONE),
+        "prop_2": (
+            "d58a86c20344716cbc3af6beb3220c06350a59d64b62fa550935c6cb792dbb56",
+            "9c9b8a02dcabad90eeb30555d80323b51e5f4f47e7d2342dc5a3628254f471e5",
+        ),
+        "prop_3": (_NONE, _NONE),
+        "prop_4": (_NONE, _NONE),
+        "prop_5": (
+            "cbe3ca348f05dcdd81c66bb3d672b0a87c8ee6860eba80daa8903ffd9896241b",
+            "96ca6db4a59a92463e19d1ea0a3505d2f16e5e40dcec0e95d08e6386a40ca6b4",
+        ),
+        "prop_6": (
+            "d072a6c3c3e7419a9835795d194f2ce1da793a2669fba62dc654a107fa526dad",
+            "fd4fa4b8d5632779ca686d33de533647676b96ed0d8737ffce8975941d1c7e18",
+        ),
+        "prop_7": (_NONE, _NONE),
+        "prop_8": (_NONE, _NONE),
+        "prop_9": (
+            "c5c3bb3860a942ed1e4c5e06da59dd0eb9d05d7842135074d7c1d8b31de7a391",
+            "f92646ee0f0a7bf8b7eebc4cc96a8e3cc12e5b3ae6a77b47b9f15dd58f0e693e",
+        ),
+        "prop_10": (
+            "9a789c352c1d2d5898a85109e058fe9ceb9ce2061ef55fd50c66e6e149e21751",
+            "29d7f362b7093eddedb9c631a5a979f5dca16a2daca046b3b40578979409a34a",
+        ),
+    },
+    2: {
+        "prop_1": (_NONE, _NONE),
+        "prop_2": (
+            "68a570501964eb1b84e9279d5549a3e2d0f9e883c771ecfa48358eccb761d7c9",
+            "64b2154cc9b0d5cfa442398ce76d66b193eee73210cc8551b169aa0b56e99529",
+        ),
+        "prop_3": (_NONE, _NONE),
+        "prop_4": (_NONE, _NONE),
+        "prop_5": (
+            "5e70d64baefa249720e2b3c582c059b1d9007beff46d61d15c4717075bf35a27",
+            "c5cde224921f3989611b8d74e41b06fd72c0ac0897f6b11d0691ceee2b206516",
+        ),
+        "prop_6": (
+            "8d97be65c07056e7fd40d41a61e547b4040f9f3aa4b8a61b87f46e720e637f6a",
+            "ec03f0921cb7ca3355689a41648b63894e490deb65c157368dd65e5557386c0d",
+        ),
+        "prop_7": (
+            _NONE,
+            "76ce4ed11e6a5d9551fa39cd5292585a4b1af960a5d085cf3b2749f714e67292",
+        ),
+        "prop_8": (_NONE, _NONE),
+        "prop_9": (
+            "933dbadba581f1a484cb29f1c7f6d5c4206f02299be62514d086964e3c25b255",
+            "26adbfc099ee1b0d21f5459f0d1be7cc3570a66a59acaf44d1e0ded66f9eb3bf",
+        ),
+        "prop_10": (
+            "3574cee8a725ea85a6e545ea04b0ef659bc1e68f057c424ca3afd62399c78c41",
+            "368e1b9eea8eda9278f5969d2f4c7fe3a1b8caecd9591276faacb46a975dcd8c",
+        ),
+    },
+    3: {
+        "prop_1": (_NONE, _NONE),
+        "prop_2": (_NONE, _NONE),
+        "prop_3": (_NONE, _NONE),
+        "prop_4": (_NONE, _NONE),
+        "prop_5": (_NONE, _NONE),
+        "prop_6": (
+            "ee02faa1b7d5e9a8d20d4d33cf368ea64b840282fa258d3b9fd250ab6053d473",
+            "ef0e2d3a6bd2fa6721185c7bdedb330933fef6174624b77924171252e2207fb2",
+        ),
+        "prop_7": (
+            "d4e91717ae5346e1a7338f97fbec7f5dba161b7e8805fde328df04dec09f536a",
+            "6801453cd265d96dfdabdc1bde3af95591fca89bfe4ae90019492741b6090143",
+        ),
+        "prop_8": (
+            "f31aa1a16b302902d80bc07acdc61cd4a5993fcb20d73b109a6ede298649111c",
+            "4deffd4292bc770a1d0a40cc7f56bfe7d14ca0491fe47137c37aae6b2dde77fc",
+        ),
+        "prop_9": (
+            "7d7c7273f4ceccecbf5fb20bae89c9332af11de9492f014c9f663a2e6ee1ad7f",
+            "64ef73bb66c29e980b8a1555cbd0889d4cc77ca564191df795364c4311686076",
+        ),
+        "prop_10": (
+            "0ddebfad308b7deca5fd5ebde3f19b4998519fc6efa0c26a71bd9493c5e2c517",
+            "e4991c52a69d4d6100e180b3a941070df973d18980dbbb9eda724591e12ebb33",
+        ),
+    },
+    4: {
+        "prop_1": (_NONE, _NONE),
+        "prop_2": (_NONE, _NONE),
+        "prop_3": (_NONE, _NONE),
+        "prop_4": (_NONE, _NONE),
+        "prop_5": (
+            "efbe27f104100f15548903b44fbc28d0997d0e05d38a1677cb897bf34f5be702",
+            "d6e433d8bcf9a21b2f5bd21f601e70a41028f7dd1305306b0a8695970a8fbbd0",
+        ),
+        "prop_6": (
+            "e8ef9b84de3042b0c405f24eb50a6354dab970211321677db4d47492d158a896",
+            "c459684fbc6ae9f80d3abb2a0cce49d4b685fabcbe76765f6eed6ab66abf6ad8",
+        ),
+        "prop_7": (
+            "be364c53479b0c2a0631096c9594a17bf6355ec815ad56a5c018e4411046c176",
+            "dcf6d59cd6877298fc2be0ac19e87eced5f78869f626603065437e4b55a084b6",
+        ),
+        "prop_8": (
+            "86d739274f0af5867326795f7c6096f262b2528172032dd2a61d3af075845cf0",
+            "bcb72ccc855a299f27391dbc94d2c5d0951287ec54c96279ec5cc0d42591f305",
+        ),
+        "prop_9": (_NONE, _NONE),
+        "prop_10": (
+            "f70e5742149e99f8ce78da59cb85cdea05b4dae729a42cb04efc5b10dc66c468",
+            "a4e8fcd0ac66e732b106f66f0722348384353dc13f992c5202b248bbeb1338eb",
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FALSIFY_SHA256))
+def test_acas_falsify_answers_pinned(seed):
+    net = make_random_network(np.random.default_rng(seed), 5, [50] * 6, 5)
+    got = {}
+    for name in FALSIFY_SHA256[seed]:
+        spec = load_spec(PROPS / f"{name}.vnnlib")
+        got[name] = tuple(
+            _NONE if w is None else hashlib.sha256(format_witness(w).encode()).hexdigest()
+            for w in (falsify(net, spec, b) for b in (EASY_VIOLATED_BUDGET, STRONG_BUDGET))
+        )
+    assert got == FALSIFY_SHA256[seed]
 
 
 OVERFLOW_LAYERS = (
