@@ -84,6 +84,17 @@ def _positive(kind):
     return parse
 
 
+def _seed(text: str) -> int:
+    """An argparse type: an integer no less than 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be non-negative, got %r" % text)
+    return value
+
+
+_seed.__name__ = "int"  # argparse names it in "invalid int value"
+
+
 def _budget_from_args(args) -> Budget:
     return Budget(
         wall_seconds=args.timeout,
@@ -255,7 +266,7 @@ def _build_parser() -> _Parser:
             "--timeout", type=_positive(float), default=base.wall_seconds,
             help="wall seconds",
         )
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--samples", type=_positive(int), default=base.falsifier_samples)
         p.add_argument("--restarts", type=_positive(int), default=base.pgd_restarts)
         p.add_argument("--steps", type=_positive(int), default=base.pgd_steps)
@@ -308,7 +319,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps-max", type=_positive(float), default=16.0 / 255.0)
     p.add_argument("--eps-tol", type=_positive(float), default=0.005)
     p.add_argument("--oracle-seconds", type=_positive(float), default=5.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_calibrate_eps)
 
     return parser

@@ -327,10 +327,11 @@ def run_tool(
 
     if status is Status.VIOLATED and witness and strict_witness:
         try:
+            claimed = read_witness(witness)  # before the costlier network and spec
             net, spec = _load_instance_problem(inst)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                ok = validate_witness(net, spec, read_witness(witness))
+                ok = validate_witness(net, spec, claimed)
             detail = "; ".join(str(w.message) for w in caught)
         except (OSError, ValueError, ArithmeticError) as exc:
             ok, detail = False, str(exc)

@@ -23,8 +23,10 @@ competition's "answerable by random testing" baseline.  It samples the
 disjuncts one after another, in fixed-size batches, until a sample hits;
 then it climbs the gradient restarts of every disjunct sampled before the
 hit in lockstep, one forward and one backward pass per step for all of
-them.  A climbed point wins over the sample hit, the earliest disjunct
-first, which is the answer of searching the disjuncts one at a time.
+them, and stops early once the climbing points repeat those of one or two
+steps before, ending where the full climb would.  A climbed point wins
+over the sample hit, the earliest disjunct first, which is the answer of
+searching the disjuncts one at a time.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ class Status(str, Enum):
 @dataclass(frozen=True)
 class Budget:
     """Resource limits for verify/falsify.  wall_seconds must be positive
-    (nan is refused) and the four counts positive integers, else
-    ``ValueError``."""
+    (nan is refused), the four counts positive integers and seed a
+    non-negative integer, else ``ValueError``."""
 
     wall_seconds: float = 60.0
     max_subproblems: int = 1_000_000
@@ -80,6 +82,8 @@ class Budget:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value <= 0:
                 raise ValueError(f"{name} must be a positive integer")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 # The pinned budget for deciding which instances count as answerable by
@@ -201,10 +205,15 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
     and moves each restart by a sign-gradient step of ``PGD_STEP_SCALE``
     (read at call time) times its box's width per dimension on its worst
     constraint, clipped to its box; a restart stops once no slack is
-    negative.  The final points are probed in (disjunct, restart) order and
-    the first that re-validates is returned, else the sample hit.  That is
-    the answer of searching the disjuncts one after another, each sampled
-    and then climbed.
+    negative.  A step is a fixed function of the live points, and the live
+    set only shrinks, so once the live points equal, byte for byte, those
+    of one or two steps before, every later step repeats them with period 1
+    or 2: the climb stops there and keeps the point of the cycle that the
+    last step would reach (the current one for period 1 or an even number
+    of steps left, else the other).  The final points are probed in
+    (disjunct, restart) order and the first that re-validates is returned,
+    else the sample hit.  That is the answer of searching the disjuncts one
+    after another, each sampled and then climbed.
 
     The wall clock is checked between blocks and between steps; past it,
     the result is None.  Deterministic for a fixed budget.seed, and the
@@ -257,9 +266,21 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
     # the live rows: points, disjuncts, step sizes and clip bounds
     XL, dL = X, d
     step, lo, hi = PGD_STEP_SCALE * width[d], lower[d], upper[d]
-    for _ in range(budget.pgd_steps):
+    # the live points' bytes one and two steps back, and the array one back
+    key1 = key2 = XL1 = None
+    for left in range(budget.pgd_steps, 0, -1):
         if time.monotonic() > deadline:
             return None
+        # a step is a fixed function of the live points, and a live set of
+        # equal size lost no restart, so equal bytes repeat with period 1 or 2
+        key = XL.tobytes()
+        if key == key1:
+            break
+        if key == key2:
+            if left % 2:
+                XL = XL1
+            break
+        key1, key2, XL1 = key, key1, XL
         outs = layer_outputs(net, XL)
         S = _own_slack(rows, XL, outs[-1], dL)
         j = np.argmin(S, axis=1)

@@ -18,6 +18,11 @@ code; it only reads network weights and evaluates layers directly.
 point per forward pass, PGD restarts one after another.  The batched
 ``verifier.falsify`` must find a witness exactly when it does, at the same x.
 
+``reference_climb`` is phase 2 of ``verifier.falsify``, the lockstep climb,
+as it was before it stopped on a cycle: it takes every step of the budget.
+It shares the step arithmetic with the verifier, so the points it ends on
+must equal, byte for byte, those ``falsify`` probes.
+
 ``reference_search`` is branch-and-bound as it was before the frontier: one
 box per step, depth first.  The frontier ``verifier.verify`` must reach the
 same status on uncapped runs, and visit as many nodes when the spec holds.
@@ -31,7 +36,7 @@ the parsed assertions, and ``witness_rule_reference`` is the witness rule of
 import numpy as np
 
 from veribench import verifier
-from veribench.network import ActivationLayer, AffineLayer, Network
+from veribench.network import ActivationLayer, AffineLayer, Network, layer_outputs
 from veribench.speclang import (
     BoolTerm,
     Conjunct,
@@ -43,6 +48,8 @@ from veribench.network import Box
 from veribench.verifier import (
     MIN_SPLIT_WIDTH,
     WITNESS_TOL,
+    _backprop,
+    _own_slack,
     validate_witness,
 )
 
@@ -309,6 +316,42 @@ def reference_falsify(net: Network, spec: NormalizedSpec, budget):
             if w is not None:
                 return w
     return None
+
+
+# ---------------------------------------------------------------------------
+# Lockstep climb with no stop
+
+
+def reference_climb(net: Network, spec: NormalizedSpec, X, d, steps: int):
+    """The lockstep sign-gradient climb of every row of X, with no stop.
+
+    Row i climbs its disjunct d[i] for ``steps`` steps and leaves once no
+    slack is negative.  Returns (final points, forward passes taken).  The
+    wall clock is ignored.
+    """
+    rows, (lower, upper) = spec.rows, spec.boxes
+    a_y, b_x, _ = rows
+    X = np.array(X, dtype=np.float64)
+    live, XL, dL = np.arange(len(X)), X.copy(), np.asarray(d)
+    step, lo, hi = verifier.PGD_STEP_SCALE * (upper - lower)[dL], lower[dL], upper[dL]
+    passes = 0
+    for _ in range(steps):
+        outs = layer_outputs(net, XL)
+        passes += 1
+        S = _own_slack(rows, XL, outs[-1], dL)
+        j = np.argmin(S, axis=1)
+        g = _backprop(net, outs, a_y[dL, j]) + b_x[dL, j]
+        climbing = S.min(axis=1) < 0.0
+        if not climbing.all():
+            X[live[~climbing]] = XL[~climbing]
+            live, XL, dL, g, step, lo, hi = (
+                a[climbing] for a in (live, XL, dL, g, step, lo, hi)
+            )
+            if not live.size:
+                break
+        XL = np.clip(XL - step * np.sign(g), lo, hi)
+    X[live] = XL
+    return X, passes
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,18 @@ class TestVerifyFalsify:
         assert "argument %s: must be positive" % flag in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["verify", "falsify", "calibrate-eps"])
+    def test_negative_seed_is_usage_error(
+        self, identity_net, sat_spec, capsys, command
+    ):
+        spec = [] if command == "calibrate-eps" else [str(sat_spec)]
+        code = main([command, str(identity_net), *spec, "--seed=-1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: must be non-negative" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_falsify_unsat_spec_unknown(self, identity_net, unsat_spec, capsys):
         code = main(
             ["falsify", str(identity_net), str(unsat_spec), "--samples", "20"]

@@ -28,7 +28,7 @@ from veribench.verifier import (
 )
 
 from conftest import make_random_network
-from oracles import batch_forward, reference_falsify
+from oracles import batch_forward, reference_climb, reference_falsify
 
 
 def _spec(text: str) -> NormalizedSpec:
@@ -249,6 +249,80 @@ def test_batched_falsify_matches_reference_across_sample_blocks(monkeypatch):
             assert np.flatnonzero((draws == w.x).all(axis=1))[0] >= _SAMPLE_BLOCK
             late[1] += 1
     assert all(late)
+
+
+def _watch_climb(monkeypatch):
+    """Record the points of every PGD pass and of the final probe."""
+    passes, probed = [], []
+    layer_outputs, probe = verifier.layer_outputs, verifier._probe
+
+    def watched_pass(net, x):
+        passes.append(x.copy())
+        return layer_outputs(net, x)
+
+    def watched_probe(net, spec, points, d):
+        probed.append((points.copy(), d))
+        return probe(net, spec, points, d)
+
+    monkeypatch.setattr(verifier, "layer_outputs", watched_pass)
+    monkeypatch.setattr(verifier, "_probe", watched_probe)
+    return passes, probed
+
+
+def test_stopped_climb_probes_the_points_of_the_full_climb(monkeypatch):
+    # a climb stops once its live points repeat with period 1 or 2; what it
+    # probes must be the full climb's points, byte for byte, for odd and
+    # even step counts, which covers the pick of a 2-cycle's point
+    passes, probed = _watch_climb(monkeypatch)
+    rng = np.random.default_rng(59)
+    stopped = Counter()
+    for case in range(150):
+        net, spec = _random_falsify_instance(rng, n_disjuncts=int(rng.integers(1, 4)))
+        budget = Budget(
+            falsifier_samples=int(rng.choice([1, 5, 20])),
+            pgd_restarts=int(rng.integers(1, 5)),
+            pgd_steps=int(rng.integers(1, 80)),
+            seed=case,
+        )
+        passes.clear()
+        probed.clear()
+        falsify(net, spec, budget)
+        if not probed:
+            continue  # a sample hit on disjunct 0 queues no climb
+        [(points, d)] = probed
+        want, full = reference_climb(net, spec, passes[0], d, budget.pgd_steps)
+        assert points.tobytes() == want.tobytes()
+        stopped[budget.pgd_steps % 2] += len(passes) < full
+    assert min(stopped.values()) >= 10
+
+
+ABS_NET = Network(  # y = |x|
+    (
+        AffineLayer(np.array([[1.0], [-1.0]]), np.zeros(2)),
+        ActivationLayer("relu"),
+        AffineLayer(np.ones((1, 2)), np.zeros(1)),
+    ),
+    1,
+    1,
+)
+
+
+@pytest.mark.parametrize("steps", [50, 51])
+def test_climb_that_settles_stops_early(monkeypatch, steps):
+    # y = |x| on [-1, 1] never reaches -0.5, and each step moves x by 0.2
+    # toward 0, so within a few steps every restart rests at 0 or swings
+    # around it
+    passes, probed = _watch_climb(monkeypatch)
+    spec = _spec(
+        "(declare-const X_0 Real)(declare-const Y_0 Real)"
+        "(assert (>= X_0 -1.0))(assert (<= X_0 1.0))(assert (<= Y_0 -0.5))"
+    )
+    assert falsify(ABS_NET, spec, Budget(pgd_steps=steps)) is None
+    assert len(passes) < 15
+    [(points, d)] = probed
+    want, full = reference_climb(ABS_NET, spec, passes[0], d, steps)
+    assert full == steps
+    assert points.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

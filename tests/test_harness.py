@@ -342,6 +342,27 @@ class TestRunTool:
         )
         assert record.status is Status.VIOLATED
 
+    def test_unparseable_witness_rejected_before_the_instance_loads(
+        self, runner, trivial_instance, tmp_path, monkeypatch, caplog
+    ):
+        # the witness is read first, so a garbage one costs no ONNX decode
+        witness = tmp_path / "w.txt"
+        witness.write_text("X_0 not-a-number\n")
+        loads = []
+        monkeypatch.setattr(harness, "load_network", loads.append)
+        with caplog.at_level("WARNING", logger=harness.log.name):
+            record = run_tool(
+                runner("violated", extra=str(witness)),
+                trivial_instance,
+                result_dir=tmp_path / "r",
+            )
+        assert record.status is Status.ERROR
+        assert loads == []
+        assert caplog.messages == [
+            "witness validation failed for echo on net-spec: could not convert "
+            "string to float: 'not-a-number'; output at %s" % (tmp_path / "r" / "net-spec.out")
+        ]
+
     def test_witness_path_resolved_relative_to_result(
         self, runner, trivial_instance, tmp_path
     ):

@@ -336,6 +336,11 @@ def test_budget_fields_must_be_positive():
     with pytest.raises(ValueError, match="max_subproblems"):
         Budget(max_subproblems=3.0)
     assert Budget(falsifier_samples=np.int64(5)).falsifier_samples == 5
+    # a float seed made falsify's default_rng raise TypeError inside run_batch
+    for seed in (1.5, -1, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            Budget(seed=seed)
+    assert Budget(seed=np.int64(7)).seed == 7
 
 
 def test_verify_agrees_with_grid_oracle():
