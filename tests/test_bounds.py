@@ -200,12 +200,29 @@ def test_split_bounds_monotone():
                 assert np.all(y >= y_lo[k] - 1e-9) and np.all(y <= y_hi[k] + 1e-9)
 
 
+def test_meet_collapses_crossings_and_rejects_non_finite_bounds():
+    # stacked [lo | -hi]; the other operand -inf leaves y as it is
+    def meet(y):
+        y = np.array(y)
+        return _meet(y, np.full_like(y, -np.inf))
+
+    # lo = 1.0 > hi = 0.9 is rounding noise: both become the midpoint
+    np.testing.assert_array_equal(meet([[1.0, -0.9]]), [[0.95, -0.95]], strict=True)
+    nan, inf = np.nan, np.inf
+    for bad in ([[nan, 0.0]], [[0.0, nan]], [[inf, -inf]], [[-inf, 0.0]], [[0.0, -inf]]):
+        with pytest.raises(ArithmeticError):
+            meet(bad)
+    # lo = -1e308, hi = 1e308: lo - hi overflows, yet every bound is finite
+    wide = [[-1e308, -1e308]]
+    np.testing.assert_array_equal(meet(wide), wide, strict=True)
+
+
 def test_batched_rows_match_single_boxes():
     # the batched core gives every box the bounds it gets alone, which are
     # what affine_bounds and constraint_lower_bound return; with rows per
     # box, box i's rows (here the shared rows rolled by i) are its own
     def close(batched, single):
-        np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(batched, single, strict=True)
 
     def rolled(rows, i):
         return np.roll(rows, i, axis=0)

@@ -1,3 +1,4 @@
+import hashlib
 import time
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from veribench.speclang import (
     Conjunct,
     NormalizedSpec,
     Witness,
+    load_spec,
     parse_vnnlib,
     to_dnf,
 )
@@ -465,6 +467,249 @@ def test_verify_deterministic_outcome():
     assert a.status == b.status
     assert a.witness.x == b.witness.x
     assert a.stats.subproblems == b.stats.subproblems
+
+
+# ---------------------------------------------------------------------------
+# Pinned answers on ACAS-shaped nets
+
+PROPS = Path(__file__).resolve().parent / "fixtures" / "acasxu" / "props"
+PIN_CAPS = (30, 500)
+_TIMEOUT_30, _TIMEOUT_500 = (
+    hashlib.sha256(f"timeout {cap}\nnone".encode()).hexdigest() for cap in PIN_CAPS
+)
+# per net seed and prop: SHA-256 of "<status> <subproblems>\n" followed by
+# format_witness(w), or by "none", at node caps 30 and 500
+VERIFY_SHA256 = {
+    0: {
+        "prop_1": (
+            _TIMEOUT_30,
+            "60017de74bdeccec76de7d0afbe353b9e844ee81f5adda2d7d0de52668902441",
+        ),
+        "prop_2": (
+            _TIMEOUT_30,
+            _TIMEOUT_500,
+        ),
+        "prop_3": (
+            "548548bf4127ca8d63edb721a768e650361b82e6c9888a6ef8cb88791d01c2e3",
+            "548548bf4127ca8d63edb721a768e650361b82e6c9888a6ef8cb88791d01c2e3",
+        ),
+        "prop_4": (
+            "c4407ad61c829d73d4561d7c7a677ea7adc2d5f7b2804289a4232b1b78e817db",
+            "c4407ad61c829d73d4561d7c7a677ea7adc2d5f7b2804289a4232b1b78e817db",
+        ),
+        "prop_5": (
+            "ca9f0ff2988c5bf644407c0a8f3764fa03f083469a02c7ec336cf8a7666ef86c",
+            "ca9f0ff2988c5bf644407c0a8f3764fa03f083469a02c7ec336cf8a7666ef86c",
+        ),
+        "prop_6": (
+            "a68bae21309b19a73b283700c87b75188d92e2a1d0c67eba73e07137ccd1b5df",
+            "a68bae21309b19a73b283700c87b75188d92e2a1d0c67eba73e07137ccd1b5df",
+        ),
+        "prop_7": (
+            _TIMEOUT_30,
+            _TIMEOUT_500,
+        ),
+        "prop_8": (
+            "fff692bbdec08d71f410555ff1cce7622cbf7356bb5414bab6f670b927a2ac1c",
+            "fff692bbdec08d71f410555ff1cce7622cbf7356bb5414bab6f670b927a2ac1c",
+        ),
+        "prop_9": (
+            "307e3d72c9a8f1448e2961ce55c5cfad8e99e7428c35823c7b7716ddf9009d13",
+            "307e3d72c9a8f1448e2961ce55c5cfad8e99e7428c35823c7b7716ddf9009d13",
+        ),
+        "prop_10": (
+            "1ac47d09e479968a336bfe642228e4692cb44e1946ef73e2e3d4fcc7b83741aa",
+            "1ac47d09e479968a336bfe642228e4692cb44e1946ef73e2e3d4fcc7b83741aa",
+        ),
+    },
+    1: {
+        "prop_1": (
+            _TIMEOUT_30,
+            "65d2d53f22baba7dd96d03869a6b05fcdc1db91680c1b313afff6e4a784d4ebf",
+        ),
+        "prop_2": (
+            "03a9e135480353d0d1a02d6375c6d5e7570254906541cf13c7f395a7019aed15",
+            "03a9e135480353d0d1a02d6375c6d5e7570254906541cf13c7f395a7019aed15",
+        ),
+        "prop_3": (
+            "c4407ad61c829d73d4561d7c7a677ea7adc2d5f7b2804289a4232b1b78e817db",
+            "c4407ad61c829d73d4561d7c7a677ea7adc2d5f7b2804289a4232b1b78e817db",
+        ),
+        "prop_4": (
+            _TIMEOUT_30,
+            "4f53becade8e6ea35a498abe3755db5d5c86c528e4e556fbc5fd2855c26654d6",
+        ),
+        "prop_5": (
+            "5d9275d0c9da8a683443f6a61ee6d7e5eb2befaf6f9bcfe396a5c0c5eace3b0c",
+            "5d9275d0c9da8a683443f6a61ee6d7e5eb2befaf6f9bcfe396a5c0c5eace3b0c",
+        ),
+        "prop_6": (
+            "33000e5e06e4dab0c7376f192208ecc5eeb6c81ac7ef39cc525988045ae6ba5d",
+            "33000e5e06e4dab0c7376f192208ecc5eeb6c81ac7ef39cc525988045ae6ba5d",
+        ),
+        "prop_7": (
+            _TIMEOUT_30,
+            _TIMEOUT_500,
+        ),
+        "prop_8": (
+            _TIMEOUT_30,
+            _TIMEOUT_500,
+        ),
+        "prop_9": (
+            "fda52185fb1f9648c0ac25f419e5e261b494643d3e77b6327ce95f6c0ed701f8",
+            "fda52185fb1f9648c0ac25f419e5e261b494643d3e77b6327ce95f6c0ed701f8",
+        ),
+        "prop_10": (
+            "542e6e8f29412616ec8cbb7c83605f5d4c68e293898a3379ed74d7ca2733d003",
+            "542e6e8f29412616ec8cbb7c83605f5d4c68e293898a3379ed74d7ca2733d003",
+        ),
+    },
+    2: {
+        "prop_1": (
+            _TIMEOUT_30,
+            "4d23b8e4a35df09c6cf0e32a60492a9343d179b28ded46c1e8e82ad4f2229978",
+        ),
+        "prop_2": (
+            "cbf63bf940d2dab09059fe3d32f3cfaa03987a7ec41b3fc160e6f3eed0f6409c",
+            "cbf63bf940d2dab09059fe3d32f3cfaa03987a7ec41b3fc160e6f3eed0f6409c",
+        ),
+        "prop_3": (
+            "3780984e351ac8b463019869ae00a08475d92d351a4f1c505a8109d7e2b92ebc",
+            "3780984e351ac8b463019869ae00a08475d92d351a4f1c505a8109d7e2b92ebc",
+        ),
+        "prop_4": (
+            "f9b4148da79f2029d1052c716817943a7e47cbe944397712793c0d73d231c221",
+            "f9b4148da79f2029d1052c716817943a7e47cbe944397712793c0d73d231c221",
+        ),
+        "prop_5": (
+            "9bd044d1cc14c4543a2da0c77966b148f92cbb0a98caf487d4e3328df302be66",
+            "9bd044d1cc14c4543a2da0c77966b148f92cbb0a98caf487d4e3328df302be66",
+        ),
+        "prop_6": (
+            "516ab144b5b79f6922c2e0540493acd35f6b22a224faff73999e7614619cac5d",
+            "516ab144b5b79f6922c2e0540493acd35f6b22a224faff73999e7614619cac5d",
+        ),
+        "prop_7": (
+            _TIMEOUT_30,
+            _TIMEOUT_500,
+        ),
+        "prop_8": (
+            _TIMEOUT_30,
+            _TIMEOUT_500,
+        ),
+        "prop_9": (
+            "09cd426927def7f6426a991af99131c8c481fe1eadc8217a037b5dc2f26d816d",
+            "09cd426927def7f6426a991af99131c8c481fe1eadc8217a037b5dc2f26d816d",
+        ),
+        "prop_10": (
+            "8e6038fb9eabfba8205e7a74cfe8c26a18b560b2a7d7ab74ebbfe9e27cec67d8",
+            "8e6038fb9eabfba8205e7a74cfe8c26a18b560b2a7d7ab74ebbfe9e27cec67d8",
+        ),
+    },
+    3: {
+        "prop_1": (
+            _TIMEOUT_30,
+            "d1c9ae08a2fa7042b75dd2d49cd155358c9d342d03448213f08b951d75b56f1c",
+        ),
+        "prop_2": (
+            _TIMEOUT_30,
+            _TIMEOUT_500,
+        ),
+        "prop_3": (
+            "c4407ad61c829d73d4561d7c7a677ea7adc2d5f7b2804289a4232b1b78e817db",
+            "c4407ad61c829d73d4561d7c7a677ea7adc2d5f7b2804289a4232b1b78e817db",
+        ),
+        "prop_4": (
+            "e252abf147d924aa30157822380361f5026b28b105733c39db82037c2f618cdf",
+            "e252abf147d924aa30157822380361f5026b28b105733c39db82037c2f618cdf",
+        ),
+        "prop_5": (
+            _TIMEOUT_30,
+            "257595cc4bea26198c7efc26c01df3df7262b2c8a2948873146345e04dfd18f9",
+        ),
+        "prop_6": (
+            "ed7cf474a866d4498f15e674eeca3a1db4be99a4ff80131c9eadae8798ea078c",
+            "ed7cf474a866d4498f15e674eeca3a1db4be99a4ff80131c9eadae8798ea078c",
+        ),
+        "prop_7": (
+            "7976ba5e838231ca98806aa7b3f634c822d21745d2fb45b2836d9f7f78a72783",
+            "7976ba5e838231ca98806aa7b3f634c822d21745d2fb45b2836d9f7f78a72783",
+        ),
+        "prop_8": (
+            "852add3c317da028d1852bfb09e9da475fe55b23d8f53df85a17f29a8eec1216",
+            "852add3c317da028d1852bfb09e9da475fe55b23d8f53df85a17f29a8eec1216",
+        ),
+        "prop_9": (
+            "940bf77f717777066b95e1a6bfd4fa7b878553bc62c3844827b44d0655a7d4ee",
+            "940bf77f717777066b95e1a6bfd4fa7b878553bc62c3844827b44d0655a7d4ee",
+        ),
+        "prop_10": (
+            "cdb0941610f7f8cffe2b1a178ab565121350af7cd4444e316adc3bc2558ce91f",
+            "cdb0941610f7f8cffe2b1a178ab565121350af7cd4444e316adc3bc2558ce91f",
+        ),
+    },
+    4: {
+        "prop_1": (
+            _TIMEOUT_30,
+            "5c3ff8587a2bbdfbe1f14a4b33c551fb4de62f7d9d2a2a878a2d425eae346a71",
+        ),
+        "prop_2": (
+            _TIMEOUT_30,
+            _TIMEOUT_500,
+        ),
+        "prop_3": (
+            "2167554feb84bba5d1f1a152a59f215ac19d82a4a2a2efd029dbc7a91e1ed5b5",
+            "2167554feb84bba5d1f1a152a59f215ac19d82a4a2a2efd029dbc7a91e1ed5b5",
+        ),
+        "prop_4": (
+            "c7664eb79a78d644890385c1ddc95f9de5b4a6c17978032ee333b38e9cdec7cb",
+            "c7664eb79a78d644890385c1ddc95f9de5b4a6c17978032ee333b38e9cdec7cb",
+        ),
+        "prop_5": (
+            "e2a5a7d72c1ecf6df7db32bdfa62e79dff89392489488be49cddd935eecfd8ce",
+            "e2a5a7d72c1ecf6df7db32bdfa62e79dff89392489488be49cddd935eecfd8ce",
+        ),
+        "prop_6": (
+            "f830ab15a257515d7068c0f0735483c98264bfce8762181d0e2ebe1c5455013b",
+            "f830ab15a257515d7068c0f0735483c98264bfce8762181d0e2ebe1c5455013b",
+        ),
+        "prop_7": (
+            "4aee5a0105cd062b6c7e066e046585ac7909195e2e67a9949017ed1338015691",
+            "4aee5a0105cd062b6c7e066e046585ac7909195e2e67a9949017ed1338015691",
+        ),
+        "prop_8": (
+            "c008a138504f0f87ac90085951cbbbc35c7589599c520cb7a8872343bf01ef7b",
+            "c008a138504f0f87ac90085951cbbbc35c7589599c520cb7a8872343bf01ef7b",
+        ),
+        "prop_9": (
+            _TIMEOUT_30,
+            "c3a506a9804bce233f2cb83d370ce681fc3272cb63b4f5c61440a1e3bf5894eb",
+        ),
+        "prop_10": (
+            "4253c5014ba8299385941c211fbe94ea8d6cbcdee6462cf0323f938d47c6783a",
+            "4253c5014ba8299385941c211fbe94ea8d6cbcdee6462cf0323f938d47c6783a",
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_SHA256))
+def test_acas_verify_answers_pinned(seed):
+    from conftest import make_random_network
+
+    net = make_random_network(np.random.default_rng(seed), 5, [50] * 6, 5)
+    got = {}
+    for name in VERIFY_SHA256[seed]:
+        spec = load_spec(PROPS / f"{name}.vnnlib")
+        digests = []
+        for cap in PIN_CAPS:
+            out = verify(net, spec, Budget(wall_seconds=600.0, max_subproblems=cap))
+            text = f"{out.status.value} {out.stats.subproblems}\n" + (
+                "none" if out.witness is None else format_witness(out.witness)
+            )
+            digests.append(hashlib.sha256(text.encode()).hexdigest())
+        got[name] = tuple(digests)
+    assert got == VERIFY_SHA256[seed]
 
 
 # ---------------------------------------------------------------------------
