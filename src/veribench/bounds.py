@@ -9,15 +9,21 @@ maps a box's forms by one product with the nonnegative block
 ``[[W+, |W-|], [|W-|, W+]]``; the centre value less ``|A| . radius``
 concretizes both halves at once, and ``np.maximum`` meets two enclosures.
 
+What the bounds read of a network is its bound plan, ``_plan``: per affine
+layer the block, the bias ``[b; -b]`` as a column, and W and b for
+back-substitution; per activation its kind; and the input's forms
+``[I; -I]``.  A search builds the plan once and passes it to every call;
+``affine_bounds`` and ``interval_bounds`` build one per call.
+
 One batched core, ``_affine_forms``, bounds K boxes at once.  Per layer it
-intersects the interval image of the previous bounds with the
-concretization of the forms.  Every product is taken per box, with a
-shape that does not depend on K, so each box gets exactly the arithmetic
-of a batch of one; the interval image is the same matrix-vector product
-``interval_bounds`` makes, so a single box's bounds nest inside
-``interval_bounds`` exactly.  Unstable ReLU neurons get the chord upper
-relaxation and a zero or identity lower relaxation, and the core returns
-their slopes.
+intersects, in place, the interval image of the previous bounds with the
+concretization of the forms; the bounds travel as columns (K, 2w, 1).
+Every product is taken per box, with a shape that does not depend on K,
+so each box gets exactly the arithmetic of a batch of one; the interval
+image is the same matrix-vector product ``interval_bounds`` makes, so a
+single box's bounds nest inside ``interval_bounds`` exactly.  Unstable
+ReLU neurons get the chord upper relaxation and a zero or identity lower
+relaxation, and the core returns their slopes.
 ``_constraint_rows`` bounds constraint rows ``a_y . f(x) + b_x . x`` by
 back-substitution through those slopes (DeepPoly, CROWN): it walks the rows
 back to the input, choosing each neuron's lower or upper relaxation by the
@@ -38,7 +44,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .network import (
-    ActivationLayer,
     AffineLayer,
     Box,
     Network,
@@ -55,69 +60,101 @@ class UnsupportedActivationError(ValueError):
 
 
 def _check_finite(*arrays) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ArithmeticError("bound propagation produced non-finite values")
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ArithmeticError("bound propagation produced non-finite values")
 
 
-def _stacked(layer: AffineLayer):
-    """The layer's block [[W+, |W-|], [|W-|, W+]] and bias [b, -b]."""
+class _Affine(NamedTuple):
+    """One affine layer as the bounds read it."""
+
+    block: np.ndarray  # [[W+, |W-|], [|W-|, W+]], (2w, 2w_in)
+    bias: np.ndarray  # [b; -b] as a column, (2w, 1)
+    weight: np.ndarray  # W, (w, w_in), for back-substitution
+    b: np.ndarray  # b as a column, (w, 1), for back-substitution
+
+
+class _Plan(NamedTuple):
+    """What the bounds read of one network; see ``_plan``."""
+
+    eye: np.ndarray  # [I; -I], (2n, n): the input coefficients of the input's forms
+    steps: tuple  # per layer, an _Affine or the activation's kind
+
+
+def _stacked(layer: AffineLayer) -> _Affine:
+    """The layer as the bounds read it, its block built from W+ and |W-|."""
     w, b = layer.weight, layer.bias
     (rows, cols), wp = w.shape, np.maximum(w, 0.0)
     block = np.empty((2 * rows, 2 * cols))
     block[:rows, :cols] = block[rows:, cols:] = wp
     block[:rows, cols:] = block[rows:, :cols] = wp - w  # |W-|, exactly
-    return block, np.concatenate([b, -b])
+    return _Affine(block, np.concatenate([b, -b])[:, None], w, b[:, None])
+
+
+def _plan(net: Network) -> _Plan:
+    """What the bounds read of the network; a search builds it once.
+
+    It is never stored on the network, since it holds four times the
+    weights.
+    """
+    eye = np.eye(net.n_inputs)
+    steps = tuple(
+        _stacked(layer) if isinstance(layer, AffineLayer) else layer.kind
+        for layer in net.layers
+    )
+    return _Plan(np.concatenate([eye, -eye]), steps)
 
 
 def _halves(y):
-    """The lower and the negated upper half of stacked bounds [lo; -hi]."""
-    half = y.shape[-1] // 2
-    return y[..., :half], y[..., half:]
+    """The lower and the negated upper half of stacked bounds (K, 2w, ...)."""
+    half = y.shape[1] // 2
+    return y[:, :half], y[:, half:]
 
 
-def _interval_affine(block, bias, y):
-    """Interval image of an affine layer, on stacked bounds y (K, 2w).
+def _interval_affine(step: _Affine, y):
+    """Interval image of an affine layer, on stacked bound columns y (K, 2w, 1).
 
     One matrix-vector product per box, the same for any K.
     """
-    return (block @ y[..., None])[..., 0] + bias
+    return step.block @ y + step.bias
 
 
 def _interval_relu(y):
-    """Interval image of ReLU: max(lo, 0) and -max(hi, 0) = min(-hi, 0)."""
+    """Interval image of ReLU, in place: max(lo, 0) and -max(hi, 0) = min(-hi, 0)."""
     lo, neg_hi = _halves(y)
-    return np.concatenate([np.maximum(lo, 0.0), np.minimum(neg_hi, 0.0)], axis=-1)
+    np.maximum(lo, 0.0, out=lo)
+    np.minimum(neg_hi, 0.0, out=neg_hi)
+    return y
 
 
 def interval_bounds(net: Network, box: Box) -> list[Box]:
     """Per-layer output boxes, index 0 being the input box itself."""
     if box.dim != net.n_inputs:
         raise ValueError(f"box dimension {box.dim} != network inputs {net.n_inputs}")
-    y = np.concatenate([box.lower, -box.upper])[None]
+    y = np.concatenate([box.lower, -box.upper])[None, :, None]
     out = [box]
     with np.errstate(over="ignore", invalid="ignore"):
-        for layer in net.layers:
-            if isinstance(layer, AffineLayer):
-                y = _interval_affine(*_stacked(layer), y)
-            elif isinstance(layer, ActivationLayer) and layer.kind == "relu":
+        for step in _plan(net).steps:
+            if isinstance(step, _Affine):
+                y = _interval_affine(step, y)
+            elif step == "relu":
                 y = _interval_relu(y)
-            elif isinstance(layer, ActivationLayer):
+            else:
                 # sigmoid and tanh are monotone increasing
                 lo, neg_hi = _halves(y)
                 y = np.concatenate(
-                    [apply_activation(layer.kind, lo), -apply_activation(layer.kind, -neg_hi)],
-                    axis=-1,
+                    [apply_activation(step, lo), -apply_activation(step, -neg_hi)], axis=1
                 )
             _check_finite(y)
-            lo, neg_hi = _halves(y[0])
-            out.append(Box(lo, -neg_hi))
+            lo, neg_hi = _halves(y[..., 0])
+            out.append(Box(lo[0], -neg_hi[0]))
     return out
 
 
 class _Backward(NamedTuple):
     """What back-substitution over one box needs beyond its output bounds."""
 
-    net: Network
+    plan: _Plan
     relaxation: list  # the core's ReLU slopes and shifts, for a batch of one
 
 
@@ -135,77 +172,88 @@ class AffineBounds:
 
 
 def _meet(y, other):
-    """Intersection of two stacked enclosures (K, 2w) of the same values."""
-    y = np.maximum(y, other)
+    """Intersect stacked enclosures y (K, 2w, ...) of the same values with other, in place.
+
+    Returns y.  Raises ``ArithmeticError`` when a bound is not finite.
+    """
+    np.maximum(y, other, out=y)
     lo, neg_hi = _halves(y)
-    # both operands are sound enclosures of the same values, so a crossing
-    # (lo > hi) can only be rounding noise; collapse it instead of failing
-    bad = lo + neg_hi > 0.0
-    if bad.any():
-        mid = 0.5 * (lo - neg_hi)
-        y = np.concatenate([np.where(bad, mid, lo), np.where(bad, -mid, neg_hi)], axis=-1)
-    _check_finite(y)
+    gap = lo + neg_hi  # lo - hi; finite only where lo and hi are
+    # the common case in two reductions: every gap finite and none positive
+    if not (gap.min() > -np.inf and gap.max() <= 0.0):
+        _check_finite(y)  # the gap also overflows for lo = -1e308, hi = 1e308
+        # both operands are sound enclosures of the same values, so a
+        # crossing (lo > hi) can only be rounding noise; collapse it
+        # instead of failing
+        bad = gap > 0.0
+        if bad.any():
+            mid = 0.5 * (lo - neg_hi)
+            np.copyto(lo, mid, where=bad)
+            np.copyto(neg_hi, -mid, where=bad)
+            _check_finite(y)
     return y
 
 
 def _relu_relaxation(y):
     """ReLU slopes (K, 2w), lower then upper, and the negated upper's shift (K, w).
 
-    From pre-activation bounds l, u: the upper relaxation is the chord
-    u (z - l) / (u - l) where l < 0 < u, the identity where l >= 0 and zero
-    where u <= 0; the lower one is the identity where u > -l, else zero.
+    From pre-activation bounds y (K, 2w), l and u: the upper relaxation is
+    the chord u (z - l) / (u - l) where l < 0 < u, the identity where
+    l >= 0 and zero where u <= 0; the lower one is the identity where
+    u > -l, else zero.  Negation is exact, so the chord's slope is taken
+    as -u / (l - u) on the stacked halves l and -u.
     """
     lo, neg_hi = _halves(y)
-    hi = -neg_hi
-    width = hi - lo
-    width = np.where(width < DEGENERATE_WIDTH, width + DEGENERATE_WIDTH, width)
-    upper = np.where(lo < 0.0, hi / width, 1.0) * (hi > 0.0)
-    lower = lo + hi > 0.0
-    return np.concatenate([lower, upper], axis=-1), upper * np.minimum(lo, 0.0)
+    gap = lo + neg_hi  # l - u, the negated width
+    if gap.max() > -DEGENERATE_WIDTH:
+        gap = np.where(gap > -DEGENERATE_WIDTH, gap - DEGENERATE_WIDTH, gap)
+    upper = np.where(lo < 0.0, neg_hi / gap, 1.0) * (neg_hi < 0.0)
+    lower = lo > neg_hi  # l + u > 0
+    return np.concatenate([lower, upper], axis=1), upper * np.minimum(lo, 0.0)
 
 
-def _affine_forms(net: Network, lo: np.ndarray, hi: np.ndarray) -> tuple:
+def _affine_forms(plan: _Plan, lo: np.ndarray, hi: np.ndarray) -> tuple:
     """The batched bound core: affine bounds of K boxes, rows of lo, hi (K, n).
 
-    Returns ``(z, relaxation, y)``.  The output layer's stacked forms z
-    (K, 2m, n + 1) hold, per box, each form's n input coefficients and its
-    value at the box centre; ``relaxation`` holds every ReLU layer's
-    ``_relu_relaxation``, in order; y (K, 2m) are the stacked output bounds.
-    Every product is one per box, so each box gets exactly the arithmetic
-    of a batch of one.  A non-finite value in any box raises
+    ``plan`` is the network's ``_plan``.  Returns ``(z, relaxation, y)``.
+    The output layer's stacked forms z (K, 2m, n + 1) hold, per box, each
+    form's n input coefficients and its value at the box centre;
+    ``relaxation`` holds every ReLU layer's ``_relu_relaxation``, in order;
+    y (K, 2m) are the stacked output bounds.  The bounds travel as columns
+    (K, 2w, 1), so every product is one per box, and each box gets exactly
+    the arithmetic of a batch of one.  A non-finite value in any box raises
     ``ArithmeticError`` for the batch.
     """
     k, n = lo.shape
     rad = 0.5 * (hi - lo)[..., None]  # (K, n, 1)
     mid = 0.5 * (lo + hi)
-    eye = np.eye(n)
     z = np.empty((k, 2 * n, n + 1))
-    z[..., :n] = np.concatenate([eye, -eye])
-    z[..., n] = np.concatenate([mid, -mid], axis=1)
-    y = np.concatenate([lo, -hi], axis=1)
+    z[..., :n] = plan.eye
+    z[:, :n, n] = mid
+    np.negative(mid, out=z[:, n:, n])
+    y = np.concatenate([lo, -hi], axis=1)[..., None]
     relaxation = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for layer in net.layers:
-            if isinstance(layer, AffineLayer):
-                block, bias = _stacked(layer)
-                z = block @ z
-                z[..., n] += bias
+        for step in plan.steps:
+            if isinstance(step, _Affine):
+                z = step.block @ z
+                z[..., n:] += step.bias
                 _check_finite(z)
                 # least value over the box: at the centre, less |A| . radius
-                conc = z[..., n] - (np.abs(z[..., :n]) @ rad)[..., 0]
-                y = _meet(_interval_affine(block, bias, y), conc)
-            elif isinstance(layer, ActivationLayer):
-                if layer.kind != "relu":
-                    raise UnsupportedActivationError(
-                        f"affine relaxation does not support {layer.kind}"
-                    )
-                slope, shift = _relu_relaxation(y)
-                z = z * slope[..., None]
+                conc = z[..., n:] - np.abs(z[..., :n]) @ rad
+                y = _meet(_interval_affine(step, y), conc)
+            elif step != "relu":
+                raise UnsupportedActivationError(
+                    f"affine relaxation does not support {step}"
+                )
+            else:
+                slope, shift = _relu_relaxation(y[..., 0])
+                z *= slope[..., None]
                 z[:, shift.shape[1] :, n] += shift
                 # the relaxed forms concretize no tighter than this
                 y = _interval_relu(y)
                 relaxation.append((slope, shift))
-    return z, relaxation, y
+    return z, relaxation, y[..., 0]
 
 
 def affine_bounds(net: Network, box: Box) -> AffineBounds:
@@ -218,7 +266,8 @@ def affine_bounds(net: Network, box: Box) -> AffineBounds:
     """
     if box.dim != net.n_inputs:
         raise ValueError(f"box dimension {box.dim} != network inputs {net.n_inputs}")
-    z, relaxation, y = _affine_forms(net, box.lower[None], box.upper[None])
+    plan = _plan(net)
+    z, relaxation, y = _affine_forms(plan, box.lower[None], box.upper[None])
     m, n = net.n_outputs, net.n_inputs
     weight = z[0, :, :n]
     const = z[0, :, n] - weight @ (0.5 * (box.lower + box.upper))
@@ -229,16 +278,17 @@ def affine_bounds(net: Network, box: Box) -> AffineBounds:
         -weight[m:],
         -const[m:],
         Box(y[0, :m], -y[0, m:]),
-        _Backward(net, relaxation),
+        _Backward(plan, relaxation),
     )
 
 
-def _constraint_rows(net, relaxation, lo, hi, y, a_y, b_x):
+def _constraint_rows(plan, relaxation, lo, hi, y, a_y, b_x):
     """Lower bounds of every constraint row over each of K boxes.
 
     Rows a_y . f(x) + b_x . x come shared, a_y (c, m) and b_x (c, n), or per
-    box, (K, c, m) and (K, c, n); ``relaxation`` is what ``_affine_forms``
-    returned for the boxes lo, hi (K, n); stacked y (K, 2m) encloses f(x).
+    box, (K, c, m) and (K, c, n); ``plan`` is the network's ``_plan`` and
+    ``relaxation`` what ``_affine_forms`` returned for the boxes lo, hi
+    (K, n); stacked y (K, 2m) encloses f(x).
     Each row is walked back through the layers: an affine layer maps its
     coefficients g to g W and adds g . b to its constant, and a ReLU takes
     the lower slope where g >= 0 and the upper chord, with its shift, where
@@ -253,13 +303,14 @@ def _constraint_rows(net, relaxation, lo, hi, y, a_y, b_x):
     const = 0.0
     slopes = reversed(relaxation)
     with np.errstate(over="ignore", invalid="ignore"):
-        for layer in reversed(net.layers):
-            if isinstance(layer, AffineLayer):
-                const = const + g @ layer.bias[:, None]
-                g = g @ layer.weight
-            elif isinstance(layer, ActivationLayer):
+        for step in reversed(plan.steps):
+            if isinstance(step, _Affine):
+                const = const + g @ step.b
+                g = g @ step.weight
+            else:
                 slope, shift = next(slopes)
-                lower, upper = (s[:, None, None] for s in _halves(slope))
+                half = shift.shape[1]
+                lower, upper = slope[:, None, None, :half], slope[:, None, None, half:]
                 const = const - np.minimum(g, 0.0) @ shift[:, None, :, None]
                 g = g * np.where(g >= 0.0, lower, upper)
         coef = g + b_x[..., None, :]  # (K, c, 1, n)
@@ -298,9 +349,9 @@ def _box_rows(ab: AffineBounds, a_y, b_x, out_box: Box | None = None):
     if out_box is None:
         out_box = ab.output_box
     m, n = ab.lower_weight.shape
-    net, relaxation = ab._backward
+    plan, relaxation = ab._backward
     lb, coef = _constraint_rows(
-        net,
+        plan,
         relaxation,
         ab.box.lower[None],
         ab.box.upper[None],

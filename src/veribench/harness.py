@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import _affine_forms, _constraint_rows
+from .bounds import _affine_forms, _constraint_rows, _plan
 from .network import NetworkError, gen_trivial_network, load_network, forward, save_network
 from .scoring import RunRecord, ScoreLedger, write_results_csv
 from .scoring import (
@@ -109,19 +109,32 @@ class ToolAdapter:
     run_template is a shell-style command whose tokens may contain the
     placeholders {network}, {spec}, {timeout}, {result}; the command must
     write the result file: first line a status token, second line an
-    optional witness path.
+    optional witness path.  The run and prepare commands are split into
+    tokens once, here; one that does not split (an unclosed quote, a
+    trailing escape) raises ``HarnessError`` naming the tool.
     """
 
     tool: str
     run_template: str
     prepare: str = ""
     mode: str = "default"
+    run_tokens: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    prepare_tokens: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.tool:
             raise HarnessError("adapter needs a tool id")
         if not self.run_template.strip():
             raise HarnessError("adapter %s needs a run command" % self.tool)
+        for name, command in (("run", self.run_template), ("prepare", self.prepare)):
+            try:
+                tokens = tuple(shlex.split(command))
+            except ValueError as exc:  # an unclosed quote or a trailing escape
+                raise HarnessError(
+                    "adapter %s: cannot split its %s command %r: %s"
+                    % (self.tool, name, command, exc)
+                ) from None
+            object.__setattr__(self, name + "_tokens", tokens)
 
     def argv(self, network, spec, timeout, result) -> list:
         subs = {
@@ -131,7 +144,7 @@ class ToolAdapter:
             "{result}": str(result),
         }
         argv = []
-        for token in shlex.split(self.run_template):
+        for token in self.run_tokens:
             for key, value in subs.items():
                 token = token.replace(key, value)
             argv.append(token)
@@ -355,9 +368,9 @@ def prepare_adapter(adapter: ToolAdapter) -> None:
     """Run the adapter's one-time prepare command, if any, and wait for it
     to exit.  Its output goes to the harness's stderr; stdout stays the
     CLI's report channel."""
-    if not adapter.prepare.strip():
+    if not adapter.prepare_tokens:
         return
-    proc = subprocess.run(shlex.split(adapter.prepare), stdout=2)  # fd 2: stderr
+    proc = subprocess.run(adapter.prepare_tokens, stdout=2)  # fd 2: stderr
     if proc.returncode != 0:
         raise HarnessError(
             "prepare failed for %s (exit %d)" % (adapter.tool, proc.returncode)
@@ -554,7 +567,7 @@ def make_robustness_oracles(
     falsifier; the certifier bounds every competing class's margin row by
     back-substitution, in one call of the bound core that branch-and-bound
     uses, and proves the ball robust when every row's lower bound is
-    positive.
+    positive.  The network's bound plan is built once, for all calls.
     """
     net = req.network
     if net.n_outputs < 2:
@@ -565,6 +578,7 @@ def make_robustness_oracles(
     eye = np.eye(net.n_outputs)
     rows = eye[top] - np.delete(eye, top, axis=0)  # y_top - y_j, one row per j
     zero_x = np.zeros((len(rows), net.n_inputs))
+    plan = _plan(net)
 
     def spec_at(eps):
         lower, upper = req.center - eps, req.center + eps
@@ -580,8 +594,8 @@ def make_robustness_oracles(
         if eps <= 0:
             return True
         lo, hi = (req.center - eps)[None], (req.center + eps)[None]
-        _, relaxation, y = _affine_forms(net, lo, hi)
-        lb, _ = _constraint_rows(net, relaxation, lo, hi, y, rows, zero_x)
+        _, relaxation, y = _affine_forms(plan, lo, hi)
+        lb, _ = _constraint_rows(plan, relaxation, lo, hi, y, rows, zero_x)
         return bool((lb > 0).all())
 
     return attack, certify

@@ -3,19 +3,21 @@
 verify() runs branch-and-bound over input splits: one search over the box
 trees of all disjuncts.  It prunes a box when a constraint row's lower
 bound, back-substituted through the ReLU relaxation of the box
-(``bounds._constraint_rows``), exceeds the row's rhs.  The frontier is a
-stack of boxes, each tagged with its disjunct, that starts with every
-disjunct's root, disjunct 0 on top.  A step pops up to 32 boxes, never more
-than the node cap has left, and takes them in pop order: their midpoints
-are probed in one forward pass before any bound is computed, they are
-bounded in one batched call, the survivors' constraint corners (per real
-row of the box's disjunct, at most 8, the corner minimizing the row's
-back-substituted lower form) are probed in one forward pass, and each
-survivor is split on its widest dimension, the first popped box's left
-child ending on top.  A survivor too narrow to split leaves the frontier
-and marks the spec undecided; the search goes on.  A batch fails as a
-whole: a bound that overflows in any of its rows is an error once the
-batch's midpoints are probed.
+(``bounds._constraint_rows``), exceeds the row's rhs; the network's bound
+plan (``bounds._plan``) is built once per search.  The frontier is a stack
+of boxes, each tagged with its disjunct and carrying its parent's output
+bounds, kept as one float array with the disjunct indices beside it; it
+starts with every disjunct's root, disjunct 0 on top.  A step pops up to
+32 boxes, never more than the node cap has left, and takes them in pop
+order: their midpoints are probed in one forward pass before any bound is
+computed, they are bounded in one batched call, the survivors' constraint
+corners (per real row of the box's disjunct, at most 8, the corner
+minimizing the row's back-substituted lower form) are probed in one
+forward pass, and each survivor is split on its widest dimension, the
+first popped box's left child ending on top.  A survivor too narrow to
+split leaves the frontier and marks the spec undecided; the search goes
+on.  A batch fails as a whole: a bound that overflows in any of its rows
+is an error once the batch's midpoints are probed.
 
 falsify() is the cheap counterexample search (uniform sampling, then
 sign-gradient ascent on constraint slack) that also defines the
@@ -40,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import _affine_forms, _constraint_rows, _meet
+from .bounds import _affine_forms, _constraint_rows, _meet, _plan
 from .network import ActivationLayer, Network, forward, layer_outputs
 from .speclang import NormalizedSpec, Witness
 
@@ -312,25 +314,27 @@ def _branch_and_bound(net, spec, budget, deadline, stats):
     """The search of the module docstring over ``spec.boxes`` and
     ``spec.rows``; returns (status, witness).
 
-    The frontier holds stacked rows: input bounds lo, hi (S, n), the output
-    bounds each row inherits from its parent, stacked as ``[lower | -upper]``
-    (S, 2m), and the row's disjunct index (S,); the top is the last row.
+    The frontier is one float array whose rows are ``[lo | hi | inherited]``:
+    a node's input bounds lo, hi (n each) and the output bounds it inherits
+    from its parent, stacked as ``[lower | -upper]`` (2m); the nodes'
+    disjunct indices lie beside it, and the top is the last row.
     """
     (a_y, b_x, rhs), (lower, upper) = spec.rows, spec.boxes
-    stack = (  # every disjunct's root, disjunct 0 on top
-        lower[::-1],
-        upper[::-1],
-        np.full((len(lower), 2 * spec.n_outputs), -np.inf),  # stacked [lo | -hi]
-        np.arange(len(lower))[::-1],
-    )
+    n = spec.n_inputs
+    plan = _plan(net)
+    roots = np.full((len(lower), 2 * n + 2 * spec.n_outputs), -np.inf)
+    roots[:, :n], roots[:, n : 2 * n] = lower, upper
+    # every disjunct's root, disjunct 0 on top
+    frontier, disjunct = roots[::-1], np.arange(len(lower))[::-1]
     undecided = False
-    while len(stack[0]):
+    while len(frontier):
         if time.monotonic() > deadline or stats.subproblems >= budget.max_subproblems:
             return Status.TIMEOUT, None
-        k = min(_FRONTIER, budget.max_subproblems - stats.subproblems, len(stack[0]))
-        rest = len(stack[0]) - k
-        lo, hi, inherited, d = (s[rest:][::-1] for s in stack)
-        stack = tuple(s[:rest] for s in stack)
+        k = min(_FRONTIER, budget.max_subproblems - stats.subproblems, len(frontier))
+        rest = len(frontier) - k
+        nodes, d = frontier[rest:][::-1], disjunct[rest:][::-1]
+        frontier, disjunct = frontier[:rest], disjunct[:rest]
+        lo, hi, inherited = nodes[:, :n], nodes[:, n : 2 * n], nodes[:, 2 * n :]
         stats.subproblems += k
 
         # midpoints go first: they need no bounds, so neither a bound that
@@ -339,14 +343,15 @@ def _branch_and_bound(net, spec, budget, deadline, stats):
         if w is not None:
             return Status.VIOLATED, w
 
-        _, relaxation, y = _affine_forms(net, lo, hi)
+        _, relaxation, y = _affine_forms(plan, lo, hi)
         # meeting the parent's bounds keeps node bounds monotone under splitting
         y = _meet(y, inherited)
-        lb, coef = _constraint_rows(net, relaxation, lo, hi, y, a_y[d], b_x[d])
+        lb, coef = _constraint_rows(plan, relaxation, lo, hi, y, a_y[d], b_x[d])
         keep = ~(lb > rhs[d]).any(axis=1)
         if not keep.any():
             continue
-        lo, hi, y, d, coef = (a[keep] for a in (lo, hi, y, d, coef))
+        nodes, y, d, coef = nodes[keep], y[keep], d[keep], coef[keep]
+        lo, hi = nodes[:, :n], nodes[:, n : 2 * n]
 
         # per survivor and real row (the first 8; padding has rhs = +inf),
         # the box corner minimizing the row's back-substituted lower form
@@ -360,22 +365,17 @@ def _branch_and_bound(net, spec, budget, deadline, stats):
         split = (hi - lo).max(axis=1) >= MIN_SPLIT_WIDTH
         if not split.all():
             undecided = True
-            lo, hi, y, d = (a[split] for a in (lo, hi, y, d))
-        at = np.arange(len(lo)), np.argmax(hi - lo, axis=1)  # lowest index on ties
-        left_hi, right_lo = hi.copy(), lo.copy()
-        left_hi[at] = right_lo[at] = 0.5 * (lo[at] + hi[at])
+            nodes, y, d = nodes[split], y[split], d[split]
+        # the survivors' own bounds are what their children inherit
+        nodes[:, 2 * n :] = y
+        lo, hi = nodes[:, :n], nodes[:, n : 2 * n]
+        at = np.arange(len(nodes)), np.argmax(hi - lo, axis=1)  # lowest index on ties
+        kids = np.stack([nodes, nodes], 1)  # each row's left and right child
+        kids[:, 0, n : 2 * n][at] = kids[:, 1, :n][at] = 0.5 * (lo[at] + hi[at])
         # children in pop order, row 0's left and right child first; pushed
         # reversed, so that row 0's left child is on top
-        kids = (
-            np.stack([lo, right_lo], 1),
-            np.stack([left_hi, hi], 1),
-            np.stack([y, y], 1),
-            np.stack([d, d], 1),
-        )
-        stack = tuple(
-            np.concatenate([s, c.reshape(-1, *s.shape[1:])[::-1]])
-            for s, c in zip(stack, kids)
-        )
+        frontier = np.concatenate([frontier, kids.reshape(-1, kids.shape[2])[::-1]])
+        disjunct = np.concatenate([disjunct, np.repeat(d, 2)[::-1]])
     return (Status.UNKNOWN if undecided else Status.HOLDS), None
 
 

@@ -61,3 +61,19 @@ def constant_node(outputs) -> dict:
 @pytest.fixture
 def net_factory():
     return make_random_network
+
+
+@pytest.fixture
+def block_builds(monkeypatch):
+    """The affine layers whose bound block gets built, one entry per build."""
+    from veribench import bounds
+
+    built = []
+    stacked = bounds._stacked
+
+    def counting(layer):
+        built.append(layer)
+        return stacked(layer)
+
+    monkeypatch.setattr(bounds, "_stacked", counting)
+    return built

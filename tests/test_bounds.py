@@ -6,6 +6,7 @@ from veribench.bounds import (
     _affine_forms,
     _constraint_rows,
     _meet,
+    _plan,
     affine_bounds,
     constraint_lower_bound,
     interval_bounds,
@@ -183,14 +184,15 @@ def test_split_bounds_monotone():
     for _ in range(100):
         n_in = int(rng.integers(1, 3))
         net = make_random_network(rng, n_in, [6, 4], int(rng.integers(1, 3)))
+        plan = _plan(net)
         lo = rng.uniform(-1, 0, n_in)
         hi = lo + rng.uniform(0.5, 2, n_in)
-        *_, p = _affine_forms(net, lo[None], hi[None])
+        *_, p = _affine_forms(plan, lo[None], hi[None])
         p_lo, p_hi = _halves(p[0])
         dim = int(np.argmax(hi - lo))
         kids_lo, kids_hi = np.array([lo, lo]), np.array([hi, hi])
         kids_hi[0, dim] = kids_lo[1, dim] = 0.5 * (lo[dim] + hi[dim])
-        *_, y = _affine_forms(net, kids_lo, kids_hi)
+        *_, y = _affine_forms(plan, kids_lo, kids_hi)
         y_lo, y_hi = _halves(_meet(y, p))
         assert np.all(y_lo.min(axis=0) >= p_lo - 1e-12)
         assert np.all(y_hi.max(axis=0) <= p_hi + 1e-12)
@@ -231,27 +233,28 @@ def test_batched_rows_match_single_boxes():
     for _ in range(10):
         n_in, n_out = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         net = make_random_network(rng, n_in, [20, 20], n_out)
+        plan = _plan(net)
         k, c = int(rng.integers(1, 40)), int(rng.integers(1, 4))
         lo = rng.uniform(-1, 0, (k, n_in))
         hi = lo + rng.uniform(0.01, 1, (k, n_in)) ** 3
         a_y, b_x = rng.uniform(-1, 1, (c, n_out)), rng.uniform(-1, 1, (c, n_in))
-        z, relaxation, y = _affine_forms(net, lo, hi)
-        lb, coef = _constraint_rows(net, relaxation, lo, hi, y, a_y, b_x)
+        z, relaxation, y = _affine_forms(plan, lo, hi)
+        lb, coef = _constraint_rows(plan, relaxation, lo, hi, y, a_y, b_x)
         per_box = (np.stack([rolled(r, i) for i in range(k)]) for r in (a_y, b_x))
-        lb_box, coef_box = _constraint_rows(net, relaxation, lo, hi, y, *per_box)
+        lb_box, coef_box = _constraint_rows(plan, relaxation, lo, hi, y, *per_box)
         for i in range(k):
             one = slice(i, i + 1)
-            z1, relaxation1, y1 = _affine_forms(net, lo[one], hi[one])
+            z1, relaxation1, y1 = _affine_forms(plan, lo[one], hi[one])
             close(z[one], z1)
             close(y[one], y1)
             for (slope, shift), (slope1, shift1) in zip(relaxation, relaxation1):
                 close(slope[one], slope1)
                 close(shift[one], shift1)
-            lb1, coef1 = _constraint_rows(net, relaxation1, lo[one], hi[one], y1, a_y, b_x)
+            lb1, coef1 = _constraint_rows(plan, relaxation1, lo[one], hi[one], y1, a_y, b_x)
             close(lb[one], lb1)
             close(coef[one], coef1)
             lb1, coef1 = _constraint_rows(
-                net, relaxation1, lo[one], hi[one], y1, rolled(a_y, i), rolled(b_x, i)
+                plan, relaxation1, lo[one], hi[one], y1, rolled(a_y, i), rolled(b_x, i)
             )
             close(lb_box[one], lb1)
             close(coef_box[one], coef1)
@@ -284,8 +287,9 @@ def test_back_substituted_rows_sound_by_sampling():
     rng = np.random.default_rng(41)
     for _ in range(4):
         net, a_y, b_x, lo, hi = _acas_rows(rng)
-        _, relaxation, y = _affine_forms(net, lo, hi)
-        lb, coef = _constraint_rows(net, relaxation, lo, hi, y, a_y, b_x)
+        plan = _plan(net)
+        _, relaxation, y = _affine_forms(plan, lo, hi)
+        lb, coef = _constraint_rows(plan, relaxation, lo, hi, y, a_y, b_x)
         assert coef.shape == (len(lo), len(a_y), 5)
         for i in range(len(lo)):
             xs = rng.uniform(lo[i], hi[i], size=(400, lo.shape[1]))

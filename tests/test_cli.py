@@ -346,6 +346,23 @@ class TestRunAndOverhead:
             assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field", ["run", "prepare"])
+    def test_command_that_does_not_split_is_data_error(
+        self, echo_setup, tmp_path, capsys, field
+    ):
+        config, manifest = echo_setup
+        fields = {"run": "true", field: 'sh -c "echo {result}'}
+        config.write_text(
+            config.read_text() + "".join("adapter.bad.%s = %s\n" % kv for kv in fields.items())
+        )
+        out = tmp_path / "out"
+        argv = ["run", str(manifest), "--config", str(config), "--out", str(out)]
+        assert main(argv + ["--n-trivial", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "adapter bad: cannot split its %s command" % field in err
+        assert "Traceback" not in err
+        assert not out.exists()  # nothing ran
+
     def test_negative_n_trivial_is_data_error(self, echo_setup, tmp_path, capsys):
         # run and measure-overhead share one check of the warm-up count
         config, manifest = echo_setup

@@ -32,7 +32,9 @@ from veribench.harness import (
     run_tool,
 )
 from veribench.bounds import affine_bounds, constraint_lower_bound
-from veribench.network import Box, forward, gen_trivial_network, network_to_onnx_bytes, save_network
+from veribench.network import (
+    AffineLayer, Box, forward, gen_trivial_network, network_to_onnx_bytes, save_network,
+)
 from veribench.scoring import RunRecord, build_overhead_model, empty_ledger, read_results_csv, score_records
 from veribench.verifier import Status
 
@@ -646,6 +648,17 @@ class TestCalibrateEpsilon:
         _, r2 = _bisect(lambda e: not certify(e), req.eps_max, req.eps_tol)
         assert min(r1, r2) <= eps <= max(r1, r2)
 
+    def test_live_oracles_build_each_block_once(self, net_factory, block_builds):
+        # the certifier's oracles hold one bound plan for the request
+        rng = np.random.default_rng(21)
+        net = net_factory(rng, n_in=2, hidden=[4, 4], n_out=2)
+        req = CalibrationRequest(network=net, center=np.zeros(2), eps_max=0.5, eps_tol=0.02)
+        attack, certify = make_robustness_oracles(req)
+        radii = []
+        calibrate_epsilon(req, attack, lambda eps: radii.append(eps) or certify(eps))
+        assert len(radii) > 1
+        assert block_builds == [l for l in net.layers if isinstance(l, AffineLayer)]
+
     def test_certify_is_every_margin_row_positive(self, net_factory):
         # certify proves the ball robust exactly when the one-box lower bound
         # of every competing class's margin y_top - y_j is positive
@@ -763,6 +776,16 @@ class TestConfig:
     def test_unknown_adapter_field_rejected(self):
         with pytest.raises(HarnessError, match="bad adapter config key"):
             build_adapters({"adapter.x.shell": "sh"})
+
+    @pytest.mark.parametrize("field", ["run", "prepare"])
+    @pytest.mark.parametrize("command", ['sh -c "echo {result}', "echo {result} \\"])
+    def test_command_that_does_not_split_rejected(self, field, command):
+        # an unclosed quote or a trailing escape is a config error naming the
+        # tool, not a bare ValueError on the first run or prepare
+        fields = {"run": "r {result}", field: command}
+        config = {"adapter.bad." + key: value for key, value in fields.items()}
+        with pytest.raises(HarnessError, match="adapter bad: cannot split its %s command" % field):
+            build_adapters(config)
 
     def test_baseline_id_reserved(self):
         # scoring would treat the adapter as the baseline, and with the

@@ -712,6 +712,18 @@ def test_acas_verify_answers_pinned(seed):
     assert got == VERIFY_SHA256[seed]
 
 
+def test_one_search_builds_each_block_once(block_builds):
+    # a capped search of one disjunct bounds 1, 2, 4, 8 and 15 nodes in five
+    # calls of the core, and builds each affine layer's block once for all
+    from conftest import make_random_network
+
+    net = make_random_network(np.random.default_rng(0), 5, [50] * 6, 5)
+    spec = load_spec(PROPS / "prop_2.vnnlib")
+    out = verify(net, spec, Budget(wall_seconds=600.0, max_subproblems=30))
+    assert (out.status, out.stats.subproblems) == (Status.TIMEOUT, 30)
+    assert block_builds == [l for l in net.layers if isinstance(l, AffineLayer)]
+
+
 # ---------------------------------------------------------------------------
 # Witness validation and file format
 
