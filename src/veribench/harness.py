@@ -63,8 +63,6 @@ MAX_TIMEOUT_SECONDS = 1e6
 
 MANIFEST_COLUMNS = ("onnx_path", "vnnlib_path", "timeout_seconds")
 
-RESULT_TOKENS = tuple(s.value for s in Status)
-
 
 class HarnessError(ValueError):
     """Bad manifests, adapter configs, or calibration requests."""
@@ -74,8 +72,9 @@ class HarnessError(ValueError):
 class Instance:
     """One scoring unit: a network, a spec, and a timeout.
 
-    The timeout must be positive and at most MAX_TIMEOUT_SECONDS (1e6 s);
-    anything else, nan and inf included, raises ``HarnessError``.
+    The timeout, a number or its text, must be positive and at most
+    MAX_TIMEOUT_SECONDS (1e6 s); anything else, nan and inf included, raises
+    ``HarnessError``.
     """
 
     instance_id: str
@@ -87,7 +86,12 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "network_path", Path(self.network_path))
         object.__setattr__(self, "spec_path", Path(self.spec_path))
-        object.__setattr__(self, "timeout", float(self.timeout))
+        try:
+            object.__setattr__(self, "timeout", float(self.timeout))
+        except (TypeError, ValueError):
+            raise HarnessError(
+                "instance %s: bad timeout %r" % (self.instance_id, self.timeout)
+            ) from None
         # the one check of a timeout: nan passes a plain <= 0 test
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise HarnessError(
@@ -182,13 +186,7 @@ def load_manifest(path, *, require_files: bool = False) -> list:
             continue
         if len(parts) != 3:
             raise HarnessError("bad manifest row at %s line %d" % (path, line_no))
-        net_rel, spec_rel, timeout_text = parts
-        try:
-            timeout = float(timeout_text)
-        except ValueError:
-            raise HarnessError(
-                "bad timeout %r at %s line %d" % (timeout_text, path, line_no)
-            ) from None
+        net_rel, spec_rel, timeout = parts
         network_path = (path.parent / net_rel).resolve()
         spec_path = (path.parent / spec_rel).resolve()
         try:
@@ -210,9 +208,11 @@ def load_manifest(path, *, require_files: bool = False) -> list:
         if require_files:
             for p in (network_path, spec_path):
                 if not p.is_file():
-                    raise HarnessError("instance file not found: %s" % p)
+                    raise HarnessError(
+                        "instance file not found: %s at %s line %d" % (p, path, line_no)
+                    )
         instances.append(inst)
-        totals += timeout
+        totals += inst.timeout
     if not instances:
         warnings.warn("manifest %s has no instances" % path, stacklevel=2)
     if totals > BENCHMARK_BUDGET_SECONDS:
@@ -233,15 +233,21 @@ def _load_instance_problem(inst: Instance):
 
 def _parse_result_file(path: Path):
     """Result protocol: line 1 status token, line 2 optional witness path."""
-    lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()]
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise HarnessError("unparseable result file %s: %s" % (path, exc)) from None
+    lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines or len(lines) > 2:
         raise HarnessError("unparseable result file %s" % path)
-    token = lines[0].lower()
-    if token not in RESULT_TOKENS:
-        raise HarnessError("unparseable result file %s: bad status %r" % (path, lines[0]))
-    witness = lines[1] if len(lines) == 2 else ""
-    return Status(token), witness
+    try:
+        status = Status(lines[0].lower())
+    except ValueError:
+        raise HarnessError(
+            "unparseable result file %s: bad status %r" % (path, lines[0])
+        ) from None
+    return status, lines[1] if len(lines) == 2 else ""
 
 
 def _kill_group(proc: subprocess.Popen) -> None:

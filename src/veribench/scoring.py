@@ -14,6 +14,7 @@ renderings of the score tables and a per-instance log.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from collections import Counter
@@ -74,8 +75,9 @@ class Label(str, Enum):
 class RunRecord:
     """One tool's result on one instance.
 
-    seconds is the raw wall time; witness_path is only meaningful for
-    violated results and may be empty.
+    seconds is the raw wall time; witness_path may be empty.  The one parser
+    of a results row: status and seconds may be text, and any field that
+    does not parse or check raises ``ScoringError``.
     """
 
     tool: str
@@ -87,8 +89,14 @@ class RunRecord:
     witness_path: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "status", Status(self.status))
-        object.__setattr__(self, "seconds", float(self.seconds))
+        try:
+            object.__setattr__(self, "status", Status(self.status))
+        except ValueError:
+            raise ScoringError("unknown status %r" % (self.status,)) from None
+        try:
+            object.__setattr__(self, "seconds", float(self.seconds))
+        except (TypeError, ValueError):
+            raise ScoringError("bad time_seconds %r" % (self.seconds,)) from None
         if not self.tool:
             raise ScoringError("empty tool id")
         if not self.instance_id:
@@ -111,21 +119,12 @@ class RunRecord:
 
 def write_results_csv(path, records: Iterable[RunRecord]) -> None:
     """Write one tool's records to a results CSV (tool id not stored)."""
-    rows = list(records)
+    rows = [
+        (r.instance_id, r.benchmark, r.status.value, repr(r.seconds), r.mode, r.witness_path)
+        for r in records
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_CSV_COLUMNS)
-        for rec in rows:
-            writer.writerow(
-                [
-                    rec.instance_id,
-                    rec.benchmark,
-                    rec.status.value,
-                    repr(rec.seconds),
-                    rec.mode,
-                    rec.witness_path,
-                ]
-            )
+        csv.writer(fh).writerows([RESULTS_CSV_COLUMNS, *rows])
 
 
 def read_results_csv(path, tool: str) -> list[RunRecord]:
@@ -146,30 +145,10 @@ def read_results_csv(path, tool: str) -> list[RunRecord]:
             continue
         if len(row) != len(RESULTS_CSV_COLUMNS):
             raise ScoringError("wrong column count at %s line %d" % (path, line_no))
-        instance_id, benchmark, status, seconds, mode, witness = row
         try:
-            status_val = Status(status)
-        except ValueError:
-            raise ScoringError(
-                "unknown status %r at %s line %d" % (status, path, line_no)
-            ) from None
-        try:
-            seconds_val = float(seconds)
-        except ValueError:
-            raise ScoringError(
-                "bad time_seconds %r at %s line %d" % (seconds, path, line_no)
-            ) from None
-        records.append(
-            RunRecord(
-                tool=tool,
-                instance_id=instance_id,
-                benchmark=benchmark,
-                status=status_val,
-                seconds=seconds_val,
-                mode=mode,
-                witness_path=witness,
-            )
-        )
+            records.append(RunRecord(tool, *row))
+        except ScoringError as exc:
+            raise ScoringError("%s at %s line %d" % (exc, path, line_no)) from None
     return records
 
 
@@ -664,10 +643,15 @@ def _align(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(out) + "\n"
 
 
+def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """The header and rows as CSV text, quoted as the results files are."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
+
+
 def benchmark_table_csv(ledger: ScoreLedger, benchmark: str) -> str:
-    rows = [",".join(map(str, _BENCHMARK_HEADER))]
-    rows.extend(",".join(map(str, r)) for r in _benchmark_rows(ledger, benchmark))
-    return "\n".join(rows) + "\n"
+    return _csv_text(_BENCHMARK_HEADER, _benchmark_rows(ledger, benchmark))
 
 
 def _overall_rows(ledger: ScoreLedger) -> list:
@@ -678,9 +662,7 @@ def _overall_rows(ledger: ScoreLedger) -> list:
 
 
 def overall_table_csv(ledger: ScoreLedger) -> str:
-    rows = [",".join(_OVERALL_HEADER)]
-    rows.extend(",".join(map(str, r)) for r in _overall_rows(ledger))
-    return "\n".join(rows) + "\n"
+    return _csv_text(_OVERALL_HEADER, _overall_rows(ledger))
 
 
 def report_header(ledger: ScoreLedger) -> str:

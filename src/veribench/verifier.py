@@ -44,7 +44,7 @@ import numpy as np
 
 from .bounds import _affine_forms, _constraint_rows, _meet, _plan
 from .network import ActivationLayer, Network, forward, layer_outputs
-from .speclang import NormalizedSpec, Witness
+from .speclang import _VAR_RE, NormalizedSpec, Witness
 
 # Boxes narrower than this per dimension are not split further.
 MIN_SPLIT_WIDTH = 1e-12
@@ -110,11 +110,6 @@ class Outcome:
             raise ValueError("a violated outcome requires a witness")
 
 
-def _make_witness(net: Network, x: np.ndarray) -> Witness:
-    y = forward(net, x)
-    return Witness(tuple(float(v) for v in x), tuple(float(v) for v in y))
-
-
 # ---------------------------------------------------------------------------
 # Gradients
 
@@ -169,25 +164,28 @@ def _worst_slack(rows, X, Y, d) -> np.ndarray:
     return np.min(_own_slack(rows, X, Y, d), axis=1, initial=np.inf)
 
 
-def _witness_among(net, spec, X, Y, worst, d) -> Witness | None:
+def _witness_among(net, spec, X, worst) -> Witness | None:
     """The first point, in row (pop) order, with no negative slack that re-validates.
 
     ``worst`` is each point's least slack over its disjunct's padded rows,
-    with no tolerance.  The box is not checked before ``validate_witness``:
-    every point the search probes (a midpoint, a corner, a sample or a climb
-    clipped to its box) lies in its disjunct's box by construction.
+    with no tolerance.  A candidate is forwarded once, on its own, and checked
+    by the witness rule (``_satisfied``) on those outputs, which the witness
+    then claims.  The box is not checked first: every point the search probes
+    (a midpoint, a corner, a sample or a climb clipped to its box) lies in its
+    disjunct's box by construction.
     """
     for i in np.flatnonzero(worst >= 0.0):
-        w = _make_witness(net, X[i])
-        if validate_witness(net, spec, w):
-            return w
+        x = X[i]
+        y = forward(net, x)
+        if _satisfied(spec, x, y):
+            return Witness(tuple(float(v) for v in x), tuple(float(v) for v in y))
     return None
 
 
 def _probe(net, spec, points, d) -> Witness | None:
     """Forward the points as one batch; the first that satisfies and re-validates."""
     Y = forward(net, points)
-    return _witness_among(net, spec, points, Y, _worst_slack(spec.rows, points, Y, d), d)
+    return _witness_among(net, spec, points, _worst_slack(spec.rows, points, Y, d))
 
 
 def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | None:
@@ -248,7 +246,7 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
             Y = forward(net, X)
             d = np.full(len(X), index)
             worst = _worst_slack(rows, X, Y, d)
-            hit = _witness_among(net, spec, X, Y, worst, d)
+            hit = _witness_among(net, spec, X, worst)
             if hit is not None:
                 break
             i = int(np.argmax(worst))  # argmax takes the first of equals
@@ -449,6 +447,11 @@ def validate_witness(net: Network, spec: NormalizedSpec, witness: Witness) -> bo
                 stacklevel=2,
             )
             return False
+    return _satisfied(spec, x, y)
+
+
+def _satisfied(spec: NormalizedSpec, x: np.ndarray, y: np.ndarray) -> bool:
+    """The witness rule of ``validate_witness`` at x and its outputs y."""
     (a_y, b_x, rhs), (lo, hi) = spec.rows, spec.boxes
     lhs = a_y @ y + b_x @ x  # (D, k)
     box_slack = _witness_slack(np.maximum(np.maximum(np.abs(x), np.abs(lo)), np.abs(hi)))
@@ -471,6 +474,11 @@ def format_witness(witness: Witness) -> str:
 
 
 def parse_witness(text: str) -> Witness:
+    """Read ``X_<i> value`` / ``Y_<j> value`` lines, indices in order from 0.
+
+    A variable is read with the VNNLIB reader's rule (ASCII digits only); a
+    line that is not one name and one number raises ``ValueError`` naming it.
+    """
     xs: list[float] = []
     ys: list[float] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -478,17 +486,19 @@ def parse_witness(text: str) -> Witness:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2 or "_" not in parts[0]:
-            raise ValueError(f"bad witness line {lineno}: {line!r}")
-        kind, _, idx = parts[0].partition("_")
-        target = {"X": xs, "Y": ys}.get(kind)
-        if target is None:
-            raise ValueError(f"bad witness line {lineno}: {line!r}")
-        if int(idx) != len(target):
+        m = _VAR_RE.match(parts[0]) if len(parts) == 2 else None
+        try:
+            if m is None:
+                raise ValueError
+            index, value = int(m.group(2)), float(parts[1])
+        except ValueError:
+            raise ValueError(f"bad witness line {lineno}: {line!r}") from None
+        target = xs if m.group(1) == "X" else ys
+        if index != len(target):
             raise ValueError(
-                f"witness line {lineno}: expected index {len(target)}, got {idx}"
+                f"witness line {lineno}: expected index {len(target)}, got {m.group(2)}"
             )
-        target.append(float(parts[1]))
+        target.append(value)
     if not xs:
         raise ValueError("witness has no input values")
     return Witness(tuple(xs), tuple(ys) if ys else None)

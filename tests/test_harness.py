@@ -71,6 +71,10 @@ if status == "garbage":
     with open(result, "w") as fh:
         fh.write("maybe 42\\n")
     sys.exit(0)
+if status == "not-utf8":
+    with open(result, "wb") as fh:
+        fh.write(b"\\xffholds\\n")
+    sys.exit(0)
 if status == "nonzero-exit":
     with open(result, "w") as fh:
         fh.write("holds\\n")
@@ -129,6 +133,11 @@ class TestInstanceAndAdapter:
     def test_non_finite_timeout_rejected(self, tmp_path, timeout):
         # nan <= 0 is false, so a plain sign test let nan through
         with pytest.raises(HarnessError, match="non-finite timeout"):
+            Instance("i", "b", tmp_path / "n", tmp_path / "s", timeout)
+
+    @pytest.mark.parametrize("timeout", ["abc", "", None])
+    def test_timeout_that_is_no_number_rejected(self, tmp_path, timeout):
+        with pytest.raises(HarnessError, match=r"^instance i: bad timeout %r$" % (timeout,)):
             Instance("i", "b", tmp_path / "n", tmp_path / "s", timeout)
 
     def test_argv_substitution(self):
@@ -195,6 +204,11 @@ class TestManifest:
         with pytest.raises(HarnessError, match=r"timeout .* at .* line 2$"):
             load_manifest(path)
 
+    def test_timeout_that_is_no_number_rejected_with_its_line(self, tmp_path):
+        path = self.write_manifest(tmp_path, ["n.onnx,s.vnnlib,10", "m.onnx,s.vnnlib,abc"])
+        with pytest.raises(HarnessError, match=r"^instance m-s: bad timeout 'abc' at .* line 2$"):
+            load_manifest(path)
+
     def test_timeout_over_cap_rejected(self, tmp_path):
         # 3e6 s plus grace is past the 2**31 ms the OS wait takes, which used
         # to raise OverflowError out of run_tool and abort run_batch
@@ -223,7 +237,7 @@ class TestManifest:
         )
         assert len(load_manifest(path, require_files=True)) == 1
         path.write_text("ghost.onnx,ghost.vnnlib,10\n")
-        with pytest.raises(HarnessError, match="instance file not found"):
+        with pytest.raises(HarnessError, match=r"instance file not found: .* at .* line 1$"):
             load_manifest(path, require_files=True)
 
     def test_duplicate_instance_rejected_naming_both_lines(self, tmp_path):
@@ -295,6 +309,11 @@ class TestRunTool:
         assert out.is_file()
         assert "diagnostic chatter" in out.read_text()
 
+    def test_result_file_that_is_not_utf8_is_error(self, runner, trivial_instance, tmp_path):
+        # its decode error used to escape run_tool and abort run_batch
+        record = run_tool(runner("not-utf8"), trivial_instance, result_dir=tmp_path / "r")
+        assert record.status is Status.ERROR
+
     def test_nonzero_exit_with_result_file_accepted(
         self, runner, trivial_instance, tmp_path
     ):
@@ -361,8 +380,8 @@ class TestRunTool:
         assert record.status is Status.ERROR
         assert loads == []
         assert caplog.messages == [
-            "witness validation failed for echo on net-spec: could not convert "
-            "string to float: 'not-a-number'; output at %s" % (tmp_path / "r" / "net-spec.out")
+            "witness validation failed for echo on net-spec: bad witness line 1: "
+            "'X_0 not-a-number'; output at %s" % (tmp_path / "r" / "net-spec.out")
         ]
 
     def test_witness_path_resolved_relative_to_result(

@@ -64,3 +64,17 @@ def test_every_module_constant_is_read():
         and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id) and target.id not in read
     ]
     assert not unread, "module constants nothing reads: %s" % ", ".join(unread)
+
+
+def test_every_private_module_name_is_read_in_src():
+    # a private helper only tests call is test code kept in src
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in MODULES}
+    read = {name for tree in trees.values() for name in _names_read(tree)}
+    unread = [
+        "%s.%s" % (path.stem, stmt.name)
+        for path, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_") and stmt.name not in read
+    ]
+    assert not unread, "private functions and classes nothing in src reads: %s" % ", ".join(unread)

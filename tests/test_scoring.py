@@ -1,6 +1,9 @@
 """Scoring pipeline tests: overhead, points, bonuses, percentages, reports."""
 
+import csv
+import io
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,10 +19,12 @@ from veribench.scoring import (
     adjudicate,
     adjusted_runtime,
     benchmark_percent,
+    benchmark_table_csv,
     build_overhead_model,
     format_percent,
     measure_overhead,
     overall_table,
+    overall_table_csv,
     read_results_csv,
     read_results_dir,
     render_instance_log,
@@ -67,6 +72,12 @@ class TestRunRecord:
         r = rec("a", "i1", "violated", 1.0, witness="w.txt")
         assert r.witness_path == "w.txt"
 
+    def test_unparsable_fields_rejected(self):
+        with pytest.raises(ScoringError, match="^unknown status 'bogus'$"):
+            rec("a", "i1", "bogus", 1.0)
+        with pytest.raises(ScoringError, match="^bad time_seconds 'fast'$"):
+            rec("a", "i1", "holds", "fast")
+
     def test_empty_fields_rejected(self):
         with pytest.raises(ScoringError):
             rec("", "i1", "holds", 1.0)
@@ -103,7 +114,7 @@ class TestResultsCsv:
             "instance_id,benchmark,status,time_seconds,mode,witness_path\n"
             "i1,b,sat,1.0,default,\n"
         )
-        with pytest.raises(ScoringError, match="unknown status 'sat'"):
+        with pytest.raises(ScoringError, match="^unknown status 'sat' at .* line 2$"):
             read_results_csv(path, tool="m")
 
     def test_bad_seconds_rejected(self, tmp_path):
@@ -112,8 +123,29 @@ class TestResultsCsv:
             "instance_id,benchmark,status,time_seconds,mode,witness_path\n"
             "i1,b,holds,fast,default,\n"
         )
-        with pytest.raises(ScoringError, match="bad time_seconds"):
+        with pytest.raises(ScoringError, match="^bad time_seconds 'fast' at .* line 2$"):
             read_results_csv(path, tool="m")
+
+    @pytest.mark.parametrize(
+        "row, fault",
+        [
+            (",b,holds,1.0,default,", "empty instance id"),
+            ("i2,,holds,1.0,default,", "empty benchmark id"),
+            ("i2,b,holds,1.0,,", "empty mode label"),
+            ("i2,b,holds,-1,default,", "runtime must be finite and >= 0"),
+            ("i2,b,holds,1.0,default,w.txt", "only a violated result may carry"),
+        ],
+        ids=["instance", "benchmark", "mode", "runtime", "witness"],
+    )
+    def test_refused_row_names_its_file_and_line(self, tmp_path, row, fault):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "instance_id,benchmark,status,time_seconds,mode,witness_path\n"
+            "i1,b,holds,1.0,default,\n" + row + "\n"
+        )
+        with pytest.raises(ScoringError, match=fault) as info:
+            read_results_csv(path, tool="m")
+        assert str(info.value).endswith(" at %s line 3" % path)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -131,7 +163,7 @@ class TestResultsCsv:
     )
     def test_malformed_file_raises_only_scoring_error(self, rows, header, tail):
         # near-valid rows under the real header (or none), then arbitrary
-        # bytes: only ScoringError may escape
+        # bytes: only ScoringError may escape, and a refused row names its line
         lines = ["instance_id,benchmark,status,time_seconds,mode,witness_path"] * header
         data = "\n".join(lines + rows).encode("utf-8") + tail
         with tempfile.TemporaryDirectory() as tmp:
@@ -139,8 +171,10 @@ class TestResultsCsv:
             path.write_bytes(data)
             try:
                 read_results_csv(path, tool="m")
-            except ScoringError:
-                pass
+            except ScoringError as exc:
+                assert re.search(
+                    r"^(bad results header|unreadable results file) | line \d+$", str(exc)
+                )
 
     def test_dir_read_names_tools_from_stems(self, tmp_path):
         write_results_csv(tmp_path / "alpha.csv", [rec("x", "i1", "holds", 1.0)])
@@ -703,6 +737,14 @@ class TestReportRendering:
         report = render_report(ledger)
         # nnenum: 1 verified, 0 falsified, fastest on 1 instance, 12 points
         assert re.search(r"^\s*1\s+nnenum\s+1\s+0\s+1\s+12\s+100\.0%$", report, re.M)
+
+    def test_table_csvs_quote_a_tool_id_with_a_comma(self):
+        ledger = score_records([rec("my,tool", "i1", "holds", 2.0)])
+        for text, width in ((overall_table_csv(ledger), 3),
+                            (benchmark_table_csv(ledger, "bench"), 7)):
+            rows = list(csv.reader(io.StringIO(text)))
+            assert [len(row) for row in rows] == [width] * len(rows)
+            assert rows[1][1] == "my,tool"
 
     def test_rescoring_is_byte_identical(self):
         records = worked_log_records()

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import time
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from veribench.verifier import (
 )
 
 import oracles
+from veribench import verifier
 
 
 def _spec(text: str) -> NormalizedSpec:
@@ -64,6 +66,21 @@ def test_verify_violated_relu():
     assert out.witness is not None
     assert 0.5 <= out.witness.x[0] <= 1.0
     assert validate_witness(RELU_NET, VIOLATED_SPEC, out.witness)
+
+
+def test_accepted_candidate_is_forwarded_once(monkeypatch):
+    # its check and its claimed outputs share one single-point forward pass
+    ranks = []
+
+    def counted(net, x):
+        ranks.append(np.ndim(x))
+        return forward(net, x)
+
+    monkeypatch.setattr(verifier, "forward", counted)
+    out = verify(RELU_NET, VIOLATED_SPEC, Budget())
+    assert out.status is Status.VIOLATED
+    assert out.witness.y_claimed == tuple(forward(RELU_NET, np.array(out.witness.x)))
+    assert ranks.count(1) == 1
 
 
 def test_verify_dimension_mismatch():
@@ -854,7 +871,9 @@ def test_witness_format_layout():
 def test_witness_parse_raises_only_value_error(lines, noise):
     try:
         w = parse_witness("\n".join(lines) + noise)
-    except ValueError:
+    except ValueError as exc:
+        # every refused line is named; only a file with no X line is not
+        assert re.match(r"(bad )?witness line \d+: |witness has no input values$", str(exc))
         return
     assert w.x and all(isinstance(v, float) for v in w.x)
 
@@ -864,5 +883,9 @@ def test_witness_parse_errors():
         parse_witness("X_0 1.0 extra\n")
     with pytest.raises(ValueError, match="expected index 1"):
         parse_witness("X_0 1.0\nX_2 2.0\n")
+    # a bad index or value names its line; X_\u0660 (Arabic-Indic zero) is no X_0
+    for text in ("X_0 1\nX_a 1\n", "X_0 1\nX_1 abc\n", "X_0 1\nX_\u0661 2\n"):
+        with pytest.raises(ValueError, match="^bad witness line 2: 'X_"):
+            parse_witness(text)
     with pytest.raises(ValueError, match="no input values"):
         parse_witness("\n")
