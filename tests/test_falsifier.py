@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from veribench import verifier
+from veribench.harness import CalibrationRequest, calibrate_epsilon, make_robustness_oracles
 from veribench.network import ActivationLayer, AffineLayer, Network, forward
 from veribench.speclang import (
     Conjunct,
@@ -488,6 +489,29 @@ def test_acas_falsify_answers_pinned(seed):
     assert got == FALSIFY_SHA256[seed]
 
 
+# SHA-256 of "<eps.hex()> <oracle calls>" per line, for three seeded centres
+# on each of nets 0-2, at eps_max 0.05, 0.5 and 2.0 with eps_tol eps_max / 64
+CALIBRATE_SHA256 = "a57ca4b2dca07bfbab0a485e79b105b01958fbd0dd81dcc3056eee04d1ab3b7c"
+
+
+def test_acas_calibration_answers_pinned():
+    lines = []
+    for seed in range(3):
+        net = make_random_network(np.random.default_rng(seed), 5, [50] * 6, 5)
+        rng = np.random.default_rng([seed, 0xCA1])
+        for eps_max in (0.05, 0.5, 2.0):
+            req = CalibrationRequest(net, rng.uniform(-0.5, 0.5, 5), eps_max, eps_max / 64)
+            oracles = make_robustness_oracles(req, EASY_VIOLATED_BUDGET)
+            calls = []
+
+            def counted(oracle):
+                return lambda eps: calls.append(eps) or oracle(eps)
+
+            eps = calibrate_epsilon(req, *map(counted, oracles))
+            lines.append(f"{eps.hex()} {len(calls)}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CALIBRATE_SHA256
+
+
 OVERFLOW_LAYERS = (
     AffineLayer(np.array([[1e308]]), np.zeros(1)),
     AffineLayer(np.array([[1e308]]), np.zeros(1)),
@@ -631,3 +655,36 @@ def test_gradient_matches_central_differences(activation):
                 gi, output_combination_gradient(net, xi, ai), rtol=1e-12, atol=1e-300
             )
         checked += 1
+
+
+# SHA-256 of the gradient bits on nets 0-2 with each activation: a batch of
+# nine rows, then its first three rows one at a time
+GRADIENT_SHA256 = "b3e0cd50be96132083a75d065fdbfa4182c251e59ec6e2102371af6a4482d987"
+
+
+def test_gradient_bits_pinned():
+    digest = hashlib.sha256()
+    for seed in range(3):
+        for activation in ("relu", "sigmoid", "tanh"):
+            rng = np.random.default_rng(seed)
+            net = make_random_network(rng, 5, [50] * 6, 5, activation=activation)
+            rng = np.random.default_rng([seed, 7])
+            xs, a_ys = rng.uniform(-1, 1, (9, 5)), rng.uniform(-1, 1, (9, 5))
+            digest.update(output_combination_gradient(net, xs, a_ys).tobytes())
+            for x, a_y in zip(xs[:3], a_ys[:3]):
+                digest.update(output_combination_gradient(net, x, a_y).tobytes())
+    assert digest.hexdigest() == GRADIENT_SHA256
+
+
+def test_gradient_leaves_the_callers_weights_unchanged():
+    # RELU_NET ends in a ReLU, so the walk back starts with its mask
+    acas = make_random_network(np.random.default_rng(0), 5, [50] * 6, 5)
+    rng = np.random.default_rng(11)
+    for net, x in ((RELU_NET, np.array([-1.0, 2.0, -3.0])[:, None]),
+                   (acas, rng.uniform(-1, 1, (4, 5)))):
+        a_y = rng.uniform(-1, 1, (len(x), net.n_outputs))
+        for xi, ai in ((x, a_y), (x[0], a_y[0])):
+            kept = ai.copy()
+            g = output_combination_gradient(net, xi, ai)
+            assert ai.tobytes() == kept.tobytes()
+            assert not np.shares_memory(g, ai)
