@@ -146,17 +146,18 @@ def _relu(v: np.ndarray) -> np.ndarray:
 
 
 # Each activation with its reverse derivative: the incoming gradient g times
-# f'(v), read off the output s = f(v).  All three map finite values to finite
+# f'(v), read off the output s = f(v); ReLU's masks g in place, so g must be
+# the gradient walk's own array.  All three map finite values to finite
 # values.
 _ACTIVATIONS = {
-    "relu": (_relu, lambda g, s: g * (s > 0.0)),
+    "relu": (_relu, lambda g, s: np.multiply(g, s > 0.0, g)),
     "sigmoid": (_stable_sigmoid, lambda g, s: g * s * (1.0 - s)),
     "tanh": (np.tanh, lambda g, s: g * (1.0 - s * s)),
 }
 
 
 def _walk_step(layer) -> tuple:
-    """What ``layer_outputs`` and the gradient walk take per layer, as
+    """What the layer walk and the gradient walk take per layer, as
     (W, b, f, f'): an affine layer's weight and bias, or an activation's
     function and reverse derivative."""
     if isinstance(layer, AffineLayer):
@@ -168,17 +169,46 @@ def apply_activation(kind: str, v: np.ndarray) -> np.ndarray:
     return _ACTIVATIONS[kind][0](v)
 
 
+def _layer_walk(net: Network, v: np.ndarray) -> list[np.ndarray]:
+    """The input ``v``, a float64 point ``(n,)`` or batch ``(N, n)``, followed
+    by every layer's output.
+
+    An affine layer computes ``v @ W.T`` and adds ``b`` to that fresh product
+    in place.  Activations map finite values to finite values, so the affine
+    outputs are checked for finiteness once, after the pass, and the first
+    non-finite one raises ``ArithmeticError`` naming its layer, even when a
+    later activation maps it back to a finite value.  The input itself is not
+    checked: ``layer_outputs`` checks a caller's input, and the search's own
+    points call this walk directly.  A non-finite point fails at the first
+    affine layer it reaches.  Callers run the walk under
+    ``np.errstate(over="ignore", invalid="ignore")``, so an overflow is
+    reported by that check and not as a warning.
+    """
+    outs = [v]
+    for w, b, f, _ in net._walk:
+        if f is None:
+            v = v @ w.T
+            v += b
+        else:
+            v = f(v)
+        outs.append(v)
+    affine = [outs[i + 1] for i in net._affine_at]
+    if affine and not np.isfinite(np.concatenate(affine, axis=-1)).all():
+        idx = next(i for i in net._affine_at if not np.isfinite(outs[i + 1]).all())
+        raise ArithmeticError(f"non-finite intermediate after layer {idx}")
+    return outs
+
+
 def layer_outputs(net: Network, x) -> list[np.ndarray]:
     """The input followed by every layer's output, in float64.
 
     ``x`` is one point of shape ``(n,)`` or a batch of shape ``(N, n)``, one
-    point per row; an affine layer computes ``v @ W.T + b``.  Activations
-    map finite values to finite values, so the affine outputs are checked
-    for finiteness once, after the pass, and the first non-finite one raises
-    ``ArithmeticError`` naming its layer, even when a later activation maps
-    it back to a finite value.  The outputs are what reverse accumulation
-    needs, so a gradient can reuse the pass that computed the network's
-    value.
+    point per row.  A wrong width raises ``ValueError``, and so does a
+    non-finite input; the pass is then the private layer walk
+    (``_layer_walk``), whose first non-finite affine output raises
+    ``ArithmeticError`` naming its layer.  The outputs are what reverse
+    accumulation needs, so a gradient can reuse the pass that computed the
+    network's value.
     """
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 2:
@@ -187,24 +217,17 @@ def layer_outputs(net: Network, x) -> list[np.ndarray]:
         raise ValueError(f"expected {net.n_inputs} inputs, got {v.shape[-1]}")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite input")
-    outs = [v]
     with np.errstate(over="ignore", invalid="ignore"):
-        for w, b, f, _ in net._walk:
-            v = v @ w.T + b if f is None else f(v)
-            outs.append(v)
-    affine = [outs[i + 1] for i in net._affine_at]
-    if affine and not np.isfinite(np.concatenate(affine, axis=-1)).all():
-        idx = next(i for i in net._affine_at if not np.isfinite(outs[i + 1]).all())
-        raise ArithmeticError(f"non-finite intermediate after layer {idx}")
-    return outs
+        return _layer_walk(net, v)
 
 
 def forward(net: Network, x) -> np.ndarray:
     """Evaluate one point ``(n,)`` or a batch ``(N, n)`` in float64.
 
-    Returns ``(m,)`` or ``(N, m)``; see ``layer_outputs`` for the arithmetic
-    and the errors.  A batch row may differ from the same point evaluated
-    alone in the last bits, as matrix and vector products sum differently.
+    Returns ``(m,)`` or ``(N, m)``; see ``layer_outputs`` for the input
+    checks, the arithmetic and the errors.  A batch row may differ from the
+    same point evaluated alone in the last bits, as matrix and vector
+    products sum differently.
     """
     return layer_outputs(net, x)[-1]
 

@@ -56,6 +56,20 @@ class SpecError(ValueError):
         self.col = col
 
 
+def _var_key(m, tok) -> tuple:
+    """(kind, index) of a variable token that ``_VAR_RE`` matched as ``m``.
+
+    An index too long for ``int()`` (over 4,300 digits) raises ``SpecError``
+    at the token.
+    """
+    try:
+        return m.group(1), int(m.group(2))
+    except ValueError:
+        raise SpecError(
+            f"variable index of {len(m.group(2))} digits is too long", tok.line, tok.col
+        ) from None
+
+
 @dataclass(frozen=True)
 class AffineExpr:
     """Affine combination of declared variables plus a constant.
@@ -270,7 +284,7 @@ class _Parser:
                 return AffineExpr((), value)
             m = _VAR_RE.match(node.text)
             if m:
-                key = (m.group(1), int(m.group(2)))
+                key = _var_key(m, node)
                 if key not in self.declared:
                     raise SpecError(
                         f"undeclared variable {node.text}", node.line, node.col
@@ -383,7 +397,7 @@ class _Parser:
                     name.line,
                     name.col,
                 )
-            key = (m.group(1), int(m.group(2)))
+            key = _var_key(m, name)
             if key in self.declared:
                 raise SpecError(f"duplicate declaration {name.text}", name.line, name.col)
             self.declared[key] = None

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import _affine_forms, _constraint_rows, _meet, _plan
-from .network import ActivationLayer, Network, forward, layer_outputs
+from .network import ActivationLayer, Network, _layer_walk, forward, layer_outputs
 from .speclang import _VAR_RE, NormalizedSpec, Witness
 
 # Boxes narrower than this per dimension are not split further.
@@ -54,6 +54,10 @@ WITNESS_TOL = 1e-6
 
 # A PGD step moves this fraction of its box's width per dimension.
 PGD_STEP_SCALE = 0.1
+
+# The searches run under this error state: a value that overflows is caught
+# by the layer walk's finiteness check, not reported as a warning.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 class Status(str, Enum):
@@ -117,12 +121,14 @@ class Outcome:
 def _backprop(net: Network, outs: list, a_y) -> np.ndarray:
     """Reverse accumulation of a_y . f(x) over the layer outputs of one pass.
 
-    ``outs`` is ``layer_outputs(net, x)``; rows of ``a_y`` pair with rows of
+    ``outs`` is the layer walk of ``x``; rows of ``a_y`` pair with rows of
     ``x``.  An affine layer takes ``g @ W``; an activation's derivative is
-    read off its output: ReLU passes where the output is positive, sigmoid
-    scales by ``s (1 - s)`` and tanh by ``1 - t**2``.
+    read off its output: ReLU passes where the output is positive, masking
+    g in place, sigmoid scales by ``s (1 - s)`` and tanh by ``1 - t**2``.
+    The walk starts on its own copy of ``a_y``, so the caller's array is
+    never written, even when the net ends in a ReLU.
     """
-    g = np.asarray(a_y, dtype=np.float64)
+    g = np.array(a_y, dtype=np.float64)
     for (w, _, _, df), out in zip(reversed(net._walk), reversed(outs[1:])):
         g = g @ w if df is None else df(g, out)
     return g
@@ -133,9 +139,13 @@ def output_combination_gradient(net: Network, x, a_y) -> np.ndarray:
 
     One point ``x`` of shape ``(n,)`` with ``a_y`` of shape ``(m,)``, or a
     batch: row i of the ``(N, n)`` result is the gradient of
-    ``a_y[i] . f(x[i])``.
+    ``a_y[i] . f(x[i])``.  ``x`` is checked as ``layer_outputs`` checks it,
+    and an ``a_y`` of another shape than the outputs raises ``ValueError``.
     """
-    return _backprop(net, layer_outputs(net, x), a_y)
+    outs = layer_outputs(net, x)
+    if np.shape(a_y) != outs[-1].shape:
+        raise ValueError(f"a_y has shape {np.shape(a_y)}, the outputs {outs[-1].shape}")
+    return _backprop(net, outs, a_y)
 
 
 # ---------------------------------------------------------------------------
@@ -146,48 +156,58 @@ def output_combination_gradient(net: Network, x, a_y) -> np.ndarray:
 _SAMPLE_BLOCK = 4096
 
 
-def _own_slack(rows, X, Y, d) -> np.ndarray:
+def _slack_rows(rows) -> tuple:
+    """The spec's rows ``(a_y, b_x, rhs)``, stacked (D, k, ...), as the flat
+    operands of ``_own_slack``: ``(a_y.T, b_x.T, rhs, k)`` over all D * k rows."""
+    a_y, b_x, rhs = rows
+    return (a_y.reshape(-1, a_y.shape[2]).T, b_x.reshape(-1, b_x.shape[2]).T,
+            rhs.reshape(-1), rhs.shape[1])
+
+
+def _own_slack(flat, X, Y, d) -> np.ndarray:
     """Per point, ``rhs - (a_y . y + b_x . x)`` over the k rows of its disjunct d[i].
 
-    Every point meets all D * k rows in one product and keeps the k of its
-    disjunct, so for D = 1 this is the plain ``Y @ a_y.T`` product.  Returns
-    (N, k); padding rows have slack +inf.
+    ``flat`` is ``_slack_rows(spec.rows)``.  Every point meets all D * k rows
+    in one product and keeps the k of its disjunct, so for D = 1 this is the
+    plain ``Y @ a_y.T`` product.  Returns (N, k); padding rows have slack
+    +inf.
     """
-    a_y, b_x, rhs = rows
-    (n_pts, n), (n_d, k, m) = X.shape, a_y.shape
-    slack = rhs.reshape(-1) - (Y @ a_y.reshape(-1, m).T + X @ b_x.reshape(-1, n).T)
-    return slack.reshape(n_pts, n_d, k)[np.arange(n_pts), d]
+    a_t, b_t, rhs, k = flat
+    slack = rhs - (Y @ a_t + X @ b_t)
+    return slack.reshape(len(X), -1, k)[np.arange(len(X)), d]
 
 
-def _worst_slack(rows, X, Y, d) -> np.ndarray:
+def _worst_slack(flat, X, Y, d) -> np.ndarray:
     """Per point, the least slack over its disjunct's rows (+inf for none)."""
-    return np.min(_own_slack(rows, X, Y, d), axis=1, initial=np.inf)
+    return np.min(_own_slack(flat, X, Y, d), axis=1, initial=np.inf)
 
 
 def _witness_among(net, spec, X, worst) -> Witness | None:
     """The first point, in row (pop) order, with no negative slack that re-validates.
 
     ``worst`` is each point's least slack over its disjunct's padded rows,
-    with no tolerance.  A candidate is forwarded once, on its own, and checked
-    by the witness rule (``_satisfied``) on those outputs, which the witness
-    then claims.  The box is not checked first: every point the search probes
-    (a midpoint, a corner, a sample or a climb clipped to its box) lies in its
-    disjunct's box by construction.
+    with no tolerance.  A candidate is forwarded once, on its own, through the
+    layer walk, and checked by the witness rule (``_satisfied``) on those
+    outputs, which the witness then claims.  The box is not checked first:
+    every point the search probes (a midpoint, a corner, a sample or a climb
+    clipped to its box) lies in its disjunct's box by construction.
     """
     for i in np.flatnonzero(worst >= 0.0):
         x = X[i]
-        y = forward(net, x)
+        y = _layer_walk(net, x)[-1]
         if _satisfied(spec, x, y):
             return Witness(tuple(float(v) for v in x), tuple(float(v) for v in y))
     return None
 
 
 def _probe(net, spec, points, d) -> Witness | None:
-    """Forward the points as one batch; the first that satisfies and re-validates."""
-    Y = forward(net, points)
-    return _witness_among(net, spec, points, _worst_slack(spec.rows, points, Y, d))
+    """Walk the points as one batch; the first that satisfies and re-validates."""
+    Y = _layer_walk(net, points)[-1]
+    flat = _slack_rows(spec.rows)
+    return _witness_among(net, spec, points, _worst_slack(flat, points, Y, d))
 
 
+@_QUIET
 def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | None:
     """Search for a satisfying point: random samples, then gradient ascent.
 
@@ -227,9 +247,9 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
     rng = np.random.default_rng(budget.seed)
     deadline = time.monotonic() + budget.wall_seconds
 
-    rows, (lower, upper) = spec.rows, spec.boxes
-    a_y, b_x, _ = rows
-    width = upper - lower
+    (a_y, b_x, _), (lower, upper) = spec.rows, spec.boxes
+    flat = _slack_rows(spec.rows)
+    width = upper - lower  # one that overflows makes samples the walk refuses
 
     def draw(index, count):  # uniform points in disjunct index's box
         return lower[index] + rng.random((count, spec.n_inputs)) * width[index]
@@ -243,9 +263,9 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
             if time.monotonic() > deadline:
                 return None
             X = draw(index, min(_SAMPLE_BLOCK, budget.falsifier_samples - start))
-            Y = forward(net, X)
+            Y = _layer_walk(net, X)[-1]
             d = np.full(len(X), index)
-            worst = _worst_slack(rows, X, Y, d)
+            worst = _worst_slack(flat, X, Y, d)
             hit = _witness_among(net, spec, X, worst)
             if hit is not None:
                 break
@@ -281,11 +301,12 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
                 XL = XL1
             break
         key1, key2, XL1 = key, key1, XL
-        outs = layer_outputs(net, XL)
-        S = _own_slack(rows, XL, outs[-1], dL)
+        outs = _layer_walk(net, XL)
+        S = _own_slack(flat, XL, outs[-1], dL)
         j = np.argmin(S, axis=1)
         # slack_j = rhs - (a_y.f(x) + b_x.x); ascend it
-        g = _backprop(net, outs, a_y[dL, j]) + b_x[dL, j]
+        g = _backprop(net, outs, a_y[dL, j])
+        g += b_x[dL, j]
         climbing = S.min(axis=1) < 0.0
         if not climbing.all():
             X[live[~climbing]] = XL[~climbing]
@@ -294,7 +315,7 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
             )
             if not live.size:
                 break
-        XL = np.clip(XL - step * np.sign(g), lo, hi)
+        XL = np.minimum(np.maximum(XL - step * np.sign(g), lo), hi)
     X[live] = XL
     w = _probe(net, spec, X, d)
     return w if w is not None else hit
@@ -308,6 +329,7 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
 _FRONTIER = 32
 
 
+@_QUIET
 def _branch_and_bound(net, spec, budget, deadline, stats):
     """The search of the module docstring over ``spec.boxes`` and
     ``spec.rows``; returns (status, witness).
@@ -337,7 +359,7 @@ def _branch_and_bound(net, spec, budget, deadline, stats):
 
         # midpoints go first: they need no bounds, so neither a bound that
         # overflows nor an unsound prune can hide a witness there
-        w = _probe(net, spec, 0.5 * (lo + hi), d)
+        w = _probe(net, spec, 0.5 * lo + 0.5 * hi, d)
         if w is not None:
             return Status.VIOLATED, w
 
@@ -369,7 +391,7 @@ def _branch_and_bound(net, spec, budget, deadline, stats):
         lo, hi = nodes[:, :n], nodes[:, n : 2 * n]
         at = np.arange(len(nodes)), np.argmax(hi - lo, axis=1)  # lowest index on ties
         kids = np.stack([nodes, nodes], 1)  # each row's left and right child
-        kids[:, 0, n : 2 * n][at] = kids[:, 1, :n][at] = 0.5 * (lo[at] + hi[at])
+        kids[:, 0, n : 2 * n][at] = kids[:, 1, :n][at] = 0.5 * lo[at] + 0.5 * hi[at]
         # children in pop order, row 0's left and right child first; pushed
         # reversed, so that row 0's left child is on top
         frontier = np.concatenate([frontier, kids.reshape(-1, kids.shape[2])[::-1]])

@@ -203,10 +203,12 @@ def test_split_bounds_monotone():
 
 
 def test_meet_collapses_crossings_and_rejects_non_finite_bounds():
-    # stacked [lo | -hi]; the other operand -inf leaves y as it is
+    # stacked [lo | -hi]; the other operand -inf leaves y as it is.  The
+    # core calls _meet under this error state, so overflow is not a warning
     def meet(y):
         y = np.array(y)
-        return _meet(y, np.full_like(y, -np.inf))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _meet(y, np.full_like(y, -np.inf))
 
     # lo = 1.0 > hi = 0.9 is rounding noise: both become the midpoint
     np.testing.assert_array_equal(meet([[1.0, -0.9]]), [[0.95, -0.95]], strict=True)

@@ -1,5 +1,6 @@
 import hashlib
 import time
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -253,19 +254,20 @@ def test_batched_falsify_matches_reference_across_sample_blocks(monkeypatch):
 
 
 def _watch_climb(monkeypatch):
-    """Record the points of every PGD pass and of the final probe."""
+    """Record the points of every PGD pass, read off the gradient pass that
+    each climb step makes, and of the final probe."""
     passes, probed = [], []
-    layer_outputs, probe = verifier.layer_outputs, verifier._probe
+    backprop, probe = verifier._backprop, verifier._probe
 
-    def watched_pass(net, x):
-        passes.append(x.copy())
-        return layer_outputs(net, x)
+    def watched_pass(net, outs, a_y):
+        passes.append(outs[0].copy())
+        return backprop(net, outs, a_y)
 
     def watched_probe(net, spec, points, d):
         probed.append((points.copy(), d))
         return probe(net, spec, points, d)
 
-    monkeypatch.setattr(verifier, "layer_outputs", watched_pass)
+    monkeypatch.setattr(verifier, "_backprop", watched_pass)
     monkeypatch.setattr(verifier, "_probe", watched_probe)
     return passes, probed
 
@@ -583,6 +585,20 @@ def test_falsify_overflow_in_a_later_disjunct_raises_despite_earlier_climb(where
         falsify(net, spec, budget)
 
 
+def test_falsify_box_too_wide_to_sample_raises_arithmetic_error():
+    # the box [-1e308, 1e308] is finite, its width 2e308 is not: the draws
+    # are non-finite, and the walk refuses them at the first affine layer
+    net = make_random_network(np.random.default_rng(0), 1, [4], 1)
+    spec = _spec(
+        "(declare-const X_0 Real)(declare-const Y_0 Real)"
+        "(assert (>= X_0 -1e308))(assert (<= X_0 1e308))(assert (>= Y_0 0.0))"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="non-finite intermediate after layer 0"):
+            falsify(net, spec, Budget())
+
+
 def test_verify_nonfinite_falsifier_only_path_is_error():
     # a sigmoid makes verify skip branch-and-bound and only falsify
     net = Network(OVERFLOW_LAYERS + (ActivationLayer("sigmoid"),), 1, 1)
@@ -688,3 +704,11 @@ def test_gradient_leaves_the_callers_weights_unchanged():
             g = output_combination_gradient(net, xi, ai)
             assert ai.tobytes() == kept.tobytes()
             assert not np.shares_memory(g, ai)
+
+
+def test_gradient_refuses_weights_that_do_not_pair_with_the_points():
+    net = make_random_network(np.random.default_rng(0), 3, [4], 2)
+    xs = np.zeros((4, 3))
+    for a_y in (np.ones(2), np.ones((3, 2)), np.ones((4, 3))):
+        with pytest.raises(ValueError, match="a_y has shape"):
+            output_combination_gradient(net, xs, a_y)

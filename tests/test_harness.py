@@ -35,7 +35,9 @@ from veribench.bounds import affine_bounds, constraint_lower_bound
 from veribench.network import (
     AffineLayer, Box, forward, gen_trivial_network, network_to_onnx_bytes, save_network,
 )
-from veribench.scoring import RunRecord, build_overhead_model, empty_ledger, read_results_csv, score_records
+from veribench.scoring import (
+    BASELINE_TOOL, RunRecord, build_overhead_model, empty_ledger, read_results_csv, score_records,
+)
 from veribench.verifier import Status
 
 def save_manifest(path, instances) -> None:
@@ -554,6 +556,24 @@ class TestRunBaseline:
             timeout=30.0,
         )
         assert run_baseline(inst).status is Status.ERROR
+
+
+    def test_spec_with_an_index_too_long_for_int_is_error(self, trivial_instance, tmp_path):
+        # the bare ValueError from int() used to escape run_baseline and
+        # abort run_batch
+        bad = tmp_path / "bad.vnnlib"
+        bad.write_text(
+            trivial_instance.spec_path.read_text() + "(declare-const X_" + "7" * 5000 + " Real)\n"
+        )
+        inst = Instance(
+            instance_id="net-long",
+            benchmark="bench",
+            network_path=trivial_instance.network_path,
+            spec_path=bad,
+            timeout=30.0,
+        )
+        by_tool = run_batch([inst], [], tmp_path / "out", n_trivial=0)
+        assert [r.status for r in by_tool[BASELINE_TOOL]] == [Status.ERROR]
 
 
 class TestMeasureOverheadRun:

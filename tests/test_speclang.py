@@ -556,6 +556,27 @@ def test_error_text_and_position_pinned(text, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            _DECLS + "\n (declare-const X_" + "1" * 5000 + " Real)",
+            "variable index of 5000 digits is too long (line 2, column 17)",
+        ),
+        (
+            _DECLS + "\n(assert (<= Y_" + "0" * 5000 + " 1))",
+            "variable index of 5000 digits is too long (line 2, column 13)",
+        ),
+    ],
+    ids=["declaration", "use"],
+)
+def test_variable_index_too_long_for_int_is_a_spec_error(text, message):
+    # int() refuses more than 4,300 digits with a bare ValueError
+    with pytest.raises(SpecError) as excinfo:
+        parse_vnnlib(text)
+    assert str(excinfo.value) == message
+
+
 def test_strict_warning_names_its_line():
     with pytest.warns(UserWarning) as record:
         parse_vnnlib(_DECLS + "\n; c\n\n(assert (< X_0 1))")

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,14 +70,16 @@ def test_verify_violated_relu():
 
 
 def test_accepted_candidate_is_forwarded_once(monkeypatch):
-    # its check and its claimed outputs share one single-point forward pass
+    # its check and its claimed outputs share one single-point pass of the
+    # layer walk
     ranks = []
+    walk = verifier._layer_walk
 
     def counted(net, x):
         ranks.append(np.ndim(x))
-        return forward(net, x)
+        return walk(net, x)
 
-    monkeypatch.setattr(verifier, "forward", counted)
+    monkeypatch.setattr(verifier, "_layer_walk", counted)
     out = verify(RELU_NET, VIOLATED_SPEC, Budget())
     assert out.status is Status.VIOLATED
     assert out.witness.y_claimed == tuple(forward(RELU_NET, np.array(out.witness.x)))
@@ -277,6 +280,32 @@ def test_verify_nonfinite_is_error():
         "(assert (>= X_0 1.0))(assert (<= X_0 2.0))(assert (>= Y_0 0.0))"
     )
     out = verify(net, spec, Budget())
+    assert out.status is Status.ERROR
+
+
+# y = w2 . relu(W1 x + b1) + b2, a 1-4-1 net
+NET_1_4_1 = Network(
+    (
+        AffineLayer(np.array([[1.0], [-1.0], [2.0], [0.5]]), np.zeros(4)),
+        ActivationLayer("relu"),
+        AffineLayer(np.array([[1.0, 1.0, -1.0, 1.0]]), np.zeros(1)),
+    ),
+    1,
+    1,
+)
+
+
+def test_verify_box_whose_midpoint_sum_overflows_is_an_outcome():
+    # 1e308 + 1.5e308 overflows, but the box and its midpoint are finite;
+    # the net itself overflows there, which is an ERROR outcome
+    spec = _spec(
+        "(declare-const X_0 Real)(declare-const Y_0 Real)"
+        "(assert (>= X_0 1e308))(assert (<= X_0 1.5e308))(assert (>= Y_0 0.0))"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = verify(NET_1_4_1, spec, Budget(wall_seconds=5.0))
+    assert isinstance(out, Outcome)
     assert out.status is Status.ERROR
 
 
