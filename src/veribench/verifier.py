@@ -16,8 +16,9 @@ minimizing the row's back-substituted lower form) are probed in one
 forward pass, and each survivor is split on its widest dimension, the
 first popped box's left child ending on top.  A survivor too narrow to
 split leaves the frontier and marks the spec undecided; the search goes
-on.  A batch fails as a whole: a bound that overflows in any of its rows
-is an error once the batch's midpoints are probed.
+on.  A midpoint, probed or split at, is ``0.5 * lo + 0.5 * hi``, finite
+for every finite box.  A batch fails as a whole: a bound that overflows in
+any of its rows is an error once the batch's midpoints are probed.
 
 falsify() is the cheap counterexample search (uniform sampling, then
 sign-gradient ascent on constraint slack) that also defines the
@@ -235,6 +236,14 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
     else the sample hit.  That is the answer of searching the disjuncts one
     after another, each sampled and then climbed.
 
+    Every pass, of samples, climb points and witness candidates, is the
+    private layer walk (``network._layer_walk``), without the input checks
+    of ``forward``: the points lie in their boxes by construction.  Only a
+    box whose width overflows draws non-finite points, and the walk refuses
+    them as ``ArithmeticError`` at the first affine layer.  The search runs
+    under ``np.errstate(over="ignore", invalid="ignore")``, so an overflow
+    is that error and not a warning.
+
     The wall clock is checked between blocks and between steps; past it,
     the result is None.  Deterministic for a fixed budget.seed, and the
     random stream does not depend on the block size.  A batch fails as a
@@ -249,7 +258,7 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
 
     (a_y, b_x, _), (lower, upper) = spec.rows, spec.boxes
     flat = _slack_rows(spec.rows)
-    width = upper - lower  # one that overflows makes samples the walk refuses
+    width = upper - lower
 
     def draw(index, count):  # uniform points in disjunct index's box
         return lower[index] + rng.random((count, spec.n_inputs)) * width[index]
@@ -303,7 +312,7 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
         key1, key2, XL1 = key, key1, XL
         outs = _layer_walk(net, XL)
         S = _own_slack(flat, XL, outs[-1], dL)
-        j = np.argmin(S, axis=1)
+        j = S.argmin(axis=1)
         # slack_j = rhs - (a_y.f(x) + b_x.x); ascend it
         g = _backprop(net, outs, a_y[dL, j])
         g += b_x[dL, j]
