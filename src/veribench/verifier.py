@@ -236,11 +236,11 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
     else the sample hit.  That is the answer of searching the disjuncts one
     after another, each sampled and then climbed.
 
-    Every pass, of samples, climb points and witness candidates, is the
-    private layer walk (``network._layer_walk``), without the input checks
-    of ``forward``: the points lie in their boxes by construction.  Only a
-    box whose width overflows draws non-finite points, and the walk refuses
-    them as ``ArithmeticError`` at the first affine layer.  The search runs
+    Samples, climb points and witness candidates go through the private
+    layer walk (``network._layer_walk``), without the input checks of
+    ``forward``: the points lie in their boxes by construction.  Only a box
+    whose width overflows draws non-finite points, and the walk refuses them
+    as ``ArithmeticError`` at the first affine layer.  The search runs
     under ``np.errstate(over="ignore", invalid="ignore")``, so an overflow
     is that error and not a warning.
 
