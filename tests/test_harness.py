@@ -557,7 +557,6 @@ class TestRunBaseline:
         )
         assert run_baseline(inst).status is Status.ERROR
 
-
     def test_spec_with_an_index_too_long_for_int_is_error(self, trivial_instance, tmp_path):
         # the bare ValueError from int() used to escape run_baseline and
         # abort run_batch
