@@ -178,9 +178,12 @@ def _layer_walk(net: Network, v: np.ndarray) -> list[np.ndarray]:
     outputs are checked for finiteness once, after the pass, and the first
     non-finite one raises ``ArithmeticError`` naming its layer, even when a
     later activation maps it back to a finite value.  The input itself is not
-    checked: ``layer_outputs`` checks a caller's input, and the search's own
-    points call this walk directly.  A non-finite point fails at the first
-    affine layer it reaches.  Callers run the walk under
+    checked, so it must be finite: ``layer_outputs`` checks a caller's input,
+    and the search's own points, which call this walk directly, are finite
+    by construction, save a climb point that a NaN gradient makes NaN.  A
+    NaN input fails at the first affine layer, but an infinite one may not,
+    as an activation before it can map it to a finite value.  Callers run
+    the walk under
     ``np.errstate(over="ignore", invalid="ignore")``, so an overflow is
     reported by that check and not as a warning.
     """

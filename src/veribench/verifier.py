@@ -126,10 +126,10 @@ def _backprop(net: Network, outs: list, a_y) -> np.ndarray:
     ``x``.  An affine layer takes ``g @ W``; an activation's derivative is
     read off its output: ReLU passes where the output is positive, masking
     g in place, sigmoid scales by ``s (1 - s)`` and tanh by ``1 - t**2``.
-    The walk starts on its own copy of ``a_y``, so the caller's array is
-    never written, even when the net ends in a ReLU.
+    So ``a_y`` must be a float64 array of the outputs' shape that the
+    caller owns: a net that ends in a ReLU masks it in place.
     """
-    g = np.array(a_y, dtype=np.float64)
+    g = a_y
     for (w, _, _, df), out in zip(reversed(net._walk), reversed(outs[1:])):
         g = g @ w if df is None else df(g, out)
     return g
@@ -140,12 +140,12 @@ def output_combination_gradient(net: Network, x, a_y) -> np.ndarray:
 
     One point ``x`` of shape ``(n,)`` with ``a_y`` of shape ``(m,)``, or a
     batch: row i of the ``(N, n)`` result is the gradient of
-    ``a_y[i] . f(x[i])``.  ``x`` is checked as ``layer_outputs`` checks it,
-    and an ``a_y`` of another shape than the outputs raises ``ValueError``.
+    ``a_y[i] . f(x[i])``; an ``a_y`` of shape ``(m,)`` weighs every row.
+    ``x`` is checked as ``layer_outputs`` checks it, and the walk back runs
+    on a copy of ``a_y``, so the caller's array is never written.
     """
     outs = layer_outputs(net, x)
-    if np.shape(a_y) != outs[-1].shape:
-        raise ValueError(f"a_y has shape {np.shape(a_y)}, the outputs {outs[-1].shape}")
+    a_y = np.array(np.broadcast_to(a_y, outs[-1].shape), dtype=np.float64)
     return _backprop(net, outs, a_y)
 
 
@@ -157,30 +157,22 @@ def output_combination_gradient(net: Network, x, a_y) -> np.ndarray:
 _SAMPLE_BLOCK = 4096
 
 
-def _slack_rows(rows) -> tuple:
-    """The spec's rows ``(a_y, b_x, rhs)``, stacked (D, k, ...), as the flat
-    operands of ``_own_slack``: ``(a_y.T, b_x.T, rhs, k)`` over all D * k rows."""
-    a_y, b_x, rhs = rows
-    return (a_y.reshape(-1, a_y.shape[2]).T, b_x.reshape(-1, b_x.shape[2]).T,
-            rhs.reshape(-1), rhs.shape[1])
-
-
-def _own_slack(flat, X, Y, d) -> np.ndarray:
+def _own_slack(rows, X, Y, d) -> np.ndarray:
     """Per point, ``rhs - (a_y . y + b_x . x)`` over the k rows of its disjunct d[i].
 
-    ``flat`` is ``_slack_rows(spec.rows)``.  Every point meets all D * k rows
-    in one product and keeps the k of its disjunct, so for D = 1 this is the
-    plain ``Y @ a_y.T`` product.  Returns (N, k); padding rows have slack
-    +inf.
+    Every point meets all D * k rows in one product and keeps the k of its
+    disjunct, so for D = 1 this is the plain ``Y @ a_y.T`` product.  Returns
+    (N, k); padding rows have slack +inf.
     """
-    a_t, b_t, rhs, k = flat
-    slack = rhs - (Y @ a_t + X @ b_t)
-    return slack.reshape(len(X), -1, k)[np.arange(len(X)), d]
+    a_y, b_x, rhs = rows
+    (n_pts, n), (n_d, k, m) = X.shape, a_y.shape
+    slack = rhs.reshape(-1) - (Y @ a_y.reshape(-1, m).T + X @ b_x.reshape(-1, n).T)
+    return slack.reshape(n_pts, n_d, k)[np.arange(n_pts), d]
 
 
-def _worst_slack(flat, X, Y, d) -> np.ndarray:
+def _worst_slack(rows, X, Y, d) -> np.ndarray:
     """Per point, the least slack over its disjunct's rows (+inf for none)."""
-    return np.min(_own_slack(flat, X, Y, d), axis=1, initial=np.inf)
+    return np.min(_own_slack(rows, X, Y, d), axis=1, initial=np.inf)
 
 
 def _witness_among(net, spec, X, worst) -> Witness | None:
@@ -204,8 +196,7 @@ def _witness_among(net, spec, X, worst) -> Witness | None:
 def _probe(net, spec, points, d) -> Witness | None:
     """Walk the points as one batch; the first that satisfies and re-validates."""
     Y = _layer_walk(net, points)[-1]
-    flat = _slack_rows(spec.rows)
-    return _witness_among(net, spec, points, _worst_slack(flat, points, Y, d))
+    return _witness_among(net, spec, points, _worst_slack(spec.rows, points, Y, d))
 
 
 @_QUIET
@@ -238,11 +229,14 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
 
     Samples, climb points and witness candidates go through the private
     layer walk (``network._layer_walk``), without the input checks of
-    ``forward``: the points lie in their boxes by construction.  Only a box
-    whose width overflows draws non-finite points, and the walk refuses them
-    as ``ArithmeticError`` at the first affine layer.  The search runs
-    under ``np.errstate(over="ignore", invalid="ignore")``, so an overflow
-    is that error and not a warning.
+    ``forward``: a draw is finite when its box's width is, and a climb
+    point is clipped to its box.  A disjunct whose box width overflows
+    raises ``ArithmeticError`` at its first draw, whatever the layers; a
+    gradient that is NaN makes NaN climb points, which fail as
+    ``ArithmeticError`` at the walk's first affine layer (with no affine
+    layer the gradient cannot be NaN).  The search runs under
+    ``np.errstate(over="ignore", invalid="ignore")``, so an overflow is that
+    error and not a warning.
 
     The wall clock is checked between blocks and between steps; past it,
     the result is None.  Deterministic for a fixed budget.seed, and the
@@ -256,11 +250,13 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
     rng = np.random.default_rng(budget.seed)
     deadline = time.monotonic() + budget.wall_seconds
 
-    (a_y, b_x, _), (lower, upper) = spec.rows, spec.boxes
-    flat = _slack_rows(spec.rows)
+    rows, (lower, upper) = spec.rows, spec.boxes
+    a_y, b_x, _ = rows
     width = upper - lower
 
     def draw(index, count):  # uniform points in disjunct index's box
+        if not np.isfinite(width[index]).all():
+            raise ArithmeticError(f"disjunct {index}'s box is too wide to sample")
         return lower[index] + rng.random((count, spec.n_inputs)) * width[index]
 
     hit = None
@@ -274,7 +270,7 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
             X = draw(index, min(_SAMPLE_BLOCK, budget.falsifier_samples - start))
             Y = _layer_walk(net, X)[-1]
             d = np.full(len(X), index)
-            worst = _worst_slack(flat, X, Y, d)
+            worst = _worst_slack(rows, X, Y, d)
             hit = _witness_among(net, spec, X, worst)
             if hit is not None:
                 break
@@ -311,7 +307,7 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
             break
         key1, key2, XL1 = key, key1, XL
         outs = _layer_walk(net, XL)
-        S = _own_slack(flat, XL, outs[-1], dL)
+        S = _own_slack(rows, XL, outs[-1], dL)
         j = S.argmin(axis=1)
         # slack_j = rhs - (a_y.f(x) + b_x.x); ascend it
         g = _backprop(net, outs, a_y[dL, j])

@@ -50,7 +50,6 @@ from veribench.verifier import (
     WITNESS_TOL,
     _backprop,
     _own_slack,
-    _slack_rows,
     validate_witness,
 )
 
@@ -339,7 +338,7 @@ def reference_climb(net: Network, spec: NormalizedSpec, X, d, steps: int):
     for _ in range(steps):
         outs = layer_outputs(net, XL)
         passes += 1
-        S = _own_slack(_slack_rows(rows), XL, outs[-1], dL)
+        S = _own_slack(rows, XL, outs[-1], dL)
         j = np.argmin(S, axis=1)
         g = _backprop(net, outs, a_y[dL, j]) + b_x[dL, j]
         climbing = S.min(axis=1) < 0.0

@@ -585,18 +585,52 @@ def test_falsify_overflow_in_a_later_disjunct_raises_despite_earlier_climb(where
         falsify(net, spec, budget)
 
 
+WIDE_BOX = "(declare-const X_0 Real)(declare-const Y_0 Real)(assert (>= X_0 -1e308))(assert (<= X_0 1e308))"
+
+
 def test_falsify_box_too_wide_to_sample_raises_arithmetic_error():
-    # the box [-1e308, 1e308] is finite, its width 2e308 is not: the draws
-    # are non-finite, and the walk refuses them at the first affine layer
+    # the box [-1e308, 1e308] is finite, its width 2e308 is not
     net = make_random_network(np.random.default_rng(0), 1, [4], 1)
-    spec = _spec(
-        "(declare-const X_0 Real)(declare-const Y_0 Real)"
-        "(assert (>= X_0 -1e308))(assert (<= X_0 1e308))(assert (>= Y_0 0.0))"
-    )
+    spec = _spec(WIDE_BOX + "(assert (>= Y_0 0.0))")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ArithmeticError, match="non-finite intermediate after layer 0"):
+        with pytest.raises(ArithmeticError, match="disjunct 0's box is too wide to sample"):
             falsify(net, spec, Budget())
+
+
+@pytest.mark.parametrize("row", ["(assert (<= Y_0 X_0))", "(assert (>= Y_0 0.0))"])
+def test_box_too_wide_to_sample_is_an_error_before_a_tanh(row):
+    # tanh maps an infinite draw to 1.0, so no affine output would show it
+    net = Network((ActivationLayer("tanh"), AffineLayer(np.eye(1), np.zeros(1))), 1, 1)
+    spec = _spec(WIDE_BOX + row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="too wide to sample"):
+            falsify(net, spec, Budget())
+        assert verify(net, spec, Budget()).status is Status.ERROR
+
+
+def test_climb_point_of_a_nan_gradient_is_an_error():
+    # the output 1e-200 * X_0 is finite, but the inactive ReLU's gradient
+    # is -1e400 * 0
+    net = Network(
+        (
+            AffineLayer(np.array([[1.0], [-1.0]]), np.zeros(2)),
+            ActivationLayer("relu"),
+            AffineLayer(np.diag([1e-200, 1e200]), np.zeros(2)),
+            AffineLayer(np.array([[1.0, 1e200]]), np.zeros(1)),
+        ),
+        1,
+        1,
+    )
+    spec = _spec(
+        "(declare-const X_0 Real)(declare-const Y_0 Real)"
+        "(assert (>= X_0 1.0))(assert (<= X_0 2.0))(assert (>= Y_0 1.0))"
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(output_combination_gradient(net, [1.5], [-1.0])).all()
+    with pytest.raises(ArithmeticError, match="after layer 0"):
+        falsify(net, spec, Budget())
 
 
 def test_verify_nonfinite_falsifier_only_path_is_error():
@@ -706,9 +740,10 @@ def test_gradient_leaves_the_callers_weights_unchanged():
             assert not np.shares_memory(g, ai)
 
 
-def test_gradient_refuses_weights_that_do_not_pair_with_the_points():
+def test_gradient_weighs_every_row_with_one_a_y():
     net = make_random_network(np.random.default_rng(0), 3, [4], 2)
-    xs = np.zeros((4, 3))
-    for a_y in (np.ones(2), np.ones((3, 2)), np.ones((4, 3))):
-        with pytest.raises(ValueError, match="a_y has shape"):
-            output_combination_gradient(net, xs, a_y)
+    xs = np.random.default_rng(1).uniform(-1, 1, (4, 3))
+    a_y = np.array([0.5, -2.0])
+    g = output_combination_gradient(net, xs, a_y)
+    assert g.tobytes() == output_combination_gradient(net, xs, np.tile(a_y, (4, 1))).tobytes()
+    assert a_y.tolist() == [0.5, -2.0]
