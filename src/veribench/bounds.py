@@ -33,7 +33,10 @@ own row vector there, so a row's bound does not depend on the rows or
 boxes batched with it.  A non-finite value in any row fails the whole batch
 with ``ArithmeticError``.  Branch-and-bound and the robustness certifier
 call the core directly; ``affine_bounds`` and ``constraint_lower_bound``
-run the same code on one box, with a ``Box`` at the edge.
+run the same code on one box, with a ``Box`` at the edge.  The core sets
+no error state and checks no input: the public functions here, like every
+search that calls it, run under ``network._QUIET``, so an overflow is
+caught by a finiteness check, not reported as a warning.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .network import (
+    _QUIET,
     AffineLayer,
     Box,
     Network,
@@ -127,35 +131,28 @@ def _interval_relu(y):
     return y
 
 
+@_QUIET
 def interval_bounds(net: Network, box: Box) -> list[Box]:
     """Per-layer output boxes, index 0 being the input box itself."""
     if box.dim != net.n_inputs:
         raise ValueError(f"box dimension {box.dim} != network inputs {net.n_inputs}")
     y = np.concatenate([box.lower, -box.upper])[None, :, None]
     out = [box]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in _plan(net).steps:
-            if isinstance(step, _Affine):
-                y = _interval_affine(step, y)
-            elif step == "relu":
-                y = _interval_relu(y)
-            else:
-                # sigmoid and tanh are monotone increasing
-                lo, neg_hi = _halves(y)
-                y = np.concatenate(
-                    [apply_activation(step, lo), -apply_activation(step, -neg_hi)], axis=1
-                )
-            _check_finite(y)
-            lo, neg_hi = _halves(y[..., 0])
-            out.append(Box(lo[0], -neg_hi[0]))
+    for step in _plan(net).steps:
+        if isinstance(step, _Affine):
+            y = _interval_affine(step, y)
+        elif step == "relu":
+            y = _interval_relu(y)
+        else:
+            # sigmoid and tanh are monotone increasing
+            lo, neg_hi = _halves(y)
+            y = np.concatenate(
+                [apply_activation(step, lo), -apply_activation(step, -neg_hi)], axis=1
+            )
+        _check_finite(y)
+        lo, neg_hi = _halves(y[..., 0])
+        out.append(Box(lo[0], -neg_hi[0]))
     return out
-
-
-class _Backward(NamedTuple):
-    """What back-substitution over one box needs beyond its output bounds."""
-
-    plan: _Plan
-    relaxation: list  # the core's ReLU slopes and shifts, for a batch of one
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +165,9 @@ class AffineBounds:
     upper_weight: np.ndarray
     upper_const: np.ndarray
     output_box: Box  # concretization, already intersected with intervals
-    _backward: _Backward = field(repr=False)
+    # back-substitution over the box reads the plan and the core's ReLU slopes
+    _plan: _Plan = field(repr=False)
+    _relaxation: list = field(repr=False)
 
 
 def _meet(y, other):
@@ -233,36 +232,37 @@ def _affine_forms(plan: _Plan, lo: np.ndarray, hi: np.ndarray) -> tuple:
     np.negative(mid, out=z[:, n:, n])
     y = np.concatenate([lo, -hi], axis=1)[..., None]
     relaxation = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in plan.steps:
-            if isinstance(step, _Affine):
-                z = step.block @ z
-                z[..., n:] += step.bias
-                _check_finite(z)
-                # least value over the box: at the centre, less |A| . radius
-                conc = z[..., n:] - np.abs(z[..., :n]) @ rad
-                y = _meet(_interval_affine(step, y), conc)
-            elif step != "relu":
-                raise UnsupportedActivationError(
-                    f"affine relaxation does not support {step}"
-                )
-            else:
-                slope, shift = _relu_relaxation(y[..., 0])
-                z *= slope[..., None]
-                z[:, shift.shape[1] :, n] += shift
-                # the relaxed forms concretize no tighter than this
-                y = _interval_relu(y)
-                relaxation.append((slope, shift))
+    for step in plan.steps:
+        if isinstance(step, _Affine):
+            z = step.block @ z
+            z[..., n:] += step.bias
+            _check_finite(z)
+            # least value over the box: at the centre, less |A| . radius
+            conc = z[..., n:] - np.abs(z[..., :n]) @ rad
+            y = _meet(_interval_affine(step, y), conc)
+        elif step != "relu":
+            raise UnsupportedActivationError(
+                f"affine relaxation does not support {step}"
+            )
+        else:
+            slope, shift = _relu_relaxation(y[..., 0])
+            z *= slope[..., None]
+            z[:, shift.shape[1] :, n] += shift
+            # the relaxed forms concretize no tighter than this
+            y = _interval_relu(y)
+            relaxation.append((slope, shift))
     return z, relaxation, y[..., 0]
 
 
+@_QUIET
 def affine_bounds(net: Network, box: Box) -> AffineBounds:
     """Forward-propagate independent lower/upper affine forms per neuron.
 
     Unstable ReLU neurons get the chord upper relaxation
     u(z) = u * (z - l) / (u - l) and a lower relaxation of either zero
     (when |l| >= u) or the identity; stable neurons pass through exactly.
-    This is the batched core run on a batch of one box.
+    This is the batched core run on a batch of one box.  A constant that
+    overflows, though the forms are finite, raises ``ArithmeticError``.
     """
     if box.dim != net.n_inputs:
         raise ValueError(f"box dimension {box.dim} != network inputs {net.n_inputs}")
@@ -271,6 +271,7 @@ def affine_bounds(net: Network, box: Box) -> AffineBounds:
     m, n = net.n_outputs, net.n_inputs
     weight = z[0, :, :n]
     const = z[0, :, n] - weight @ (0.5 * (box.lower + box.upper))
+    _check_finite(const)
     return AffineBounds(
         box,
         weight[:m],
@@ -278,7 +279,8 @@ def affine_bounds(net: Network, box: Box) -> AffineBounds:
         -weight[m:],
         -const[m:],
         Box(y[0, :m], -y[0, m:]),
-        _Backward(plan, relaxation),
+        plan,
+        relaxation,
     )
 
 
@@ -302,61 +304,42 @@ def _constraint_rows(plan, relaxation, lo, hi, y, a_y, b_x):
     g = np.broadcast_to(a_y[..., None, :], (k, c, 1, m))
     const = 0.0
     slopes = reversed(relaxation)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in reversed(plan.steps):
-            if isinstance(step, _Affine):
-                const = const + g @ step.b
-                g = g @ step.weight
-            else:
-                slope, shift = next(slopes)
-                half = shift.shape[1]
-                lower, upper = slope[:, None, None, :half], slope[:, None, None, half:]
-                const = const - np.minimum(g, 0.0) @ shift[:, None, :, None]
-                g = g * np.where(g >= 0.0, lower, upper)
-        coef = g + b_x[..., None, :]  # (K, c, 1, n)
-        mid, rad = (v[:, None, :, None] for v in (0.5 * (lo + hi), 0.5 * (hi - lo)))
+    for step in reversed(plan.steps):
+        if isinstance(step, _Affine):
+            const = const + g @ step.b
+            g = g @ step.weight
+        else:
+            slope, shift = next(slopes)
+            half = shift.shape[1]
+            lower, upper = slope[:, None, None, :half], slope[:, None, None, half:]
+            const = const - np.minimum(g, 0.0) @ shift[:, None, :, None]
+            g = g * np.where(g >= 0.0, lower, upper)
+    coef = g + b_x[..., None, :]  # (K, c, 1, n)
+    mid, rad = (v[:, None, :, None] for v in (0.5 * (lo + hi), 0.5 * (hi - lo)))
 
-        def box_min(a):  # least value over each box of row vectors a
-            return a @ mid - np.abs(a) @ rad
+    def box_min(a):  # least value over each box of row vectors a
+        return a @ mid - np.abs(a) @ rad
 
-        ap, an = np.maximum(a_y, 0.0), np.minimum(a_y, 0.0)
-        y_rows = np.concatenate([ap, -an], axis=-1)[..., None, :]  # ([K,] c, 1, 2m)
-        y_lb = y_rows @ y[:, None, :, None] + box_min(b_x[..., None, :])
-        lb = np.maximum(box_min(coef) + const, y_lb)[..., 0, 0]
+    ap, an = np.maximum(a_y, 0.0), np.minimum(a_y, 0.0)
+    y_rows = np.concatenate([ap, -an], axis=-1)[..., None, :]  # ([K,] c, 1, 2m)
+    y_lb = y_rows @ y[:, None, :, None] + box_min(b_x[..., None, :])
+    lb = np.maximum(box_min(coef) + const, y_lb)[..., 0, 0]
     _check_finite(lb, coef)
     return lb, coef[:, :, 0]
 
 
-def constraint_lower_bound(
-    ab: AffineBounds, a_y, b_x, out_box: Box | None = None
-) -> float:
+@_QUIET
+def constraint_lower_bound(ab: AffineBounds, a_y, b_x) -> float:
     """Sound lower bound of a_y . f(x) + b_x . x over the bounds' box.
 
-    Combines the back-substituted bound with the interval bound through
-    out_box (defaulting to the bounds' own concretization) and keeps the
-    tighter.  This is ``_constraint_rows`` run on one row over a batch of
-    one box.
+    Keeps the tighter of the back-substituted bound and the interval bound
+    through the bounds' own concretization.  This is ``_constraint_rows``
+    run on one row over a batch of one box.
     """
-    return float(_box_rows(ab, a_y, b_x, out_box)[0][0])
-
-
-def _box_rows(ab: AffineBounds, a_y, b_x, out_box: Box | None = None):
-    """``_constraint_rows`` over the bounds' one box.
-
-    Returns the (c,) lower bounds and the (c, n) input coefficients of the
-    rows a_y (c, m), b_x (c, n); out_box defaults to the bounds' own.
-    """
-    if out_box is None:
-        out_box = ab.output_box
     m, n = ab.lower_weight.shape
-    plan, relaxation = ab._backward
-    lb, coef = _constraint_rows(
-        plan,
-        relaxation,
-        ab.box.lower[None],
-        ab.box.upper[None],
-        np.concatenate([out_box.lower, -out_box.upper])[None],
-        np.asarray(a_y, dtype=np.float64).reshape(-1, m),
-        np.asarray(b_x, dtype=np.float64).reshape(-1, n),
-    )
-    return lb[0], coef[0]
+    lo, hi, out = ab.box.lower[None], ab.box.upper[None], ab.output_box
+    y = np.concatenate([out.lower, -out.upper])[None]
+    a_y = np.asarray(a_y, dtype=np.float64).reshape(1, m)
+    b_x = np.asarray(b_x, dtype=np.float64).reshape(1, n)
+    lb, _ = _constraint_rows(ab._plan, ab._relaxation, lo, hi, y, a_y, b_x)
+    return float(lb[0, 0])

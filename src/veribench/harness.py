@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import _affine_forms, _constraint_rows, _plan
-from .network import NetworkError, gen_trivial_network, load_network, forward, save_network
+from .network import _QUIET, NetworkError, UnsupportedNetworkError, forward
+from .network import gen_trivial_network, load_network, save_network
 from .scoring import RunRecord, ScoreLedger, write_results_csv
 from .scoring import (
     BASELINE_TOOL,
@@ -397,9 +398,10 @@ def run_baseline(
     Records carry the tool id BASELINE_TOOL, which scoring treats as the
     baseline, and the mode "default".  The falsifier gets the pinned
     easy-violated budget; whatever instance time remains goes to
-    branch-and-bound verification.  Networks with unsupported operators
-    yield UNKNOWN, mirroring tools that skip a benchmark rather than
-    erroring on it.
+    branch-and-bound verification.  A network the loader refuses as
+    unsupported (``UnsupportedNetworkError``: an operator, an element type
+    or a branching graph) yields UNKNOWN, mirroring tools that skip a
+    benchmark rather than erroring on it; any other load failure is ERROR.
     """
     start = time.monotonic()
 
@@ -415,12 +417,9 @@ def run_baseline(
 
     try:
         net, spec = _load_instance_problem(inst)
-    except NetworkError as exc:
-        if "unsupported" in str(exc):
-            return record(Status.UNKNOWN)
-        log.warning("baseline failed to load %s: %s", inst.instance_id, exc)
-        return record(Status.ERROR)
-    except (SpecError, OSError) as exc:
+    except UnsupportedNetworkError:
+        return record(Status.UNKNOWN)
+    except (NetworkError, SpecError, OSError) as exc:
         log.warning("baseline failed to load %s: %s", inst.instance_id, exc)
         return record(Status.ERROR)
 
@@ -500,6 +499,7 @@ class CalibrationRequest:
     eps_max: float
     eps_tol: float
 
+    @_QUIET
     def __post_init__(self):
         center = np.asarray(self.center, dtype=np.float64).reshape(-1).copy()
         center.setflags(write=False)
@@ -513,8 +513,7 @@ class CalibrationRequest:
             raise HarnessError("non-finite center")
         if not (self.eps_max > 0):
             raise HarnessError("eps_max must be > 0")
-        with np.errstate(over="ignore"):
-            width = (center + self.eps_max) - (center - self.eps_max)
+        width = (center + self.eps_max) - (center - self.eps_max)
         if not np.all(np.isfinite(width)):
             raise HarnessError(
                 "eps_max %r: the ball around the center is not finite" % self.eps_max
@@ -596,6 +595,7 @@ def make_robustness_oracles(
             return False
         return falsify(net, spec_at(eps), budget) is not None
 
+    @_QUIET
     def certify(eps):
         if eps <= 0:
             return True

@@ -24,6 +24,16 @@ class NetworkError(ValueError):
     """Unsupported construct or inconsistent shapes in a network file."""
 
 
+class UnsupportedNetworkError(NetworkError):
+    """A well-formed network with an operator, element type or branching
+    topology that the loader does not support."""
+
+
+# The one error state: public numeric entries and searches run under it, as
+# a decorator (reentrant, unlike a with statement); private walks set none.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
 @dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned input region with finite per-dimension bounds."""
@@ -58,7 +68,8 @@ class AffineLayer:
     bias: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weight, dtype=np.float64)
+        # C-ordered, so a transposed matrix evaluates bit for bit as its copy
+        w = np.array(self.weight, dtype=np.float64, order="C")
         b = np.array(self.bias, dtype=np.float64).ravel()
         if w.ndim != 2:
             raise NetworkError(f"weight must be 2-D, got shape {w.shape}")
@@ -182,9 +193,8 @@ def _layer_walk(net: Network, v: np.ndarray) -> list[np.ndarray]:
     and the search's own points, which call this walk directly, are finite
     by construction, save a climb point that a NaN gradient makes NaN.  A
     NaN input fails at the first affine layer, but an infinite one may not,
-    as an activation before it can map it to a finite value.  Callers run
-    the walk under
-    ``np.errstate(over="ignore", invalid="ignore")``, so an overflow is
+    as an activation before it can map it to a finite value.  The walk sets
+    no error state: its callers run under ``_QUIET``, so an overflow is
     reported by that check and not as a warning.
     """
     outs = [v]
@@ -202,6 +212,7 @@ def _layer_walk(net: Network, v: np.ndarray) -> list[np.ndarray]:
     return outs
 
 
+@_QUIET
 def layer_outputs(net: Network, x) -> list[np.ndarray]:
     """The input followed by every layer's output, in float64.
 
@@ -220,8 +231,7 @@ def layer_outputs(net: Network, x) -> list[np.ndarray]:
         raise ValueError(f"expected {net.n_inputs} inputs, got {v.shape[-1]}")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite input")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _layer_walk(net, v)
+    return _layer_walk(net, v)
 
 
 def forward(net: Network, x) -> np.ndarray:
@@ -263,7 +273,7 @@ def _tensor_to_array(t: dict) -> tuple[np.ndarray, int]:
     dims = t.get("dims", [])
     dt = t.get("data_type", 0)
     if dt not in _ELEMENTS:
-        raise NetworkError(f"tensor '{name}' has unsupported element type {dt}")
+        raise UnsupportedNetworkError(f"tensor '{name}' has unsupported element type {dt}")
     dtype, field = _ELEMENTS[dt]
     raw = t.get("raw_data", b"")
     if len(raw) % np.dtype(dtype).itemsize:
@@ -345,18 +355,18 @@ class _GraphWalker:
                 self.params[outs[0]] = _tensor_to_array(attrs["value"]["t"])
                 continue
             if cur not in ins:
-                raise NetworkError(
+                raise UnsupportedNetworkError(
                     f"node '{label}' ({op}) is off the single data path; "
                     "branching graphs are unsupported"
                 )
             if ins.count(cur) > 1:
-                raise NetworkError(
+                raise UnsupportedNetworkError(
                     f"node '{label}' ({op}) consumes the data path twice; "
                     "branching graphs are unsupported"
                 )
             for other in ins:
                 if other != cur and other not in self.params:
-                    raise NetworkError(
+                    raise UnsupportedNetworkError(
                         f"node '{label}' ({op}) joins two computed values; "
                         "branching graphs are unsupported"
                     )
@@ -369,7 +379,7 @@ class _GraphWalker:
             elif op == "Reshape":
                 self.check_reshape(label, ins, cur, width)
             elif op not in ("Flatten", "Identity"):
-                raise NetworkError(f"unsupported operator {op} (node '{label}')")
+                raise UnsupportedNetworkError(f"unsupported operator {op} (node '{label}')")
             cur, prev = outs[0], op
         return cur, width
 
@@ -477,8 +487,9 @@ class _GraphWalker:
 def load_network(source) -> Network:
     """Load a network from ONNX bytes or a file path.
 
-    A malformed or unsupported file raises ``NetworkError``; an unreadable
-    path raises ``OSError``.
+    A malformed file raises ``NetworkError``, and an unsupported one its
+    subclass ``UnsupportedNetworkError``; an unreadable path raises
+    ``OSError``.
     """
     if isinstance(source, (bytes, bytearray)):
         data = bytes(source)

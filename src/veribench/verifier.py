@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import _affine_forms, _constraint_rows, _meet, _plan
-from .network import ActivationLayer, Network, _layer_walk, forward, layer_outputs
+from .network import _QUIET, ActivationLayer, Network, _layer_walk, forward, layer_outputs
 from .speclang import _VAR_RE, NormalizedSpec, Witness
 
 # Boxes narrower than this per dimension are not split further.
@@ -55,10 +55,6 @@ WITNESS_TOL = 1e-6
 
 # A PGD step moves this fraction of its box's width per dimension.
 PGD_STEP_SCALE = 0.1
-
-# The searches run under this error state: a value that overflows is caught
-# by the layer walk's finiteness check, not reported as a warning.
-_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 class Status(str, Enum):
@@ -135,6 +131,7 @@ def _backprop(net: Network, outs: list, a_y) -> np.ndarray:
     return g
 
 
+@_QUIET
 def output_combination_gradient(net: Network, x, a_y) -> np.ndarray:
     """d/dx of a_y . f(x), by reverse accumulation through the layers.
 
@@ -142,7 +139,10 @@ def output_combination_gradient(net: Network, x, a_y) -> np.ndarray:
     batch: row i of the ``(N, n)`` result is the gradient of
     ``a_y[i] . f(x[i])``; an ``a_y`` of shape ``(m,)`` weighs every row.
     ``x`` is checked as ``layer_outputs`` checks it, and the walk back runs
-    on a copy of ``a_y``, so the caller's array is never written.
+    on a copy of ``a_y``, so the caller's array is never written.  The walk
+    back is not checked: a gradient that overflows is returned as it is,
+    inf or NaN (an inactive ReLU masking an infinite one gives 0 * inf),
+    with no warning.
     """
     outs = layer_outputs(net, x)
     a_y = np.array(np.broadcast_to(a_y, outs[-1].shape), dtype=np.float64)
@@ -235,8 +235,7 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
     gradient that is NaN makes NaN climb points, which fail as
     ``ArithmeticError`` at the walk's first affine layer (with no affine
     layer the gradient cannot be NaN).  The search runs under
-    ``np.errstate(over="ignore", invalid="ignore")``, so an overflow is that
-    error and not a warning.
+    ``network._QUIET``, so an overflow is that error and not a warning.
 
     The wall clock is checked between blocks and between steps; past it,
     the result is None.  Deterministic for a fixed budget.seed, and the
@@ -445,6 +444,7 @@ def verify(net: Network, spec: NormalizedSpec, budget: Budget) -> Outcome:
 # Witness validation and file format
 
 
+@_QUIET
 def validate_witness(net: Network, spec: NormalizedSpec, witness: Witness) -> bool:
     """Recompute the outputs at witness.x and check spec satisfaction.
 
@@ -452,10 +452,12 @@ def validate_witness(net: Network, spec: NormalizedSpec, witness: Witness) -> bo
     holds at (x, y = f(x)), each inequality slackened by
     ``WITNESS_TOL * scale``: an input bound ``lo <= x_i <= hi`` with scale
     ``max(1, |x_i|, |lo|, |hi|)``, a row ``lhs = a_y . y + b_x . x <= rhs``
-    with scale ``max(1, |lhs|, |rhs|)``.  Every disjunct is checked at once
+    with scale ``max(1, |lhs|, |rhs|)``, where an lhs that is not finite
+    takes no scale from its own size: a row whose lhs overflows to +inf or
+    is NaN fails, and one at -inf holds.  Every disjunct is checked at once
     on ``spec.rows`` and ``spec.boxes``, the arrays the search reads; a
     padding row always holds.  A claimed output vector that disagrees with
-    the recomputation fails validation with a warning.
+    the recomputation, or holds a NaN, fails validation with a warning.
     """
     x = np.asarray(witness.x, dtype=np.float64)
     if x.size != spec.n_inputs:
@@ -467,7 +469,7 @@ def validate_witness(net: Network, spec: NormalizedSpec, witness: Witness) -> bo
             raise ValueError(
                 f"witness claims {yc.size} outputs, network has {y.size}"
             )
-        if np.any(np.abs(yc - y) > _witness_slack(np.abs(y))):
+        if not np.all(np.abs(yc - y) <= _witness_slack(np.abs(y))):
             worst = float(np.max(np.abs(yc - y)))
             warnings.warn(
                 f"claimed-output mismatch: deviation {worst:.3g} exceeds tolerance",
@@ -482,10 +484,13 @@ def _satisfied(spec: NormalizedSpec, x: np.ndarray, y: np.ndarray) -> bool:
     (a_y, b_x, rhs), (lo, hi) = spec.rows, spec.boxes
     lhs = a_y @ y + b_x @ x  # (D, k)
     box_slack = _witness_slack(np.maximum(np.maximum(np.abs(x), np.abs(lo)), np.abs(hi)))
-    row_slack = _witness_slack(np.maximum(np.abs(lhs), np.abs(rhs)))
-    outside = ((x < lo - box_slack) | (x > hi + box_slack)).any(axis=1)
-    over = (lhs > rhs + row_slack).any(axis=1)
-    return bool((~outside & ~over).any())
+    # an lhs that is not finite takes no slack from its own size
+    lhs_size = np.where(np.isfinite(lhs), np.abs(lhs), 0.0)
+    row_slack = _witness_slack(np.maximum(lhs_size, np.abs(rhs)))
+    # each test is written so that NaN fails it
+    inside = ((lo - box_slack <= x) & (x <= hi + box_slack)).all(axis=1)
+    holds = (lhs <= rhs + row_slack).all(axis=1)
+    return bool((inside & holds).any())
 
 
 def _witness_slack(magnitude):

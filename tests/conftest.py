@@ -50,6 +50,25 @@ def make_random_network(
     return Network(tuple(layers), n_in, n_out, precision=precision)
 
 
+# Its output 1e-200 * X_0 is finite, but on X_0 > 0 the inactive ReLU masks
+# an overflowed gradient: a_y = -1 walks back to -1e400 * 0, NaN.
+NAN_GRADIENT_NET = Network(
+    (
+        AffineLayer(np.array([[1.0], [-1.0]]), np.zeros(2)),
+        ActivationLayer("relu"),
+        AffineLayer(np.diag([1e-200, 1e200]), np.zeros(2)),
+        AffineLayer(np.array([[1.0, 1e200]]), np.zeros(1)),
+    ),
+    1,
+    1,
+)
+# a row that climbs on NAN_GRADIENT_NET's NaN gradient
+NAN_GRADIENT_SPEC = (
+    "(declare-const X_0 Real)(declare-const Y_0 Real)"
+    "(assert (>= X_0 1.0))(assert (<= X_0 2.0))(assert (>= Y_0 1.0))"
+)
+
+
 def constant_node(outputs) -> dict:
     """An ONNX Constant node holding the float32 scalar 5.0."""
     const = {"name": "c", "dims": [1], "data_type": wire.FLOAT32,

@@ -33,18 +33,19 @@ the parsed assertions, and ``witness_rule_reference`` is the witness rule of
 ``verifier.validate_witness`` written as a scalar loop.
 """
 
+import math
+
 import numpy as np
 
 from veribench import verifier
-from veribench.network import ActivationLayer, AffineLayer, Network, layer_outputs
+from veribench.network import _QUIET, ActivationLayer, AffineLayer, Network, layer_outputs
 from veribench.speclang import (
     BoolTerm,
     Conjunct,
     NormalizedSpec,
     Witness,
 )
-from veribench.bounds import _box_rows, affine_bounds, constraint_lower_bound
-from veribench.network import Box
+from veribench.bounds import _affine_forms, _constraint_rows, _plan
 from veribench.verifier import (
     MIN_SPLIT_WIDTH,
     WITNESS_TOL,
@@ -63,15 +64,18 @@ UNDECIDED = "undecided"
 
 
 def _conjunct_holds(conj: Conjunct, x, y, slack) -> bool:
-    """Each input bound, then each row, may miss by slack(its values)."""
+    """Each input bound, then each row, may miss by slack(its values).
+
+    Each test is written so that NaN fails it.
+    """
     for i, (lo, hi) in enumerate(zip(conj.input_lower, conj.input_upper)):
         s = slack(x[i], lo, hi)
-        if x[i] < lo - s or x[i] > hi + s:
+        if not lo - s <= x[i] <= hi + s:
             return False
     for a_y, b_x, rhs in zip(conj.a_y, conj.b_x, conj.rhs):
         lhs = float(np.dot(a_y, y) + np.dot(b_x, x))
         s = slack(lhs, rhs)
-        if lhs > rhs + s:
+        if not lhs <= rhs + s:
             return False
     return True
 
@@ -81,7 +85,8 @@ def _no_slack(*values) -> float:
 
 
 def _relative_slack(*values) -> float:
-    return WITNESS_TOL * max(1.0, *map(abs, values))
+    # a value that is not finite gives no slack from its own size
+    return WITNESS_TOL * max(1.0, *(abs(v) for v in values if math.isfinite(v)))
 
 
 def conjunct_satisfied(conj: Conjunct, x, y) -> bool:
@@ -99,8 +104,9 @@ def witness_rule_reference(spec: NormalizedSpec, x, y) -> bool:
     """The witness rule, one disjunct and one inequality at a time.
 
     An inequality may miss by WITNESS_TOL * scale, where scale is the
-    largest of 1 and the magnitudes it compares: x_i and its bounds, or a
-    row's lhs and rhs.
+    largest of 1 and the finite magnitudes it compares: x_i and its bounds,
+    or a row's lhs and rhs.  So a row whose lhs is +inf or NaN fails, and
+    one at -inf holds.
     """
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     return any(_conjunct_holds(c, x, y, _relative_slack) for c in spec.disjuncts)
@@ -367,56 +373,57 @@ def _accepted(net, spec, conj, x):
     return w if validate_witness(net, spec, w) else None
 
 
+@_QUIET
 def reference_search(net: Network, spec: NormalizedSpec):
     """Depth-first branch-and-bound, one box at a time, with no budget.
 
-    Per node: probe the midpoint, bound the box with ``affine_bounds`` and
-    meet the result with the parent's output box, prune when a constraint's
-    ``constraint_lower_bound`` exceeds its rhs, probe the corners minimizing
-    the first 8 rows' back-substituted lower forms, split the widest
-    dimension and visit the left child first; a cell too narrow to split is
-    dropped undecided.  Disjuncts are searched one after another.  Returns
-    (status, witness, nodes) with status one of "violated", "holds" and
-    "unknown" (no witness, but some cell too narrow to split).  ReLU
-    networks only.
+    Per node: probe the midpoint, bound the box with the bound core on a
+    batch of one and meet the result with the parent's output bounds,
+    prune when some row's back-substituted lower bound exceeds its rhs,
+    probe the corners minimizing the first 8 rows' back-substituted lower
+    forms, split the widest dimension and visit the left child first; a
+    cell too narrow to split is dropped undecided.  The core bounds each
+    row on its own, so all of a box's rows are bounded in one call.
+    Disjuncts are searched one after another.  Returns (status, witness,
+    nodes) with status one of "violated", "holds" and "unknown" (no
+    witness, but some cell too narrow to split).  ReLU networks only.
     """
+    plan = _plan(net)
     nodes, undecided = 0, False
     for conj in spec.disjuncts:
         a_y, b_x, rhs = conj.a_y, conj.b_x, conj.rhs
-        stack = [(Box(conj.input_lower, conj.input_upper), None)]
+        stack = [(conj.input_lower, conj.input_upper, None)]
         while stack:
-            box, inherited = stack.pop()
+            lower, upper, inherited = stack.pop()
             nodes += 1
-            w = _accepted(net, spec, conj, 0.5 * (box.lower + box.upper))
+            w = _accepted(net, spec, conj, 0.5 * (lower + upper))
             if w is not None:
                 return "violated", w, nodes
-            ab = affine_bounds(net, box)
-            out_lo, out_hi = ab.output_box.lower, ab.output_box.upper
+            lo, hi = lower[None], upper[None]
+            _, relaxation, y = _affine_forms(plan, lo, hi)
+            out_lo, out_hi = y[0, : net.n_outputs], -y[0, net.n_outputs :]
             if inherited is not None:
                 out_lo = np.maximum(out_lo, inherited[0])
                 out_hi = np.minimum(out_hi, inherited[1])
                 bad = out_lo > out_hi  # rounding noise: collapse to the middle
                 mid = 0.5 * (out_lo + out_hi)
                 out_lo, out_hi = np.where(bad, mid, out_lo), np.where(bad, mid, out_hi)
-            out_box = Box(out_lo, out_hi)
-            if any(
-                constraint_lower_bound(ab, a, b, out_box) > r
-                for a, b, r in zip(a_y, b_x, rhs)
-            ):
+            y = np.concatenate([out_lo, -out_hi])[None]
+            lb, coef = _constraint_rows(plan, relaxation, lo, hi, y, a_y, b_x)
+            if (lb[0] > rhs).any():
                 continue
-            _, coef = _box_rows(ab, a_y[:8], b_x[:8], out_box)
-            for row in coef:
-                w = _accepted(net, spec, conj, np.where(row > 0, box.lower, box.upper))
+            for row in coef[0, :8]:
+                w = _accepted(net, spec, conj, np.where(row > 0, lower, upper))
                 if w is not None:
                     return "violated", w, nodes
-            width = box.upper - box.lower
+            width = upper - lower
             dim = int(np.argmax(width))
             if width[dim] < MIN_SPLIT_WIDTH:
                 undecided = True  # this cell is undecided; the search goes on
                 continue
-            mid = 0.5 * (box.lower[dim] + box.upper[dim])
-            left_hi, right_lo = box.upper.copy(), box.lower.copy()
+            mid = 0.5 * (lower[dim] + upper[dim])
+            left_hi, right_lo = upper.copy(), lower.copy()
             left_hi[dim] = right_lo[dim] = mid
-            stack.append((Box(right_lo, box.upper), (out_lo, out_hi)))
-            stack.append((Box(box.lower, left_hi), (out_lo, out_hi)))
+            stack.append((right_lo, upper, (out_lo, out_hi)))
+            stack.append((lower, left_hi, (out_lo, out_hi)))
     return ("unknown" if undecided else "holds"), None, nodes

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,25 @@ def test_affine_bounds_reject_sigmoid():
         affine_bounds(net, Box([0.0], [1.0]))
 
 
+def test_affine_bounds_constant_that_overflows_is_an_error():
+    # on the point box at 2**600, the forms (2**500, -2**500) and the
+    # bounds are finite, but the constant (2**500 - 2**500) . 2**600 is not
+    net = Network(
+        (
+            AffineLayer(np.array([[2.0**300, -(2.0**300)]]), np.zeros(1)),
+            AffineLayer(np.array([[2.0**200]]), np.zeros(1)),
+        ),
+        2,
+        1,
+    )
+    box = Box([2.0**600] * 2, [2.0**600] * 2)
+    assert interval_bounds(net, box)[-1].upper[0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            affine_bounds(net, box)
+
+
 def test_constraint_lower_bound_sound():
     rng = np.random.default_rng(17)
     for _ in range(50):
@@ -203,8 +224,9 @@ def test_split_bounds_monotone():
 
 
 def test_meet_collapses_crossings_and_rejects_non_finite_bounds():
-    # stacked [lo | -hi]; the other operand -inf leaves y as it is.  The
-    # core calls _meet under this error state, so overflow is not a warning
+    # stacked [lo | -hi]; the other operand -inf leaves y as it is.  Every
+    # caller of the core runs under this error state, so overflow is not a
+    # warning
     def meet(y):
         y = np.array(y)
         with np.errstate(over="ignore", invalid="ignore"):

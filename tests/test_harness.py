@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import constant_node
+from conftest import NAN_GRADIENT_NET, NAN_GRADIENT_SPEC, constant_node
 import veribench._onnxproto as wire
 import veribench.harness as harness
 from veribench.harness import (
@@ -33,12 +33,13 @@ from veribench.harness import (
 )
 from veribench.bounds import affine_bounds, constraint_lower_bound
 from veribench.network import (
-    AffineLayer, Box, forward, gen_trivial_network, network_to_onnx_bytes, save_network,
+    AffineLayer, Box, UnsupportedNetworkError, forward, gen_trivial_network, load_network,
+    network_to_onnx_bytes, save_network,
 )
 from veribench.scoring import (
     BASELINE_TOOL, RunRecord, build_overhead_model, empty_ledger, read_results_csv, score_records,
 )
-from veribench.verifier import Status
+from veribench.verifier import EASY_VIOLATED_BUDGET, Status, falsify, read_witness, validate_witness
 
 def save_manifest(path, instances) -> None:
     """Write instances back out, paths relative to the manifest location."""
@@ -531,6 +532,88 @@ class TestRunBaseline:
         )
         record = run_baseline(inst)
         assert record.status is Status.UNKNOWN
+
+    @staticmethod
+    def status_of(data, trivial_instance, tmp_path):
+        """The baseline's status on the network bytes data and the trivial spec."""
+        path = tmp_path / "edited.onnx"
+        path.write_bytes(data)
+        inst = dataclasses.replace(trivial_instance, instance_id="edited", network_path=path)
+        return run_baseline(inst).status
+
+    @pytest.mark.parametrize("name", ["unsupported_w", "W0"])
+    def test_ragged_tensor_is_error_whatever_its_name(self, name, trivial_instance, tmp_path):
+        # the status once hung on the word "unsupported" in the message,
+        # which names the tensor
+        model = wire.decode_model(network_to_onnx_bytes(gen_trivial_network(1)))
+        graph = model["graph"]
+        tensor = graph["initializer"][0]
+        tensor["raw_data"] = tensor["raw_data"][:-1]
+        tensor["name"] = graph["node"][0]["input"][1] = name
+        data = wire.encode_model(model)
+        assert self.status_of(data, trivial_instance, tmp_path) is Status.ERROR
+
+    @pytest.mark.parametrize(
+        "tail", [b"\x7b", b"\x08\xff"], ids=["group-wire-type", "truncated-varint"]
+    )
+    def test_unreadable_network_bytes_are_error(self, tail, trivial_instance, tmp_path):
+        # the decoder calls wire type 3 "unsupported"; the file is still unreadable
+        data = network_to_onnx_bytes(gen_trivial_network(1)) + tail
+        assert self.status_of(data, trivial_instance, tmp_path) is Status.ERROR
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda graph: graph["initializer"][0].update(data_type=wire.INT64 + 1),
+            lambda graph: graph["node"].append(
+                {"input": ["v0", "input"], "output": ["res"], "op_type": "Add"}
+            ),
+        ],
+        ids=["element-type", "branching"],
+    )
+    def test_unsupported_construct_is_unknown(self, edit, trivial_instance, tmp_path):
+        model = wire.decode_model(network_to_onnx_bytes(gen_trivial_network(1)))
+        edit(model["graph"])
+        data = wire.encode_model(model)
+        with pytest.raises(UnsupportedNetworkError):
+            load_network(data)
+        assert self.status_of(data, trivial_instance, tmp_path) is Status.UNKNOWN
+
+    def test_timeout_spent_by_falsify_is_timeout(self, trivial_instance):
+        # the trivial spec holds everywhere, so the falsifier returns no
+        # witness only when its first deadline check fires
+        inst = dataclasses.replace(trivial_instance, timeout=1e-9)
+        record = run_baseline(inst)
+        assert record.status is Status.TIMEOUT
+        assert record.seconds == 1e-9
+
+    def test_arithmetic_error_is_error_and_the_batch_goes_on(self, trivial_instance, tmp_path):
+        net_path, spec_path = tmp_path / "nan.onnx", tmp_path / "nan.vnnlib"
+        save_network(NAN_GRADIENT_NET, net_path)
+        spec_path.write_text(NAN_GRADIENT_SPEC)
+        nan = Instance("nan", "bench", net_path, spec_path, 30.0)
+        by_tool = run_batch([nan, trivial_instance], [], tmp_path / "out", n_trivial=0)
+        statuses = [r.status for r in by_tool[BASELINE_TOOL]]
+        assert statuses == [Status.ERROR, Status.VIOLATED]
+
+    def test_witness_found_by_verify_is_saved(self, trivial_instance, tmp_path):
+        # y = x violates only at the single point 0: the falsifier misses
+        # it, and branch-and-bound's first midpoint probe hits it
+        spec_path = tmp_path / "point.vnnlib"
+        spec_path.write_text(
+            "(declare-const X_0 Real)(declare-const Y_0 Real)"
+            "(assert (>= X_0 -1.0))(assert (<= X_0 1.0))"
+            "(assert (>= Y_0 0.0))(assert (<= Y_0 0.0))"
+        )
+        inst = dataclasses.replace(trivial_instance, spec_path=spec_path)
+        net, spec = harness._load_instance_problem(inst)
+        assert falsify(net, spec, EASY_VIOLATED_BUDGET) is None
+        record = run_baseline(inst, witness_dir=tmp_path / "w")
+        assert record.status is Status.VIOLATED
+        assert record.witness_path == str(tmp_path / "w" / "net-spec.txt")
+        witness = read_witness(record.witness_path)
+        assert witness.x == (0.0,)
+        assert validate_witness(net, spec, witness)
 
     def test_corrupt_network_is_error(self, trivial_instance, tmp_path):
         bad = tmp_path / "bad.onnx"

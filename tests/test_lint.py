@@ -78,3 +78,33 @@ def test_every_private_module_name_is_read_in_src():
         and stmt.name.startswith("_") and stmt.name not in read
     ]
     assert not unread, "private functions and classes nothing in src reads: %s" % ", ".join(unread)
+
+
+def test_one_error_state_applied_only_as_a_decorator():
+    # src states its error state once, as network._QUIET, and applies it
+    # only as a decorator: one np.errstate cannot be entered twice as a
+    # context manager, while the decorator form is reentrant
+    calls, entered, quiet = [], [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "errstate":
+                calls.append(where)
+            elif isinstance(node, (ast.With, ast.AsyncWith)) and any(
+                isinstance(n, (ast.Name, ast.Attribute))
+                and "_QUIET" in (getattr(n, "id", None), getattr(n, "attr", None))
+                for item in node.items
+                for n in ast.walk(item.context_expr)
+            ):
+                entered.append(where)
+        if path.name == "network.py":
+            quiet += [
+                "%s:%d" % (path.name, stmt.lineno)
+                for stmt in tree.body
+                if isinstance(stmt, ast.Assign)
+                and [getattr(t, "id", None) for t in stmt.targets] == ["_QUIET"]
+            ]
+    assert len(quiet) == 1 and calls == quiet, "np.errstate calls in src: %s" % calls
+    assert not entered, "with statements entering _QUIET: %s" % entered

@@ -13,6 +13,7 @@ from veribench.network import (
     AffineLayer,
     Network,
     NetworkError,
+    UnsupportedNetworkError,
     forward,
     gen_trivial_network,
     load_network,
@@ -567,6 +568,70 @@ def test_constant_node_used_as_bias():
     net = load_network(wire.encode_model(model))
     assert forward(net, [1.0])[0] == 7.0  # 2*1 + 5
     assert len(_affine_layers(net)) == 1  # fused
+
+
+_M = np.array([[1.0, -2.0], [0.5, 0.25], [3.0, 1.0]])  # (out 3, in 2)
+_C = np.array([0.125, -1.0, 2.0])
+
+
+def _path_model(nodes, tensors, n_in=2) -> bytes:
+    """x of width n_in, the nodes, and their output "y"; float64 tensors."""
+    vtype = {"tensor_type": {"elem_type": wire.DOUBLE,
+                             "shape": {"dim": [{"dim_value": 1}, {"dim_value": n_in}]}}}
+    graph = {
+        "node": nodes,
+        "initializer": [_f64_tensor(name, arr) for name, arr in tensors.items()],
+        "input": [{"name": "x", "type": vtype}],
+        "output": [{"name": "y"}],
+    }
+    return wire.encode_model({"ir_version": 7, "graph": graph})
+
+
+def _gemm(ins, trans_a=0, trans_b=0) -> dict:
+    attrs = [{"name": "transA", "i": trans_a, "type": wire.ATTR_INT},
+             {"name": "transB", "i": trans_b, "type": wire.ATTR_INT}]
+    return {"input": ins, "output": ["y"], "op_type": "Gemm", "attribute": attrs}
+
+
+@pytest.mark.parametrize(
+    "nodes, tensors, error, message",
+    [
+        ([{"input": ["x", "x"], "output": ["y"], "op_type": "Add"}], {"c": _C},
+         UnsupportedNetworkError, "consumes the data path twice"),
+        ([_gemm(["x", "M"], trans_a=1)], {"M": _M},
+         NetworkError, "transA on the data input"),
+        ([_gemm(["M", "x"], trans_b=1)], {"M": _M},
+         NetworkError, "transB on the data input"),
+        ([_gemm(["M", "C", "x"])], {"M": _M, "C": _C},
+         NetworkError, "data path must be input A or B"),
+        ([{"input": ["x", "c"], "output": ["y"], "op_type": "Add"}], {"c": _C},
+         NetworkError, "'Add' operand has 3 entries, expected 2"),
+    ],
+    ids=["data-path-twice", "transA-on-A", "transB-on-B", "data-as-C", "add-operand-size"],
+)
+def test_loader_refusals(nodes, tensors, error, message):
+    with pytest.raises(NetworkError, match=message) as excinfo:
+        load_network(_path_model(nodes, tensors))
+    assert type(excinfo.value) is error
+
+
+@pytest.mark.parametrize(
+    "gemm, matrix",
+    [(_gemm(["M", "x", "C"]), _M), (_gemm(["Mt", "x", "C"], trans_a=1), _M.T)],
+    ids=["A.x", "A.T.x"],
+)
+def test_data_path_as_gemm_input_b(gemm, matrix):
+    # A . x + C (or A.T . x + C) is the Gemm-only layer x -> M x + C
+    loaded = load_network(_path_model([gemm], {"M": matrix, "Mt": matrix, "C": _C}))
+    _assert_same_affine_layers(Network((AffineLayer(_M, _C),), 2, 3), loaded)
+
+
+def test_standalone_add_loads_as_an_identity_layer():
+    c = _C[:2]
+    loaded = load_network(
+        _path_model([{"input": ["c", "x"], "output": ["y"], "op_type": "Add"}], {"c": c})
+    )
+    _assert_same_affine_layers(Network((AffineLayer(np.eye(2), c),), 2, 2), loaded)
 
 
 def test_sub_both_orders():

@@ -581,3 +581,46 @@ def test_strict_warning_names_its_line():
     with pytest.warns(UserWarning) as record:
         parse_vnnlib(_DECLS + "\n; c\n\n(assert (< X_0 1))")
     assert [str(w.message) for w in record] == ["strict '<' at line 4 treated as non-strict"]
+
+
+_TWELVE_ORS = "".join(f"(or (<= Y_0 {k}) (>= Y_0 {k + 1}))" for k in range(12))
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        (_DECLS + "\n(assert (<= X_0 ()))", "expected operator", 2, 17),
+        (_DECLS + "\n(assert (<= X_0 (+)))", "operator '+' needs arguments", 2, 17),
+        (_DECLS + "\n(assert (<= X_0 (/ 1 2)))", "unsupported operator '/'", 2, 17),
+        (_DECLS + "\n(assert X_0)", "expected boolean term, got 'X_0'", 2, 9),
+        (_DECLS + "\n(assert (()))", "expected boolean operator", 2, 9),
+        (_DECLS + "\n(assert (and))", "empty (and)", 2, 9),
+        (_DECLS + "\n(assert (<= X_0))", "'<=' takes exactly two arguments", 2, 9),
+        (_DECLS + "\n(assert (not (<= X_0 1)))", "unsupported operator 'not'", 2, 9),
+        (_DECLS + "\n()", "expected command", 2, 1),
+        (_DECLS + "\n(declare-const X_1)", "malformed declare-const", 2, 1),
+        (_DECLS + "\n(declare-const X_1 Int)", "only Real declarations are supported", 2, 1),
+        (_DECLS + "\n(assert (<= X_0 1) (<= X_0 2))", "assert takes one term", 2, 1),
+        (_DECLS + "\n(check-sat)", "unsupported command 'check-sat'", 2, 1),
+        # 2**12 disjuncts from the and, then one more from the or
+        (
+            _DECLS + "\n(assert (or (and " + _TWELVE_ORS + ") (<= Y_0 0)))",
+            "specification too disjunctive",
+            None,
+            None,
+        ),
+    ],
+    ids=[
+        "expr-no-operator", "operator-no-arguments", "expr-operator", "bare-term",
+        "term-no-operator", "empty-and", "arity", "bool-operator", "non-command",
+        "malformed-declare-const", "non-real-declare-const", "assert-two-terms",
+        "command", "or-past-max-disjuncts",
+    ],
+)
+def test_every_refusal_names_its_place(text, message, line, col):
+    with pytest.raises(SpecError) as excinfo:
+        to_dnf(parse_vnnlib(text))
+    err = excinfo.value
+    assert (err.line, err.col) == (line, col)
+    where = "" if line is None else " (line %d, column %d)" % (line, col)
+    assert str(err) == message + where

@@ -810,6 +810,33 @@ def test_validate_witness_relative_tolerance_scales():
     assert validate_witness(big, spec, Witness((x,))) is True
 
 
+@pytest.mark.parametrize(
+    "lo, x, holds",
+    [("0.0", 1e10, False), ("-10000000000.0", -1e10, True)],
+    ids=["plus-inf", "minus-inf"],
+)
+def test_witness_rule_on_a_row_whose_lhs_overflows(lo, x, holds):
+    # 1e300 * y overflows; an lhs at +inf took a slack of its own size,
+    # inf, and so passed
+    spec = _spec(
+        "(declare-const X_0 Real)(declare-const Y_0 Real)"
+        f"(assert (>= X_0 {lo}))(assert (<= X_0 1e10))(assert (<= (* 1e300 Y_0) -1))"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate_witness(IDENTITY, spec, Witness((x,))) is holds
+    with np.errstate(over="ignore"):
+        assert oracles.witness_rule_reference(spec, [x], [x]) is holds
+
+
+def test_validate_witness_refuses_a_nan_claimed_output():
+    # nan > slack is false, so a NaN claim passed the claimed-output check
+    w = parse_witness("X_0 0.75\nY_0 nan\n")
+    assert validate_witness(RELU_NET, VIOLATED_SPEC, Witness(w.x)) is True
+    with pytest.warns(UserWarning, match="claimed-output mismatch: deviation nan"):
+        assert validate_witness(RELU_NET, VIOLATED_SPEC, w) is False
+
+
 def test_validate_witness_matches_scalar_reference():
     # every disjunct at once on the padded rows, against the scalar loop, on
     # specs with no disjuncts or disjuncts with no rows, magnitudes from 1e-3
