@@ -149,10 +149,17 @@ def _skip_field(buf: bytes, pos: int, end: int, wire: int) -> int:
 
 
 def _parse(msg_name: str, buf: bytes, pos: int, end: int) -> dict:
+    # The common reads are inline: one-byte keys and lengths, nested
+    # messages and strings.  Every other read goes through _read_varint or
+    # _read_scalar, and every one stops at end, not at the end of buf.
     schema = _SCHEMAS[msg_name]
     out: dict = {}
     while pos < end:
-        key, pos = _read_varint(buf, pos, end)
+        key = buf[pos]
+        if key < 0x80:
+            pos += 1
+        else:
+            key, pos = _read_varint(buf, pos, end)
         field_no, wire = key >> 3, key & 7
         spec = schema.get(field_no)
         if spec is None:
@@ -160,14 +167,25 @@ def _parse(msg_name: str, buf: bytes, pos: int, end: int) -> dict:
             continue
         name, kind, repeated = spec
 
-        if kind not in _SCALAR_KINDS:
+        if (kind == "string" and wire == _WIRE_LEN) or kind not in _SCALAR_KINDS:
             if wire != _WIRE_LEN:
                 raise WireDecodeError(f"{msg_name}.{name}: expected length-delimited")
-            length, pos = _read_varint(buf, pos, end)
-            if pos + length > end:
+            if pos < end and buf[pos] < 0x80:
+                length = buf[pos]
+                pos += 1
+            else:
+                length, pos = _read_varint(buf, pos, end)
+            stop = pos + length
+            if stop > end:
                 raise WireDecodeError(f"{msg_name}.{name} overruns message")
-            value = _parse(kind, buf, pos, pos + length)
-            pos += length
+            if kind != "string":
+                value = _parse(kind, buf, pos, stop)
+            else:
+                try:
+                    value = str(buf[pos:stop], "utf-8")
+                except UnicodeDecodeError as exc:
+                    raise WireDecodeError(f"{msg_name}.{name}: invalid UTF-8") from exc
+            pos = stop
             if repeated:
                 out.setdefault(name, []).append(value)
             else:
@@ -211,16 +229,12 @@ def _read_scalar(msg_name, name, kind, buf, pos, end, wire):
                 raise WireDecodeError(f"{msg_name}.{name}: bad packed {label} block")
             vals = list(struct.unpack_from(f"<{length // size}{code}", buf, pos))
             return vals, pos + length
-    elif kind in ("string", "bytes"):
+    elif kind == "bytes":  # strings are read in _parse
         if wire == _WIRE_LEN:
             length, pos = _read_varint(buf, pos, end)
             if pos + length > end:
                 raise WireDecodeError(f"{msg_name}.{name} overruns message")
-            raw = bytes(buf[pos : pos + length])
-            try:
-                return [raw.decode("utf-8") if kind == "string" else raw], pos + length
-            except UnicodeDecodeError as exc:
-                raise WireDecodeError(f"{msg_name}.{name}: invalid UTF-8") from exc
+            return [bytes(buf[pos : pos + length])], pos + length
     raise WireDecodeError(f"{msg_name}.{name}: wire type {wire} does not fit {kind}")
 
 

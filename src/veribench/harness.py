@@ -19,6 +19,7 @@ import math
 import os
 import select
 import shlex
+import shutil
 import signal
 import subprocess
 import time
@@ -116,7 +117,9 @@ class ToolAdapter:
     write the result file: first line a status token, second line an
     optional witness path.  The run and prepare commands are split into
     tokens once, here; one that does not split (an unclosed quote, a
-    trailing escape) raises ``HarnessError`` naming the tool.
+    trailing escape) raises ``HarnessError`` naming the tool.  A bare
+    program name (``sh``) is looked up on ``PATH`` here too, not at every
+    launch; one not found stays bare, so its runs fail to launch as ERROR.
     """
 
     tool: str
@@ -139,6 +142,8 @@ class ToolAdapter:
                     "adapter %s: cannot split its %s command %r: %s"
                     % (self.tool, name, command, exc)
                 ) from None
+            if tokens:  # which() returns a path as given, when it is executable
+                tokens = (shutil.which(tokens[0]) or tokens[0],) + tokens[1:]
             object.__setattr__(self, name + "_tokens", tokens)
 
     def argv(self, network, spec, timeout, result) -> list:
@@ -228,8 +233,19 @@ def load_manifest(path, *, require_files: bool = False) -> list:
 # ---------------------------------------------------------------------------
 # subprocess runner
 
-def _load_instance_problem(inst: Instance):
-    return load_network(inst.network_path), load_spec(inst.spec_path)
+def _load_instance_problem(inst: Instance, decoded: Optional[dict] = None):
+    """The instance's network and spec.  With ``decoded``, a file already
+    loaded into it is not decoded again; nets and specs are keyed apart, by
+    path, and are immutable, so runs can share them.  A load that raises
+    stores nothing, so every run that reads a bad file fails on its own."""
+    if decoded is None:
+        decoded = {}
+    net_key, spec_key = ("network", inst.network_path), ("spec", inst.spec_path)
+    if net_key not in decoded:
+        decoded[net_key] = load_network(inst.network_path)
+    if spec_key not in decoded:
+        decoded[spec_key] = load_spec(inst.spec_path)
+    return decoded[net_key], decoded[spec_key]
 
 
 def _parse_result_file(path: Path):
@@ -283,6 +299,7 @@ def run_tool(
     *,
     result_dir,
     strict_witness: bool = True,
+    decoded: Optional[dict] = None,
 ) -> RunRecord:
     """Run one adapter on one instance under its timeout.
 
@@ -294,6 +311,12 @@ def run_tool(
     Recorded raw time is capped at the timeout so a late kill cannot
     distort overhead minima.  A crashing adapter yields an ERROR record,
     never an exception.
+
+    A VIOLATED claim with a witness is checked, under strict_witness,
+    against the instance's network and spec after the clock stops, so the
+    check is never run time.  Called alone, the run decodes both files;
+    ``run_batch`` passes ``decoded``, its one memo for the batch, so each
+    file decodes at most once per batch (see ``_load_instance_problem``).
     """
     result_dir = Path(result_dir)
     result_dir.mkdir(parents=True, exist_ok=True)
@@ -348,7 +371,7 @@ def run_tool(
     if status is Status.VIOLATED and witness and strict_witness:
         try:
             claimed = read_witness(witness)  # before the costlier network and spec
-            net, spec = _load_instance_problem(inst)
+            net, spec = _load_instance_problem(inst, decoded)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 ok = validate_witness(net, spec, claimed)
@@ -723,6 +746,10 @@ def run_batch(
     crashing adapter contributes ERROR records but never aborts the batch.
     A negative n_trivial or a failing prepare command raises
     ``HarnessError`` before any instance runs.
+
+    The adapters' witness checks share one memo of decoded nets and specs,
+    so each instance file decodes at most once per call.  The baseline does
+    not use it: its recorded time includes loading its own instance.
     """
     if n_trivial < 0:
         raise HarnessError("n_trivial must be >= 0")
@@ -734,6 +761,7 @@ def run_batch(
     if n_trivial > 0 and (adapters or baseline):
         warmups = trivial_instances(n_trivial, out_dir / "trivial")
     by_tool: dict = {}
+    decoded: dict = {}
 
     for adapter in adapters:
         rows = by_tool.setdefault(adapter.tool, [])
@@ -744,6 +772,7 @@ def run_batch(
                     inst,
                     result_dir=out_dir / "results" / adapter.tool,
                     strict_witness=strict_witness,
+                    decoded=decoded,
                 )
             )
         for inst in warmups:

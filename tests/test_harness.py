@@ -5,6 +5,7 @@ scripts driven through the real subprocess path."""
 import dataclasses
 import math
 import os
+import shutil
 import signal
 import time
 from pathlib import Path
@@ -153,6 +154,24 @@ class TestInstanceAndAdapter:
     def test_empty_run_template_rejected(self):
         with pytest.raises(HarnessError, match="needs a run command"):
             ToolAdapter(tool="t", run_template="   ")
+
+    def test_bare_program_looked_up_once_when_built(
+        self, trivial_instance, tmp_path, monkeypatch
+    ):
+        adapter = ToolAdapter(tool="t", run_template="sh -c 'echo holds > \"$0\"' {result}")
+        assert adapter.run_tokens[0] == shutil.which("sh")
+        monkeypatch.setenv("PATH", "")  # no lookup is left for the launch
+        record = run_tool(adapter, trivial_instance, result_dir=tmp_path / "r")
+        assert record.status is Status.HOLDS
+
+    def test_program_not_on_path_stays_bare_and_fails_as_error(
+        self, trivial_instance, tmp_path
+    ):
+        adapter = ToolAdapter(tool="t", run_template="no-such-tool-xyz {result}", prepare="./p")
+        assert adapter.run_tokens[0] == "no-such-tool-xyz"
+        assert adapter.prepare_tokens == ("./p",)  # a path is not looked up
+        record = run_tool(adapter, trivial_instance, result_dir=tmp_path / "r")
+        assert record.status is Status.ERROR
 
 
 class TestManifest:
@@ -386,6 +405,23 @@ class TestRunTool:
             "witness validation failed for echo on net-spec: bad witness line 1: "
             "'X_0 not-a-number'; output at %s" % (tmp_path / "r" / "net-spec.out")
         ]
+
+    def test_witness_check_is_not_run_time(
+        self, runner, trivial_instance, tmp_path, monkeypatch
+    ):
+        witness = tmp_path / "w.txt"
+        witness.write_text("X_0 0.5\nY_0 0.5\n")
+
+        def slow_load(path):
+            time.sleep(0.3)
+            return load_network(path)
+
+        monkeypatch.setattr(harness, "load_network", slow_load)
+        record = run_tool(
+            runner("violated", extra=str(witness)), trivial_instance, result_dir=tmp_path / "r"
+        )
+        assert record.status is Status.VIOLATED
+        assert record.seconds < 0.3
 
     def test_witness_path_resolved_relative_to_result(
         self, runner, trivial_instance, tmp_path
@@ -1006,6 +1042,87 @@ class TestRunBatch:
         statuses = {r.instance_id: r.status for r in by_tool["randgen"]}
         assert statuses["net-deep"] is Status.ERROR
         assert statuses["net-prop_0"] is Status.VIOLATED
+
+    @staticmethod
+    def count_loads(monkeypatch):
+        loads = []  # (loader, file name), one per call
+
+        def counted(load):
+            def call(path):
+                loads.append((load.__name__, Path(path).name))
+                return load(path)
+
+            return call
+
+        for name in ("load_network", "load_spec"):
+            monkeypatch.setattr(harness, name, counted(getattr(harness, name)))
+        return loads
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_witness_checks_decode_each_file_once_per_batch(
+        self, baseline, runner, tmp_path, monkeypatch
+    ):
+        bench = tmp_path / "mini"
+        bench.mkdir()
+        for net in ("a", "b"):
+            save_network(gen_trivial_network(1), bench / ("%s.onnx" % net))
+        (bench / "p.vnnlib").write_text(TRIVIAL_SPEC_TEXT)
+        (bench / "q.vnnlib").write_text(TRIVIAL_SPEC_TEXT.replace("0.0))\n", "0.25))\n"))
+        manifest = bench / "instances.csv"
+        manifest.write_text("".join(
+            "%s.onnx,%s.vnnlib,20\n" % (net, spec) for net in "ab" for spec in "pq"
+        ))
+        witness = tmp_path / "w.txt"
+        witness.write_text("X_0 0.5\nY_0 0.5\n")
+        instances = load_manifest(manifest)
+        loads = self.count_loads(monkeypatch)
+        by_tool = run_batch(
+            instances,
+            [runner("violated", extra=str(witness), tool=t) for t in ("one", "two")],
+            tmp_path / "out",
+            baseline=baseline,
+            n_trivial=2 if baseline else 0,
+        )
+        assert [r.status for r in by_tool["one"] + by_tool["two"] if r.benchmark == "mini"] == [
+            Status.VIOLATED
+        ] * 8
+        # the adapters' 8 checks decode each of the 2 nets and 2 specs once;
+        # the baseline decodes its own 4 instances and 2 warm-ups, every run
+        n_baseline = 6 if baseline else 0
+        assert sum(load == "load_network" for load, _ in loads) == 2 + n_baseline
+        assert sum(load == "load_spec" for load, _ in loads) == 2 + n_baseline
+        if not baseline:
+            assert sorted(loads) == [
+                ("load_network", "a.onnx"), ("load_network", "b.onnx"),
+                ("load_spec", "p.vnnlib"), ("load_spec", "q.vnnlib"),
+            ]
+
+    def test_failed_decode_is_not_memoized(self, runner, tmp_path, monkeypatch, caplog):
+        manifest = self.make_manifest(tmp_path, n=1)
+        (manifest.parent / "bad.onnx").write_bytes(b"\x0a")  # a key, then nothing
+        with manifest.open("a") as fh:
+            fh.write("bad.onnx,prop_0.vnnlib,20\n")
+        witness = tmp_path / "w.txt"
+        witness.write_text("X_0 0.5\nY_0 0.5\n")
+        loads = self.count_loads(monkeypatch)
+        with caplog.at_level("WARNING", logger=harness.log.name):
+            by_tool = run_batch(
+                load_manifest(manifest),
+                [runner("violated", extra=str(witness), tool=t) for t in ("one", "two")],
+                tmp_path / "out",
+                baseline=False,
+                n_trivial=0,
+            )
+        for tool in ("one", "two"):
+            statuses = {r.instance_id: r.status for r in by_tool[tool]}
+            assert statuses == {"net-prop_0": Status.VIOLATED, "bad-prop_0": Status.ERROR}
+        assert loads.count(("load_network", "bad.onnx")) == 2
+        assert loads.count(("load_network", "net.onnx")) == 1
+        failed = [m for m in caplog.messages if m.startswith("witness validation failed")]
+        assert [m.split(":")[0] for m in failed] == [
+            "witness validation failed for one on bad-prop_0",
+            "witness validation failed for two on bad-prop_0",
+        ]
 
     def test_end_to_end_determinism(self, runner, tmp_path):
         manifest = self.make_manifest(tmp_path)

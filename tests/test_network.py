@@ -79,6 +79,36 @@ def test_truncated_payload_rejected():
         wire.decode_message("Attribute", GOLDEN_ATTR[:-6])
 
 
+def test_two_byte_key_and_long_string_roundtrip():
+    # Attribute.type (field 20) has a two-byte key, and a string of 128 bytes
+    # or more a two-byte length: both take the decoder's varint path
+    attr = {"name": "n" * 200, "f": 1.0, "type": wire.ATTR_FLOAT}
+    data = wire.encode_message("Attribute", attr)
+    assert data[:3] == b"\x0a\xc8\x01" and data[-3:] == b"\xa0\x01\x01"
+    assert wire.decode_message("Attribute", data) == attr
+    graph = {"node": [{"name": "x" * 300, "op_type": "Relu"}], "name": "g"}
+    assert wire.decode_message("Graph", wire.encode_message("Graph", graph)) == graph
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        (b"\x0a", "truncated varint"),  # a one-byte key, then nothing
+        (b"\x0a\x05al", "Attribute.name overruns message"),  # a one-byte length
+        (b"\xa0", "truncated varint"),  # half of a two-byte key
+    ],
+    ids=["after-key", "at-length", "in-key"],
+)
+def test_truncated_field_rejected_at_its_own_message_end(body, error):
+    # alone the read ends at the end of the bytes; nested in a Node, at the
+    # end of the attribute, with the Node's op_type field after it
+    with pytest.raises(wire.WireDecodeError, match=error):
+        wire.decode_message("Attribute", body)
+    node = b"\x2a" + bytes([len(body)]) + body + b"\x22\x04Relu"
+    with pytest.raises(wire.WireDecodeError, match=error):
+        wire.decode_message("Node", node)
+
+
 def _golden_gemm_model() -> bytes:
     """y = 2x + 1 as one Gemm node, assembled field by field."""
     w_tensor = (
