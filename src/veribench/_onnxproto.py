@@ -149,8 +149,8 @@ def _skip_field(buf: bytes, pos: int, end: int, wire: int) -> int:
 
 
 def _parse(msg_name: str, buf: bytes, pos: int, end: int) -> dict:
-    # The common reads are inline: one-byte keys and lengths, nested
-    # messages and strings.  Every other read goes through _read_varint or
+    # The common reads are inline: one-byte keys and lengths, nested messages,
+    # strings and bytes.  Every other read goes through _read_varint or
     # _read_scalar, and every one stops at end, not at the end of buf.
     schema = _SCHEMAS[msg_name]
     out: dict = {}
@@ -167,7 +167,7 @@ def _parse(msg_name: str, buf: bytes, pos: int, end: int) -> dict:
             continue
         name, kind, repeated = spec
 
-        if (kind == "string" and wire == _WIRE_LEN) or kind not in _SCALAR_KINDS:
+        if (wire == _WIRE_LEN and kind in ("string", "bytes")) or kind not in _SCALAR_KINDS:
             if wire != _WIRE_LEN:
                 raise WireDecodeError(f"{msg_name}.{name}: expected length-delimited")
             if pos < end and buf[pos] < 0x80:
@@ -178,7 +178,9 @@ def _parse(msg_name: str, buf: bytes, pos: int, end: int) -> dict:
             stop = pos + length
             if stop > end:
                 raise WireDecodeError(f"{msg_name}.{name} overruns message")
-            if kind != "string":
+            if kind == "bytes":
+                value = bytes(buf[pos:stop])
+            elif kind != "string":
                 value = _parse(kind, buf, pos, stop)
             else:
                 try:
@@ -229,12 +231,6 @@ def _read_scalar(msg_name, name, kind, buf, pos, end, wire):
                 raise WireDecodeError(f"{msg_name}.{name}: bad packed {label} block")
             vals = list(struct.unpack_from(f"<{length // size}{code}", buf, pos))
             return vals, pos + length
-    elif kind == "bytes":  # strings are read in _parse
-        if wire == _WIRE_LEN:
-            length, pos = _read_varint(buf, pos, end)
-            if pos + length > end:
-                raise WireDecodeError(f"{msg_name}.{name} overruns message")
-            return [bytes(buf[pos : pos + length])], pos + length
     raise WireDecodeError(f"{msg_name}.{name}: wire type {wire} does not fit {kind}")
 
 

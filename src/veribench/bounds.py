@@ -11,9 +11,10 @@ concretizes both halves at once, and ``np.maximum`` meets two enclosures.
 
 What the bounds read of a network is its bound plan, ``_plan``: per affine
 layer the block, the bias ``[b; -b]`` as a column, and W and b for
-back-substitution; per activation its kind; and the input's forms
-``[I; -I]``.  A search builds the plan once and passes it to every call;
-``affine_bounds`` and ``interval_bounds`` build one per call.
+back-substitution; per ReLU its kind; and the input's forms ``[I; -I]``.
+``_plan`` first refuses other activations (``_check_supported``).  A search
+builds the plan once and passes it to every call; ``affine_bounds`` builds
+one per call, and ``interval_bounds``, which bounds sigmoid and tanh, none.
 
 One batched core, ``_affine_forms``, bounds K boxes at once.  Per layer it
 intersects, in place, the interval image of the previous bounds with the
@@ -63,6 +64,13 @@ class UnsupportedActivationError(ValueError):
     """Affine relaxation only covers ReLU activations."""
 
 
+def _check_supported(net: Network) -> None:
+    """The one statement of what the bound core takes: affine and ReLU layers."""
+    for layer in net.layers:
+        if not isinstance(layer, AffineLayer) and layer.kind != "relu":
+            raise UnsupportedActivationError(f"affine relaxation does not support {layer.kind}")
+
+
 def _check_finite(*arrays) -> None:
     for a in arrays:
         if not np.isfinite(a).all():
@@ -82,7 +90,7 @@ class _Plan(NamedTuple):
     """What the bounds read of one network; see ``_plan``."""
 
     eye: np.ndarray  # [I; -I], (2n, n): the input coefficients of the input's forms
-    steps: tuple  # per layer, an _Affine or the activation's kind
+    steps: tuple  # per layer, an _Affine or "relu"
 
 
 def _stacked(layer: AffineLayer) -> _Affine:
@@ -98,9 +106,10 @@ def _stacked(layer: AffineLayer) -> _Affine:
 def _plan(net: Network) -> _Plan:
     """What the bounds read of the network; a search builds it once.
 
-    It is never stored on the network, since it holds four times the
-    weights.
+    ``_check_supported`` first refuses a network the core does not take.
+    The plan is never stored on the network: it holds four times the weights.
     """
+    _check_supported(net)
     eye = np.eye(net.n_inputs)
     steps = tuple(
         _stacked(layer) if isinstance(layer, AffineLayer) else layer.kind
@@ -138,16 +147,16 @@ def interval_bounds(net: Network, box: Box) -> list[Box]:
         raise ValueError(f"box dimension {box.dim} != network inputs {net.n_inputs}")
     y = np.concatenate([box.lower, -box.upper])[None, :, None]
     out = [box]
-    for step in _plan(net).steps:
-        if isinstance(step, _Affine):
-            y = _interval_affine(step, y)
-        elif step == "relu":
+    for layer in net.layers:
+        if isinstance(layer, AffineLayer):
+            y = _interval_affine(_stacked(layer), y)
+        elif layer.kind == "relu":
             y = _interval_relu(y)
-        else:
-            # sigmoid and tanh are monotone increasing
+        else:  # sigmoid and tanh are monotone increasing
             lo, neg_hi = _halves(y)
             y = np.concatenate(
-                [apply_activation(step, lo), -apply_activation(step, -neg_hi)], axis=1
+                [apply_activation(layer.kind, lo), -apply_activation(layer.kind, -neg_hi)],
+                axis=1,
             )
         _check_finite(y)
         lo, neg_hi = _halves(y[..., 0])
@@ -240,10 +249,6 @@ def _affine_forms(plan: _Plan, lo: np.ndarray, hi: np.ndarray) -> tuple:
             # least value over the box: at the centre, less |A| . radius
             conc = z[..., n:] - np.abs(z[..., :n]) @ rad
             y = _meet(_interval_affine(step, y), conc)
-        elif step != "relu":
-            raise UnsupportedActivationError(
-                f"affine relaxation does not support {step}"
-            )
         else:
             slope, shift = _relu_relaxation(y[..., 0])
             z *= slope[..., None]

@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import _affine_forms, _constraint_rows, _plan
+from .bounds import UnsupportedActivationError, _affine_forms, _check_supported
+from .bounds import _constraint_rows, _plan
 from .network import _QUIET, NetworkError, UnsupportedNetworkError, forward
 from .network import gen_trivial_network, load_network, save_network
 from .scoring import RunRecord, ScoreLedger, write_results_csv
@@ -400,7 +401,10 @@ def prepare_adapter(adapter: ToolAdapter) -> None:
     CLI's report channel."""
     if not adapter.prepare_tokens:
         return
-    proc = subprocess.run(adapter.prepare_tokens, stdout=2)  # fd 2: stderr
+    try:
+        proc = subprocess.run(adapter.prepare_tokens, stdout=2)  # fd 2: stderr
+    except OSError as exc:
+        raise HarnessError("prepare failed for %s: %s" % (adapter.tool, exc)) from None
     if proc.returncode != 0:
         raise HarnessError(
             "prepare failed for %s (exit %d)" % (adapter.tool, proc.returncode)
@@ -424,7 +428,8 @@ def run_baseline(
     branch-and-bound verification.  A network the loader refuses as
     unsupported (``UnsupportedNetworkError``: an operator, an element type
     or a branching graph) yields UNKNOWN, mirroring tools that skip a
-    benchmark rather than erroring on it; any other load failure is ERROR.
+    benchmark rather than erroring on it, as does a net the bound core
+    refuses once the falsifier missed; any other load failure is ERROR.
     """
     start = time.monotonic()
 
@@ -464,9 +469,12 @@ def run_baseline(
         remaining = inst.timeout - (time.monotonic() - start)
         if remaining <= 0:
             return record(Status.TIMEOUT)
+        _check_supported(net)
         outcome = verify(
             net, spec, dataclasses.replace(budget, wall_seconds=remaining)
         )
+    except UnsupportedActivationError:
+        return record(Status.UNKNOWN)
     except (ValueError, ArithmeticError) as exc:
         log.warning("baseline failed on %s: %s", inst.instance_id, exc)
         return record(Status.ERROR)
@@ -595,9 +603,11 @@ def make_robustness_oracles(
     falsifier; the certifier bounds every competing class's margin row by
     back-substitution, in one call of the bound core that branch-and-bound
     uses, and proves the ball robust when every row's lower bound is
-    positive.  The network's bound plan is built once, for all calls.
+    positive.  The network's bound plan is built first, once for all calls,
+    so a network the core refuses is refused before any oracle exists.
     """
     net = req.network
+    plan = _plan(net)
     if net.n_outputs < 2:
         raise HarnessError("robustness calibration needs at least two outputs")
     if budget is None:
@@ -606,7 +616,6 @@ def make_robustness_oracles(
     eye = np.eye(net.n_outputs)
     rows = eye[top] - np.delete(eye, top, axis=0)  # y_top - y_j, one row per j
     zero_x = np.zeros((len(rows), net.n_inputs))
-    plan = _plan(net)
 
     def spec_at(eps):
         lower, upper = req.center - eps, req.center + eps

@@ -43,8 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import _affine_forms, _constraint_rows, _meet, _plan
-from .network import _QUIET, ActivationLayer, Network, _layer_walk, forward, layer_outputs
+from .bounds import UnsupportedActivationError, _affine_forms, _constraint_rows, _meet, _plan
+from .network import _QUIET, Network, _layer_walk, forward, layer_outputs
 from .speclang import _VAR_RE, NormalizedSpec, Witness
 
 # Boxes narrower than this per dimension are not split further.
@@ -244,8 +244,7 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
     restart of any disjunct, raises ``ArithmeticError`` even when an earlier
     row, a lower restart or an earlier disjunct's climb is a witness.
     """
-    if spec.n_inputs != net.n_inputs or spec.n_outputs != net.n_outputs:
-        raise ValueError("spec dimensions do not match network")
+    _check_fits(net, spec)
     rng = np.random.default_rng(budget.seed)
     deadline = time.monotonic() + budget.wall_seconds
 
@@ -334,9 +333,9 @@ _FRONTIER = 32
 
 
 @_QUIET
-def _branch_and_bound(net, spec, budget, deadline, stats):
+def _branch_and_bound(net, spec, plan, budget, deadline, stats):
     """The search of the module docstring over ``spec.boxes`` and
-    ``spec.rows``; returns (status, witness).
+    ``spec.rows``, with the network's bound plan; returns (status, witness).
 
     The frontier is one float array whose rows are ``[lo | hi | inherited]``:
     a node's input bounds lo, hi (n each) and the output bounds it inherits
@@ -345,7 +344,6 @@ def _branch_and_bound(net, spec, budget, deadline, stats):
     """
     (a_y, b_x, rhs), (lower, upper) = spec.rows, spec.boxes
     n = spec.n_inputs
-    plan = _plan(net)
     roots = np.full((len(lower), 2 * n + 2 * spec.n_outputs), -np.inf)
     roots[:, :n], roots[:, n : 2 * n] = lower, upper
     # every disjunct's root, disjunct 0 on top
@@ -408,36 +406,30 @@ def verify(net: Network, spec: NormalizedSpec, budget: Budget) -> Outcome:
 
     HOLDS when every disjunct's box tree is exhausted, VIOLATED on the first
     validated witness, TIMEOUT when the wall clock or subproblem budget runs
-    out, UNKNOWN for unsupported activations (falsifier-only) or when some
-    cell could not be split further and no witness was found.  The search
+    out, UNKNOWN when some cell could not be split further and no witness
+    was found.  A network ``bounds._plan`` refuses gets ``falsify`` alone,
+    under the same budget: VIOLATED on a witness, else UNKNOWN.  The search
     order is the module docstring's; a capped run visits exactly
     ``max_subproblems`` nodes.  When the run is not capped, the status does
     not depend on that order, and a spec that holds visits the same nodes in
     any order; any returned witness is validated.
     """
-    if spec.n_inputs != net.n_inputs or spec.n_outputs != net.n_outputs:
-        raise ValueError("spec dimensions do not match network")
+    _check_fits(net, spec)
     start = time.monotonic()
     stats = Stats()
-
-    def done(status: Status, witness: Witness | None = None) -> Outcome:
-        stats.wall_time = time.monotonic() - start
-        return Outcome(status, witness, stats)
-
-    has_unsupported = any(
-        isinstance(l, ActivationLayer) and l.kind != "relu" for l in net.layers
-    )
-    if has_unsupported:
-        try:
-            w = falsify(net, spec, budget)
-        except ArithmeticError:
-            return done(Status.ERROR)
-        return done(Status.VIOLATED, w) if w is not None else done(Status.UNKNOWN)
-
     try:
-        return done(*_branch_and_bound(net, spec, budget, start + budget.wall_seconds, stats))
+        try:
+            plan = _plan(net)
+        except UnsupportedActivationError:
+            witness = falsify(net, spec, budget)
+            status = Status.UNKNOWN if witness is None else Status.VIOLATED
+        else:
+            deadline = start + budget.wall_seconds
+            status, witness = _branch_and_bound(net, spec, plan, budget, deadline, stats)
     except ArithmeticError:
-        return done(Status.ERROR)
+        status, witness = Status.ERROR, None
+    stats.wall_time = time.monotonic() - start
+    return Outcome(status, witness, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +451,7 @@ def validate_witness(net: Network, spec: NormalizedSpec, witness: Witness) -> bo
     padding row always holds.  A claimed output vector that disagrees with
     the recomputation, or holds a NaN, fails validation with a warning.
     """
+    _check_fits(net, spec)
     x = np.asarray(witness.x, dtype=np.float64)
     if x.size != spec.n_inputs:
         raise ValueError(f"witness has {x.size} inputs, spec needs {spec.n_inputs}")
@@ -477,6 +470,12 @@ def validate_witness(net: Network, spec: NormalizedSpec, witness: Witness) -> bo
             )
             return False
     return _satisfied(spec, x, y)
+
+
+def _check_fits(net: Network, spec: NormalizedSpec) -> None:
+    """The spec must name the network's inputs and outputs, else ``ValueError``."""
+    if spec.n_inputs != net.n_inputs or spec.n_outputs != net.n_outputs:
+        raise ValueError("spec dimensions do not match network")
 
 
 def _satisfied(spec: NormalizedSpec, x: np.ndarray, y: np.ndarray) -> bool:

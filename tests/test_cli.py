@@ -11,9 +11,12 @@ import pytest
 
 from conftest import constant_node
 import veribench._onnxproto as wire
+import veribench.harness as harness
 from veribench.cli import _build_parser, main
 from veribench.harness import TRIVIAL_SPEC_TEXT
-from veribench.network import gen_trivial_network, save_network
+from veribench.network import (
+    ActivationLayer, AffineLayer, Network, gen_trivial_network, save_network,
+)
 from veribench.scoring import RunRecord, read_results_csv, write_results_csv
 from veribench.verifier import Status
 
@@ -249,6 +252,20 @@ class TestValidateCe:
         assert code == 2
         assert capsys.readouterr().out.strip() == "fail"
 
+    def test_spec_that_does_not_fit_the_net(self, tmp_path, capsys):
+        # a 3-output net and a 2-output spec once failed inside numpy
+        net = tmp_path / "wide.onnx"
+        save_network(Network((AffineLayer(np.ones((3, 1)), np.zeros(3)),), 1, 3), net)
+        spec = tmp_path / "narrow.vnnlib"
+        spec.write_text(
+            "(declare-const X_0 Real)(declare-const Y_0 Real)(declare-const Y_1 Real)"
+            "(assert (>= X_0 0.0))(assert (<= X_0 1.0))(assert (>= Y_1 0.5))"
+        )
+        witness = tmp_path / "w.txt"
+        witness.write_text("X_0 0.5\n")
+        assert main(["validate-ce", str(net), str(spec), str(witness)]) == 2
+        assert "spec dimensions do not match network" in capsys.readouterr().err
+
 
 @pytest.fixture()
 def echo_setup(tmp_path, identity_net, sat_spec):
@@ -480,6 +497,16 @@ class TestRunAndOverhead:
         assert (out / "trivial" / "trivial-0.onnx").is_file()
         assert (out / "trivial" / "results" / "echo" / "trivial-0.result").is_file()
 
+    def test_prepare_program_that_does_not_exist_names_the_tool(
+        self, echo_setup, tmp_path, capsys
+    ):
+        config, _ = echo_setup
+        config.write_text(config.read_text() + "adapter.echo.prepare = no-such-prog-xyz\n")
+        argv = ["measure-overhead", "--config", str(config), "--out", str(tmp_path / "warm")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "prepare failed for echo" in err and "no-such-prog-xyz" in err
+
     def test_measure_overhead_zero_trivial_keeps_results(
         self, echo_setup, results_dir, tmp_path, capsys
     ):
@@ -635,6 +662,18 @@ class TestCalibrateEps:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "the ball around the center is not finite" in captured.err
+
+    def test_tanh_net_is_refused_before_searching(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "falsify", lambda *args: calls.append(args))
+        path = tmp_path / "tanh.onnx"
+        net = Network((AffineLayer(np.eye(2), np.zeros(2)), ActivationLayer("tanh")), 2, 2)
+        save_network(net, path)
+        assert main(["calibrate-eps", str(path), "--center", "0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tanh" in captured.err
+        assert calls == []
 
     def test_single_output_is_data_error(self, identity_net, capsys):
         code = main(

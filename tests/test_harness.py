@@ -16,6 +16,7 @@ import pytest
 from conftest import NAN_GRADIENT_NET, NAN_GRADIENT_SPEC, constant_node
 import veribench._onnxproto as wire
 import veribench.harness as harness
+import veribench.verifier as verifier
 from veribench.harness import (
     CalibrationRequest,
     HarnessError,
@@ -32,10 +33,10 @@ from veribench.harness import (
     run_batch,
     run_tool,
 )
-from veribench.bounds import affine_bounds, constraint_lower_bound
+from veribench.bounds import UnsupportedActivationError, affine_bounds, constraint_lower_bound
 from veribench.network import (
-    AffineLayer, Box, UnsupportedNetworkError, forward, gen_trivial_network, load_network,
-    network_to_onnx_bytes, save_network,
+    ActivationLayer, AffineLayer, Box, Network, UnsupportedNetworkError, forward,
+    gen_trivial_network, load_network, network_to_onnx_bytes, save_network,
 )
 from veribench.scoring import (
     BASELINE_TOOL, RunRecord, build_overhead_model, empty_ledger, read_results_csv, score_records,
@@ -532,6 +533,20 @@ class TestProcessLifetime:
                 pass
 
 
+@pytest.fixture()
+def falsify_calls(monkeypatch):
+    """The falsify calls the harness and the verifier make, one entry each."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return falsify(*args)
+
+    monkeypatch.setattr(harness, "falsify", counting)
+    monkeypatch.setattr(verifier, "falsify", counting)
+    return calls
+
+
 class TestRunBaseline:
     def test_trivial_instance_violated_fast(self, trivial_instance, tmp_path):
         record = run_baseline(trivial_instance, witness_dir=tmp_path / "w")
@@ -650,6 +665,29 @@ class TestRunBaseline:
         witness = read_witness(record.witness_path)
         assert witness.x == (0.0,)
         assert validate_witness(net, spec, witness)
+
+    @pytest.mark.parametrize("bound, status", [("2.0", Status.UNKNOWN), ("0.9", Status.VIOLATED)])
+    def test_sigmoid_net_is_falsified_once(
+        self, bound, status, trivial_instance, tmp_path, falsify_calls
+    ):
+        # the bound core refuses sigmoid, so verification would only repeat
+        # the falsify pass with the same seed and counts
+        net_path, spec_path = tmp_path / "sigmoid.onnx", tmp_path / "sigmoid.vnnlib"
+        sig = Network((AffineLayer(np.eye(1), np.zeros(1)), ActivationLayer("sigmoid")), 1, 1)
+        save_network(sig, net_path)
+        spec_path.write_text(
+            "(declare-const X_0 Real)(declare-const Y_0 Real)"
+            "(assert (>= X_0 -4.0))(assert (<= X_0 4.0))(assert (>= Y_0 %s))" % bound
+        )
+        inst = dataclasses.replace(trivial_instance, network_path=net_path, spec_path=spec_path)
+        record = run_baseline(inst, witness_dir=tmp_path / "w")
+        assert record.status is status
+        assert len(falsify_calls) == 1
+        if status is Status.VIOLATED:
+            net, spec = harness._load_instance_problem(inst)
+            assert validate_witness(net, spec, read_witness(record.witness_path))
+        else:
+            assert record.witness_path == ""
 
     def test_corrupt_network_is_error(self, trivial_instance, tmp_path):
         bad = tmp_path / "bad.onnx"
@@ -851,6 +889,13 @@ class TestCalibrateEpsilon:
             with pytest.raises(HarnessError, match="ball around the center is not finite"):
                 CalibrationRequest(net, np.full(2, 0.5), eps_max=eps_max, eps_tol=0.01)
 
+    def test_tanh_net_refused_before_any_oracle_call(self, falsify_calls):
+        net = Network((AffineLayer(np.eye(2), np.zeros(2)), ActivationLayer("tanh")), 2, 2)
+        req = CalibrationRequest(network=net, center=np.zeros(2), eps_max=0.5, eps_tol=0.05)
+        with pytest.raises(UnsupportedActivationError, match="tanh"):
+            make_robustness_oracles(req)
+        assert falsify_calls == []
+
     def test_single_output_rejected(self):
         req = CalibrationRequest(
             network=gen_trivial_network(1), center=np.zeros(1), eps_max=0.1, eps_tol=0.01
@@ -984,6 +1029,12 @@ class TestRunBatch:
         statuses = {r.instance_id: r.status for r in randgen}
         assert statuses["net-prop_0"] is Status.VIOLATED
         assert statuses["net-prop_1"] is Status.HOLDS
+
+    def test_prepare_program_that_does_not_exist_names_the_tool(self, runner, tmp_path):
+        adapter = dataclasses.replace(runner("holds"), prepare="no-such-prog-xyz")
+        with pytest.raises(HarnessError, match="prepare failed for echo: .*no-such-prog-xyz"):
+            run_batch([], [adapter], tmp_path / "t", baseline=False)
+        assert not (tmp_path / "t").exists()
 
     def test_crashing_adapter_never_aborts_batch(self, runner, tmp_path):
         manifest = self.make_manifest(tmp_path)

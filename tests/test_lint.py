@@ -108,3 +108,16 @@ def test_one_error_state_applied_only_as_a_decorator():
             ]
     assert len(quiet) == 1 and calls == quiet, "np.errstate calls in src: %s" % calls
     assert not entered, "with statements entering _QUIET: %s" % entered
+
+
+def test_relu_is_named_only_by_the_activation_table_and_the_bound_check():
+    # what the bound core takes is stated once, in bounds; every other
+    # module acts on its refusal instead of restating it
+    named = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Constant) and node.value == "relu"
+    ]
+    outside = [where for where in named if where.split(":")[0] not in ("network.py", "bounds.py")]
+    assert not outside, '"relu" named outside network.py and bounds.py: %s' % ", ".join(outside)

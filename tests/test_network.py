@@ -96,8 +96,10 @@ def test_two_byte_key_and_long_string_roundtrip():
         (b"\x0a", "truncated varint"),  # a one-byte key, then nothing
         (b"\x0a\x05al", "Attribute.name overruns message"),  # a one-byte length
         (b"\xa0", "truncated varint"),  # half of a two-byte key
+        (b"\x22\x05ab", "Attribute.s overruns message"),  # bytes, a one-byte length
+        (b"\x22\x80\x01ab", "Attribute.s overruns message"),  # bytes, a two-byte length
     ],
-    ids=["after-key", "at-length", "in-key"],
+    ids=["after-key", "at-length", "in-key", "bytes-at-length", "bytes-at-long-length"],
 )
 def test_truncated_field_rejected_at_its_own_message_end(body, error):
     # alone the read ends at the end of the bytes; nested in a Node, at the

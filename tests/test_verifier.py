@@ -799,6 +799,23 @@ def test_validate_witness_dimension_mismatch():
         validate_witness(RELU_NET, VIOLATED_SPEC, Witness((0.5,), (0.5, 0.5)))
 
 
+def test_spec_that_does_not_fit_the_net_is_refused_alike():
+    # verify, falsify and validate_witness read one check; validate_witness
+    # once failed inside numpy on a 3-output net and a 2-output spec
+    net = Network((AffineLayer(np.ones((3, 1)), np.zeros(3)),), 1, 3)
+    spec = _spec(
+        "(declare-const X_0 Real)(declare-const Y_0 Real)(declare-const Y_1 Real)"
+        "(assert (>= X_0 0.0))(assert (<= X_0 1.0))(assert (>= Y_1 0.5))"
+    )
+    for call in (
+        lambda: verify(net, spec, Budget()),
+        lambda: verifier.falsify(net, spec, Budget()),
+        lambda: validate_witness(net, spec, Witness((0.5,))),
+    ):
+        with pytest.raises(ValueError, match="^spec dimensions do not match network$"):
+            call()
+
+
 def test_validate_witness_relative_tolerance_scales():
     big = Network((AffineLayer(np.array([[1e6]]), np.zeros(1)),), 1, 1)
     spec = _spec(
