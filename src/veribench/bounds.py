@@ -16,28 +16,32 @@ back-substitution; per ReLU its kind; and the input's forms ``[I; -I]``.
 builds the plan once and passes it to every call; ``affine_bounds`` builds
 one per call, and ``interval_bounds``, which bounds sigmoid and tanh, none.
 
-One batched core, ``_affine_forms``, bounds K boxes at once.  Per layer it
-intersects, in place, the interval image of the previous bounds with the
-concretization of the forms; the bounds travel as columns (K, 2w, 1).
-Every product is taken per box, with a shape that does not depend on K,
-so each box gets exactly the arithmetic of a batch of one; the interval
-image is the same matrix-vector product ``interval_bounds`` makes, so a
-single box's bounds nest inside ``interval_bounds`` exactly.  Unstable
-ReLU neurons get the chord upper relaxation and a zero or identity lower
-relaxation, and the core returns their slopes.
-``_constraint_rows`` bounds constraint rows ``a_y . f(x) + b_x . x`` by
-back-substitution through those slopes (DeepPoly, CROWN): it walks the rows
-back to the input, choosing each neuron's lower or upper relaxation by the
-sign of its accumulated coefficient, which in exact arithmetic is never
-looser than substituting the forward forms.  Each (box, row) pair is its
-own row vector there, so a row's bound does not depend on the rows or
-boxes batched with it.  A non-finite value in any row fails the whole batch
-with ``ArithmeticError``.  Branch-and-bound and the robustness certifier
-call the core directly; ``affine_bounds`` and ``constraint_lower_bound``
-run the same code on one box, with a ``Box`` at the edge.  The core sets
-no error state and checks no input: the public functions here, like every
-search that calls it, run under ``network._QUIET``, so an overflow is
-caught by a finiteness check, not reported as a warning.
+One batched core, ``_bound``, bounds K boxes and their constraint rows
+``a_y . f(x) + b_x . x`` in one call.  It takes each box's centre and
+radius once, as ``0.5 * lo + 0.5 * hi`` and ``0.5 * hi - 0.5 * lo``, which
+are finite for every finite box.  Its forward walk intersects per layer, in
+place, the interval image of the previous bounds with the concretization of
+the forms; the bounds travel as columns (K, 2w, 1).  Every product is taken
+per box, with a shape that does not depend on K, so each box gets exactly
+the arithmetic of a batch of one; the interval image is the same
+matrix-vector product ``interval_bounds`` makes, so a single box's bounds
+nest inside ``interval_bounds`` exactly.  Unstable ReLU neurons get the
+chord upper relaxation and a zero or identity lower relaxation.  The output
+bounds are met with bounds the caller already has, if any, and then the
+rows are bounded by back-substitution through the ReLU slopes (DeepPoly,
+CROWN): each row is walked back to the input, choosing each neuron's lower
+or upper relaxation by the sign of its accumulated coefficient, which in
+exact arithmetic is never looser than substituting the forward forms.  The
+slopes never leave the core.  Each (box, row) pair is its own row vector
+there, so a row's bound does not depend on the rows or boxes batched with
+it.  A non-finite value in any box or row fails the whole batch with
+``ArithmeticError``.  Branch-and-bound and the robustness certifier call
+the core directly; ``affine_bounds`` (with no rows) and
+``constraint_lower_bound`` (with one) run it on one box, with a ``Box`` at
+the edge.  The core sets no error state and checks no input: the public
+functions here, like every search that calls it, run under
+``network._QUIET``, so an overflow is caught by a finiteness check, not
+reported as a warning.
 """
 
 from __future__ import annotations
@@ -174,9 +178,8 @@ class AffineBounds:
     upper_weight: np.ndarray
     upper_const: np.ndarray
     output_box: Box  # concretization, already intersected with intervals
-    # back-substitution over the box reads the plan and the core's ReLU slopes
+    # back-substitution over the box reruns the core on the plan
     _plan: _Plan = field(repr=False)
-    _relaxation: list = field(repr=False)
 
 
 def _meet(y, other):
@@ -195,7 +198,7 @@ def _meet(y, other):
         # instead of failing
         bad = gap > 0.0
         if bad.any():
-            mid = 0.5 * (lo - neg_hi)
+            mid = 0.5 * lo - 0.5 * neg_hi
             np.copyto(lo, mid, where=bad)
             np.copyto(neg_hi, -mid, where=bad)
             _check_finite(y)
@@ -209,32 +212,43 @@ def _relu_relaxation(y):
     the chord u (z - l) / (u - l) where l < 0 < u, the identity where
     l >= 0 and zero where u <= 0; the lower one is the identity where
     u > -l, else zero.  Negation is exact, so the chord's slope is taken
-    as -u / (l - u) on the stacked halves l and -u.
+    as (-u / 2) / ((l - u) / 2) on the stacked halves l and -u: halving
+    first keeps the gap finite for every finite l and u, and changes no bit
+    of the slope where l and u are normal.
     """
     lo, neg_hi = _halves(y)
-    gap = lo + neg_hi  # l - u, the negated width
-    if gap.max() > -DEGENERATE_WIDTH:
-        gap = np.where(gap > -DEGENERATE_WIDTH, gap - DEGENERATE_WIDTH, gap)
-    upper = np.where(lo < 0.0, neg_hi / gap, 1.0) * (neg_hi < 0.0)
+    half_lo, half_neg_hi = _halves(0.5 * y)
+    gap = half_lo + half_neg_hi  # (l - u) / 2, the negated half width
+    if gap.max() > -0.5 * DEGENERATE_WIDTH:
+        gap = np.where(gap > -0.5 * DEGENERATE_WIDTH, gap - 0.5 * DEGENERATE_WIDTH, gap)
+    upper = np.where(lo < 0.0, half_neg_hi / gap, 1.0) * (neg_hi < 0.0)
     lower = lo > neg_hi  # l + u > 0
     return np.concatenate([lower, upper], axis=1), upper * np.minimum(lo, 0.0)
 
 
-def _affine_forms(plan: _Plan, lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """The batched bound core: affine bounds of K boxes, rows of lo, hi (K, n).
+def _bound(plan: _Plan, lo, hi, a_y, b_x, inherited=None) -> tuple:
+    """The batched bound core: K boxes, rows of lo, hi (K, n), and their constraints.
 
-    ``plan`` is the network's ``_plan``.  Returns ``(z, relaxation, y)``.
-    The output layer's stacked forms z (K, 2m, n + 1) hold, per box, each
-    form's n input coefficients and its value at the box centre;
-    ``relaxation`` holds every ReLU layer's ``_relu_relaxation``, in order;
-    y (K, 2m) are the stacked output bounds.  The bounds travel as columns
-    (K, 2w, 1), so every product is one per box, and each box gets exactly
-    the arithmetic of a batch of one.  A non-finite value in any box raises
-    ``ArithmeticError`` for the batch.
+    ``plan`` is the network's ``_plan``.  Rows a_y . f(x) + b_x . x come
+    shared, a_y (c, m) and b_x (c, n), or per box, (K, c, m) and (K, c, n);
+    ``inherited`` (K, 2m), when given, holds stacked output bounds the
+    caller already has for each box.  Returns ``(z, y, lb, coef)``: the
+    output layer's stacked forms z (K, 2m, n + 1), per box each form's n
+    input coefficients and its value at the box centre; the stacked output
+    bounds y (K, 2m), met with ``inherited``; the (K, c) lower bounds of the
+    rows, each the tighter of the back-substituted bound and the interval
+    bound through y; and the (K, c, n) input coefficients of each row's
+    lower affine form.
+
+    The forward walk keeps every ReLU layer's ``_relu_relaxation``.  The
+    backward walk takes each row back through the layers: an affine layer
+    maps its coefficients g to g W and adds g . b to its constant, and a
+    ReLU takes the lower slope where g >= 0 and the upper chord, with its
+    shift, where g < 0.  Every (box, row) pair is its own (1, width) row
+    vector, so each bound is computed as for one row over one box.
     """
-    k, n = lo.shape
-    rad = 0.5 * (hi - lo)[..., None]  # (K, n, 1)
-    mid = 0.5 * (lo + hi)
+    (k, n), (c, m) = lo.shape, a_y.shape[-2:]
+    mid, rad = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
     z = np.empty((k, 2 * n, n + 1))
     z[..., :n] = plan.eye
     z[:, :n, n] = mid
@@ -247,7 +261,7 @@ def _affine_forms(plan: _Plan, lo: np.ndarray, hi: np.ndarray) -> tuple:
             z[..., n:] += step.bias
             _check_finite(z)
             # least value over the box: at the centre, less |A| . radius
-            conc = z[..., n:] - np.abs(z[..., :n]) @ rad
+            conc = z[..., n:] - np.abs(z[..., :n]) @ rad[..., None]
             y = _meet(_interval_affine(step, y), conc)
         else:
             slope, shift = _relu_relaxation(y[..., 0])
@@ -256,71 +270,24 @@ def _affine_forms(plan: _Plan, lo: np.ndarray, hi: np.ndarray) -> tuple:
             # the relaxed forms concretize no tighter than this
             y = _interval_relu(y)
             relaxation.append((slope, shift))
-    return z, relaxation, y[..., 0]
+    y = y[..., 0]
+    if inherited is not None:
+        y = _meet(y, inherited)
 
-
-@_QUIET
-def affine_bounds(net: Network, box: Box) -> AffineBounds:
-    """Forward-propagate independent lower/upper affine forms per neuron.
-
-    Unstable ReLU neurons get the chord upper relaxation
-    u(z) = u * (z - l) / (u - l) and a lower relaxation of either zero
-    (when |l| >= u) or the identity; stable neurons pass through exactly.
-    This is the batched core run on a batch of one box.  A constant that
-    overflows, though the forms are finite, raises ``ArithmeticError``.
-    """
-    if box.dim != net.n_inputs:
-        raise ValueError(f"box dimension {box.dim} != network inputs {net.n_inputs}")
-    plan = _plan(net)
-    z, relaxation, y = _affine_forms(plan, box.lower[None], box.upper[None])
-    m, n = net.n_outputs, net.n_inputs
-    weight = z[0, :, :n]
-    const = z[0, :, n] - weight @ (0.5 * (box.lower + box.upper))
-    _check_finite(const)
-    return AffineBounds(
-        box,
-        weight[:m],
-        const[:m],
-        -weight[m:],
-        -const[m:],
-        Box(y[0, :m], -y[0, m:]),
-        plan,
-        relaxation,
-    )
-
-
-def _constraint_rows(plan, relaxation, lo, hi, y, a_y, b_x):
-    """Lower bounds of every constraint row over each of K boxes.
-
-    Rows a_y . f(x) + b_x . x come shared, a_y (c, m) and b_x (c, n), or per
-    box, (K, c, m) and (K, c, n); ``plan`` is the network's ``_plan`` and
-    ``relaxation`` what ``_affine_forms`` returned for the boxes lo, hi
-    (K, n); stacked y (K, 2m) encloses f(x).
-    Each row is walked back through the layers: an affine layer maps its
-    coefficients g to g W and adds g . b to its constant, and a ReLU takes
-    the lower slope where g >= 0 and the upper chord, with its shift, where
-    g < 0.  Returns the (K, c) lower bounds, each the tighter of the
-    back-substituted bound and the interval bound through y, and the
-    (K, c, n) input coefficients of each row's lower affine form.  Every
-    (box, row) pair is its own (1, width) row vector, so each bound is
-    computed as for one row over one box.
-    """
-    (k, _), (c, m) = lo.shape, a_y.shape[-2:]
     g = np.broadcast_to(a_y[..., None, :], (k, c, 1, m))
     const = 0.0
-    slopes = reversed(relaxation)
     for step in reversed(plan.steps):
         if isinstance(step, _Affine):
             const = const + g @ step.b
             g = g @ step.weight
         else:
-            slope, shift = next(slopes)
+            slope, shift = relaxation.pop()
             half = shift.shape[1]
             lower, upper = slope[:, None, None, :half], slope[:, None, None, half:]
             const = const - np.minimum(g, 0.0) @ shift[:, None, :, None]
             g = g * np.where(g >= 0.0, lower, upper)
     coef = g + b_x[..., None, :]  # (K, c, 1, n)
-    mid, rad = (v[:, None, :, None] for v in (0.5 * (lo + hi), 0.5 * (hi - lo)))
+    mid, rad = mid[:, None, :, None], rad[:, None, :, None]
 
     def box_min(a):  # least value over each box of row vectors a
         return a @ mid - np.abs(a) @ rad
@@ -330,7 +297,38 @@ def _constraint_rows(plan, relaxation, lo, hi, y, a_y, b_x):
     y_lb = y_rows @ y[:, None, :, None] + box_min(b_x[..., None, :])
     lb = np.maximum(box_min(coef) + const, y_lb)[..., 0, 0]
     _check_finite(lb, coef)
-    return lb, coef[:, :, 0]
+    return z, y, lb, coef[:, :, 0]
+
+
+@_QUIET
+def affine_bounds(net: Network, box: Box) -> AffineBounds:
+    """Forward-propagate independent lower/upper affine forms per neuron.
+
+    Unstable ReLU neurons get the chord upper relaxation
+    u(z) = u * (z - l) / (u - l) and a lower relaxation of either zero
+    (when |l| >= u) or the identity; stable neurons pass through exactly.
+    This is the batched core run on a batch of one box with no rows.  A
+    constant that overflows, though the forms are finite, raises
+    ``ArithmeticError``.
+    """
+    if box.dim != net.n_inputs:
+        raise ValueError(f"box dimension {box.dim} != network inputs {net.n_inputs}")
+    plan = _plan(net)
+    m, n = net.n_outputs, net.n_inputs
+    lo, hi = box.lower[None], box.upper[None]
+    z, y, _, _ = _bound(plan, lo, hi, np.empty((0, m)), np.empty((0, n)))
+    weight = z[0, :, :n]
+    const = z[0, :, n] - weight @ (0.5 * box.lower + 0.5 * box.upper)
+    _check_finite(const)
+    return AffineBounds(
+        box,
+        weight[:m],
+        const[:m],
+        -weight[m:],
+        -const[m:],
+        Box(y[0, :m], -y[0, m:]),
+        plan,
+    )
 
 
 @_QUIET
@@ -338,13 +336,12 @@ def constraint_lower_bound(ab: AffineBounds, a_y, b_x) -> float:
     """Sound lower bound of a_y . f(x) + b_x . x over the bounds' box.
 
     Keeps the tighter of the back-substituted bound and the interval bound
-    through the bounds' own concretization.  This is ``_constraint_rows``
-    run on one row over a batch of one box.
+    through the bounds' own concretization.  This is the batched core rerun
+    on one row over a batch of one box, whose output bounds are exactly
+    ``ab.output_box``.
     """
     m, n = ab.lower_weight.shape
-    lo, hi, out = ab.box.lower[None], ab.box.upper[None], ab.output_box
-    y = np.concatenate([out.lower, -out.upper])[None]
     a_y = np.asarray(a_y, dtype=np.float64).reshape(1, m)
     b_x = np.asarray(b_x, dtype=np.float64).reshape(1, n)
-    lb, _ = _constraint_rows(ab._plan, ab._relaxation, lo, hi, y, a_y, b_x)
+    _, _, lb, _ = _bound(ab._plan, ab.box.lower[None], ab.box.upper[None], a_y, b_x)
     return float(lb[0, 0])

@@ -30,8 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import UnsupportedActivationError, _affine_forms, _check_supported
-from .bounds import _constraint_rows, _plan
+from .bounds import UnsupportedActivationError, _bound, _check_supported, _plan
 from .network import _QUIET, NetworkError, UnsupportedNetworkError, forward
 from .network import gen_trivial_network, load_network, save_network
 from .scoring import RunRecord, ScoreLedger, write_results_csv
@@ -430,6 +429,8 @@ def run_baseline(
     or a branching graph) yields UNKNOWN, mirroring tools that skip a
     benchmark rather than erroring on it, as does a net the bound core
     refuses once the falsifier missed; any other load failure is ERROR.
+    A witness that cannot be saved makes the run an ERROR, with a warning
+    naming the path, as ``run_tool`` does for a witness it cannot read.
     """
     start = time.monotonic()
 
@@ -451,13 +452,17 @@ def run_baseline(
         log.warning("baseline failed to load %s: %s", inst.instance_id, exc)
         return record(Status.ERROR)
 
-    def save(witness):
+    def violated(witness):
         if witness_dir is None:
-            return ""
+            return record(Status.VIOLATED)
         path = Path(witness_dir) / ("%s.txt" % inst.instance_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_witness(witness, path)
-        return str(path)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_witness(witness, path)
+        except OSError as exc:
+            log.warning("baseline failed to save its witness to %s: %s", path, exc)
+            return record(Status.ERROR)
+        return record(Status.VIOLATED, str(path))
 
     try:
         falsify_budget = dataclasses.replace(
@@ -465,7 +470,7 @@ def run_baseline(
         )
         witness = falsify(net, spec, falsify_budget)
         if witness is not None:
-            return record(Status.VIOLATED, save(witness))
+            return violated(witness)
         remaining = inst.timeout - (time.monotonic() - start)
         if remaining <= 0:
             return record(Status.TIMEOUT)
@@ -478,10 +483,9 @@ def run_baseline(
     except (ValueError, ArithmeticError) as exc:
         log.warning("baseline failed on %s: %s", inst.instance_id, exc)
         return record(Status.ERROR)
-    witness = ""
     if outcome.status is Status.VIOLATED and outcome.witness is not None:
-        witness = save(outcome.witness)
-    return record(outcome.status, witness)
+        return violated(outcome.witness)
+    return record(outcome.status)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +570,7 @@ def _bisect(fails, eps_max, eps_tol):
         return eps_max, eps_max
     lo, hi = 0.0, eps_max
     for _ in range(_bisection_steps(eps_max, eps_tol)):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if fails(mid):
             hi = mid
         else:
@@ -632,8 +636,7 @@ def make_robustness_oracles(
         if eps <= 0:
             return True
         lo, hi = (req.center - eps)[None], (req.center + eps)[None]
-        _, relaxation, y = _affine_forms(plan, lo, hi)
-        lb, _ = _constraint_rows(plan, relaxation, lo, hi, y, rows, zero_x)
+        _, _, lb, _ = _bound(plan, lo, hi, rows, zero_x)
         return bool((lb > 0).all())
 
     return attack, certify

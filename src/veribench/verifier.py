@@ -2,19 +2,19 @@
 
 verify() runs branch-and-bound over input splits: one search over the box
 trees of all disjuncts.  It prunes a box when a constraint row's lower
-bound, back-substituted through the ReLU relaxation of the box
-(``bounds._constraint_rows``), exceeds the row's rhs; the network's bound
+bound, back-substituted through the ReLU relaxation of the box by the
+bound core (``bounds._bound``), exceeds the row's rhs; the network's bound
 plan (``bounds._plan``) is built once per search.  The frontier is a stack
 of boxes, each tagged with its disjunct and carrying its parent's output
 bounds, kept as one float array with the disjunct indices beside it; it
 starts with every disjunct's root, disjunct 0 on top.  A step pops up to
 32 boxes, never more than the node cap has left, and takes them in pop
 order: their midpoints are probed in one forward pass before any bound is
-computed, they are bounded in one batched call, the survivors' constraint
-corners (per real row of the box's disjunct, at most 8, the corner
-minimizing the row's back-substituted lower form) are probed in one
-forward pass, and each survivor is split on its widest dimension, the
-first popped box's left child ending on top.  A survivor too narrow to
+computed, they and their rows are bounded in one call of the core, the
+survivors' constraint corners (per real row of the box's disjunct, at most
+8, the corner minimizing the row's back-substituted lower form) are probed
+in one forward pass, and each survivor is split on its widest dimension,
+the first popped box's left child ending on top.  A survivor too narrow to
 split leaves the frontier and marks the spec undecided; the search goes
 on.  A midpoint, probed or split at, is ``0.5 * lo + 0.5 * hi``, finite
 for every finite box.  A batch fails as a whole: a bound that overflows in
@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import UnsupportedActivationError, _affine_forms, _constraint_rows, _meet, _plan
+from .bounds import UnsupportedActivationError, _bound, _plan
 from .network import _QUIET, Network, _layer_walk, forward, layer_outputs
 from .speclang import _VAR_RE, NormalizedSpec, Witness
 
@@ -365,10 +365,8 @@ def _branch_and_bound(net, spec, plan, budget, deadline, stats):
         if w is not None:
             return Status.VIOLATED, w
 
-        _, relaxation, y = _affine_forms(plan, lo, hi)
         # meeting the parent's bounds keeps node bounds monotone under splitting
-        y = _meet(y, inherited)
-        lb, coef = _constraint_rows(plan, relaxation, lo, hi, y, a_y[d], b_x[d])
+        _, y, lb, coef = _bound(plan, lo, hi, a_y[d], b_x[d], inherited)
         keep = ~(lb > rhs[d]).any(axis=1)
         if not keep.any():
             continue

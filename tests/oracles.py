@@ -45,7 +45,7 @@ from veribench.speclang import (
     NormalizedSpec,
     Witness,
 )
-from veribench.bounds import _affine_forms, _constraint_rows, _plan
+from veribench.bounds import _bound, _plan
 from veribench.verifier import (
     MIN_SPLIT_WIDTH,
     WITNESS_TOL,
@@ -399,17 +399,7 @@ def reference_search(net: Network, spec: NormalizedSpec):
             w = _accepted(net, spec, conj, 0.5 * (lower + upper))
             if w is not None:
                 return "violated", w, nodes
-            lo, hi = lower[None], upper[None]
-            _, relaxation, y = _affine_forms(plan, lo, hi)
-            out_lo, out_hi = y[0, : net.n_outputs], -y[0, net.n_outputs :]
-            if inherited is not None:
-                out_lo = np.maximum(out_lo, inherited[0])
-                out_hi = np.minimum(out_hi, inherited[1])
-                bad = out_lo > out_hi  # rounding noise: collapse to the middle
-                mid = 0.5 * (out_lo + out_hi)
-                out_lo, out_hi = np.where(bad, mid, out_lo), np.where(bad, mid, out_hi)
-            y = np.concatenate([out_lo, -out_hi])[None]
-            lb, coef = _constraint_rows(plan, relaxation, lo, hi, y, a_y, b_x)
+            _, y, lb, coef = _bound(plan, lower[None], upper[None], a_y, b_x, inherited)
             if (lb[0] > rhs).any():
                 continue
             for row in coef[0, :8]:
@@ -424,6 +414,6 @@ def reference_search(net: Network, spec: NormalizedSpec):
             mid = 0.5 * (lower[dim] + upper[dim])
             left_hi, right_lo = upper.copy(), lower.copy()
             left_hi[dim] = right_lo[dim] = mid
-            stack.append((right_lo, upper, (out_lo, out_hi)))
-            stack.append((lower, left_hi, (out_lo, out_hi)))
+            stack.append((right_lo, upper, y))
+            stack.append((lower, left_hi, y))
     return ("unknown" if undecided else "holds"), None, nodes

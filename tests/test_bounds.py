@@ -5,8 +5,7 @@ import pytest
 
 from veribench.bounds import (
     UnsupportedActivationError,
-    _affine_forms,
-    _constraint_rows,
+    _bound,
     _meet,
     _plan,
     affine_bounds,
@@ -181,6 +180,45 @@ def test_affine_bounds_constant_that_overflows_is_an_error():
             affine_bounds(net, box)
 
 
+def test_affine_bounds_finite_where_the_centre_sum_or_the_width_overflows():
+    # y = relu(1e-300 x) + 1e-3: lo + hi overflows on the first box and
+    # hi - lo on the second, yet each box's centre and radius are finite
+    net = Network(
+        (
+            AffineLayer(np.array([[1e-300]]), np.zeros(1)),
+            ActivationLayer("relu"),
+            AffineLayer(np.eye(1), np.array([1e-3])),
+        ),
+        1,
+        1,
+    )
+    for lo, hi in ((1e308, 1.7e308), (-1e308, 1e308)):
+        ab = affine_bounds(net, Box([lo], [hi]))
+        for part in (ab.lower_weight, ab.lower_const, ab.upper_weight, ab.upper_const):
+            assert np.isfinite(part).all()
+        out = ab.output_box
+        for x in (lo, 0.5 * lo + 0.5 * hi, hi):
+            assert out.lower[0] <= forward(net, [x])[0] <= out.upper[0]
+
+
+def test_chord_where_the_preactivation_gap_overflows():
+    # pre-activation bounds -1e308 and 1e308 are finite, but l - u is not:
+    # the chord's slope read 0 there, an upper bound of -0.0 for an output
+    # that reaches 1e8 at x = 1
+    net = Network(
+        (
+            AffineLayer(np.array([[1e308]]), np.zeros(1)),
+            ActivationLayer("relu"),
+            AffineLayer(np.array([[1e-300]]), np.zeros(1)),
+        ),
+        1,
+        1,
+    )
+    ab = affine_bounds(net, Box([-1.0], [1.0]))
+    assert ab.output_box.upper[0] == forward(net, [1.0])[0] == 1e8
+    assert ab.upper_weight[0, 0] == ab.upper_const[0] == 5e7
+
+
 def test_constraint_lower_bound_sound():
     rng = np.random.default_rng(17)
     for _ in range(50):
@@ -206,15 +244,16 @@ def test_split_bounds_monotone():
         n_in = int(rng.integers(1, 3))
         net = make_random_network(rng, n_in, [6, 4], int(rng.integers(1, 3)))
         plan = _plan(net)
+        no_rows = np.empty((0, net.n_outputs)), np.empty((0, n_in))
         lo = rng.uniform(-1, 0, n_in)
         hi = lo + rng.uniform(0.5, 2, n_in)
-        *_, p = _affine_forms(plan, lo[None], hi[None])
+        _, p, _, _ = _bound(plan, lo[None], hi[None], *no_rows)
         p_lo, p_hi = _halves(p[0])
         dim = int(np.argmax(hi - lo))
         kids_lo, kids_hi = np.array([lo, lo]), np.array([hi, hi])
-        kids_hi[0, dim] = kids_lo[1, dim] = 0.5 * (lo[dim] + hi[dim])
-        *_, y = _affine_forms(plan, kids_lo, kids_hi)
-        y_lo, y_hi = _halves(_meet(y, p))
+        kids_hi[0, dim] = kids_lo[1, dim] = 0.5 * lo[dim] + 0.5 * hi[dim]
+        _, y, _, _ = _bound(plan, kids_lo, kids_hi, *no_rows, np.vstack([p, p]))
+        y_lo, y_hi = _halves(y)
         assert np.all(y_lo.min(axis=0) >= p_lo - 1e-12)
         assert np.all(y_hi.max(axis=0) <= p_hi + 1e-12)
         for k in range(2):
@@ -262,30 +301,25 @@ def test_batched_rows_match_single_boxes():
         lo = rng.uniform(-1, 0, (k, n_in))
         hi = lo + rng.uniform(0.01, 1, (k, n_in)) ** 3
         a_y, b_x = rng.uniform(-1, 1, (c, n_out)), rng.uniform(-1, 1, (c, n_in))
-        z, relaxation, y = _affine_forms(plan, lo, hi)
-        lb, coef = _constraint_rows(plan, relaxation, lo, hi, y, a_y, b_x)
+        z, y, lb, coef = _bound(plan, lo, hi, a_y, b_x)
         per_box = (np.stack([rolled(r, i) for i in range(k)]) for r in (a_y, b_x))
-        lb_box, coef_box = _constraint_rows(plan, relaxation, lo, hi, y, *per_box)
+        z_box, y_box, lb_box, coef_box = _bound(plan, lo, hi, *per_box)
+        close(z_box, z)
+        close(y_box, y)
         for i in range(k):
             one = slice(i, i + 1)
-            z1, relaxation1, y1 = _affine_forms(plan, lo[one], hi[one])
+            z1, y1, lb1, coef1 = _bound(plan, lo[one], hi[one], a_y, b_x)
             close(z[one], z1)
             close(y[one], y1)
-            for (slope, shift), (slope1, shift1) in zip(relaxation, relaxation1):
-                close(slope[one], slope1)
-                close(shift[one], shift1)
-            lb1, coef1 = _constraint_rows(plan, relaxation1, lo[one], hi[one], y1, a_y, b_x)
             close(lb[one], lb1)
             close(coef[one], coef1)
-            lb1, coef1 = _constraint_rows(
-                plan, relaxation1, lo[one], hi[one], y1, rolled(a_y, i), rolled(b_x, i)
-            )
+            _, _, lb1, coef1 = _bound(plan, lo[one], hi[one], rolled(a_y, i), rolled(b_x, i))
             close(lb_box[one], lb1)
             close(coef_box[one], coef1)
 
             ab = affine_bounds(net, Box(lo[i], hi[i]))
             weight = z[i, :, :n_in]
-            const = z[i, :, n_in] - weight @ (0.5 * (lo[i] + hi[i]))
+            const = z[i, :, n_in] - weight @ (0.5 * lo[i] + 0.5 * hi[i])
             close(weight, np.vstack([ab.lower_weight, -ab.upper_weight]))
             close(const, np.concatenate([ab.lower_const, -ab.upper_const]))
             close(_halves(y[i]), (ab.output_box.lower, ab.output_box.upper))
@@ -311,9 +345,7 @@ def test_back_substituted_rows_sound_by_sampling():
     rng = np.random.default_rng(41)
     for _ in range(4):
         net, a_y, b_x, lo, hi = _acas_rows(rng)
-        plan = _plan(net)
-        _, relaxation, y = _affine_forms(plan, lo, hi)
-        lb, coef = _constraint_rows(plan, relaxation, lo, hi, y, a_y, b_x)
+        _, _, lb, coef = _bound(_plan(net), lo, hi, a_y, b_x)
         assert coef.shape == (len(lo), len(a_y), 5)
         for i in range(len(lo)):
             xs = rng.uniform(lo[i], hi[i], size=(400, lo.shape[1]))

@@ -647,6 +647,24 @@ class TestRunBaseline:
         statuses = [r.status for r in by_tool[BASELINE_TOOL]]
         assert statuses == [Status.ERROR, Status.VIOLATED]
 
+    def test_witness_that_cannot_be_saved_is_error_and_the_batch_goes_on(
+        self, trivial_instance, tmp_path, caplog
+    ):
+        # a plain file where the witness directory goes: the save raised
+        # NotADirectoryError, which aborted run_batch
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "witnesses").write_text("")
+        second = dataclasses.replace(trivial_instance, instance_id="again")
+        with caplog.at_level("WARNING", logger=harness.log.name):
+            by_tool = run_batch([trivial_instance, second], [], out, n_trivial=0)
+        assert [r.status for r in by_tool[BASELINE_TOOL]] == [Status.ERROR] * 2
+        assert [r.witness_path for r in by_tool[BASELINE_TOOL]] == ["", ""]
+        where = out / "witnesses" / BASELINE_TOOL
+        assert len(caplog.messages) == 2
+        for instance_id, message in zip(["net-spec", "again"], caplog.messages):
+            assert str(where / ("%s.txt" % instance_id)) in message
+
     def test_witness_found_by_verify_is_saved(self, trivial_instance, tmp_path):
         # y = x violates only at the single point 0: the falsifier misses
         # it, and branch-and-bound's first midpoint probe hits it
@@ -876,6 +894,14 @@ class TestCalibrateEpsilon:
                 assert certify(eps) == expected
                 answers.add(expected)
         assert answers == {True, False}
+
+    def test_certifier_answers_where_the_centre_sum_overflows(self):
+        # lo + hi overflows around 1.7e308, yet the ball and the margin
+        # y_0 - y_1 = 2e-300 x, about 3.4e8, are finite
+        net = Network((AffineLayer(np.array([[1e-300], [-1e-300]]), np.zeros(2)),), 1, 2)
+        req = CalibrationRequest(net, np.array([1.7e308]), eps_max=1e300, eps_tol=1e299)
+        _, certify = make_robustness_oracles(req)
+        assert certify(1e300) is True
 
     def test_request_validation(self):
         net = gen_trivial_network(2)

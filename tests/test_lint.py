@@ -121,3 +121,25 @@ def test_relu_is_named_only_by_the_activation_table_and_the_bound_check():
     ]
     outside = [where for where in named if where.split(":")[0] not in ("network.py", "bounds.py")]
     assert not outside, '"relu" named outside network.py and bounds.py: %s' % ", ".join(outside)
+
+
+def test_no_half_of_a_sum_or_a_difference():
+    # a midpoint, centre or radius is 0.5 * lo + 0.5 * hi or 0.5 * hi - 0.5 * lo,
+    # finite for every finite lo and hi; 0.5 * (lo + hi) overflows for
+    # lo = hi = 1e308, and 0.5 * (hi - lo) for lo = -hi = -1e308
+    def halved_sum(half, other):
+        while isinstance(other, ast.Subscript):  # as in 0.5 * (hi - lo)[..., None]
+            other = other.value
+        return (
+            isinstance(half, ast.Constant) and half.value == 0.5
+            and isinstance(other, ast.BinOp) and isinstance(other.op, (ast.Add, ast.Sub))
+        )
+
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        and (halved_sum(node.left, node.right) or halved_sum(node.right, node.left))
+    ]
+    assert not found, "0.5 times a sum or a difference in src: %s" % ", ".join(found)

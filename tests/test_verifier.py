@@ -330,6 +330,48 @@ def test_verify_midpoint_witness_beats_overflowing_bounds():
     assert out.witness.x == (0.0,)
 
 
+@pytest.mark.parametrize("x_lo, x_hi", [("1e308", "1.7e308"), ("-1e308", "1e308")])
+def test_verify_holds_where_the_centre_sum_or_the_width_overflows(x_lo, x_hi):
+    # y = relu(1e-300 x) + 1e-3 is at least 1e-3 and finite on every finite
+    # box; lo + hi overflows on the first box and hi - lo on the second
+    net = Network(
+        (
+            AffineLayer(np.array([[1e-300]]), np.zeros(1)),
+            ActivationLayer("relu"),
+            AffineLayer(np.eye(1), np.array([1e-3])),
+        ),
+        1,
+        1,
+    )
+    spec = _spec(
+        "(declare-const X_0 Real)(declare-const Y_0 Real)"
+        "(assert (>= X_0 %s))(assert (<= X_0 %s))(assert (<= Y_0 0.0))" % (x_lo, x_hi)
+    )
+    assert verify(net, spec, Budget()).status is Status.HOLDS
+
+
+def test_verify_finds_what_a_chord_with_an_overflowing_gap_hid():
+    # y = 1e-300 relu(1e308 x): on [-1, 1] the pre-activation gap l - u
+    # overflows, and the chord once bounded y above by -0.0, a false HOLDS
+    net = Network(
+        (
+            AffineLayer(np.array([[1e308]]), np.zeros(1)),
+            ActivationLayer("relu"),
+            AffineLayer(np.array([[1e-300]]), np.zeros(1)),
+        ),
+        1,
+        1,
+    )
+    spec = _spec(
+        "(declare-const X_0 Real)(declare-const Y_0 Real)"
+        "(assert (>= X_0 -1.0))(assert (<= X_0 1.0))(assert (>= Y_0 1.0))"
+    )
+    out = verify(net, spec, Budget())
+    assert out.status is Status.VIOLATED
+    assert validate_witness(net, spec, out.witness)
+    assert forward(net, out.witness.x)[0] >= 1.0
+
+
 @pytest.mark.parametrize(
     "x_lo, x_hi, status", [(0.25, 0.35, Status.VIOLATED), (0.4, 0.45, Status.ERROR)]
 )
