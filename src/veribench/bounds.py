@@ -24,24 +24,27 @@ place, the interval image of the previous bounds with the concretization of
 the forms; the bounds travel as columns (K, 2w, 1).  Every product is taken
 per box, with a shape that does not depend on K, so each box gets exactly
 the arithmetic of a batch of one; the interval image is the same
-matrix-vector product ``interval_bounds`` makes, so a single box's bounds
-nest inside ``interval_bounds`` exactly.  Unstable ReLU neurons get the
-chord upper relaxation and a zero or identity lower relaxation.  The output
-bounds are met with bounds the caller already has, if any, and then the
-rows are bounded by back-substitution through the ReLU slopes (DeepPoly,
-CROWN): each row is walked back to the input, choosing each neuron's lower
-or upper relaxation by the sign of its accumulated coefficient, which in
-exact arithmetic is never looser than substituting the forward forms.  The
-slopes never leave the core.  Each (box, row) pair is its own row vector
-there, so a row's bound does not depend on the rows or boxes batched with
-it.  A non-finite value in any box or row fails the whole batch with
-``ArithmeticError``.  Branch-and-bound and the robustness certifier call
-the core directly; ``affine_bounds`` (with no rows) and
-``constraint_lower_bound`` (with one) run it on one box, with a ``Box`` at
-the edge.  The core sets no error state and checks no input: the public
-functions here, like every search that calls it, run under
-``network._QUIET``, so an overflow is caught by a finiteness check, not
-reported as a warning.
+matrix-vector product and activation image ``interval_bounds`` makes, so
+a single box's bounds nest inside ``interval_bounds`` exactly wherever
+neither collapses a crossing.  Both collapse a rounding crossing (lower
+above upper by an ulp or so) to its midpoint by one rule, ``_collapse``,
+so ``interval_bounds`` answers on every finite box, a point included.
+Unstable ReLU neurons get the chord upper relaxation and a zero or
+identity lower relaxation.  The output bounds are met with bounds the
+caller already has, if any, and then the rows are bounded by
+back-substitution through the ReLU slopes (DeepPoly, CROWN): each row is
+walked back to the input, choosing each neuron's lower or upper relaxation
+by the sign of its accumulated coefficient, which in exact arithmetic is
+never looser than substituting the forward forms.  The slopes never leave
+the core.  Each (box, row) pair is its own row vector there, so a row's
+bound does not depend on the rows or boxes batched with it.  A non-finite
+value in any box or row fails the whole batch with ``ArithmeticError``.
+Branch-and-bound and the robustness certifier call the core directly;
+``affine_bounds`` (with no rows) and ``constraint_lower_bound`` (with one)
+run it on one box, with a ``Box`` at the edge.  The core sets no error
+state and checks no input: the public functions here, like every search
+that calls it, run under ``network._QUIET``, so an overflow is caught by a
+finiteness check, not reported as a warning.
 """
 
 from __future__ import annotations
@@ -136,12 +139,20 @@ def _interval_affine(step: _Affine, y):
     return step.block @ y + step.bias
 
 
-def _interval_relu(y):
-    """Interval image of ReLU, in place: max(lo, 0) and -max(hi, 0) = min(-hi, 0)."""
+def _interval_activation(kind, y):
+    """Interval image of an activation on stacked bounds y (K, 2w, ...).
+
+    ReLU works in place: max(lo, 0) and -max(hi, 0) = min(-hi, 0); sigmoid
+    and tanh, monotone increasing, map each bound.
+    """
     lo, neg_hi = _halves(y)
-    np.maximum(lo, 0.0, out=lo)
-    np.minimum(neg_hi, 0.0, out=neg_hi)
-    return y
+    if kind == "relu":
+        np.maximum(lo, 0.0, out=lo)
+        np.minimum(neg_hi, 0.0, out=neg_hi)
+        return y
+    return np.concatenate(
+        [apply_activation(kind, lo), -apply_activation(kind, -neg_hi)], axis=1
+    )
 
 
 @_QUIET
@@ -154,15 +165,9 @@ def interval_bounds(net: Network, box: Box) -> list[Box]:
     for layer in net.layers:
         if isinstance(layer, AffineLayer):
             y = _interval_affine(_stacked(layer), y)
-        elif layer.kind == "relu":
-            y = _interval_relu(y)
-        else:  # sigmoid and tanh are monotone increasing
-            lo, neg_hi = _halves(y)
-            y = np.concatenate(
-                [apply_activation(layer.kind, lo), -apply_activation(layer.kind, -neg_hi)],
-                axis=1,
-            )
-        _check_finite(y)
+        else:
+            y = _interval_activation(layer.kind, y)
+        _collapse(y)
         lo, neg_hi = _halves(y[..., 0])
         out.append(Box(lo[0], -neg_hi[0]))
     return out
@@ -185,17 +190,25 @@ class AffineBounds:
 def _meet(y, other):
     """Intersect stacked enclosures y (K, 2w, ...) of the same values with other, in place.
 
-    Returns y.  Raises ``ArithmeticError`` when a bound is not finite.
+    Returns y, its crossings collapsed (``_collapse``).
     """
     np.maximum(y, other, out=y)
+    return _collapse(y)
+
+
+def _collapse(y):
+    """Collapse each crossing (lo > hi) of stacked enclosures y to its midpoint, in place.
+
+    Returns y.  Raises ``ArithmeticError`` when a bound is not finite.
+    """
     lo, neg_hi = _halves(y)
     gap = lo + neg_hi  # lo - hi; finite only where lo and hi are
-    # the common case in two reductions: every gap finite and none positive
-    if not (gap.min() > -np.inf and gap.max() <= 0.0):
+    # the common case in two reductions: every gap finite and none positive;
+    # a layer of width 0 has no gap to reduce
+    if gap.size and not (gap.min() > -np.inf and gap.max() <= 0.0):
         _check_finite(y)  # the gap also overflows for lo = -1e308, hi = 1e308
-        # both operands are sound enclosures of the same values, so a
-        # crossing (lo > hi) can only be rounding noise; collapse it
-        # instead of failing
+        # y is a sound enclosure, or the meet of two, so a crossing can only
+        # be rounding noise; collapse it instead of failing
         bad = gap > 0.0
         if bad.any():
             mid = 0.5 * lo - 0.5 * neg_hi
@@ -268,7 +281,7 @@ def _bound(plan: _Plan, lo, hi, a_y, b_x, inherited=None) -> tuple:
             z *= slope[..., None]
             z[:, shift.shape[1] :, n] += shift
             # the relaxed forms concretize no tighter than this
-            y = _interval_relu(y)
+            y = _interval_activation(step, y)
             relaxation.append((slope, shift))
     y = y[..., 0]
     if inherited is not None:

@@ -172,7 +172,6 @@ def _cmd_run(args) -> int:
         args.out,
         baseline=not args.no_baseline,
         n_trivial=args.n_trivial,
-        strict_witness=not args.lenient_witness,
     )
     for tool in sorted(by_tool):
         print("%s: %d records -> %s" % (tool, len(by_tool[tool]), Path(args.out) / ("%s.csv" % tool)))
@@ -288,7 +287,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--no-baseline", action="store_true")
-    p.add_argument("--lenient-witness", action="store_true")
     p.add_argument("--n-trivial", type=int, default=3)
     p.set_defaults(func=_cmd_run)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import logging
 import math
 import os
@@ -293,12 +294,24 @@ def _wait_for_exit(proc: subprocess.Popen, timeout: float) -> None:
         os.close(fd)
 
 
+def _record(tool, inst: Instance, status, seconds, **fields) -> RunRecord:
+    """The one record of a run on inst: its raw time is capped at the
+    instance's timeout, so a late kill cannot distort overhead minima."""
+    return RunRecord(
+        tool=tool,
+        instance_id=inst.instance_id,
+        benchmark=inst.benchmark,
+        status=status,
+        seconds=min(seconds, inst.timeout),
+        **fields,
+    )
+
+
 def run_tool(
     adapter: ToolAdapter,
     inst: Instance,
     *,
     result_dir,
-    strict_witness: bool = True,
     decoded: Optional[dict] = None,
 ) -> RunRecord:
     """Run one adapter on one instance under its timeout.
@@ -308,35 +321,34 @@ def run_tool(
     It is waited on for at most timeout + GRACE_SECONDS (read at call time),
     and then its whole group is killed, so no process of the run outlives
     it.  The run is a TIMEOUT when the wait lasted at least the timeout.
-    Recorded raw time is capped at the timeout so a late kill cannot
-    distort overhead minima.  A crashing adapter yields an ERROR record,
-    never an exception.
+    A crashing adapter, or a result directory, stale result or ``.out``
+    file that the run cannot make or remove, yields an ERROR record with a
+    warning naming the path, never an exception.
 
-    A VIOLATED claim with a witness is checked, under strict_witness,
-    against the instance's network and spec after the clock stops, so the
-    check is never run time.  Called alone, the run decodes both files;
-    ``run_batch`` passes ``decoded``, its one memo for the batch, so each
-    file decodes at most once per batch (see ``_load_instance_problem``).
+    Every VIOLATED claim with a witness is checked against the instance's
+    network and spec after the clock stops, so the check is never run time;
+    a witness that does not validate makes the run an ERROR.  Only a
+    warm-up's witness (benchmark TRIVIAL_BENCHMARK, never scored) is kept
+    unchecked.  Called alone, the run decodes both files; ``run_batch``
+    passes ``decoded``, its one memo for the batch, so each file decodes at
+    most once per batch (see ``_load_instance_problem``).
     """
+    record = functools.partial(_record, adapter.tool, inst, mode=adapter.mode)
     result_dir = Path(result_dir)
-    result_dir.mkdir(parents=True, exist_ok=True)
     result_path = result_dir / ("%s.result" % inst.instance_id)
     out_path = result_path.with_suffix(".out")
-    result_path.unlink(missing_ok=True)
     argv = adapter.argv(inst.network_path, inst.spec_path, inst.timeout, result_path)
-
-    def record(status, seconds, witness=""):
-        return RunRecord(
-            tool=adapter.tool,
-            instance_id=inst.instance_id,
-            benchmark=inst.benchmark,
-            status=status,
-            seconds=min(seconds, inst.timeout),
-            mode=adapter.mode,
-            witness_path=witness,
+    try:
+        result_dir.mkdir(parents=True, exist_ok=True)
+        result_path.unlink(missing_ok=True)
+        out = open(out_path, "wb")
+    except OSError as exc:  # an OSError names its path
+        log.warning(
+            "adapter %s cannot run on %s: %s", adapter.tool, inst.instance_id, exc
         )
+        return record(Status.ERROR, 0.0)
 
-    with open(out_path, "wb") as out:
+    with out:
         start = time.monotonic()
         try:
             proc = subprocess.Popen(
@@ -368,7 +380,7 @@ def run_tool(
     if witness_rel and status is Status.VIOLATED:  # relative to the result file
         witness = str(result_path.parent / witness_rel)
 
-    if status is Status.VIOLATED and witness and strict_witness:
+    if witness and inst.benchmark != TRIVIAL_BENCHMARK:
         try:
             claimed = read_witness(witness)  # before the costlier network and spec
             net, spec = _load_instance_problem(inst, decoded)
@@ -384,14 +396,8 @@ def run_tool(
                 adapter.tool, inst.instance_id, detail or "spec not satisfied", out_path,
             )
             return record(Status.ERROR, elapsed)
-    elif status is Status.VIOLATED and witness:
-        log.warning(
-            "accepting unvalidated witness from %s on %s (lenient mode)",
-            adapter.tool,
-            inst.instance_id,
-        )
 
-    return record(status, elapsed, witness)
+    return record(status, elapsed, witness_path=witness)
 
 
 def prepare_adapter(adapter: ToolAdapter) -> None:
@@ -433,36 +439,33 @@ def run_baseline(
     naming the path, as ``run_tool`` does for a witness it cannot read.
     """
     start = time.monotonic()
+    status, witness = _baseline_verdict(inst, budget, witness_dir, start)
+    seconds = time.monotonic() - start
+    return _record(BASELINE_TOOL, inst, status, seconds, witness_path=witness)
 
-    def record(status, witness=""):
-        return RunRecord(
-            tool=BASELINE_TOOL,
-            instance_id=inst.instance_id,
-            benchmark=inst.benchmark,
-            status=status,
-            seconds=min(time.monotonic() - start, inst.timeout),
-            witness_path=witness,
-        )
 
+def _baseline_verdict(inst: Instance, budget: Budget, witness_dir, start: float) -> tuple:
+    """The baseline's status and witness path ("" for none) on inst, its
+    run started at the monotonic time start."""
     try:
         net, spec = _load_instance_problem(inst)
     except UnsupportedNetworkError:
-        return record(Status.UNKNOWN)
+        return Status.UNKNOWN, ""
     except (NetworkError, SpecError, OSError) as exc:
         log.warning("baseline failed to load %s: %s", inst.instance_id, exc)
-        return record(Status.ERROR)
+        return Status.ERROR, ""
 
     def violated(witness):
         if witness_dir is None:
-            return record(Status.VIOLATED)
+            return Status.VIOLATED, ""
         path = Path(witness_dir) / ("%s.txt" % inst.instance_id)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             write_witness(witness, path)
         except OSError as exc:
             log.warning("baseline failed to save its witness to %s: %s", path, exc)
-            return record(Status.ERROR)
-        return record(Status.VIOLATED, str(path))
+            return Status.ERROR, ""
+        return Status.VIOLATED, str(path)
 
     try:
         falsify_budget = dataclasses.replace(
@@ -473,19 +476,19 @@ def run_baseline(
             return violated(witness)
         remaining = inst.timeout - (time.monotonic() - start)
         if remaining <= 0:
-            return record(Status.TIMEOUT)
+            return Status.TIMEOUT, ""
         _check_supported(net)
         outcome = verify(
             net, spec, dataclasses.replace(budget, wall_seconds=remaining)
         )
     except UnsupportedActivationError:
-        return record(Status.UNKNOWN)
+        return Status.UNKNOWN, ""
     except (ValueError, ArithmeticError) as exc:
         log.warning("baseline failed on %s: %s", inst.instance_id, exc)
-        return record(Status.ERROR)
+        return Status.ERROR, ""
     if outcome.status is Status.VIOLATED and outcome.witness is not None:
         return violated(outcome.witness)
-    return record(outcome.status)
+    return outcome.status, ""
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +745,6 @@ def run_batch(
     baseline: bool = True,
     baseline_budget: Budget = EASY_VIOLATED_BUDGET,
     n_trivial: int = 3,
-    strict_witness: bool = True,
 ) -> dict:
     """Run every adapter (plus the baseline) over the instances and the
     warm-ups, write one results CSV per tool under out_dir, and return
@@ -750,14 +752,17 @@ def run_batch(
 
     The n_trivial warm-up instances are built once, under out_dir/trivial.
     Every adapter is prepared first; then each adapter runs the instances
-    (results under out_dir/results/<tool>) and then the warm-ups, whose
-    witnesses are not validated (results under
-    out_dir/trivial/results/<tool>).  baseline is an on/off switch, read by
-    truthiness: when on, the bundled participant runs as BASELINE_TOOL on
-    the instances and then the same warm-ups.  Strictly sequential; a
-    crashing adapter contributes ERROR records but never aborts the batch.
-    A negative n_trivial or a failing prepare command raises
-    ``HarnessError`` before any instance runs.
+    (results under out_dir/results/<tool>) and then the warm-ups (results
+    under out_dir/trivial/results/<tool>).  Every witness an adapter offers
+    on an instance is validated by ``run_tool``, which keeps only the
+    warm-ups' unchecked, so each witness path in a scored adapter row names
+    a witness that passed ``validate_witness``.  baseline is an on/off
+    switch, read by truthiness: when on, the bundled participant runs as
+    BASELINE_TOOL on the instances and then the same warm-ups.  Strictly
+    sequential; a crashing adapter, or a run whose files cannot be made,
+    contributes ERROR records but never aborts the batch.  A negative
+    n_trivial or a failing prepare command raises ``HarnessError`` before
+    any instance runs.
 
     The adapters' witness checks share one memo of decoded nets and specs,
     so each instance file decodes at most once per call.  The baseline does
@@ -783,7 +788,6 @@ def run_batch(
                     adapter,
                     inst,
                     result_dir=out_dir / "results" / adapter.tool,
-                    strict_witness=strict_witness,
                     decoded=decoded,
                 )
             )
@@ -793,7 +797,6 @@ def run_batch(
                     adapter,
                     inst,
                     result_dir=out_dir / "trivial" / "results" / adapter.tool,
-                    strict_witness=False,
                 )
             )
 

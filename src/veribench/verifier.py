@@ -45,7 +45,7 @@ import numpy as np
 
 from .bounds import UnsupportedActivationError, _bound, _plan
 from .network import _QUIET, Network, _layer_walk, forward, layer_outputs
-from .speclang import _VAR_RE, NormalizedSpec, Witness
+from .speclang import _VAR_RE, NormalizedSpec, Witness, _is_number
 
 # Boxes narrower than this per dimension are not split further.
 MIN_SPLIT_WIDTH = 1e-12
@@ -505,8 +505,9 @@ def format_witness(witness: Witness) -> str:
 def parse_witness(text: str) -> Witness:
     """Read ``X_<i> value`` / ``Y_<j> value`` lines, indices in order from 0.
 
-    A variable is read with the VNNLIB reader's rule (ASCII digits only); a
-    line that is not one name and one number raises ``ValueError`` naming it.
+    A variable and a value are read with the VNNLIB reader's rules (ASCII
+    digits only, and a value that is a plain ASCII literal); a line that is
+    not one name and one number raises ``ValueError`` naming it.
     """
     xs: list[float] = []
     ys: list[float] = []
@@ -517,7 +518,7 @@ def parse_witness(text: str) -> Witness:
         parts = line.split()
         m = _VAR_RE.match(parts[0]) if len(parts) == 2 else None
         try:
-            if m is None:
+            if m is None or not _is_number(parts[1]):
                 raise ValueError
             index, value = int(m.group(2)), float(parts[1])
         except ValueError:

@@ -77,6 +77,36 @@ def test_interval_sampling_soundness():
             assert np.all(y <= out.upper + 1e-9)
 
 
+@pytest.mark.parametrize("kind", ["relu", "sigmoid", "tanh"])
+def test_interval_bounds_answer_on_a_point_box(kind):
+    # the stacked product rounds lower and upper apart, so on a point box
+    # lower may exceed upper by an ulp; that used to raise "box has lower > upper"
+    rng = np.random.default_rng(11)
+    w, x = rng.normal(size=(1, 3)), rng.normal(size=3)
+    nets = [Network((AffineLayer(w, np.zeros(1)),), 3, 1)]  # one layer suffices
+    points = [x]
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        nets.append(make_random_network(rng, 3, [6, 6], 2, activation=kind))
+        points.append(rng.normal(size=3))
+    for net, x in zip(nets, points):
+        out = interval_bounds(net, Box(x, x))[-1]
+        y = forward(net, x)
+        np.testing.assert_allclose(out.lower, y, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.upper, y, rtol=1e-12, atol=1e-12)
+
+
+def test_bounds_answer_through_a_layer_of_width_zero():
+    # a crossing check over no neurons has no gap to reduce; the core's
+    # reduction used to raise a bare ValueError there
+    net = Network(
+        (AffineLayer(np.zeros((0, 1)), np.zeros(0)), AffineLayer(np.zeros((1, 0)), [2.0])), 1, 1
+    )
+    box = Box([0.0], [1.0])
+    for out in (interval_bounds(net, box)[-1], affine_bounds(net, box).output_box):
+        assert (out.lower[0], out.upper[0]) == (2.0, 2.0)
+
+
 # -- affine relaxation --------------------------------------------------------
 
 

@@ -1,7 +1,9 @@
 """End-to-end CLI tests.  Everything goes through main(argv) in process so
 exit codes and stdout/stderr routing are checked for real."""
 
+import argparse
 import json
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -331,11 +333,19 @@ class TestRunAndOverhead:
         # run settings are flags; the config names tools only
         config, manifest = echo_setup
         out = tmp_path / "out"
-        flags = ["--no-baseline", "--lenient-witness", "--n-trivial", "0"]
+        flags = ["--no-baseline", "--n-trivial", "0"]
         code = main(["run", str(manifest), "--config", str(config), "--out", str(out)] + flags)
         assert code == 0
         assert (out / "echo.csv").is_file()
         assert not (out / "randgen.csv").exists()
+
+    def test_no_flag_turns_the_witness_check_off(self, echo_setup, tmp_path, capsys):
+        config, manifest = echo_setup
+        out = tmp_path / "out"
+        argv = ["run", str(manifest), "--config", str(config), "--out", str(out)]
+        assert main(argv + ["--lenient-witness"]) == 1
+        assert "--lenient-witness" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key",
@@ -697,3 +707,18 @@ def test_readme_command_lines_parse():
         argv = shlex.split(line, comments=True)[1:]
         args = parser.parse_args(argv)
         assert args.command == argv[0] and args.func is not None, line
+
+
+def test_readme_names_every_flag():
+    # every parser flag is documented, so a new flag comes with its docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    parsers, flags = [_build_parser()], set()
+    while parsers:
+        for action in parsers.pop()._actions:
+            flags.update(f for f in action.option_strings if f.startswith("--"))
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    flags.discard("--help")
+    assert len(flags) > 10
+    missing = sorted(f for f in flags if not re.search(re.escape(f) + r"(?![\w-])", readme))
+    assert not missing, "flags missing from README.md: %s" % ", ".join(missing)

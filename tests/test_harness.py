@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import NAN_GRADIENT_NET, NAN_GRADIENT_SPEC, constant_node
+from conftest import NAN_GRADIENT_NET, NAN_GRADIENT_SPEC, constant_node, make_random_network
 import veribench._onnxproto as wire
 import veribench.harness as harness
 import veribench.verifier as verifier
@@ -39,9 +39,16 @@ from veribench.network import (
     gen_trivial_network, load_network, network_to_onnx_bytes, save_network,
 )
 from veribench.scoring import (
-    BASELINE_TOOL, RunRecord, build_overhead_model, empty_ledger, read_results_csv, score_records,
+    BASELINE_TOOL, TRIVIAL_BENCHMARK, RunRecord, build_overhead_model, empty_ledger,
+    read_results_csv, read_results_dir, score_records,
 )
-from veribench.verifier import EASY_VIOLATED_BUDGET, Status, falsify, read_witness, validate_witness
+from veribench.speclang import Witness, load_spec
+from veribench.verifier import (
+    EASY_VIOLATED_BUDGET, Status, falsify, read_witness, validate_witness, write_witness,
+)
+
+ACAS_PROPS = Path(__file__).resolve().parent / "fixtures" / "acasxu" / "props"
+
 
 def save_manifest(path, instances) -> None:
     """Write instances back out, paths relative to the manifest location."""
@@ -372,19 +379,6 @@ class TestRunTool:
             result_dir=tmp_path / "r",
         )
         assert record.status is Status.ERROR
-
-    def test_corrupted_witness_kept_in_lenient_mode(
-        self, runner, trivial_instance, tmp_path
-    ):
-        witness = tmp_path / "w.txt"
-        witness.write_text("X_0 0.5\nY_0 99\n")
-        record = run_tool(
-            runner("violated", extra=str(witness)),
-            trivial_instance,
-            result_dir=tmp_path / "r",
-            strict_witness=False,
-        )
-        assert record.status is Status.VIOLATED
 
     def test_unparseable_witness_rejected_before_the_instance_loads(
         self, runner, trivial_instance, tmp_path, monkeypatch, caplog
@@ -1022,6 +1016,14 @@ class TestConfig:
             build_adapters({"adapter.randgen.run": "r {result}"})
 
 
+CLAIM_SOURCE = '''\
+import pathlib, sys
+kind, witnesses, spec, result = sys.argv[1:]
+witness = pathlib.Path(witnesses) / ("%s-%s.txt" % (kind, pathlib.Path(spec).stem))
+pathlib.Path(result).write_text("violated\\n%s\\n" % witness)
+'''
+
+
 class TestRunBatch:
     def make_manifest(self, tmp_path, n=2):
         bench = tmp_path / "mini"
@@ -1055,6 +1057,86 @@ class TestRunBatch:
         statuses = {r.instance_id: r.status for r in randgen}
         assert statuses["net-prop_0"] is Status.VIOLATED
         assert statuses["net-prop_1"] is Status.HOLDS
+
+    def test_every_scored_witness_path_names_a_witness_that_validates(self, tmp_path):
+        # an ACAS-shaped net and three props its falsifier breaks; every tool
+        # claims violated everywhere, pointing at a valid, a corrupt or a
+        # missing witness
+        bench = tmp_path / "acas"
+        bench.mkdir()
+        net = make_random_network(np.random.default_rng(0), 5, [50] * 6, 5)
+        save_network(net, bench / "net.onnx")
+        witnesses = tmp_path / "witnesses"
+        witnesses.mkdir()
+        rows = []
+        for prop in ("prop_5", "prop_6", "prop_8"):
+            shutil.copy(ACAS_PROPS / ("%s.vnnlib" % prop), bench)
+            found = falsify(net, load_spec(bench / ("%s.vnnlib" % prop)), EASY_VIOLATED_BUDGET)
+            write_witness(found, witnesses / ("valid-%s.txt" % prop))
+            claimed_off = tuple(v + 1.0 for v in found.y_claimed)
+            write_witness(Witness(found.x, claimed_off), witnesses / ("corrupt-%s.txt" % prop))
+            rows.append("net.onnx,%s.vnnlib,20\n" % prop)
+        (bench / "instances.csv").write_text("".join(rows))
+        claim = tmp_path / "claim.py"
+        claim.write_text(CLAIM_SOURCE)
+        adapters = [
+            ToolAdapter(kind, "python3 %s %s %s {spec} {result}" % (claim, kind, witnesses))
+            for kind in ("valid", "corrupt", "missing")
+        ]
+        instances = {i.instance_id: i for i in load_manifest(bench / "instances.csv")}
+        out = tmp_path / "out"
+        run_batch(list(instances.values()), adapters, out, n_trivial=1)
+
+        records = read_results_dir(out)
+        scored = [r for r in records if r.benchmark != TRIVIAL_BENCHMARK]
+        statuses = {}
+        for r in scored:
+            statuses.setdefault(r.tool, []).append(r.status)
+            if r.witness_path:
+                inst = instances[r.instance_id]
+                witness = read_witness(r.witness_path)
+                assert validate_witness(net, load_spec(inst.spec_path), witness), r
+        assert statuses == {
+            "valid": [Status.VIOLATED] * 3,
+            "corrupt": [Status.ERROR] * 3,
+            "missing": [Status.ERROR] * 3,
+            "randgen": [Status.VIOLATED] * 3,
+        }
+        assert all(r.witness_path for r in scored if r.status is Status.VIOLATED)
+        # a warm-up's witness is not checked: its row is never scored
+        warm = {r.tool: r for r in records if r.benchmark == TRIVIAL_BENCHMARK}
+        for kind in ("valid", "corrupt", "missing"):
+            assert warm[kind].status is Status.VIOLATED
+            assert warm[kind].witness_path == str(witnesses / ("%s-trivial-0.txt" % kind))
+        assert warm["randgen"].status is Status.VIOLATED
+
+    @pytest.mark.parametrize(
+        "blocked",
+        ["results", "results/echo/net-prop_0.result", "results/echo/net-prop_0.out"],
+    )
+    def test_run_whose_files_cannot_be_made_is_error_and_the_batch_goes_on(
+        self, blocked, runner, tmp_path, caplog
+    ):
+        # a plain file where the result directory goes makes mkdir fail; a
+        # directory at the stale result or the .out path makes unlink or open fail
+        instances = load_manifest(self.make_manifest(tmp_path))
+        out = tmp_path / "out"
+        path = out / blocked
+        if blocked == "results":
+            out.mkdir()
+            path.write_text("")
+        else:
+            path.mkdir(parents=True)
+        with caplog.at_level("WARNING", logger=harness.log.name):
+            run_batch(instances, [runner("holds")], out, baseline=False, n_trivial=1)
+        n_blocked = 2 if blocked == "results" else 1
+        # the two instances, then the warm-up, all in the CSV
+        records = read_results_csv(out / "echo.csv", tool="echo")
+        assert [r.status for r in records] == (
+            [Status.ERROR] * n_blocked + [Status.HOLDS] * (3 - n_blocked)
+        )
+        assert [r.seconds for r in records[:n_blocked]] == [0.0] * n_blocked
+        assert sum(str(path) in m for m in caplog.messages) == n_blocked, caplog.messages
 
     def test_prepare_program_that_does_not_exist_names_the_tool(self, runner, tmp_path):
         adapter = dataclasses.replace(runner("holds"), prepare="no-such-prog-xyz")

@@ -1004,3 +1004,11 @@ def test_witness_parse_errors():
             parse_witness(text)
     with pytest.raises(ValueError, match="no input values"):
         parse_witness("\n")
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff11", "1\u06f0"])
+def test_witness_values_follow_the_vnnlib_number_rule(value):
+    # float() reads 1_0 as 10.0 and Arabic-Indic or fullwidth digits as
+    # numbers; the spec reader refuses all of them, and so does a witness
+    with pytest.raises(ValueError, match="^bad witness line 2: 'Y_0 %s'$" % value):
+        parse_witness("X_0 1\nY_0 %s\n" % value)
