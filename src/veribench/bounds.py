@@ -11,10 +11,10 @@ concretizes both halves at once, and ``np.maximum`` meets two enclosures.
 
 What the bounds read of a network is its bound plan, ``_plan``: per affine
 layer the block, the bias ``[b; -b]`` as a column, and W and b for
-back-substitution; per ReLU its kind; and the input's forms ``[I; -I]``.
-``_plan`` first refuses other activations (``_check_supported``).  A search
+back-substitution; per activation its kind; and the input's forms
+``[I; -I]``.  Every network the loader accepts has a plan.  A search
 builds the plan once and passes it to every call; ``affine_bounds`` builds
-one per call, and ``interval_bounds``, which bounds sigmoid and tanh, none.
+one per call, and ``interval_bounds`` none.
 
 One batched core, ``_bound``, bounds K boxes and their constraint rows
 ``a_y . f(x) + b_x . x`` in one call.  It takes each box's centre and
@@ -30,21 +30,24 @@ neither collapses a crossing.  Both collapse a rounding crossing (lower
 above upper by an ulp or so) to its midpoint by one rule, ``_collapse``,
 so ``interval_bounds`` answers on every finite box, a point included.
 Unstable ReLU neurons get the chord upper relaxation and a zero or
-identity lower relaxation.  The output bounds are met with bounds the
-caller already has, if any, and then the rows are bounded by
-back-substitution through the ReLU slopes (DeepPoly, CROWN): each row is
-walked back to the input, choosing each neuron's lower or upper relaxation
-by the sign of its accumulated coefficient, which in exact arithmetic is
-never looser than substituting the forward forms.  The slopes never leave
-the core.  Each (box, row) pair is its own row vector there, so a row's
-bound does not depend on the rows or boxes batched with it.  A non-finite
-value in any box or row fails the whole batch with ``ArithmeticError``.
-Branch-and-bound and the robustness certifier call the core directly;
-``affine_bounds`` (with no rows) and ``constraint_lower_bound`` (with one)
-run it on one box, with a ``Box`` at the edge.  The core sets no error
-state and checks no input: the public functions here, like every search
-that calls it, run under ``network._QUIET``, so an overflow is caught by a
-finiteness check, not reported as a warning.
+identity lower relaxation.  Any other activation (sigmoid, tanh) is
+monotone increasing and gets the constant lines f(l) and f(u), its
+interval image, so the forms after it are constants.  The output bounds
+are met with bounds the caller already has, if any, and then the rows are
+bounded by back-substitution through the relaxations (DeepPoly, CROWN):
+each row is walked back to the input, choosing each neuron's lower or
+upper relaxation by the sign of its accumulated coefficient, which in
+exact arithmetic is never looser than substituting the forward forms.
+The relaxations never leave the core.  Each (box, row) pair is its own
+row vector there, so a row's bound does not depend on the rows or boxes
+batched with it.  A non-finite value in any box or row fails the whole
+batch with ``ArithmeticError``.  Branch-and-bound and the robustness
+certifier call the core directly; ``affine_bounds`` (with no rows) and
+``constraint_lower_bound`` (with one) run it on one box, with a ``Box`` at
+the edge.  The core sets no error state and checks no input: the public
+functions here, like every search that calls it, run under
+``network._QUIET``, so an overflow is caught by a finiteness check, not
+reported as a warning.
 """
 
 from __future__ import annotations
@@ -67,17 +70,6 @@ from .network import (
 DEGENERATE_WIDTH = 1e-12
 
 
-class UnsupportedActivationError(ValueError):
-    """Affine relaxation only covers ReLU activations."""
-
-
-def _check_supported(net: Network) -> None:
-    """The one statement of what the bound core takes: affine and ReLU layers."""
-    for layer in net.layers:
-        if not isinstance(layer, AffineLayer) and layer.kind != "relu":
-            raise UnsupportedActivationError(f"affine relaxation does not support {layer.kind}")
-
-
 def _check_finite(*arrays) -> None:
     for a in arrays:
         if not np.isfinite(a).all():
@@ -97,7 +89,7 @@ class _Plan(NamedTuple):
     """What the bounds read of one network; see ``_plan``."""
 
     eye: np.ndarray  # [I; -I], (2n, n): the input coefficients of the input's forms
-    steps: tuple  # per layer, an _Affine or "relu"
+    steps: tuple  # per layer, an _Affine or the activation's kind
 
 
 def _stacked(layer: AffineLayer) -> _Affine:
@@ -113,10 +105,8 @@ def _stacked(layer: AffineLayer) -> _Affine:
 def _plan(net: Network) -> _Plan:
     """What the bounds read of the network; a search builds it once.
 
-    ``_check_supported`` first refuses a network the core does not take.
     The plan is never stored on the network: it holds four times the weights.
     """
-    _check_supported(net)
     eye = np.eye(net.n_inputs)
     steps = tuple(
         _stacked(layer) if isinstance(layer, AffineLayer) else layer.kind
@@ -253,12 +243,16 @@ def _bound(plan: _Plan, lo, hi, a_y, b_x, inherited=None) -> tuple:
     bound through y; and the (K, c, n) input coefficients of each row's
     lower affine form.
 
-    The forward walk keeps every ReLU layer's ``_relu_relaxation``.  The
-    backward walk takes each row back through the layers: an affine layer
-    maps its coefficients g to g W and adds g . b to its constant, and a
-    ReLU takes the lower slope where g >= 0 and the upper chord, with its
-    shift, where g < 0.  Every (box, row) pair is its own (1, width) row
-    vector, so each bound is computed as for one row over one box.
+    The forward walk keeps every ReLU layer's ``_relu_relaxation`` and
+    every other activation's output bounds f(l), f(u).  The backward walk
+    takes each row back through the layers: an affine layer maps its
+    coefficients g to g W and adds g . b to its constant, a ReLU takes the
+    lower slope where g >= 0 and the upper chord, with its shift, where
+    g < 0, and any other activation adds max(g, 0) . f(l) + min(g, 0) . f(u)
+    to the constant and sets g to zero.  An activation that is the last
+    layer reads its bounds met with ``inherited``, which enclose its output
+    too.  Every (box, row) pair is its own (1, width) row vector, so each
+    bound is computed as for one row over one box.
     """
     (k, n), (c, m) = lo.shape, a_y.shape[-2:]
     mid, rad = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
@@ -276,13 +270,18 @@ def _bound(plan: _Plan, lo, hi, a_y, b_x, inherited=None) -> tuple:
             # least value over the box: at the centre, less |A| . radius
             conc = z[..., n:] - np.abs(z[..., :n]) @ rad[..., None]
             y = _meet(_interval_affine(step, y), conc)
-        else:
+        elif step == "relu":
             slope, shift = _relu_relaxation(y[..., 0])
             z *= slope[..., None]
             z[:, shift.shape[1] :, n] += shift
             # the relaxed forms concretize no tighter than this
             y = _interval_activation(step, y)
             relaxation.append((slope, shift))
+        else:  # monotone increasing: the forms are the constants f(l), f(u)
+            y = _interval_activation(step, y)
+            z[..., :n] = 0.0
+            z[..., n] = y[..., 0]
+            relaxation.append(y[..., 0])
     y = y[..., 0]
     if inherited is not None:
         y = _meet(y, inherited)
@@ -293,12 +292,16 @@ def _bound(plan: _Plan, lo, hi, a_y, b_x, inherited=None) -> tuple:
         if isinstance(step, _Affine):
             const = const + g @ step.b
             g = g @ step.weight
-        else:
+        elif step == "relu":
             slope, shift = relaxation.pop()
             half = shift.shape[1]
             lower, upper = slope[:, None, None, :half], slope[:, None, None, half:]
             const = const - np.minimum(g, 0.0) @ shift[:, None, :, None]
             g = g * np.where(g >= 0.0, lower, upper)
+        else:  # max(g, 0) . f(l) + min(g, 0) . f(u), on stacked [f(l) | -f(u)]
+            g_stacked = np.concatenate([np.maximum(g, 0.0), -np.minimum(g, 0.0)], axis=-1)
+            const = const + g_stacked @ relaxation.pop()[:, None, :, None]
+            g = np.zeros_like(g)
     coef = g + b_x[..., None, :]  # (K, c, 1, n)
     mid, rad = mid[:, None, :, None], rad[:, None, :, None]
 
@@ -320,8 +323,9 @@ def affine_bounds(net: Network, box: Box) -> AffineBounds:
     Unstable ReLU neurons get the chord upper relaxation
     u(z) = u * (z - l) / (u - l) and a lower relaxation of either zero
     (when |l| >= u) or the identity; stable neurons pass through exactly.
-    This is the batched core run on a batch of one box with no rows.  A
-    constant that overflows, though the forms are finite, raises
+    After any other activation the forms are the constants of its interval
+    image.  This is the batched core run on a batch of one box with no
+    rows.  A constant that overflows, though the forms are finite, raises
     ``ArithmeticError``.
     """
     if box.dim != net.n_inputs:

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import UnsupportedActivationError, _bound, _check_supported, _plan
+from .bounds import _bound, _plan
 from .network import _QUIET, NetworkError, UnsupportedNetworkError, forward
 from .network import gen_trivial_network, load_network, save_network
 from .scoring import RunRecord, ScoreLedger, write_results_csv
@@ -433,8 +433,7 @@ def run_baseline(
     branch-and-bound verification.  A network the loader refuses as
     unsupported (``UnsupportedNetworkError``: an operator, an element type
     or a branching graph) yields UNKNOWN, mirroring tools that skip a
-    benchmark rather than erroring on it, as does a net the bound core
-    refuses once the falsifier missed; any other load failure is ERROR.
+    benchmark rather than erroring on it; any other load failure is ERROR.
     A witness that cannot be saved makes the run an ERROR, with a warning
     naming the path, as ``run_tool`` does for a witness it cannot read.
     """
@@ -477,12 +476,9 @@ def _baseline_verdict(inst: Instance, budget: Budget, witness_dir, start: float)
         remaining = inst.timeout - (time.monotonic() - start)
         if remaining <= 0:
             return Status.TIMEOUT, ""
-        _check_supported(net)
         outcome = verify(
             net, spec, dataclasses.replace(budget, wall_seconds=remaining)
         )
-    except UnsupportedActivationError:
-        return Status.UNKNOWN, ""
     except (ValueError, ArithmeticError) as exc:
         log.warning("baseline failed on %s: %s", inst.instance_id, exc)
         return Status.ERROR, ""
@@ -610,13 +606,12 @@ def make_robustness_oracles(
     falsifier; the certifier bounds every competing class's margin row by
     back-substitution, in one call of the bound core that branch-and-bound
     uses, and proves the ball robust when every row's lower bound is
-    positive.  The network's bound plan is built first, once for all calls,
-    so a network the core refuses is refused before any oracle exists.
+    positive.  The network's bound plan is built once, for all calls.
     """
     net = req.network
-    plan = _plan(net)
     if net.n_outputs < 2:
         raise HarnessError("robustness calibration needs at least two outputs")
+    plan = _plan(net)
     if budget is None:
         budget = dataclasses.replace(EASY_VIOLATED_BUDGET, wall_seconds=5.0)
     top = int(np.argmax(forward(net, req.center)))

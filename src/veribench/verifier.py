@@ -2,7 +2,7 @@
 
 verify() runs branch-and-bound over input splits: one search over the box
 trees of all disjuncts.  It prunes a box when a constraint row's lower
-bound, back-substituted through the ReLU relaxation of the box by the
+bound, back-substituted through the activations' relaxation by the
 bound core (``bounds._bound``), exceeds the row's rhs; the network's bound
 plan (``bounds._plan``) is built once per search.  The frontier is a stack
 of boxes, each tagged with its disjunct and carrying its parent's output
@@ -35,6 +35,7 @@ searching the disjuncts one at a time.
 from __future__ import annotations
 
 import numbers
+import re
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -43,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import UnsupportedActivationError, _bound, _plan
+from .bounds import _bound, _plan
 from .network import _QUIET, Network, _layer_walk, forward, layer_outputs
 from .speclang import _VAR_RE, NormalizedSpec, Witness, _is_number
 
@@ -405,9 +406,8 @@ def verify(net: Network, spec: NormalizedSpec, budget: Budget) -> Outcome:
     HOLDS when every disjunct's box tree is exhausted, VIOLATED on the first
     validated witness, TIMEOUT when the wall clock or subproblem budget runs
     out, UNKNOWN when some cell could not be split further and no witness
-    was found.  A network ``bounds._plan`` refuses gets ``falsify`` alone,
-    under the same budget: VIOLATED on a witness, else UNKNOWN.  The search
-    order is the module docstring's; a capped run visits exactly
+    was found.  Every network the loader accepts gets this one search.  The
+    search order is the module docstring's; a capped run visits exactly
     ``max_subproblems`` nodes.  When the run is not capped, the status does
     not depend on that order, and a spec that holds visits the same nodes in
     any order; any returned witness is validated.
@@ -416,14 +416,8 @@ def verify(net: Network, spec: NormalizedSpec, budget: Budget) -> Outcome:
     start = time.monotonic()
     stats = Stats()
     try:
-        try:
-            plan = _plan(net)
-        except UnsupportedActivationError:
-            witness = falsify(net, spec, budget)
-            status = Status.UNKNOWN if witness is None else Status.VIOLATED
-        else:
-            deadline = start + budget.wall_seconds
-            status, witness = _branch_and_bound(net, spec, plan, budget, deadline, stats)
+        deadline = start + budget.wall_seconds
+        status, witness = _branch_and_bound(net, spec, _plan(net), budget, deadline, stats)
     except ArithmeticError:
         status, witness = Status.ERROR, None
     stats.wall_time = time.monotonic() - start
@@ -506,16 +500,18 @@ def parse_witness(text: str) -> Witness:
     """Read ``X_<i> value`` / ``Y_<j> value`` lines, indices in order from 0.
 
     A variable and a value are read with the VNNLIB reader's rules (ASCII
-    digits only, and a value that is a plain ASCII literal); a line that is
-    not one name and one number raises ``ValueError`` naming it.
+    digits only, and a value that is a plain ASCII literal), and so are the
+    separators: lines end at LF, and only ASCII space, tab and CR separate
+    or surround the two tokens, so a CRLF file reads.  A line that is not
+    one name and one number raises ``ValueError`` naming it.
     """
     xs: list[float] = []
     ys: list[float] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip(" \t\r")
         if not line:
             continue
-        parts = line.split()
+        parts = re.split(r"[ \t\r]+", line)
         m = _VAR_RE.match(parts[0]) if len(parts) == 2 else None
         try:
             if m is None or not _is_number(parts[1]):

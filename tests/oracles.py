@@ -1,4 +1,4 @@
-"""Independent ground truth for tiny ReLU networks, used only by tests.
+"""Independent ground truth for tiny networks, used only by tests.
 
 Satisfiability of a normalized spec over a network is decided by dense grid
 evaluation plus a Lipschitz argument:
@@ -7,12 +7,14 @@ evaluation plus a Lipschitz argument:
 - a conjunct is refuted over its whole box when every grid point has some
   constraint violated by more than L_c * r, where r is the covering radius
   of the grid (max-norm) and L_c bounds the constraint's rate of change
-  (L_c = |a_y|_1 * prod of layer max-abs-row-sums + |b_x|_1);
+  (L_c = |a_y|_1 * prod of layer max-abs-row-sums + |b_x|_1, valid because
+  ReLU, sigmoid and tanh are all 1-Lipschitz);
 - otherwise the grid is refined; if the point limit is hit, the instance is
   reported undecidable at this resolution and callers should resample.
 
 This module deliberately avoids the package's bound-propagation and search
-code; it only reads network weights and evaluates layers directly.
+code; it only reads network weights and evaluates layers directly, each
+activation by its own formula (``batch_forward``).
 
 ``reference_falsify`` is the falsifier as it was before it was batched: one
 point per forward pass, PGD restarts one after another.  The batched
@@ -131,14 +133,21 @@ def ast_satisfied(ast, x, y) -> bool:
     return all(holds(t) for t in ast.assertions)
 
 
+_ACTIVATIONS = {
+    "relu": lambda v: np.maximum(v, 0.0),
+    # sigmoid(v) = (1 + tanh(v / 2)) / 2 has no exp to overflow
+    "sigmoid": lambda v: 0.5 + 0.5 * np.tanh(0.5 * v),
+    "tanh": np.tanh,
+}
+
+
 def batch_forward(net: Network, xs: np.ndarray) -> np.ndarray:
     v = np.asarray(xs, dtype=np.float64)
     for layer in net.layers:
         if isinstance(layer, AffineLayer):
             v = v @ layer.weight.T + layer.bias
         elif isinstance(layer, ActivationLayer):
-            assert layer.kind == "relu", "oracle only covers relu"
-            v = np.maximum(v, 0.0)
+            v = _ACTIVATIONS[layer.kind](v)
     return v
 
 
@@ -200,10 +209,11 @@ def decide_spec(net: Network, spec: NormalizedSpec, max_points: int = 2**21) -> 
     return UNDECIDED if saw_undecided else UNSAT
 
 
-def make_decidable_instance(rng, max_tries: int = 50):
+def make_decidable_instance(rng, max_tries: int = 50, activation: str = "relu"):
     """Random tiny net + spec whose ground truth the grid oracle can certify.
 
-    Returns (net, spec, verdict) with verdict in {SAT, UNSAT}.
+    The net's hidden layer has the given activation.  Returns (net, spec,
+    verdict) with verdict in {SAT, UNSAT}.
     """
     from conftest import make_random_network
 
@@ -212,7 +222,12 @@ def make_decidable_instance(rng, max_tries: int = 50):
         n_out = int(rng.integers(1, 3))
         n_hidden = int(rng.integers(2, 9))
         net = make_random_network(
-            rng, n_in, [n_hidden], n_out, weight_scale=float(rng.uniform(0.8, 2.0))
+            rng,
+            n_in,
+            [n_hidden],
+            n_out,
+            activation=activation,
+            weight_scale=float(rng.uniform(0.8, 2.0)),
         )
         lower = rng.uniform(-1.5, -0.2, n_in)
         upper = lower + rng.uniform(0.5, 2.0, n_in)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from veribench.bounds import (
-    UnsupportedActivationError,
     _bound,
     _meet,
     _plan,
@@ -183,12 +182,61 @@ def test_degenerate_preactivation_range():
     assert conc.upper[0] == pytest.approx(0.0, abs=1e-11)
 
 
-def test_affine_bounds_reject_sigmoid():
+def test_affine_bounds_of_a_sigmoid_is_its_interval_image():
     net = Network(
         (AffineLayer(np.eye(1), np.zeros(1)), ActivationLayer("sigmoid")), 1, 1
     )
-    with pytest.raises(UnsupportedActivationError):
-        affine_bounds(net, Box([0.0], [1.0]))
+    box = Box([0.0], [1.0])
+    ab = affine_bounds(net, box)
+    ib = interval_bounds(net, box)[-1]
+    # the constant lines f(l) and f(u): no input coefficient
+    assert (ab.lower_weight == 0.0).all() and (ab.upper_weight == 0.0).all()
+    assert ab.lower_const[0] == ib.lower[0] == 0.5
+    assert ab.upper_const[0] == ib.upper[0] == forward(net, [1.0])[0]
+    assert (ab.output_box.lower == ib.lower).all() and (ab.output_box.upper == ib.upper).all()
+
+
+@pytest.mark.parametrize("kind", ["sigmoid", "tanh"])
+def test_monotone_activation_bounds_sound_and_nested(kind):
+    # criterion 06 on sigmoid and tanh nets, some with a ReLU layer after
+    # them, over boxes whose pre-activation ranges lie in either tail, cross
+    # 0 or have a width near 0; the rows are the core's, batched over boxes
+    rng = np.random.default_rng(53)
+    seen = set()
+    for _ in range(40):
+        n_in, n_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        net = make_random_network(rng, n_in, [5, 4], n_out, activation=kind)
+        if rng.random() < 0.3:
+            layers = list(net.layers)
+            layers[3] = ActivationLayer("relu")
+            net = Network(tuple(layers), n_in, n_out)
+        centre = rng.uniform(-6.0, 6.0, (6, n_in))
+        radius = np.array([1e-13, 0.2, 2.0])[rng.integers(0, 3, (6, 1))] * np.ones(n_in)
+        lo, hi = centre - radius, centre + radius
+        a_y, b_x = rng.uniform(-1, 1, (3, n_out)), rng.uniform(-1, 1, (3, n_in))
+        _, _, lb, _ = _bound(_plan(net), lo, hi, a_y, b_x)
+        for i in range(len(lo)):
+            box = Box(lo[i], hi[i])
+            pre = interval_bounds(net, box)[1]
+            seen |= {
+                "low tail" if (pre.upper < -4.0).any() else None,
+                "high tail" if (pre.lower > 4.0).any() else None,
+                "across 0" if ((pre.lower < 0.0) & (pre.upper > 0.0)).any() else None,
+                "width near 0" if (pre.upper - pre.lower < 1e-11).any() else None,
+            }
+            ab = affine_bounds(net, box)
+            ib = interval_bounds(net, box)[-1]
+            out = ab.output_box
+            # nested inside the interval result, exactly
+            assert np.all(out.lower >= ib.lower) and np.all(out.upper <= ib.upper)
+            xs = np.vstack([rng.uniform(lo[i], hi[i], size=(300, n_in)), lo[i], hi[i]])
+            ys = forward(net, xs)
+            assert np.all(ys >= out.lower - 1e-9) and np.all(ys <= out.upper + 1e-9)
+            assert np.all(xs @ ab.lower_weight.T + ab.lower_const <= ys + 1e-9)
+            assert np.all(xs @ ab.upper_weight.T + ab.upper_const >= ys - 1e-9)
+            vals = ys @ a_y.T + xs @ b_x.T
+            assert np.all(vals.min(axis=0) >= lb[i] - 1e-9)
+    assert seen >= {"low tail", "high tail", "across 0", "width near 0"}
 
 
 def test_affine_bounds_constant_that_overflows_is_an_error():

@@ -13,7 +13,6 @@ import pytest
 
 from conftest import constant_node
 import veribench._onnxproto as wire
-import veribench.harness as harness
 from veribench.cli import _build_parser, main
 from veribench.harness import TRIVIAL_SPEC_TEXT
 from veribench.network import (
@@ -673,17 +672,16 @@ class TestCalibrateEps:
         assert captured.out == ""
         assert "the ball around the center is not finite" in captured.err
 
-    def test_tanh_net_is_refused_before_searching(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        monkeypatch.setattr(harness, "falsify", lambda *args: calls.append(args))
+    def test_tanh_net_gets_a_radius(self, tmp_path, capsys):
+        # y_1 overtakes y_0 = tanh(x_0) in the ball around (1, 0) from radius 0.5
         path = tmp_path / "tanh.onnx"
         net = Network((AffineLayer(np.eye(2), np.zeros(2)), ActivationLayer("tanh")), 2, 2)
         save_network(net, path)
-        assert main(["calibrate-eps", str(path), "--center", "0,0"]) == 2
+        argv = ["calibrate-eps", str(path), "--center", "1,0", "--eps-max", "1"]
+        assert main(argv + ["--eps-tol", "0.01"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "tanh" in captured.err
-        assert calls == []
+        assert captured.err == ""
+        assert 0.49 <= float(captured.out) <= 0.52
 
     def test_single_output_is_data_error(self, identity_net, capsys):
         code = main(

@@ -607,7 +607,10 @@ def test_box_too_wide_to_sample_is_an_error_before_a_tanh(row):
         warnings.simplefilter("error")
         with pytest.raises(ArithmeticError, match="too wide to sample"):
             falsify(net, spec, Budget())
-        assert verify(net, spec, Budget()).status is Status.ERROR
+        # verify draws nothing: its first probe, the midpoint 0, is a witness
+        out = verify(net, spec, Budget())
+    assert out.status is Status.VIOLATED and out.witness.x == (0.0,)
+    assert validate_witness(net, spec, out.witness)
 
 
 def test_climb_point_of_a_nan_gradient_is_an_error():
@@ -624,7 +627,7 @@ def test_gradient_returns_its_nan_with_no_warning():
 
 
 def test_verify_nonfinite_falsifier_only_path_is_error():
-    # a sigmoid makes verify skip branch-and-bound and only falsify
+    # the search's first probe overflows, whatever activation follows
     net = Network(OVERFLOW_LAYERS + (ActivationLayer("sigmoid"),), 1, 1)
     assert verify(net, _spec(OVERFLOW_SPEC), Budget()).status is Status.ERROR
 

@@ -33,7 +33,7 @@ from veribench.harness import (
     run_batch,
     run_tool,
 )
-from veribench.bounds import UnsupportedActivationError, affine_bounds, constraint_lower_bound
+from veribench.bounds import affine_bounds, constraint_lower_bound
 from veribench.network import (
     ActivationLayer, AffineLayer, Box, Network, UnsupportedNetworkError, forward,
     gen_trivial_network, load_network, network_to_onnx_bytes, save_network,
@@ -678,12 +678,11 @@ class TestRunBaseline:
         assert witness.x == (0.0,)
         assert validate_witness(net, spec, witness)
 
-    @pytest.mark.parametrize("bound, status", [("2.0", Status.UNKNOWN), ("0.9", Status.VIOLATED)])
+    @pytest.mark.parametrize("bound, status", [("2.0", Status.HOLDS), ("0.9", Status.VIOLATED)])
     def test_sigmoid_net_is_falsified_once(
         self, bound, status, trivial_instance, tmp_path, falsify_calls
     ):
-        # the bound core refuses sigmoid, so verification would only repeat
-        # the falsify pass with the same seed and counts
+        # verification is branch-and-bound alone, which never falsifies
         net_path, spec_path = tmp_path / "sigmoid.onnx", tmp_path / "sigmoid.vnnlib"
         sig = Network((AffineLayer(np.eye(1), np.zeros(1)), ActivationLayer("sigmoid")), 1, 1)
         save_network(sig, net_path)
@@ -909,12 +908,15 @@ class TestCalibrateEpsilon:
             with pytest.raises(HarnessError, match="ball around the center is not finite"):
                 CalibrationRequest(net, np.full(2, 0.5), eps_max=eps_max, eps_tol=0.01)
 
-    def test_tanh_net_refused_before_any_oracle_call(self, falsify_calls):
+    def test_tanh_net_oracles_answer(self, falsify_calls):
+        # y_1 overtakes y_0 = tanh(x_0) in the ball around (1, 0) from radius 0.5
         net = Network((AffineLayer(np.eye(2), np.zeros(2)), ActivationLayer("tanh")), 2, 2)
-        req = CalibrationRequest(network=net, center=np.zeros(2), eps_max=0.5, eps_tol=0.05)
-        with pytest.raises(UnsupportedActivationError, match="tanh"):
-            make_robustness_oracles(req)
+        req = CalibrationRequest(net, np.array([1.0, 0.0]), eps_max=1.0, eps_tol=0.05)
+        attack, certify = make_robustness_oracles(req)
         assert falsify_calls == []
+        assert certify(0.4) is True and certify(0.6) is False
+        assert attack(0.4) is False and attack(0.6) is True
+        assert len(falsify_calls) == 2
 
     def test_single_output_rejected(self):
         req = CalibrationRequest(

@@ -111,16 +111,22 @@ def test_one_error_state_applied_only_as_a_decorator():
 
 
 def test_relu_is_named_only_by_the_activation_table_and_the_bound_check():
-    # what the bound core takes is stated once, in bounds; every other
-    # module acts on its refusal instead of restating it
-    named = [
-        "%s:%d" % (path.name, node.lineno)
+    # the activation table in network names every kind; the bound core
+    # names ReLU, whose relaxation is its own, and takes every other kind
+    # by one rule, as monotone increasing, so it names no other kind
+    named_in = {
+        "relu": ("network.py", "bounds.py"),
+        "sigmoid": ("network.py",),
+        "tanh": ("network.py",),
+    }
+    outside = [
+        "%r at %s:%d" % (node.value, path.name, node.lineno)
         for path in MODULES
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        if isinstance(node, ast.Constant) and node.value == "relu"
+        if isinstance(node, ast.Constant) and node.value in named_in
+        and path.name not in named_in[node.value]
     ]
-    outside = [where for where in named if where.split(":")[0] not in ("network.py", "bounds.py")]
-    assert not outside, '"relu" named outside network.py and bounds.py: %s' % ", ".join(outside)
+    assert not outside, "activation kinds named outside their modules: %s" % ", ".join(outside)
 
 
 def test_no_half_of_a_sum_or_a_difference():

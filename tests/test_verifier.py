@@ -248,7 +248,7 @@ def test_verify_wall_clock_budget():
     assert out.status in (Status.TIMEOUT, Status.VIOLATED)
 
 
-def test_verify_unsupported_activation_falls_back():
+def test_verify_decides_a_sigmoid_net():
     sig = Network(
         (AffineLayer(np.eye(1), np.zeros(1)), ActivationLayer("sigmoid")), 1, 1
     )
@@ -263,7 +263,7 @@ def test_verify_unsupported_activation_falls_back():
         "(assert (>= X_0 -4.0))(assert (<= X_0 4.0))(assert (>= Y_0 2.0))"
     )
     out = verify(sig, unsat, Budget(wall_seconds=5.0, seed=1))
-    assert out.status is Status.UNKNOWN
+    assert out.status is Status.HOLDS
 
 
 def test_verify_nonfinite_is_error():
@@ -433,20 +433,27 @@ def test_budget_fields_must_be_positive():
     assert Budget(seed=np.int64(7)).seed == 7
 
 
-def test_verify_agrees_with_grid_oracle():
+def test_verify_agrees_with_grid_oracle(monkeypatch):
+    # branch-and-bound alone decides every net the loader accepts: verify
+    # never falsifies
+    def no_falsify(*args):
+        raise AssertionError("verify called falsify")
+
+    monkeypatch.setattr(verifier, "falsify", no_falsify)
     rng = np.random.default_rng(20210711)
-    verdicts = {"sat": 0, "unsat": 0}
-    for _ in range(25):
-        net, spec, truth = oracles.make_decidable_instance(rng)
-        out = verify(net, spec, Budget(wall_seconds=30.0, seed=3))
-        if truth == oracles.SAT:
-            assert out.status is Status.VIOLATED
-            assert validate_witness(net, spec, out.witness)
-        else:
-            assert out.status is Status.HOLDS
-        verdicts[truth] += 1
-    # the fixture generator must exercise both outcomes
-    assert verdicts["sat"] > 0 and verdicts["unsat"] > 0
+    for activation in ("relu", "sigmoid", "tanh"):
+        verdicts = {"sat": 0, "unsat": 0}
+        for _ in range(25):
+            net, spec, truth = oracles.make_decidable_instance(rng, activation=activation)
+            out = verify(net, spec, Budget(wall_seconds=30.0, seed=3))
+            if truth == oracles.SAT:
+                assert out.status is Status.VIOLATED
+                assert validate_witness(net, spec, out.witness)
+            else:
+                assert out.status is Status.HOLDS
+            verdicts[truth] += 1
+        # the fixture generator must exercise both outcomes
+        assert verdicts["sat"] > 0 and verdicts["unsat"] > 0, activation
 
 
 def _hard_instance(rng, n_disjuncts=1):
@@ -1012,3 +1019,19 @@ def test_witness_values_follow_the_vnnlib_number_rule(value):
     # numbers; the spec reader refuses all of them, and so does a witness
     with pytest.raises(ValueError, match="^bad witness line 2: 'Y_0 %s'$" % value):
         parse_witness("X_0 1\nY_0 %s\n" % value)
+
+
+@pytest.mark.parametrize(
+    "text", ["X_0\xa01", "X_0 1\x85X_1 2", "\u3000X_0 1", "X_0 1\u2028X_1 2", "X_0 1\x1cX_1 2"]
+)
+def test_witness_separators_follow_the_vnnlib_reader(text):
+    # str.split() and splitlines() also break at a no-break space, NEL, an
+    # ideographic space, a line or a file separator; the spec reader's
+    # tokens end only at ASCII space, tab, CR and LF, and so do a witness's
+    with pytest.raises(ValueError, match="^bad witness line 1: "):
+        parse_witness(text)
+
+
+def test_witness_reads_crlf_lines():
+    w = parse_witness("X_0\t1 \r\nX_1  2\r\nY_0 3\r\n")
+    assert w.x == (1.0, 2.0) and w.y_claimed == (3.0,)
