@@ -12,6 +12,7 @@ residual topologies are rejected with an error naming the offending node.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,18 +114,22 @@ class Network:
         if self.precision not in ("float32", "float64"):
             raise NetworkError(f"unknown precision '{self.precision}'")
         width = self.n_inputs
+        gains = []  # per layer, (cols * max|W|, max|b|) or the activation kind
         for idx, layer in enumerate(self.layers):
             if isinstance(layer, AffineLayer):
                 if layer.in_width != width:
                     raise NetworkError(
                         f"layer {idx} expects width {layer.in_width}, got {width}"
                     )
-                if not np.all(np.isfinite(layer.weight)) or not np.all(
-                    np.isfinite(layer.bias)
-                ):
+                w_max = float(np.abs(layer.weight).max(initial=0.0))
+                b_max = float(np.abs(layer.bias).max(initial=0.0))
+                if not (math.isfinite(w_max) and math.isfinite(b_max)):
                     raise NetworkError(f"layer {idx} has non-finite weights")
+                gains.append((width * w_max, b_max))
                 width = layer.out_width
-            elif not isinstance(layer, ActivationLayer):
+            elif isinstance(layer, ActivationLayer):
+                gains.append(layer.kind)
+            else:
                 raise NetworkError(
                     f"layer {idx} is neither affine nor an activation: "
                     f"{type(layer).__name__}"
@@ -137,6 +142,40 @@ class Network:
         object.__setattr__(self, "_affine_at", tuple(
             i for i, l in enumerate(self.layers) if isinstance(l, AffineLayer)
         ))
+        object.__setattr__(self, "_finite_radius", _finite_radius(gains))
+
+
+# An affine output proven below this magnitude is finite, with a margin of
+# about 1e8 over the largest float for the rounding of its sums.
+_PROVEN_BELOW = 1e300
+
+
+def _finite_radius(gains) -> float:
+    """The largest input magnitude R for which every affine output is
+    provably finite: a walk whose input has no entry above R in magnitude
+    has no affine output above ``_PROVEN_BELOW``.
+
+    ``gains`` holds, per layer, ``(cols * max|W|, max|b|)`` for an affine
+    layer, as ``|W x + b| <= cols * max|W| * max|x| + max|b|``, and the
+    kind of an activation: ReLU keeps a bound, and sigmoid and tanh bound
+    their output by 1.  Walking the layers backward turns the bound on each
+    affine output into the largest input magnitude the rest of the net
+    takes.  The arithmetic is in Python floats, so a gain that overflows is
+    inf, without a warning, and the radius it leaves is 0.  A net that no
+    input can prove gets -inf, and the radius is never infinite, so an
+    infinite or NaN input never passes.
+    """
+    r = math.inf
+    for step in reversed(gains):
+        if step == "relu":
+            continue
+        if isinstance(step, str):
+            r = math.inf if r >= 1.0 else -math.inf
+            continue
+        gain, b_max = step
+        room = min(r, _PROVEN_BELOW) - b_max
+        r = -math.inf if room < 0.0 else room / gain if gain else math.inf
+    return min(r, sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +224,21 @@ def _layer_walk(net: Network, v: np.ndarray) -> list[np.ndarray]:
     by every layer's output.
 
     An affine layer computes ``v @ W.T`` and adds ``b`` to that fresh product
-    in place.  Activations map finite values to finite values, so the affine
-    outputs are checked for finiteness once, after the pass, and the first
-    non-finite one raises ``ArithmeticError`` naming its layer, even when a
-    later activation maps it back to a finite value.  The input itself is not
-    checked, so it must be finite: ``layer_outputs`` checks a caller's input,
+    in place.  The pass is proven finite from its input: when no entry of
+    ``v`` exceeds the network's radius (``_finite_radius``) in magnitude,
+    every affine output is finite, and activations map finite values to
+    finite values, so nothing more is checked.  The test is one reduction,
+    false for a NaN or infinite input.  Only when the proof fails are the
+    affine outputs checked exactly, once over their concatenation after the
+    pass, and the first non-finite one raises ``ArithmeticError`` naming its
+    layer, even when a later activation maps it back to a finite value.  A
+    NaN input fails there at the first affine layer, but an infinite one
+    may not, as an activation before it can map it to a finite value; so
+    the input should be finite: ``layer_outputs`` checks a caller's input,
     and the search's own points, which call this walk directly, are finite
-    by construction, save a climb point that a NaN gradient makes NaN.  A
-    NaN input fails at the first affine layer, but an infinite one may not,
-    as an activation before it can map it to a finite value.  The walk sets
-    no error state: its callers run under ``_QUIET``, so an overflow is
-    reported by that check and not as a warning.
+    by construction, save a climb point that a NaN gradient makes NaN.  The
+    walk sets no error state: its callers run under ``_QUIET``, so an
+    overflow is reported by the exact check and not as a warning.
     """
     outs = [v]
     for w, b, f, _ in net._walk:
@@ -205,6 +248,8 @@ def _layer_walk(net: Network, v: np.ndarray) -> list[np.ndarray]:
         else:
             v = f(v)
         outs.append(v)
+    if np.abs(outs[0]).max(initial=0.0) <= net._finite_radius:
+        return outs
     affine = [outs[i + 1] for i in net._affine_at]
     if affine and not np.isfinite(np.concatenate(affine, axis=-1)).all():
         idx = next(i for i in net._affine_at if not np.isfinite(outs[i + 1]).all())
@@ -218,11 +263,12 @@ def layer_outputs(net: Network, x) -> list[np.ndarray]:
 
     ``x`` is one point of shape ``(n,)`` or a batch of shape ``(N, n)``, one
     point per row.  A wrong width raises ``ValueError``, and so does a
-    non-finite input; the pass is then the private layer walk
-    (``_layer_walk``), whose first non-finite affine output raises
-    ``ArithmeticError`` naming its layer.  The outputs are what reverse
-    accumulation needs, so a gradient can reuse the pass that computed the
-    network's value.
+    non-finite input, before any layer runs; the pass is then the private
+    layer walk (``_layer_walk``), proven finite from its input when no entry
+    exceeds the network's radius, and else checked exactly, its first
+    non-finite affine output raising ``ArithmeticError`` naming its layer.
+    The outputs are what reverse accumulation needs, so a gradient can
+    reuse the pass that computed the network's value.
     """
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 2:

@@ -225,13 +225,18 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
     last step would reach (the current one for period 1 or an even number
     of steps left, else the other).  The final points are probed in
     (disjunct, restart) order and the first that re-validates is returned,
-    else the sample hit.  That is the answer of searching the disjuncts one
-    after another, each sampled and then climbed.
+    else the sample hit.  A climb that stops on a repeat with every restart
+    still climbing probes nothing and returns the sample hit: each point it
+    keeps was walked, in the same batch, in one of the last two steps, and
+    none had a slack of 0 or more.  That is the answer of searching the
+    disjuncts one after another, each sampled and then climbed.
 
     Samples, climb points and witness candidates go through the private
     layer walk (``network._layer_walk``), without the input checks of
     ``forward``: a draw is finite when its box's width is, and a climb
-    point is clipped to its box.  A disjunct whose box width overflows
+    point is clipped to its box.  The walk is proven finite from the
+    points' magnitude and checked exactly only when that proof fails, so
+    an overflow is still found.  A disjunct whose box width overflows
     raises ``ArithmeticError`` at its first draw, whatever the layers; a
     gradient that is NaN makes NaN climb points, which fail as
     ``ArithmeticError`` at the walk's first affine layer (with no affine
@@ -298,6 +303,11 @@ def falsify(net: Network, spec: NormalizedSpec, budget: Budget) -> Witness | Non
         # a step is a fixed function of the live points, and a live set of
         # equal size lost no restart, so equal bytes repeat with period 1 or 2
         key = XL.tobytes()
+        if key in (key1, key2) and live.size == len(X):
+            # no restart stopped, so every point the climb keeps was walked
+            # with this batch in one of the last two steps, and none had a
+            # slack of 0 or more: the final probe would find nothing
+            return hit
         if key == key1:
             break
         if key == key2:

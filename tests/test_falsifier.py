@@ -310,22 +310,34 @@ ABS_NET = Network(  # y = |x|
 )
 
 
-@pytest.mark.parametrize("steps", [50, 51])
-def test_climb_that_settles_stops_early(monkeypatch, steps):
+@pytest.mark.parametrize("steps, kept", [(50, -2), (51, -1)])
+def test_climb_that_settles_stops_early(monkeypatch, steps, kept):
     # y = |x| on [-1, 1] never reaches -0.5, and each step moves x by 0.2
-    # toward 0, so within a few steps every restart rests at 0 or swings
-    # around it
+    # toward 0, so within a few steps every restart swings around 0.  The
+    # full climb ends on the 2-cycle's point that the step count picks, a
+    # point of one of the climb's last two walks, with no slack of 0 or
+    # more, so no walk follows the break
     passes, probed = _watch_climb(monkeypatch)
+    walked, walk = [], verifier._layer_walk
+
+    def watched_walk(net, v):
+        walked.append(v.copy())
+        return walk(net, v)
+
+    monkeypatch.setattr(verifier, "_layer_walk", watched_walk)
     spec = _spec(
         "(declare-const X_0 Real)(declare-const Y_0 Real)"
         "(assert (>= X_0 -1.0))(assert (<= X_0 1.0))(assert (<= Y_0 -0.5))"
     )
     assert falsify(ABS_NET, spec, Budget(pgd_steps=steps)) is None
     assert len(passes) < 15
-    [(points, d)] = probed
+    # one sample block, then one walk per climb step, and none after it
+    assert not probed
+    assert [v.tobytes() for v in walked[1:]] == [v.tobytes() for v in passes]
+    d = np.zeros(len(passes[0]), dtype=int)
     want, full = reference_climb(ABS_NET, spec, passes[0], d, steps)
     assert full == steps
-    assert points.tobytes() == want.tobytes()
+    assert want.tobytes() == passes[kept].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,26 @@
 import copy
 import hashlib
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import constant_node
+from conftest import constant_node, make_random_network
 from veribench import _onnxproto as wire
+from veribench import network
 from veribench.network import (
     ActivationLayer,
     AffineLayer,
     Network,
     NetworkError,
     UnsupportedNetworkError,
+    _layer_walk,
+    apply_activation,
     forward,
     gen_trivial_network,
+    layer_outputs,
     load_network,
     network_to_onnx_bytes,
     save_network,
@@ -814,6 +819,146 @@ def test_nonfinite_intermediate_names_the_first_bad_affine_layer():
     with pytest.raises(ArithmeticError, match="non-finite intermediate after layer 2$"):
         forward(net, [1.0])
     assert forward(net, [-1.0])[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The layer walk's finiteness proof
+
+
+def _checked_walk(net, x):
+    """The layer walk with an exact finiteness check after every affine
+    layer: the outputs and errors the walk must give."""
+    outs = [np.asarray(x, dtype=np.float64)]
+    for idx, layer in enumerate(net.layers):
+        if isinstance(layer, AffineLayer):
+            v = outs[-1] @ layer.weight.T + layer.bias
+            if not np.isfinite(v).all():
+                raise ArithmeticError(f"non-finite intermediate after layer {idx}")
+        else:
+            v = apply_activation(layer.kind, outs[-1])
+        outs.append(v)
+    return outs
+
+
+def _outcome(walk, net, x):
+    """The walk's outputs as bytes, or its error's message."""
+    x = np.asarray(x, dtype=np.float64)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [v.tobytes() for v in walk(net, x)]
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+@pytest.fixture
+def concatenations(monkeypatch):
+    """The arrays the walk concatenates to check it exactly: one list per
+    call of the ``np.concatenate`` that ``veribench.network`` resolves, made
+    from that module (numpy's own calls, as in seeding, are not counted)."""
+    calls, concatenate = [], network.np.concatenate
+
+    def spy(arrays, *args, **kwargs):
+        if sys._getframe(1).f_globals is vars(network):
+            calls.append(list(arrays))
+        return concatenate(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(network.np, "concatenate", spy)
+    return calls
+
+
+def _affine(w, b) -> AffineLayer:
+    return AffineLayer(np.array(w, dtype=np.float64), np.array(b, dtype=np.float64))
+
+
+def _net(*layers) -> Network:
+    layers = [ActivationLayer(l) if isinstance(l, str) else l for l in layers]
+    affine = [l for l in layers if isinstance(l, AffineLayer)]
+    return Network(tuple(layers), affine[0].in_width, affine[-1].out_width)
+
+
+ACAS_SHAPED = make_random_network(np.random.default_rng(0), 5, [50] * 6, 5)
+ZERO_NET = _net(_affine([[0.0]], [1.0]))
+# no input is proven: tanh leaves up to 1, and 1 * 2e300 is beyond the proof
+TANH_NET = _net(_affine([[1.0]], [0.0]), "tanh", _affine([[2e300]], [0.0]))
+# layer 0 gives 1e200 x, layer 2 1e400 x^+, layer 4 0 for x >= 0
+HUGE_NET = _net(
+    _affine([[1e200]], [0.0]), "relu", _affine([[1e200]], [0.0]),
+    _affine([[1.0], [-1.0]], [0.0, 0.0]), _affine([[1.0, 1.0]], [0.0]),
+)
+SIGMOID_NET = _net(_affine([[-1e308]], [0.0]), "sigmoid", _affine([[1.0]], [0.0]))
+
+
+@pytest.mark.parametrize(
+    "layers, radius",
+    [
+        # (1e300 - 1e299) / (2 * 1e100)
+        ([_affine([[1e100, -1e100]], [1e299])], 4.5e199),
+        # ReLU passes on 1e300 / 3 as the room layer 0 leaves
+        ([_affine([[1e100, -1e100]], [1e299]), "relu", _affine([[3.0]], [0.0])],
+         (1e300 / 3.0 - 1e299) / 2e100),
+        # sigmoid bounds its output by 1, so layer 2 asks nothing of layer 0
+        ([_affine([[1e100, -1e100]], [1e299]), "sigmoid", _affine([[10.0]], [0.0])],
+         4.5e199),
+        (TANH_NET.layers, -np.inf),
+        # a product that is 0 whatever the input proves every finite input
+        (ZERO_NET.layers, np.finfo(np.float64).max),
+        # 2 * 1e308 overflows: only the input 0 is proven
+        ([_affine([[1e308, 1e308]], [0.0])], 0.0),
+        ([_affine([[1.0]], [1e300]), "relu", _affine([[1.0]], [0.0])], 0.0),
+        ([_affine([[1.0]], [2e300])], -np.inf),
+    ],
+)
+def test_finite_radius_bounds_every_affine_output(layers, radius):
+    net = _net(*layers)
+    assert net._finite_radius == pytest.approx(radius, rel=1e-15)
+
+
+def test_proven_walk_makes_no_concatenated_copy(concatenations):
+    X = np.random.default_rng(1).uniform(-1.0, 1.0, (20_000, 5))
+    assert _outcome(_layer_walk, ACAS_SHAPED, X) == _outcome(_checked_walk, ACAS_SHAPED, X)
+    assert _outcome(layer_outputs, ACAS_SHAPED, X) == _outcome(_checked_walk, ACAS_SHAPED, X)
+    assert concatenations == []
+    # an input of magnitude exactly the radius is proven too
+    x = np.zeros(5)
+    x[2] = -ACAS_SHAPED._finite_radius
+    assert _outcome(_layer_walk, ACAS_SHAPED, x) == _outcome(_checked_walk, ACAS_SHAPED, x)
+    assert _outcome(_layer_walk, HUGE_NET, [1e-150]) == _outcome(_checked_walk, HUGE_NET, [1e-150])
+    assert concatenations == []
+
+
+def _just_above_radius():
+    x = np.zeros(5)
+    x[2] = -np.nextafter(ACAS_SHAPED._finite_radius, np.inf)
+    return x
+
+
+@pytest.mark.parametrize(
+    "net, x",
+    [
+        (ACAS_SHAPED, _just_above_radius()),  # the outputs stay finite
+        (ACAS_SHAPED, np.full((3, 5), np.nan)),
+        (ZERO_NET, [np.nan]),
+        (ZERO_NET, [np.inf]),  # 0 * inf is NaN
+        (TANH_NET, [0.0]),
+        (TANH_NET, [[1.0], [-3.0]]),
+        (SIGMOID_NET, [0.5]),
+        (SIGMOID_NET, [[0.5], [2.0]]),  # masked by the sigmoid, still an error
+        (HUGE_NET, [1e-100]),  # 1e300 - 1e300 = 0 at layer 4
+        (HUGE_NET, [1.0]),
+        (HUGE_NET, [-1.0]),
+    ],
+)
+def test_unproven_walk_takes_the_exact_check(concatenations, net, x):
+    assert _outcome(_layer_walk, net, x) == _outcome(_checked_walk, net, x)
+    assert len(concatenations) == 1
+    assert len(concatenations[0]) == len(net._affine_at)
+
+
+def test_non_finite_input_is_refused_before_any_walk(concatenations):
+    for x in ([np.nan], [[0.0], [np.inf]]):
+        with pytest.raises(ValueError, match="non-finite input"):
+            layer_outputs(ZERO_NET, x)
+    assert concatenations == []
 
 
 def test_trivial_network_identity():
