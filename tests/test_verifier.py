@@ -807,6 +807,40 @@ def test_acas_verify_answers_pinned(seed):
     assert got == VERIFY_SHA256[seed]
 
 
+# per (hidden, final) activation of an ACAS-shaped net that ends in an
+# activation: SHA-256 over props 1-10 of "<status> <subproblems>\n", then
+# format_witness(w) or "none", then "\n", at a node cap of 500
+ACTIVATION_FINAL_SHA256 = {
+    ("relu", "relu"): "2bec89dccdf43b793658a60b1196aa12a511f205f4a24c570d9f42013075181a",
+    ("relu", "sigmoid"): "82dc7b3523eaaa5c1b427f2787f540b0e4959c7f9d6b53144d510b5c9d1ec988",
+    ("relu", "tanh"): "e8d910db1e01f8c7b0f999e37d07ae074eda002825a9066ad8cb1d99dbb7632b",
+    ("sigmoid", "sigmoid"): "9a5b69ca26fdc8f7f0977a299d5c63ec0e4324f620684b725430e14967c8b8c0",
+    ("tanh", "tanh"): "f2eabf84cca81534bab8b2ffa9ac736137e1772517c8c73f56787c3ff8bfd358",
+}
+
+
+@pytest.mark.parametrize("hidden, final", sorted(ACTIVATION_FINAL_SHA256))
+def test_activation_final_verify_answers_pinned(hidden, final):
+    # the last layer's activation bounds feed the rows' back-substituted
+    # constants, a path the nets ending in an affine layer never take
+    from conftest import make_random_network
+
+    base = make_random_network(np.random.default_rng(1), 5, [50] * 6, 5, activation=hidden)
+    net = Network(base.layers + (ActivationLayer(final),), 5, 5)
+    digest = hashlib.sha256()
+    for p in range(1, 11):
+        spec = load_spec(PROPS / f"prop_{p}.vnnlib")
+        out = verify(net, spec, Budget(wall_seconds=600.0, max_subproblems=500))
+        digest.update(
+            (
+                f"{out.status.value} {out.stats.subproblems}\n"
+                + ("none" if out.witness is None else format_witness(out.witness))
+                + "\n"
+            ).encode()
+        )
+    assert digest.hexdigest() == ACTIVATION_FINAL_SHA256[hidden, final]
+
+
 def test_one_search_builds_each_block_once(block_builds):
     # a capped search of one disjunct bounds 1, 2, 4, 8 and 15 nodes in five
     # calls of the core, and builds each affine layer's block once for all
