@@ -32,9 +32,8 @@ so ``interval_bounds`` answers on every finite box, a point included.
 Unstable ReLU neurons get the chord upper relaxation and a zero or
 identity lower relaxation.  Any other activation (sigmoid, tanh) is
 monotone increasing and gets the constant lines f(l) and f(u), its
-interval image, so the forms after it are constants.  The output bounds
-are met with bounds the caller already has, if any, and then the rows are
-bounded by back-substitution through the relaxations (DeepPoly, CROWN):
+interval image, so the forms after it are constants.  A row's bound is
+its back-substitution through the relaxations alone (DeepPoly, CROWN):
 each row is walked back to the input, choosing each neuron's lower or
 upper relaxation by the sign of its accumulated coefficient, which in
 exact arithmetic is never looser than substituting the forward forms.
@@ -229,19 +228,16 @@ def _relu_relaxation(y):
     return np.concatenate([lower, upper], axis=1), upper * np.minimum(lo, 0.0)
 
 
-def _bound(plan: _Plan, lo, hi, a_y, b_x, inherited=None) -> tuple:
+def _bound(plan: _Plan, lo, hi, a_y, b_x) -> tuple:
     """The batched bound core: K boxes, rows of lo, hi (K, n), and their constraints.
 
     ``plan`` is the network's ``_plan``.  Rows a_y . f(x) + b_x . x come
-    shared, a_y (c, m) and b_x (c, n), or per box, (K, c, m) and (K, c, n);
-    ``inherited`` (K, 2m), when given, holds stacked output bounds the
-    caller already has for each box.  Returns ``(z, y, lb, coef)``: the
-    output layer's stacked forms z (K, 2m, n + 1), per box each form's n
-    input coefficients and its value at the box centre; the stacked output
-    bounds y (K, 2m), met with ``inherited``; the (K, c) lower bounds of the
-    rows, each the tighter of the back-substituted bound and the interval
-    bound through y; and the (K, c, n) input coefficients of each row's
-    lower affine form.
+    shared, a_y (c, m) and b_x (c, n), or per box, (K, c, m) and (K, c, n).
+    Returns ``(z, y, lb, coef)``: the output layer's stacked forms
+    z (K, 2m, n + 1), per box each form's n input coefficients and its value
+    at the box centre; the stacked output bounds y (K, 2m); the (K, c)
+    back-substituted lower bounds of the rows; and the (K, c, n) input
+    coefficients of each row's lower affine form.
 
     The forward walk keeps every ReLU layer's ``_relu_relaxation`` and
     every other activation's output bounds f(l), f(u).  The backward walk
@@ -249,10 +245,9 @@ def _bound(plan: _Plan, lo, hi, a_y, b_x, inherited=None) -> tuple:
     coefficients g to g W and adds g . b to its constant, a ReLU takes the
     lower slope where g >= 0 and the upper chord, with its shift, where
     g < 0, and any other activation adds max(g, 0) . f(l) + min(g, 0) . f(u)
-    to the constant and sets g to zero.  An activation that is the last
-    layer reads its bounds met with ``inherited``, which enclose its output
-    too.  Every (box, row) pair is its own (1, width) row vector, so each
-    bound is computed as for one row over one box.
+    to the constant and sets g to zero.  Every (box, row) pair is its own
+    (1, width) row vector, so each bound is computed as for one row over
+    one box.
     """
     (k, n), (c, m) = lo.shape, a_y.shape[-2:]
     mid, rad = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
@@ -282,9 +277,6 @@ def _bound(plan: _Plan, lo, hi, a_y, b_x, inherited=None) -> tuple:
             z[..., :n] = 0.0
             z[..., n] = y[..., 0]
             relaxation.append(y[..., 0])
-    y = y[..., 0]
-    if inherited is not None:
-        y = _meet(y, inherited)
 
     g = np.broadcast_to(a_y[..., None, :], (k, c, 1, m))
     const = 0.0
@@ -304,16 +296,10 @@ def _bound(plan: _Plan, lo, hi, a_y, b_x, inherited=None) -> tuple:
             g = np.zeros_like(g)
     coef = g + b_x[..., None, :]  # (K, c, 1, n)
     mid, rad = mid[:, None, :, None], rad[:, None, :, None]
-
-    def box_min(a):  # least value over each box of row vectors a
-        return a @ mid - np.abs(a) @ rad
-
-    ap, an = np.maximum(a_y, 0.0), np.minimum(a_y, 0.0)
-    y_rows = np.concatenate([ap, -an], axis=-1)[..., None, :]  # ([K,] c, 1, 2m)
-    y_lb = y_rows @ y[:, None, :, None] + box_min(b_x[..., None, :])
-    lb = np.maximum(box_min(coef) + const, y_lb)[..., 0, 0]
+    # least value over each box: at the centre, less |coef| . radius
+    lb = (coef @ mid - np.abs(coef) @ rad + const)[..., 0, 0]
     _check_finite(lb, coef)
-    return z, y, lb, coef[:, :, 0]
+    return z, y[..., 0], lb, coef[:, :, 0]
 
 
 @_QUIET
@@ -352,10 +338,8 @@ def affine_bounds(net: Network, box: Box) -> AffineBounds:
 def constraint_lower_bound(ab: AffineBounds, a_y, b_x) -> float:
     """Sound lower bound of a_y . f(x) + b_x . x over the bounds' box.
 
-    Keeps the tighter of the back-substituted bound and the interval bound
-    through the bounds' own concretization.  This is the batched core rerun
-    on one row over a batch of one box, whose output bounds are exactly
-    ``ab.output_box``.
+    The row's bound back-substituted through the activations' relaxation:
+    the batched core rerun on one row over a batch of one box.
     """
     m, n = ab.lower_weight.shape
     a_y = np.asarray(a_y, dtype=np.float64).reshape(1, m)

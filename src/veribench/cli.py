@@ -38,7 +38,7 @@ from .scoring import (
     score_records,
     write_results_csv,
 )
-from .speclang import load_spec
+from .speclang import _read_text, load_spec
 from .verifier import (
     Budget,
     EASY_VIOLATED_BUDGET,
@@ -109,7 +109,7 @@ def _budget_from_args(args) -> Budget:
 
 
 def _adapters_from_args(args) -> list:
-    return build_adapters(parse_config(Path(args.config).read_text(encoding="utf-8")))
+    return build_adapters(parse_config(_read_text(args.config, HarnessError)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def _cmd_score(args) -> int:
     if args.easy_violated:
         easy = {
             line.strip()
-            for line in Path(args.easy_violated).read_text(encoding="utf-8").splitlines()
+            for line in _read_text(args.easy_violated, ValueError).splitlines()
             if line.strip()
         }
     ledger = score_records(

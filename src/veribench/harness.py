@@ -18,6 +18,7 @@ import functools
 import logging
 import math
 import os
+import re
 import select
 import shlex
 import shutil
@@ -43,7 +44,7 @@ from .scoring import (
     render_instance_log,
     render_report,
 )
-from .speclang import Conjunct, NormalizedSpec, SpecError, load_spec
+from .speclang import Conjunct, NormalizedSpec, SpecError, _read_text, load_spec
 from .verifier import (
     Budget,
     EASY_VIOLATED_BUDGET,
@@ -65,6 +66,9 @@ TRIVIAL_TIMEOUT_SECONDS = 60.0  # the timeout of every warm-up instance
 MAX_TIMEOUT_SECONDS = 1e6
 
 MANIFEST_COLUMNS = ("onnx_path", "vnnlib_path", "timeout_seconds")
+
+# The run command's placeholders, each replaced by its value in one scan.
+_PLACEHOLDER = re.compile(r"\{(network|spec|timeout|result)\}")
 
 
 class HarnessError(ValueError):
@@ -114,13 +118,17 @@ class ToolAdapter:
     """How to invoke one external tool.
 
     run_template is a shell-style command whose tokens may contain the
-    placeholders {network}, {spec}, {timeout}, {result}; the command must
-    write the result file: first line a status token, second line an
-    optional witness path.  The run and prepare commands are split into
-    tokens once, here; one that does not split (an unclosed quote, a
-    trailing escape) raises ``HarnessError`` naming the tool.  A bare
-    program name (``sh``) is looked up on ``PATH`` here too, not at every
-    launch; one not found stays bare, so its runs fail to launch as ERROR.
+    placeholders {network}, {spec}, {timeout}, {result}, replaced in one
+    scan, so a value is never scanned again; the command must write the
+    result file: first line a status token, second line an optional witness
+    path.  The tool id names the tool's results file and directories, so it
+    must be one path component, and every record carries the mode label, so
+    it must not be empty; else ``HarnessError`` names the tool, before any
+    tool runs.  The run and prepare commands are split into tokens once,
+    here; one that does not split (an unclosed quote, a trailing escape)
+    raises ``HarnessError`` naming the tool.  A bare program name (``sh``)
+    is looked up on ``PATH`` here too, not at every launch; one not found
+    stays bare, so its runs fail to launch as ERROR.
     """
 
     tool: str
@@ -133,6 +141,10 @@ class ToolAdapter:
     def __post_init__(self):
         if not self.tool:
             raise HarnessError("adapter needs a tool id")
+        if self.tool in (".", "..") or set(self.tool) & {os.sep, os.altsep, "\0"}:
+            raise HarnessError("adapter id %r is not one path component" % self.tool)
+        if not self.mode:
+            raise HarnessError("adapter %s needs a mode label" % self.tool)
         if not self.run_template.strip():
             raise HarnessError("adapter %s needs a run command" % self.tool)
         for name, command in (("run", self.run_template), ("prepare", self.prepare)):
@@ -149,17 +161,12 @@ class ToolAdapter:
 
     def argv(self, network, spec, timeout, result) -> list:
         subs = {
-            "{network}": str(network),
-            "{spec}": str(spec),
-            "{timeout}": "%g" % timeout,
-            "{result}": str(result),
+            "network": str(network),
+            "spec": str(spec),
+            "timeout": "%g" % timeout,
+            "result": str(result),
         }
-        argv = []
-        for token in self.run_tokens:
-            for key, value in subs.items():
-                token = token.replace(key, value)
-            argv.append(token)
-        return argv
+        return [_PLACEHOLDER.sub(lambda m: subs[m[1]], token) for token in self.run_tokens]
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +190,7 @@ def load_manifest(path, *, require_files: bool = False) -> list:
     instances = []
     first_line: dict = {}  # instance id -> the line that named it
     totals = 0.0
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path, HarnessError).splitlines()
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -251,11 +258,7 @@ def _load_instance_problem(inst: Instance, decoded: Optional[dict] = None):
 
 def _parse_result_file(path: Path):
     """Result protocol: line 1 status token, line 2 optional witness path."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise HarnessError("unparseable result file %s: %s" % (path, exc)) from None
-    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln.strip() for ln in _read_text(path, HarnessError).splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines or len(lines) > 2:
         raise HarnessError("unparseable result file %s" % path)

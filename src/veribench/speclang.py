@@ -531,15 +531,23 @@ def to_dnf(ast: SpecAst) -> NormalizedSpec:
     return NormalizedSpec(ast.n_inputs, ast.n_outputs, tuple(disjuncts))
 
 
+def _read_text(path, error) -> str:
+    """The UTF-8 text of the file at path.
+
+    Bytes that are not UTF-8 raise ``error`` naming the file; an unreadable
+    path raises OSError.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def load_spec(path) -> NormalizedSpec:
     """Read a specification file as UTF-8, parse it and normalize it.
 
     Raises SpecError for a malformed spec or bytes that are not UTF-8, and
     OSError for an unreadable path.
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as exc:
-        raise SpecError(f"{path} is not UTF-8 text: {exc.reason}") from None
-    return to_dnf(parse_vnnlib(text))
+    return to_dnf(parse_vnnlib(_read_text(path, SpecError)))

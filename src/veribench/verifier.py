@@ -2,23 +2,23 @@
 
 verify() runs branch-and-bound over input splits: one search over the box
 trees of all disjuncts.  It prunes a box when a constraint row's lower
-bound, back-substituted through the activations' relaxation by the
-bound core (``bounds._bound``), exceeds the row's rhs; the network's bound
-plan (``bounds._plan``) is built once per search.  The frontier is a stack
-of boxes, each tagged with its disjunct and carrying its parent's output
-bounds, kept as one float array with the disjunct indices beside it; it
-starts with every disjunct's root, disjunct 0 on top.  A step pops up to
-32 boxes, never more than the node cap has left, and takes them in pop
-order: their midpoints are probed in one forward pass before any bound is
-computed, they and their rows are bounded in one call of the core, the
-survivors' constraint corners (per real row of the box's disjunct, at most
-8, the corner minimizing the row's back-substituted lower form) are probed
-in one forward pass, and each survivor is split on its widest dimension,
-the first popped box's left child ending on top.  A survivor too narrow to
-split leaves the frontier and marks the spec undecided; the search goes
-on.  A midpoint, probed or split at, is ``0.5 * lo + 0.5 * hi``, finite
-for every finite box.  A batch fails as a whole: a bound that overflows in
-any of its rows is an error once the batch's midpoints are probed.
+bound, back-substituted through the activations' relaxation by the bound
+core (``bounds._bound``), exceeds the row's rhs; the network's bound plan
+(``bounds._plan``) is built once per search.  The frontier is a stack of
+boxes, each tagged with its disjunct, kept as one float array with the
+disjunct indices beside it; it starts with every disjunct's root, disjunct
+0 on top.  A step pops up to 32 boxes, never more than the node cap has
+left, and takes them in pop order: their midpoints are probed in one
+forward pass before any bound is computed, they and their rows are bounded
+in one call of the core, the survivors' constraint corners (per real row
+of the box's disjunct, at most 8, the corner minimizing the row's
+back-substituted lower form) are probed in one forward pass, and each
+survivor is split on its widest dimension, the first popped box's left
+child ending on top.  A survivor too narrow to split leaves the frontier
+and marks the spec undecided; the search goes on.  A midpoint, probed or
+split at, is ``0.5 * lo + 0.5 * hi``, finite for every finite box.  A
+batch fails as a whole: a bound that overflows in any of its rows is an
+error once the batch's midpoints are probed.
 
 falsify() is the cheap counterexample search (uniform sampling, then
 sign-gradient ascent on constraint slack) that also defines the
@@ -46,7 +46,7 @@ import numpy as np
 
 from .bounds import _bound, _plan
 from .network import _QUIET, Network, _layer_walk, forward, layer_outputs
-from .speclang import _VAR_RE, NormalizedSpec, Witness, _is_number
+from .speclang import _VAR_RE, NormalizedSpec, Witness, _is_number, _read_text
 
 # Boxes narrower than this per dimension are not split further.
 MIN_SPLIT_WIDTH = 1e-12
@@ -348,17 +348,15 @@ def _branch_and_bound(net, spec, plan, budget, deadline, stats):
     """The search of the module docstring over ``spec.boxes`` and
     ``spec.rows``, with the network's bound plan; returns (status, witness).
 
-    The frontier is one float array whose rows are ``[lo | hi | inherited]``:
-    a node's input bounds lo, hi (n each) and the output bounds it inherits
-    from its parent, stacked as ``[lower | -upper]`` (2m); the nodes'
-    disjunct indices lie beside it, and the top is the last row.
+    The frontier is one float array whose rows are ``[lo | hi]``, a node's
+    input bounds (n each); the nodes' disjunct indices lie beside it, and
+    the top is the last row.
     """
     (a_y, b_x, rhs), (lower, upper) = spec.rows, spec.boxes
     n = spec.n_inputs
-    roots = np.full((len(lower), 2 * n + 2 * spec.n_outputs), -np.inf)
-    roots[:, :n], roots[:, n : 2 * n] = lower, upper
     # every disjunct's root, disjunct 0 on top
-    frontier, disjunct = roots[::-1], np.arange(len(lower))[::-1]
+    frontier = np.concatenate([lower, upper], axis=1)[::-1]
+    disjunct = np.arange(len(lower))[::-1]
     undecided = False
     while len(frontier):
         if time.monotonic() > deadline or stats.subproblems >= budget.max_subproblems:
@@ -367,7 +365,7 @@ def _branch_and_bound(net, spec, plan, budget, deadline, stats):
         rest = len(frontier) - k
         nodes, d = frontier[rest:][::-1], disjunct[rest:][::-1]
         frontier, disjunct = frontier[:rest], disjunct[:rest]
-        lo, hi, inherited = nodes[:, :n], nodes[:, n : 2 * n], nodes[:, 2 * n :]
+        lo, hi = nodes[:, :n], nodes[:, n:]
         stats.subproblems += k
 
         # midpoints go first: they need no bounds, so neither a bound that
@@ -376,13 +374,12 @@ def _branch_and_bound(net, spec, plan, budget, deadline, stats):
         if w is not None:
             return Status.VIOLATED, w
 
-        # meeting the parent's bounds keeps node bounds monotone under splitting
-        _, y, lb, coef = _bound(plan, lo, hi, a_y[d], b_x[d], inherited)
+        _, _, lb, coef = _bound(plan, lo, hi, a_y[d], b_x[d])
         keep = ~(lb > rhs[d]).any(axis=1)
         if not keep.any():
             continue
-        nodes, y, d, coef = nodes[keep], y[keep], d[keep], coef[keep]
-        lo, hi = nodes[:, :n], nodes[:, n : 2 * n]
+        nodes, d, coef = nodes[keep], d[keep], coef[keep]
+        lo, hi = nodes[:, :n], nodes[:, n:]
 
         # per survivor and real row (the first 8; padding has rhs = +inf),
         # the box corner minimizing the row's back-substituted lower form
@@ -396,13 +393,11 @@ def _branch_and_bound(net, spec, plan, budget, deadline, stats):
         split = (hi - lo).max(axis=1) >= MIN_SPLIT_WIDTH
         if not split.all():
             undecided = True
-            nodes, y, d = nodes[split], y[split], d[split]
-        # the survivors' own bounds are what their children inherit
-        nodes[:, 2 * n :] = y
-        lo, hi = nodes[:, :n], nodes[:, n : 2 * n]
+            nodes, d = nodes[split], d[split]
+            lo, hi = nodes[:, :n], nodes[:, n:]
         at = np.arange(len(nodes)), np.argmax(hi - lo, axis=1)  # lowest index on ties
         kids = np.stack([nodes, nodes], 1)  # each row's left and right child
-        kids[:, 0, n : 2 * n][at] = kids[:, 1, :n][at] = 0.5 * lo[at] + 0.5 * hi[at]
+        kids[:, 0, n:][at] = kids[:, 1, :n][at] = 0.5 * lo[at] + 0.5 * hi[at]
         # children in pop order, row 0's left and right child first; pushed
         # reversed, so that row 0's left child is on top
         frontier = np.concatenate([frontier, kids.reshape(-1, kids.shape[2])[::-1]])
@@ -545,4 +540,5 @@ def write_witness(witness: Witness, path) -> None:
 
 
 def read_witness(path) -> Witness:
-    return parse_witness(Path(path).read_text(encoding="utf-8"))
+    """The witness in a UTF-8 file; other bytes raise ValueError naming it."""
+    return parse_witness(_read_text(path, ValueError))

@@ -393,28 +393,27 @@ def reference_search(net: Network, spec: NormalizedSpec):
     """Depth-first branch-and-bound, one box at a time, with no budget.
 
     Per node: probe the midpoint, bound the box with the bound core on a
-    batch of one and meet the result with the parent's output bounds,
-    prune when some row's back-substituted lower bound exceeds its rhs,
-    probe the corners minimizing the first 8 rows' back-substituted lower
-    forms, split the widest dimension and visit the left child first; a
-    cell too narrow to split is dropped undecided.  The core bounds each
-    row on its own, so all of a box's rows are bounded in one call.
-    Disjuncts are searched one after another.  Returns (status, witness,
-    nodes) with status one of "violated", "holds" and "unknown" (no
-    witness, but some cell too narrow to split).  ReLU networks only.
+    batch of one, prune when some row's back-substituted lower bound
+    exceeds its rhs, probe the corners minimizing the first 8 rows'
+    back-substituted lower forms, split the widest dimension and visit the
+    left child first; a cell too narrow to split is dropped undecided.  The
+    core bounds each row on its own, so all of a box's rows are bounded in
+    one call.  Disjuncts are searched one after another.  Returns (status,
+    witness, nodes) with status one of "violated", "holds" and "unknown"
+    (no witness, but some cell too narrow to split).  ReLU networks only.
     """
     plan = _plan(net)
     nodes, undecided = 0, False
     for conj in spec.disjuncts:
         a_y, b_x, rhs = conj.a_y, conj.b_x, conj.rhs
-        stack = [(conj.input_lower, conj.input_upper, None)]
+        stack = [(conj.input_lower, conj.input_upper)]
         while stack:
-            lower, upper, inherited = stack.pop()
+            lower, upper = stack.pop()
             nodes += 1
             w = _accepted(net, spec, conj, 0.5 * (lower + upper))
             if w is not None:
                 return "violated", w, nodes
-            _, y, lb, coef = _bound(plan, lower[None], upper[None], a_y, b_x, inherited)
+            _, _, lb, coef = _bound(plan, lower[None], upper[None], a_y, b_x)
             if (lb[0] > rhs).any():
                 continue
             for row in coef[0, :8]:
@@ -429,6 +428,6 @@ def reference_search(net: Network, spec: NormalizedSpec):
             mid = 0.5 * (lower[dim] + upper[dim])
             left_hi, right_lo = upper.copy(), lower.copy()
             left_hi[dim] = right_lo[dim] = mid
-            stack.append((right_lo, upper, y))
-            stack.append((lower, left_hi, y))
+            stack.append((right_lo, upper))
+            stack.append((lower, left_hi))
     return ("unknown" if undecided else "holds"), None, nodes

@@ -314,32 +314,6 @@ def test_constraint_lower_bound_sound():
             assert val >= lb - 1e-9
 
 
-def test_split_bounds_monotone():
-    # union of children's node bounds, met with the parent's as branch-and-
-    # bound does, stays inside the parent's and still encloses the outputs
-    rng = np.random.default_rng(19)
-    for _ in range(100):
-        n_in = int(rng.integers(1, 3))
-        net = make_random_network(rng, n_in, [6, 4], int(rng.integers(1, 3)))
-        plan = _plan(net)
-        no_rows = np.empty((0, net.n_outputs)), np.empty((0, n_in))
-        lo = rng.uniform(-1, 0, n_in)
-        hi = lo + rng.uniform(0.5, 2, n_in)
-        _, p, _, _ = _bound(plan, lo[None], hi[None], *no_rows)
-        p_lo, p_hi = _halves(p[0])
-        dim = int(np.argmax(hi - lo))
-        kids_lo, kids_hi = np.array([lo, lo]), np.array([hi, hi])
-        kids_hi[0, dim] = kids_lo[1, dim] = 0.5 * lo[dim] + 0.5 * hi[dim]
-        _, y, _, _ = _bound(plan, kids_lo, kids_hi, *no_rows, np.vstack([p, p]))
-        y_lo, y_hi = _halves(y)
-        assert np.all(y_lo.min(axis=0) >= p_lo - 1e-12)
-        assert np.all(y_hi.max(axis=0) <= p_hi + 1e-12)
-        for k in range(2):
-            for x in rng.uniform(kids_lo[k], kids_hi[k], size=(50, kids_lo.shape[1])):
-                y = forward(net, x)
-                assert np.all(y >= y_lo[k] - 1e-9) and np.all(y <= y_hi[k] + 1e-9)
-
-
 def test_meet_collapses_crossings_and_rejects_non_finite_bounds():
     # stacked [lo | -hi]; the other operand -inf leaves y as it is.  Every
     # caller of the core runs under this error state, so overflow is not a

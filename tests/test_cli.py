@@ -51,6 +51,26 @@ def unsat_spec(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("reader", ["manifest", "config", "easy-violated", "witness"])
+def test_file_that_is_not_utf8_is_named(
+    reader, echo_setup, results_dir, identity_net, sat_spec, tmp_path, capsys
+):
+    # each reader names its file, not only the codec's complaint
+    config, manifest = echo_setup
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\n")
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "manifest": ["run", str(bad), "--config", str(config), *out],
+        "config": ["run", str(manifest), "--config", str(bad), *out],
+        "easy-violated": ["score", str(results_dir), "--easy-violated", str(bad)],
+        "witness": ["validate-ce", str(identity_net), str(sat_spec), str(bad)],
+    }[reader]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: %s is not UTF-8 text" % bad in err and "Traceback" not in err
+
+
 class TestTopLevel:
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 1
@@ -438,6 +458,33 @@ class TestRunAndOverhead:
         err = capsys.readouterr().err
         assert "s cap at" in err and "line 1" in err and "Traceback" not in err
         assert not out.exists() and not marker.exists()
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            # every record carries the mode, and an empty one failed the
+            # batch at its first record, after the warm-up ran
+            ("adapter.echo.mode =", "adapter echo needs a mode label"),
+            # the id names <out>/<tool>.csv, which failed after every run
+            ("adapter.a/b.run = true", "adapter id 'a/b' is not one path component"),
+        ],
+    )
+    def test_adapter_results_files_cannot_carry_is_data_error(
+        self, echo_setup, tmp_path, capsys, key, message
+    ):
+        config, manifest = echo_setup
+        marker = tmp_path / "adapter-ran"
+        config.write_text(
+            config.read_text() + "adapter.echo.prepare = touch %s\n%s\n" % (marker, key)
+        )
+        for argv in (
+            ["run", str(manifest), "--out", str(tmp_path / "out")],
+            ["measure-overhead", "--out", str(tmp_path / "out")],
+        ):
+            assert main(argv + ["--config", str(config)]) == 2
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists() and not marker.exists()  # nothing ran
 
     def test_duplicate_manifest_row_is_data_error(self, echo_setup, tmp_path, capsys):
         # ids key every results row, so a repeated id is refused before any tool runs

@@ -5,6 +5,7 @@ scripts driven through the real subprocess path."""
 import dataclasses
 import math
 import os
+import re
 import shutil
 import signal
 import time
@@ -158,6 +159,21 @@ class TestInstanceAndAdapter:
         )
         argv = adapter.argv("n.onnx", "s.vnnlib", 116.0, "r.txt")
         assert argv == ["tool", "--net=n.onnx", "s.vnnlib", "116", "r.txt"]
+
+    def test_argv_does_not_rescan_a_substituted_value(self):
+        # a path that contains a placeholder is passed on as it is
+        adapter = ToolAdapter(tool="t", run_template="tool {network} {spec} {timeout} {result}")
+        argv = adapter.argv("/d/{spec}/n.onnx", "/s/p.vnnlib", 10, "/r/{network}.result")
+        assert argv == ["tool", "/d/{spec}/n.onnx", "/s/p.vnnlib", "10", "/r/{network}.result"]
+
+    @pytest.mark.parametrize("tool", ["a/b", ".", "..", "a\0b"])
+    def test_tool_id_that_is_not_one_path_component_rejected(self, tool):
+        with pytest.raises(HarnessError, match=re.escape("adapter id %r is not one" % tool)):
+            ToolAdapter(tool=tool, run_template="true")
+
+    def test_empty_mode_rejected(self):
+        with pytest.raises(HarnessError, match="^adapter t needs a mode label$"):
+            ToolAdapter(tool="t", run_template="true", mode="")
 
     def test_empty_run_template_rejected(self):
         with pytest.raises(HarnessError, match="needs a run command"):
