@@ -13,7 +13,9 @@ import argparse
 import dataclasses
 import logging
 import math
+import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +40,8 @@ from .scoring import (
     score_records,
     write_results_csv,
 )
-from .speclang import _read_text, load_spec
+from .speclang import _is_number, _read_text, load_spec
 from .verifier import (
-    Budget,
     EASY_VIOLATED_BUDGET,
     Status,
     falsify,
@@ -62,13 +63,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_floats(text: str) -> np.ndarray:
+    """Comma or space separated numbers, each read as ``_float`` reads one."""
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     if not parts:
         raise HarnessError("no numbers in %r" % text)
-    try:
-        return np.array([float(p) for p in parts], dtype=np.float64)
-    except ValueError:
-        raise HarnessError("bad number list %r" % text) from None
+    if not all(map(_is_number, parts)):
+        raise HarnessError("bad number list %r" % text)
+    return np.array([float(p) for p in parts], dtype=np.float64)
+
+
+def _float(text: str) -> float:
+    """An argparse type: a number as the VNNLIB reader reads one, so with
+    no digit-group underscores and no digits outside ASCII."""
+    if not _is_number(text):
+        raise ValueError(text)
+    return float(text)
+
+
+def _int(text: str) -> int:
+    """An argparse type: an integer in ASCII digits, with an optional sign."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(text)
+    return int(text)
 
 
 def _positive(kind):
@@ -86,26 +102,14 @@ def _positive(kind):
 
 def _seed(text: str) -> int:
     """An argparse type: an integer no less than 0."""
-    value = int(text)
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative, got %r" % text)
     return value
 
 
-_seed.__name__ = "int"  # argparse names it in "invalid int value"
-
-
-def _budget_from_args(args) -> Budget:
-    return Budget(
-        wall_seconds=args.timeout,
-        max_subproblems=getattr(
-            args, "max_subproblems", EASY_VIOLATED_BUDGET.max_subproblems
-        ),
-        falsifier_samples=args.samples,
-        pgd_restarts=args.restarts,
-        pgd_steps=args.steps,
-        seed=args.seed,
-    )
+# argparse names a type in "invalid <name> value"
+_float.__name__, _int.__name__, _seed.__name__ = "float", "int", "int"
 
 
 def _adapters_from_args(args) -> list:
@@ -132,7 +136,12 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     net = load_network(args.network)
     spec = load_spec(args.spec)
-    outcome = verify(net, spec, _budget_from_args(args))
+    budget = dataclasses.replace(
+        EASY_VIOLATED_BUDGET,
+        wall_seconds=args.timeout,
+        max_subproblems=args.max_subproblems,
+    )
+    outcome = verify(net, spec, budget)
     print(outcome.status.value)
     if outcome.status is Status.VIOLATED and args.witness_out:
         write_witness(outcome.witness, args.witness_out)
@@ -142,7 +151,15 @@ def _cmd_verify(args) -> int:
 def _cmd_falsify(args) -> int:
     net = load_network(args.network)
     spec = load_spec(args.spec)
-    witness = falsify(net, spec, _budget_from_args(args))
+    budget = dataclasses.replace(
+        EASY_VIOLATED_BUDGET,
+        wall_seconds=args.timeout,
+        falsifier_samples=args.samples,
+        pgd_restarts=args.restarts,
+        pgd_steps=args.steps,
+        seed=args.seed,
+    )
+    witness = falsify(net, spec, budget)
     if witness is None:
         print(Status.UNKNOWN.value)
         return 0
@@ -262,17 +279,18 @@ def _build_parser() -> _Parser:
         p.add_argument("spec")
         base = EASY_VIOLATED_BUDGET
         p.add_argument(
-            "--timeout", type=_positive(float), default=base.wall_seconds,
+            "--timeout", type=_positive(_float), default=base.wall_seconds,
             help="wall seconds",
         )
-        p.add_argument("--seed", type=_seed, default=0)
-        p.add_argument("--samples", type=_positive(int), default=base.falsifier_samples)
-        p.add_argument("--restarts", type=_positive(int), default=base.pgd_restarts)
-        p.add_argument("--steps", type=_positive(int), default=base.pgd_steps)
         if name == "verify":
             p.add_argument(
-                "--max-subproblems", type=_positive(int), default=base.max_subproblems
+                "--max-subproblems", type=_positive(_int), default=base.max_subproblems
             )
+        else:
+            p.add_argument("--seed", type=_seed, default=0)
+            p.add_argument("--samples", type=_positive(_int), default=base.falsifier_samples)
+            p.add_argument("--restarts", type=_positive(_int), default=base.pgd_restarts)
+            p.add_argument("--steps", type=_positive(_int), default=base.pgd_steps)
         p.add_argument("--witness-out", default=None)
         p.set_defaults(func=func)
 
@@ -287,14 +305,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--no-baseline", action="store_true")
-    p.add_argument("--n-trivial", type=int, default=3)
+    p.add_argument("--n-trivial", type=_int, default=3)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("measure-overhead", help="run only the warm-up instances")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--results", default=None, help="existing results dir to augment")
-    p.add_argument("--n-trivial", type=int, default=3)
+    p.add_argument("--n-trivial", type=_int, default=3)
     p.set_defaults(func=_cmd_measure_overhead)
 
     p = sub.add_parser("score", help="score results CSVs into a report")
@@ -314,13 +332,17 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("calibrate-eps", help="binary-search a robustness radius")
     p.add_argument("network")
     p.add_argument("--center", default=None, help="comma separated floats")
-    p.add_argument("--eps-max", type=_positive(float), default=16.0 / 255.0)
-    p.add_argument("--eps-tol", type=_positive(float), default=0.005)
-    p.add_argument("--oracle-seconds", type=_positive(float), default=5.0)
+    p.add_argument("--eps-max", type=_positive(_float), default=16.0 / 255.0)
+    p.add_argument("--eps-tol", type=_positive(_float), default=0.005)
+    p.add_argument("--oracle-seconds", type=_positive(_float), default=5.0)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_calibrate_eps)
 
     return parser
+
+
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return "warning: %s\n" % message
 
 
 def main(argv=None) -> int:
@@ -334,12 +356,17 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_help(sys.stderr)
         return USAGE_ERROR
+    # a warning shown while the command runs is one line, as an error is
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _format_warning
     try:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         # every module's error type is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return DATA_ERROR
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -426,7 +426,7 @@ def run_baseline(
     inst: Instance,
     budget: Budget = EASY_VIOLATED_BUDGET,
     *,
-    witness_dir=None,
+    witness_dir,
 ) -> RunRecord:
     """Run the bundled participant: quick falsification, then verification.
 
@@ -437,8 +437,10 @@ def run_baseline(
     unsupported (``UnsupportedNetworkError``: an operator, an element type
     or a branching graph) yields UNKNOWN, mirroring tools that skip a
     benchmark rather than erroring on it; any other load failure is ERROR.
-    A witness that cannot be saved makes the run an ERROR, with a warning
-    naming the path, as ``run_tool`` does for a witness it cannot read.
+    A violated run saves its witness as ``<instance_id>.txt`` under
+    witness_dir; a witness that cannot be saved makes the run an ERROR,
+    with a warning naming the path, as ``run_tool`` does for a witness it
+    cannot read.
     """
     start = time.monotonic()
     status, witness = _baseline_verdict(inst, budget, witness_dir, start)
@@ -458,8 +460,6 @@ def _baseline_verdict(inst: Instance, budget: Budget, witness_dir, start: float)
         return Status.ERROR, ""
 
     def violated(witness):
-        if witness_dir is None:
-            return Status.VIOLATED, ""
         path = Path(witness_dir) / ("%s.txt" % inst.instance_id)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -485,7 +485,7 @@ def _baseline_verdict(inst: Instance, budget: Budget, witness_dir, start: float)
     except (ValueError, ArithmeticError) as exc:
         log.warning("baseline failed on %s: %s", inst.instance_id, exc)
         return Status.ERROR, ""
-    if outcome.status is Status.VIOLATED and outcome.witness is not None:
+    if outcome.status is Status.VIOLATED:
         return violated(outcome.witness)
     return outcome.status, ""
 

@@ -17,8 +17,8 @@ survivor is split on its widest dimension, the first popped box's left
 child ending on top.  A survivor too narrow to split leaves the frontier
 and marks the spec undecided; the search goes on.  A midpoint, probed or
 split at, is ``0.5 * lo + 0.5 * hi``, finite for every finite box.  A
-batch fails as a whole: a bound that overflows in any of its rows is an
-error once the batch's midpoints are probed.
+batch fails as a whole: a bound that overflows in any of its rows raises
+``ArithmeticError`` once the batch's midpoints are probed.
 
 falsify() is the cheap counterexample search (uniform sampling, then
 sign-gradient ascent on constraint slack) that also defines the
@@ -62,7 +62,7 @@ class Status(str, Enum):
     HOLDS = "holds"
     VIOLATED = "violated"
     TIMEOUT = "timeout"
-    ERROR = "error"
+    ERROR = "error"  # a run record's status: a search raises instead
     UNKNOWN = "unknown"
 
 
@@ -98,7 +98,6 @@ EASY_VIOLATED_BUDGET = Budget(wall_seconds=10.0)
 @dataclass
 class Stats:
     subproblems: int = 0
-    wall_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -415,17 +414,13 @@ def verify(net: Network, spec: NormalizedSpec, budget: Budget) -> Outcome:
     search order is the module docstring's; a capped run visits exactly
     ``max_subproblems`` nodes.  When the run is not capped, the status does
     not depend on that order, and a spec that holds visits the same nodes in
-    any order; any returned witness is validated.
+    any order; any returned witness is validated.  A bound or probe that
+    overflows raises ``ArithmeticError``, as in ``falsify``.
     """
     _check_fits(net, spec)
-    start = time.monotonic()
     stats = Stats()
-    try:
-        deadline = start + budget.wall_seconds
-        status, witness = _branch_and_bound(net, spec, _plan(net), budget, deadline, stats)
-    except ArithmeticError:
-        status, witness = Status.ERROR, None
-    stats.wall_time = time.monotonic() - start
+    deadline = time.monotonic() + budget.wall_seconds
+    status, witness = _branch_and_bound(net, spec, _plan(net), budget, deadline, stats)
     return Outcome(status, witness, stats)
 
 
@@ -461,9 +456,10 @@ def validate_witness(net: Network, spec: NormalizedSpec, witness: Witness) -> bo
             )
         if not np.all(np.abs(yc - y) <= _witness_slack(np.abs(y))):
             worst = float(np.max(np.abs(yc - y)))
+            # level 2 is the wrapper of the @_QUIET decorator
             warnings.warn(
                 f"claimed-output mismatch: deviation {worst:.3g} exceeds tolerance",
-                stacklevel=2,
+                stacklevel=3,
             )
             return False
     return _satisfied(spec, x, y)

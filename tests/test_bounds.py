@@ -427,3 +427,9 @@ def test_back_substitution_never_looser_than_forward_forms():
                 assert back_lb >= forward_lb - 1e-12 * max(1.0, abs(forward_lb))
                 tighter += back_lb > forward_lb + 1e-9
     assert tighter > 0
+
+
+def test_affine_bounds_refuses_a_box_of_another_dimension():
+    with pytest.raises(ValueError, match="box dimension 2 != network inputs 1") as info:
+        affine_bounds(_identity_relu(), Box([0.0, 0.0], [1.0, 1.0]))
+    assert info.type is ValueError

@@ -3,8 +3,11 @@ exit codes and stdout/stderr routing are checked for real."""
 
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_node
+import veribench
 import veribench._onnxproto as wire
 from veribench.cli import _build_parser, main
 from veribench.harness import TRIVIAL_SPEC_TEXT
@@ -136,8 +140,12 @@ class TestRetiredFlags:
             ["parse", "{spec}", "--max-disjuncts", "2"],
             ["parse", "{spec}", "--allow-unbounded"],
             ["validate-ce", "{net}", "{spec}", "{witness}", "--tol", "1"],
+            ["verify", "{net}", "{spec}", "--seed", "0"],
+            ["verify", "{net}", "{spec}", "--samples", "5"],
+            ["verify", "{net}", "{spec}", "--restarts", "1"],
+            ["verify", "{net}", "{spec}", "--steps", "1"],
         ],
-        ids=["max-disjuncts", "allow-unbounded", "tol"],
+        ids=["max-disjuncts", "allow-unbounded", "tol", "seed", "samples", "restarts", "steps"],
     )
     def test_retired_flag_is_usage_error(
         self, identity_net, sat_spec, tmp_path, capsys, argv
@@ -217,7 +225,6 @@ class TestVerifyFalsify:
             ("falsify", "--steps", "0"),
             ("falsify", "--timeout", "0"),
             ("verify", "--max-subproblems", "0"),
-            ("verify", "--samples", "-3"),
             ("verify", "--timeout", "nan"),
             ("verify", "--timeout", "inf"),
             ("falsify", "--timeout", "1e999"),
@@ -233,7 +240,7 @@ class TestVerifyFalsify:
         assert "argument %s: must be positive" % flag in captured.err
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("command", ["verify", "falsify", "calibrate-eps"])
+    @pytest.mark.parametrize("command", ["falsify", "calibrate-eps"])
     def test_negative_seed_is_usage_error(
         self, identity_net, sat_spec, capsys, command
     ):
@@ -251,6 +258,43 @@ class TestVerifyFalsify:
         )
         assert code == 0
         assert capsys.readouterr().out.strip() == "unknown"
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("verify", ["--max-subproblems", "--timeout", "--witness-out"]),
+            (
+                "falsify",
+                ["--restarts", "--samples", "--seed", "--steps", "--timeout", "--witness-out"],
+            ),
+        ],
+    )
+    def test_each_search_takes_only_the_flags_it_reads(self, command, flags):
+        sub = next(
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        parser = sub.choices[command]
+        given = {f for a in parser._actions for f in a.option_strings} - {"-h", "--help"}
+        assert sorted(given) == flags
+
+    def test_verify_overflow_is_data_error(self, tmp_path, capsys):
+        # verify once printed "error" and exited 0, unlike falsify
+        net, spec = tmp_path / "huge.onnx", tmp_path / "huge.vnnlib"
+        layers = (
+            AffineLayer([[1e200, -1e200]], [0.0]),
+            ActivationLayer("relu"),
+            AffineLayer([[1e200]], [0.0]),
+        )
+        save_network(Network(layers, 2, 1), net)
+        spec.write_text(
+            "(declare-const X_0 Real)(declare-const X_1 Real)(declare-const Y_0 Real)"
+            "(assert (>= X_0 0.0))(assert (<= X_0 1.0))"
+            "(assert (>= X_1 0.0))(assert (<= X_1 1.0))(assert (>= Y_0 1e300))"
+        )
+        assert main(["verify", str(net), str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bound propagation produced non-finite values\n"
 
 
 class TestValidateCe:
@@ -735,6 +779,105 @@ class TestCalibrateEps:
             ["calibrate-eps", str(identity_net), "--center", "0.0"]
         )
         assert code == 2
+
+
+def _cli(*argv):
+    """veribench run as its own process, so warnings show as they would."""
+    src = Path(veribench.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-m", "veribench.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+class TestWarnings:
+    # a warning once printed as "<file>.py:<line>: UserWarning: ..." and a
+    # source line, the file being numpy's or one that moved with the spec
+
+    def test_claimed_output_mismatch_is_one_line(self, identity_net, sat_spec, tmp_path):
+        witness = tmp_path / "w.txt"
+        witness.write_text("X_0 0.5\nY_0 99\n")
+        proc = _cli("validate-ce", identity_net, sat_spec, witness)
+        assert proc.returncode == 2
+        assert proc.stdout == "fail\n"
+        assert proc.stderr == (
+            "warning: claimed-output mismatch: deviation 98.5 exceeds tolerance\n"
+        )
+
+    def test_nested_strict_atom_is_one_line(self, tmp_path):
+        spec = tmp_path / "strict.vnnlib"
+        spec.write_text(HOLDS_SPEC_TEXT + "(assert (or (and (< Y_0 0.5))))\n")
+        proc = _cli("parse", spec)
+        assert proc.returncode == 0
+        assert proc.stderr == "warning: strict '<' at line 6 treated as non-strict\n"
+
+
+class TestNumberRule:
+    # float() and int() also read digit-group underscores and digits
+    # outside ASCII, which the VNNLIB and witness readers refuse
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "{net}", "--input", "1_0, 3"],
+            ["eval", "{net}", "--input", "0 \u0663"],
+            ["calibrate-eps", "{net}", "--center", "1_0,0"],
+        ],
+        ids=["eval-underscore", "eval-arabic-digit", "center-underscore"],
+    )
+    def test_bad_number_list_is_data_error(self, argv, tmp_path, capsys, net_factory):
+        net = tmp_path / "net.onnx"
+        save_network(net_factory(np.random.default_rng(3), n_in=2, hidden=[4], n_out=2), net)
+        assert main([str(net) if a == "{net}" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: bad number list %r" % argv[-1] in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["verify", "{net}", "{spec}", "--timeout", "1_0"], "float"),
+            (["verify", "{net}", "{spec}", "--max-subproblems", "1_0"], "int"),
+            (["falsify", "{net}", "{spec}", "--timeout", "\u0663"], "float"),
+            (["falsify", "{net}", "{spec}", "--samples", "\u0663"], "int"),
+            (["falsify", "{net}", "{spec}", "--restarts", "1_0"], "int"),
+            (["falsify", "{net}", "{spec}", "--steps", "\u0663"], "int"),
+            (["falsify", "{net}", "{spec}", "--seed", "1_0"], "int"),
+            (["calibrate-eps", "{net}", "--eps-max", "0.0_1"], "float"),
+            (["calibrate-eps", "{net}", "--eps-tol", "\u0663"], "float"),
+            (["calibrate-eps", "{net}", "--oracle-seconds", "1_0"], "float"),
+            (["calibrate-eps", "{net}", "--seed", "\u0663"], "int"),
+            (["run", "{manifest}", "--config", "{config}", "--out", "{out}",
+              "--n-trivial", "\u0660"], "int"),
+            (["measure-overhead", "--config", "{config}", "--out", "{out}",
+              "--n-trivial", "1_0"], "int"),
+        ],
+        ids=[
+            "verify-timeout", "max-subproblems", "falsify-timeout", "samples", "restarts",
+            "steps", "falsify-seed", "eps-max", "eps-tol", "oracle-seconds",
+            "calibrate-seed", "run-n-trivial", "overhead-n-trivial",
+        ],
+    )
+    def test_bad_number_flag_is_usage_error(
+        self, argv, kind, echo_setup, identity_net, sat_spec, tmp_path, capsys
+    ):
+        config, manifest = echo_setup
+        paths = {
+            "{net}": identity_net, "{spec}": sat_spec, "{manifest}": manifest,
+            "{config}": config, "{out}": tmp_path / "out",
+        }
+        assert main([str(paths.get(a, a)) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument %s: invalid %s value: %r" % (argv[-2], kind, argv[-1]) in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_signed_ascii_numbers_still_read(self, identity_net, sat_spec, capsys):
+        argv = ["falsify", str(identity_net), str(sat_spec), "--seed", "+1", "--timeout", "1e1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "violated\n"
 
 
 def _readme_commands():

@@ -3,6 +3,7 @@ import time
 import warnings
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,6 +145,19 @@ def test_falsify_respects_wall_budget():
     start = time.monotonic()
     assert falsify(net, spec, budget) is None
     assert time.monotonic() - start <= budget.wall_seconds + 1.0
+
+
+def test_clock_past_the_deadline_mid_climb_drops_the_climb(monkeypatch):
+    # y = x >= 1 holds only at the box's upper corner, which no uniform draw
+    # in [-1, 1) reaches and the climb's first steps do
+    spec = NormalizedSpec(1, 1, (Conjunct((-1.0,), (1.0,), [[-1.0]], [[0.0]], [-1.0]),))
+    budget = Budget(falsifier_samples=10, pgd_restarts=1, pgd_steps=50)
+    assert falsify(IDENTITY, spec, budget).x == (1.0,)
+    # the deadline, the one sample block and the first climb step read 0
+    ticks = iter([0.0, 0.0, 0.0])
+    monkeypatch.setattr(verifier, "time", SimpleNamespace(monotonic=lambda: next(ticks, 1e9)))
+    assert falsify(IDENTITY, spec, budget) is None
+    assert next(ticks, None) is None
 
 
 def test_multiple_disjuncts_scanned_in_order():
@@ -643,7 +657,8 @@ def test_gradient_returns_its_nan_with_no_warning():
 def test_verify_nonfinite_falsifier_only_path_is_error():
     # the search's first probe overflows, whatever activation follows
     net = Network(OVERFLOW_LAYERS + (ActivationLayer("sigmoid"),), 1, 1)
-    assert verify(net, _spec(OVERFLOW_SPEC), Budget()).status is Status.ERROR
+    with pytest.raises(ArithmeticError):
+        verify(net, _spec(OVERFLOW_SPEC), Budget())
 
 
 def test_default_budget_shape():

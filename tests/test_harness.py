@@ -230,6 +230,13 @@ class TestManifest:
         )
         assert len(load_manifest(path)) == 1
 
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        path = self.write_manifest(
+            tmp_path, ["# nets and specs", "a.onnx,s.vnnlib,10", "", "  ", "b.onnx,s.vnnlib,20"]
+        )
+        instances = load_manifest(path)
+        assert [(i.instance_id, i.timeout) for i in instances] == [("a-s", 10.0), ("b-s", 20.0)]
+
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(HarnessError, match="manifest not found"):
             load_manifest(tmp_path / "nope.csv")
@@ -575,7 +582,7 @@ class TestRunBaseline:
             spec_path=spec_path,
             timeout=30.0,
         )
-        record = run_baseline(inst)
+        record = run_baseline(inst, witness_dir=tmp_path / "w")
         assert record.status is Status.HOLDS
         assert record.witness_path == ""
 
@@ -591,7 +598,7 @@ class TestRunBaseline:
             spec_path=trivial_instance.spec_path,
             timeout=30.0,
         )
-        record = run_baseline(inst)
+        record = run_baseline(inst, witness_dir=tmp_path / "w")
         assert record.status is Status.UNKNOWN
 
     @staticmethod
@@ -600,7 +607,7 @@ class TestRunBaseline:
         path = tmp_path / "edited.onnx"
         path.write_bytes(data)
         inst = dataclasses.replace(trivial_instance, instance_id="edited", network_path=path)
-        return run_baseline(inst).status
+        return run_baseline(inst, witness_dir=tmp_path / "w").status
 
     @pytest.mark.parametrize("name", ["unsupported_w", "W0"])
     def test_ragged_tensor_is_error_whatever_its_name(self, name, trivial_instance, tmp_path):
@@ -640,11 +647,11 @@ class TestRunBaseline:
             load_network(data)
         assert self.status_of(data, trivial_instance, tmp_path) is Status.UNKNOWN
 
-    def test_timeout_spent_by_falsify_is_timeout(self, trivial_instance):
+    def test_timeout_spent_by_falsify_is_timeout(self, trivial_instance, tmp_path):
         # the trivial spec holds everywhere, so the falsifier returns no
         # witness only when its first deadline check fires
         inst = dataclasses.replace(trivial_instance, timeout=1e-9)
-        record = run_baseline(inst)
+        record = run_baseline(inst, witness_dir=tmp_path / "w")
         assert record.status is Status.TIMEOUT
         assert record.seconds == 1e-9
 
@@ -656,6 +663,32 @@ class TestRunBaseline:
         by_tool = run_batch([nan, trivial_instance], [], tmp_path / "out", n_trivial=0)
         statuses = [r.status for r in by_tool[BASELINE_TOOL]]
         assert statuses == [Status.ERROR, Status.VIOLATED]
+
+    def test_overflow_in_verify_is_error_with_its_reason_logged(
+        self, trivial_instance, tmp_path, caplog
+    ):
+        # y_1 = x is 0.41 at one point, which the falsifier misses; y_0 =
+        # 2.5e154 relu(-1e154 x) is finite on the box, but its bounds on the
+        # root's left child overflow
+        net_path, spec_path = tmp_path / "huge.onnx", tmp_path / "huge.vnnlib"
+        layers = (
+            AffineLayer([[-1e154], [1.0]], [0.0, 1.0]),
+            ActivationLayer("relu"),
+            AffineLayer([[2.5e154, 0.0], [0.0, 1.0]], [0.0, -1.0]),
+        )
+        save_network(Network(layers, 1, 2), net_path)
+        spec_path.write_text(
+            "(declare-const X_0 Real)(declare-const Y_0 Real)(declare-const Y_1 Real)"
+            "(assert (>= X_0 -0.6))(assert (<= X_0 0.6))"
+            "(assert (>= Y_1 0.41))(assert (<= Y_1 0.41))(assert (<= Y_0 1.0))"
+        )
+        inst = dataclasses.replace(trivial_instance, network_path=net_path, spec_path=spec_path)
+        with caplog.at_level("WARNING", logger=harness.log.name):
+            record = run_baseline(inst, witness_dir=tmp_path / "w")
+        assert (record.status, record.witness_path) == (Status.ERROR, "")
+        assert caplog.messages == [
+            "baseline failed on net-spec: bound propagation produced non-finite values"
+        ]
 
     def test_witness_that_cannot_be_saved_is_error_and_the_batch_goes_on(
         self, trivial_instance, tmp_path, caplog
@@ -726,7 +759,7 @@ class TestRunBaseline:
             spec_path=trivial_instance.spec_path,
             timeout=30.0,
         )
-        assert run_baseline(inst).status is Status.ERROR
+        assert run_baseline(inst, witness_dir=tmp_path / "w").status is Status.ERROR
 
     def test_spec_that_is_not_utf8_is_error(self, trivial_instance, tmp_path):
         # the UnicodeDecodeError used to escape run_baseline and abort run_batch
@@ -739,7 +772,7 @@ class TestRunBaseline:
             spec_path=bad,
             timeout=30.0,
         )
-        assert run_baseline(inst).status is Status.ERROR
+        assert run_baseline(inst, witness_dir=tmp_path / "w").status is Status.ERROR
 
     def test_spec_with_an_index_too_long_for_int_is_error(self, trivial_instance, tmp_path):
         # the bare ValueError from int() used to escape run_baseline and
@@ -1313,3 +1346,34 @@ class TestRunBatch:
             ledger = score_records(read_results_dir(out))
             reports.append(render_report(ledger))
         assert reports[0] == reports[1]
+
+
+def _result_file(tmp_path, text):
+    path = tmp_path / "r.result"
+    path.write_text(text)
+    return harness._parse_result_file(path)
+
+
+@pytest.mark.parametrize(
+    "make, phrase",
+    [
+        (lambda tmp_path: ToolAdapter("", "true"), "adapter needs a tool id"),
+        (lambda tmp_path: parse_config(" = x"), "bad config line 1: empty key"),
+        (lambda tmp_path: _result_file(tmp_path, ""), "unparseable result file"),
+        (
+            lambda tmp_path: _result_file(tmp_path, "holds\n\nw.txt\nmore\n"),
+            "unparseable result file",
+        ),
+        (
+            lambda tmp_path: CalibrationRequest(
+                gen_trivial_network(1), [math.nan], eps_max=0.1, eps_tol=0.01
+            ),
+            "non-finite center",
+        ),
+    ],
+    ids=["empty-tool-id", "empty-config-key", "empty-result", "three-line-result", "nan-center"],
+)
+def test_harness_refusals(make, phrase, tmp_path):
+    with pytest.raises(HarnessError, match=phrase) as info:
+        make(tmp_path)
+    assert info.type is HarnessError

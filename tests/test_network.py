@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import re
 import struct
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ from veribench import network
 from veribench.network import (
     ActivationLayer,
     AffineLayer,
+    Box,
     Network,
     NetworkError,
     UnsupportedNetworkError,
@@ -77,6 +79,13 @@ def test_negative_int64_varint():
     enc = wire.encode_message("Dim", {"dim_value": -1})
     assert enc == b"\x08" + b"\xff" * 9 + b"\x01"
     assert wire.decode_message("Dim", enc) == {"dim_value": -1}
+
+
+def test_overlong_varint_rejected():
+    # ModelProto.ir_version with twelve varint bytes
+    with pytest.raises(wire.WireDecodeError, match="varint longer than 10 bytes") as info:
+        wire.decode_model(b"\x08" + b"\x80" * 11 + b"\x01")
+    assert info.type is wire.WireDecodeError
 
 
 def test_truncated_payload_rejected():
@@ -1010,3 +1019,38 @@ def test_sigmoid_tanh_forward_values():
         (AffineLayer(np.eye(1), np.zeros(1)), ActivationLayer("tanh")), 1, 1
     )
     assert forward(net, [0.0])[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "make, error, phrase",
+    [
+        (lambda: Box([0.0, 0.0], [1.0]), ValueError, "bound shapes differ: (2,) vs (1,)"),
+        (lambda: Box([0.0], [np.inf]), ValueError, "box bounds must be finite"),
+        (lambda: Box([1.0], [0.0]), ValueError, "box has lower > upper"),
+        (lambda: AffineLayer(np.ones(2), np.zeros(2)), NetworkError, "weight must be 2-D"),
+        (
+            lambda: AffineLayer(np.ones((2, 1)), np.zeros(3)),
+            NetworkError,
+            "bias shape (3,) does not match weight rows 2",
+        ),
+        (lambda: ActivationLayer("gelu"), NetworkError, "unknown activation 'gelu'"),
+        (
+            lambda: Network((), 1, 1, precision="float16"),
+            NetworkError,
+            "unknown precision 'float16'",
+        ),
+        (
+            lambda: Network((AffineLayer(np.ones((2, 1)), np.zeros(2)),), 1, 1),
+            NetworkError,
+            "final width 2 does not match declared outputs 1",
+        ),
+    ],
+    ids=[
+        "box-shapes", "box-non-finite", "box-inverted", "weight-1d", "bias-length",
+        "gelu", "float16", "final-width",
+    ],
+)
+def test_constructor_refusals(make, error, phrase):
+    with pytest.raises(error, match=re.escape(phrase)) as info:
+        make()
+    assert info.type is error

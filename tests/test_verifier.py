@@ -279,8 +279,8 @@ def test_verify_nonfinite_is_error():
         "(declare-const X_0 Real)(declare-const Y_0 Real)"
         "(assert (>= X_0 1.0))(assert (<= X_0 2.0))(assert (>= Y_0 0.0))"
     )
-    out = verify(net, spec, Budget())
-    assert out.status is Status.ERROR
+    with pytest.raises(ArithmeticError):
+        verify(net, spec, Budget())
 
 
 # y = w2 . relu(W1 x + b1) + b2, a 1-4-1 net
@@ -297,16 +297,15 @@ NET_1_4_1 = Network(
 
 def test_verify_box_whose_midpoint_sum_overflows_is_an_outcome():
     # 1e308 + 1.5e308 overflows, but the box and its midpoint are finite;
-    # the net itself overflows there, which is an ERROR outcome
+    # the net itself overflows there, which raises, with no warning
     spec = _spec(
         "(declare-const X_0 Real)(declare-const Y_0 Real)"
         "(assert (>= X_0 1e308))(assert (<= X_0 1.5e308))(assert (>= Y_0 0.0))"
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = verify(NET_1_4_1, spec, Budget(wall_seconds=5.0))
-    assert isinstance(out, Outcome)
-    assert out.status is Status.ERROR
+        with pytest.raises(ArithmeticError):
+            verify(NET_1_4_1, spec, Budget(wall_seconds=5.0))
 
 
 def test_verify_midpoint_witness_beats_overflowing_bounds():
@@ -375,7 +374,9 @@ def test_verify_finds_what_a_chord_with_an_overflowing_gap_hid():
 @pytest.mark.parametrize(
     "x_lo, x_hi, status", [(0.25, 0.35, Status.VIOLATED), (0.4, 0.45, Status.ERROR)]
 )
-def test_verify_bound_overflow_fails_a_batch_after_its_midpoints(x_lo, x_hi, status):
+def test_verify_bound_overflow_fails_a_batch_after_its_midpoints(
+    x_lo, x_hi, status, monkeypatch
+):
     # y = 2.5e154 * relu(-1e154 * x) on [-0.6, 0.6]: the root's bounds are
     # finite, but its left child [-0.6, 0] is active and the bounds overflow.
     # The children form one batch, so the right child's midpoint 0.3 is
@@ -395,9 +396,23 @@ def test_verify_bound_overflow_fails_a_batch_after_its_midpoints(x_lo, x_hi, sta
         [-x_lo, x_hi, 1.0],  # rhs
     )
     spec = NormalizedSpec(1, 1, (Conjunct((-0.6,), (0.6,), *rows),))
-    out = verify(net, spec, Budget())
-    assert out.status is status
-    assert out.stats.subproblems == 3
+    probes, probe = [], verifier._probe
+
+    def spy(net, spec, points, d):
+        probes.append(points.tolist())
+        return probe(net, spec, points, d)
+
+    monkeypatch.setattr(verifier, "_probe", spy)
+    if status is Status.ERROR:
+        with pytest.raises(ArithmeticError):
+            verify(net, spec, Budget())
+    else:
+        out = verify(net, spec, Budget())
+        assert out.status is status
+        assert out.stats.subproblems == 3
+    # the root's midpoint, its corners, then both children's midpoints
+    assert len(probes) == 3
+    assert (probes[0], probes[2]) == ([[0.0]], [[-0.3], [0.3]])
     if status is Status.VIOLATED:
         assert out.witness.x == (0.3,)
 
@@ -873,6 +888,15 @@ def test_validate_witness_claimed_output_mismatch():
         assert validate_witness(RELU_NET, spec, w) is False
     # matching claim passes silently
     assert validate_witness(RELU_NET, spec, Witness((0.75,), (0.75,)))
+
+
+def test_claimed_output_mismatch_warning_names_the_caller():
+    # it once named the wrapper that the @_QUIET decorator puts round the check
+    w = Witness((0.75,), (0.75 + 1e-3,))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert validate_witness(RELU_NET, VIOLATED_SPEC, w) is False
+    assert [(c.category, c.filename) for c in caught] == [(UserWarning, __file__)]
 
 
 def test_validate_witness_dimension_mismatch():
