@@ -122,7 +122,7 @@ def _read_varint(buf: bytes, pos: int, end: int) -> tuple[int, int]:
         if not b & 0x80:
             return result, pos
         shift += 7
-        if shift > 70:
+        if shift >= 70:  # the 10th byte is the last one protobuf allows
             raise WireDecodeError("varint longer than 10 bytes")
 
 

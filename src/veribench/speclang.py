@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -360,7 +361,7 @@ class _Parser:
         if op in ("<", ">"):
             warnings.warn(
                 f"strict '{op}' at line {open_tok.line} treated as non-strict",
-                stacklevel=4,
+                stacklevel=_caller_level(),
             )
             op = "<=" if op == "<" else ">="
         if op in ("<=", ">="):
@@ -407,6 +408,15 @@ class _Parser:
             self.assertions.append(self.parse_term(items[1]))
         else:
             raise SpecError(f"unsupported command '{head}'", open_tok.line, open_tok.col)
+
+
+def _caller_level() -> int:
+    """The ``stacklevel`` that names the first frame outside this module,
+    for a warning raised by this function's caller, at any nesting depth."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def parse_vnnlib(text: str) -> SpecAst:

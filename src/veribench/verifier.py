@@ -9,16 +9,23 @@ boxes, each tagged with its disjunct, kept as one float array with the
 disjunct indices beside it; it starts with every disjunct's root, disjunct
 0 on top.  A step pops up to 32 boxes, never more than the node cap has
 left, and takes them in pop order: their midpoints are probed in one
-forward pass before any bound is computed, they and their rows are bounded
-in one call of the core, the survivors' constraint corners (per real row
-of the box's disjunct, at most 8, the corner minimizing the row's
-back-substituted lower form) are probed in one forward pass, and each
-survivor is split on its widest dimension, the first popped box's left
-child ending on top.  A survivor too narrow to split leaves the frontier
-and marks the spec undecided; the search goes on.  A midpoint, probed or
-split at, is ``0.5 * lo + 0.5 * hi``, finite for every finite box.  A
-batch fails as a whole: a bound that overflows in any of its rows raises
-``ArithmeticError`` once the batch's midpoints are probed.
+forward pass before any bound is computed, they and their rows are
+bounded, the survivors' constraint corners (per real row of the box's
+disjunct, at most 8, the corner minimizing the row's back-substituted
+lower form) are probed in one forward pass, and each survivor is split on
+its widest dimension, the first popped box's left child ending on top.  A
+survivor too narrow to split leaves the frontier and marks the spec
+undecided; the search goes on.  A midpoint, probed or split at, is
+``0.5 * lo + 0.5 * hi``, finite for every finite box.  One call of the core
+covers two levels while the batch has room: a step that pops the whole
+frontier, with the node cap not reached and room for its nodes' children
+in 32 boxes, bounds the children too, for the step that pops them.  A
+child is not a node until popped, and a box's bounds do not depend on its
+batch, so every answer is that of bounding each step alone, and a capped
+run still visits exactly ``max_subproblems`` nodes.  A batch fails as a
+whole: a bound that overflows in any of its nodes' rows raises
+``ArithmeticError`` once its midpoints are probed; a child's waits for its
+own step.
 
 falsify() is the cheap counterexample search (uniform sampling, then
 sign-gradient ascent on constraint slack) that also defines the
@@ -349,7 +356,10 @@ def _branch_and_bound(net, spec, plan, budget, deadline, stats):
 
     The frontier is one float array whose rows are ``[lo | hi]``, a node's
     input bounds (n each); the nodes' disjunct indices lie beside it, and
-    the top is the last row.
+    the top is the last row.  A call that covers two levels keeps the
+    survivors' children's bounds in pop order (``ahead``) for the step that
+    pops them; they are not nodes until then, so a capped run still visits
+    exactly ``max_subproblems``.
     """
     (a_y, b_x, rhs), (lower, upper) = spec.rows, spec.boxes
     n = spec.n_inputs
@@ -357,10 +367,12 @@ def _branch_and_bound(net, spec, plan, budget, deadline, stats):
     frontier = np.concatenate([lower, upper], axis=1)[::-1]
     disjunct = np.arange(len(lower))[::-1]
     undecided = False
+    ahead = None  # (lb, coef) of the frontier's top rows in pop order, bounded early
     while len(frontier):
         if time.monotonic() > deadline or stats.subproblems >= budget.max_subproblems:
             return Status.TIMEOUT, None
-        k = min(_FRONTIER, budget.max_subproblems - stats.subproblems, len(frontier))
+        left = budget.max_subproblems - stats.subproblems  # nodes the cap has left
+        k = min(_FRONTIER, left, len(frontier))
         rest = len(frontier) - k
         nodes, d = frontier[rest:][::-1], disjunct[rest:][::-1]
         frontier, disjunct = frontier[:rest], disjunct[:rest]
@@ -373,11 +385,32 @@ def _branch_and_bound(net, spec, plan, budget, deadline, stats):
         if w is not None:
             return Status.VIOLATED, w
 
-        _, _, lb, coef = _bound(plan, lo, hi, a_y[d], b_x[d])
+        # each node's left and right child, which depend on its box alone; a
+        # cell too narrow to split has none
+        split = (hi - lo).max(axis=1) >= MIN_SPLIT_WIDTH
+        at = np.arange(k), np.argmax(hi - lo, axis=1)  # lowest index on ties
+        kids = np.stack([nodes, nodes], 1)
+        kids[:, 0, n:][at] = kids[:, 1, :n][at] = 0.5 * lo[at] + 0.5 * hi[at]
+        bounds, ahead = ahead, None  # kept by the call that bounded the parents
+        if bounds is None and rest == 0 and 3 * k <= _FRONTIER and k < left:
+            # the whole frontier, with room for its children: one call
+            # bounds both levels
+            boxes = np.concatenate([nodes, kids[split].reshape(-1, 2 * n)])
+            bd = np.concatenate([d, np.repeat(d[split], 2)])
+            try:
+                bounds = _bound(plan, boxes[:, :n], boxes[:, n:], a_y[bd], b_x[bd])[2:]
+                ahead = tuple(a[k:] for a in bounds)
+            except ArithmeticError:
+                pass  # the nodes go alone: a child's overflow raises at its own step
+        if bounds is None:
+            bounds = _bound(plan, lo, hi, a_y[d], b_x[d])[2:]
+        lb, coef = (a[:k] for a in bounds)
         keep = ~(lb > rhs[d]).any(axis=1)
+        if ahead is not None:  # the survivors' children, in pop order
+            ahead = tuple(a[np.repeat(keep[split], 2)] for a in ahead)
         if not keep.any():
             continue
-        nodes, d, coef = nodes[keep], d[keep], coef[keep]
+        nodes, d, coef, kids, split = (a[keep] for a in (nodes, d, coef, kids, split))
         lo, hi = nodes[:, :n], nodes[:, n:]
 
         # per survivor and real row (the first 8; padding has rhs = +inf),
@@ -389,18 +422,11 @@ def _branch_and_bound(net, spec, plan, budget, deadline, stats):
             return Status.VIOLATED, w
 
         # a cell too narrow to split leaves the frontier undecided
-        split = (hi - lo).max(axis=1) >= MIN_SPLIT_WIDTH
-        if not split.all():
-            undecided = True
-            nodes, d = nodes[split], d[split]
-            lo, hi = nodes[:, :n], nodes[:, n:]
-        at = np.arange(len(nodes)), np.argmax(hi - lo, axis=1)  # lowest index on ties
-        kids = np.stack([nodes, nodes], 1)  # each row's left and right child
-        kids[:, 0, n:][at] = kids[:, 1, :n][at] = 0.5 * lo[at] + 0.5 * hi[at]
+        undecided = undecided or not split.all()
         # children in pop order, row 0's left and right child first; pushed
         # reversed, so that row 0's left child is on top
-        frontier = np.concatenate([frontier, kids.reshape(-1, kids.shape[2])[::-1]])
-        disjunct = np.concatenate([disjunct, np.repeat(d, 2)[::-1]])
+        frontier = np.concatenate([frontier, kids[split].reshape(-1, 2 * n)[::-1]])
+        disjunct = np.concatenate([disjunct, np.repeat(d[split], 2)[::-1]])
     return (Status.UNKNOWN if undecided else Status.HOLDS), None
 
 
@@ -411,10 +437,12 @@ def verify(net: Network, spec: NormalizedSpec, budget: Budget) -> Outcome:
     validated witness, TIMEOUT when the wall clock or subproblem budget runs
     out, UNKNOWN when some cell could not be split further and no witness
     was found.  Every network the loader accepts gets this one search.  The
-    search order is the module docstring's; a capped run visits exactly
-    ``max_subproblems`` nodes.  When the run is not capped, the status does
-    not depend on that order, and a spec that holds visits the same nodes in
-    any order; any returned witness is validated.  A bound or probe that
+    search order is the module docstring's: one call of the bound core
+    covers two levels while the batch has room, children are not nodes until
+    popped, and a capped run visits exactly ``max_subproblems`` nodes.  When
+    the run is not capped, the status does not depend on that order, and a
+    spec that holds visits the same nodes in any order; any returned
+    witness is validated.  A bound or probe that
     overflows raises ``ArithmeticError``, as in ``falsify``.
     """
     _check_fits(net, spec)

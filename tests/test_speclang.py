@@ -12,6 +12,7 @@ from veribench.speclang import (
     Conjunct,
     NormalizedSpec,
     SpecError,
+    load_spec,
     parse_vnnlib,
     to_dnf,
 )
@@ -581,6 +582,21 @@ def test_strict_warning_names_its_line():
     with pytest.warns(UserWarning) as record:
         parse_vnnlib(_DECLS + "\n; c\n\n(assert (< X_0 1))")
     assert [str(w.message) for w in record] == ["strict '<' at line 4 treated as non-strict"]
+
+
+@pytest.mark.parametrize("reader", ["parse_vnnlib", "load_spec"])
+@pytest.mark.parametrize(
+    "term", ["(< Y_0 0.5)", "(or (and (< Y_0 0.5)))"], ids=["flat", "nested"]
+)
+def test_strict_warning_names_the_caller(reader, term, tmp_path):
+    # a fixed stacklevel once named speclang.py for an atom nested in (or (and))
+    text = _DECLS + f"(assert (>= X_0 0))(assert (<= X_0 1))(assert {term})"
+    path = tmp_path / "spec.vnnlib"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parse_vnnlib(text) if reader == "parse_vnnlib" else load_spec(path)
+    assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
 
 
 _TWELVE_ORS = "".join(f"(or (<= Y_0 {k}) (>= Y_0 {k + 1}))" for k in range(12))

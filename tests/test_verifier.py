@@ -380,7 +380,10 @@ def test_verify_bound_overflow_fails_a_batch_after_its_midpoints(
     # y = 2.5e154 * relu(-1e154 * x) on [-0.6, 0.6]: the root's bounds are
     # finite, but its left child [-0.6, 0] is active and the bounds overflow.
     # The children form one batch, so the right child's midpoint 0.3 is
-    # probed before that overflow: a witness when x_lo <= 0.3 <= x_hi
+    # probed before that overflow: a witness when x_lo <= 0.3 <= x_hi.  The
+    # root's step also bounds its children, and that call overflows; this
+    # guards the fallback that then bounds the root alone, so that the
+    # overflow raises at the children's own step, after their midpoints
     net = Network(
         (
             AffineLayer(np.array([[-1e154]]), np.zeros(1)),
@@ -856,16 +859,38 @@ def test_activation_final_verify_answers_pinned(hidden, final):
     assert digest.hexdigest() == ACTIVATION_FINAL_SHA256[hidden, final]
 
 
-def test_one_search_builds_each_block_once(block_builds):
-    # a capped search of one disjunct bounds 1, 2, 4, 8 and 15 nodes in five
-    # calls of the core, and builds each affine layer's block once for all
+def test_one_search_builds_each_block_once(block_builds, monkeypatch):
+    # a capped search makes the calls of the core below, and builds each
+    # affine layer's block once for all of them.  A step that pops the whole
+    # frontier of k nodes, with 3k <= 32 and the cap not reached, bounds
+    # their children in the same call: at cap 30 one disjunct's 1 + 2, then
+    # 4 + 8 nodes, then the 15 the cap leaves; at cap 2 the root and both
+    # children, of which one is visited.  Ten roots and their children fill
+    # one call; eleven roots leave no room, so they are bounded alone
     from conftest import make_random_network
 
+    sizes, core = [], verifier._bound
+
+    def spy(plan, lo, *rows):
+        sizes.append(len(lo))
+        return core(plan, lo, *rows)
+
+    monkeypatch.setattr(verifier, "_bound", spy)
     net = make_random_network(np.random.default_rng(0), 5, [50] * 6, 5)
     spec = load_spec(PROPS / "prop_2.vnnlib")
-    out = verify(net, spec, Budget(wall_seconds=600.0, max_subproblems=30))
-    assert (out.status, out.stats.subproblems) == (Status.TIMEOUT, 30)
-    assert block_builds == [l for l in net.layers if isinstance(l, AffineLayer)]
+    affine = [l for l in net.layers if isinstance(l, AffineLayer)]
+    for roots, cap, calls in [
+        (1, 30, [3, 12, 15]),
+        (1, 2, [3]),
+        (10, 30, [30]),
+        (11, 30, [11, 19]),
+    ]:
+        sizes.clear()
+        block_builds.clear()
+        search = NormalizedSpec(5, 5, spec.disjuncts * roots)
+        out = verify(net, search, Budget(wall_seconds=600.0, max_subproblems=cap))
+        assert (out.status, out.stats.subproblems, sizes) == (Status.TIMEOUT, cap, calls)
+        assert block_builds == affine
 
 
 # ---------------------------------------------------------------------------
